@@ -12,13 +12,16 @@ from .errors import (
     InvalidObservationError,
     NumericalBlowupError,
 )
-from .observations import ObservationSet, guide_pull
-from .sde import (
+from .observations import ObservationSet, guide_pull, shared_channel
+# normal_increments is no longer called here; it stays in this namespace
+# for tracers that wrap bridgesim.bridge.normal_increments
+from .sde import (  # noqa: F401
     BLOWUP_FACTOR,
     ModelSpec,
     PathSample,
     TimeGrid,
     _prepare_initial,
+    block_normals,
     check_coefficients,
     diffusion_values,
     drift_values,
@@ -37,8 +40,10 @@ class BridgeConfig:
     always, which is exact for a zero residual anyway).
     ``epsilon_cutoff`` stops every guiding window a distance epsilon
     before its observation time and disables the terminal projection;
-    used to study the cut-off approximation.  ``record_increments``
-    retains the raw standard-normal draws on the returned path.
+    used to study the cut-off approximation.  ``run_ensemble`` rejects
+    it, because its weights assume the full bridge.
+    ``record_increments`` retains the raw standard-normal draws on the
+    returned path.
     """
 
     clamp_tolerance: float = 0.0
@@ -132,8 +137,7 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     m_steps = grid.n_steps
     ids = np.asarray(list(path_ids), dtype=int)
     p_count = len(ids)
-    xi = np.stack([normal_increments(seed, pid, m_steps, n) for pid in ids]) \
-        if p_count else np.zeros((0, m_steps, n))
+    xi = block_normals(seed, ids, m_steps, n)
     states = np.empty((p_count, m_steps + 1, n))
     states[:, 0] = u
     failed = np.full(p_count, -1, dtype=int)
@@ -141,6 +145,16 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     cap = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(u)))
     cur = np.broadcast_to(u, (p_count, n)).copy()
     drift_fn = model.effective_drift
+    # constant sigma: one factorization per observation serves the pull
+    # at every step and the terminal projection
+    sig_c = model.constant_sigma
+    channels = None if sig_c is None else \
+        [shared_channel(gram(sig_c), ob.matrix) for ob in obs.items]
+
+    def pull(k, a, resid):
+        if channels is not None:
+            return channels[k].pull(resid)
+        return guide_pull(a, obs.items[k].matrix, resid)
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m_steps):
@@ -152,13 +166,12 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 check_coefficients(model, t, cur, sig)
             a = None
             total = b
-            for j0, js, j1, ob in table:
+            for k, (j0, js, j1, ob) in enumerate(table):
                 if j0 <= j < js:
-                    if a is None:
+                    if a is None and channels is None:
                         a = gram(sig)
                     resid = cur @ ob.matrix.T - ob.value
-                    total = total - guide_pull(a, ob.matrix, resid) \
-                        / (nodes[j1] - t)
+                    total = total - pull(k, a, resid) / (nodes[j1] - t)
             nxt = cur + total * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
             bad = (failed < 0) & (
                 ~np.isfinite(nxt).all(axis=1)
@@ -171,10 +184,10 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             if k0 is not None:
                 ob = obs.items[k0]
                 preclamp[k0] = cur.copy()
-                sig_t = diffusion_values(model.diffusion, nodes[j + 1], cur, n)
-                a_t = gram(sig_t)
+                a_t = None if channels is not None else gram(
+                    diffusion_values(model.diffusion, nodes[j + 1], cur, n))
                 resid = ob.value - cur @ ob.matrix.T
-                move = guide_pull(a_t, ob.matrix, resid)
+                move = pull(k0, a_t, resid)
                 if cfg.clamp_tolerance > 0.0:
                     small = np.linalg.norm(resid, axis=1) <= cfg.clamp_tolerance
                     move = np.where(small[:, None], 0.0, move)

@@ -103,12 +103,18 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     Work proceeds in fixed-size chunks of path indices; the thread count
     only schedules chunks and never changes any result.  Failed paths
     are dropped and counted, and the run aborts once more than 1% of
-    paths fail.
+    paths fail.  ``cfg.epsilon_cutoff`` is rejected: the weights assume
+    guidance over the full window and the terminal projection.
     """
     if n_paths < 1:
         raise InvalidConfigurationError("n_paths must be >= 1")
     if threads < 1:
         raise InvalidConfigurationError("threads must be >= 1")
+    if cfg is not None and cfg.epsilon_cutoff is not None:
+        raise InvalidConfigurationError(
+            "run_ensemble does not weight epsilon-cutoff bridges; the "
+            "weights assume full guidance and the terminal projection "
+            "(simulate cut-off paths with simulate_batch)")
     digest = config_digest if config_digest is not None else \
         _default_digest(model, obs, grid, u, n_paths, seed)
 

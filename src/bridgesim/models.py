@@ -70,7 +70,7 @@ def _linear_spec(dim: int, f_diag: np.ndarray, c: np.ndarray,
 
     return ModelSpec(
         dim=dim, drift=drift,
-        diffusion=lambda t, x: sigma,
+        diffusion=sigma,
         drift_split=(zero, drift) if split else None,
         ellipticity_bound=_ellipticity_of(sigma))
 
@@ -122,7 +122,7 @@ def double_well(dim: int = 1, sigma=1.0, bound: float = 10.0) -> BuiltModel:
         return b - np.clip(b, -bound, bound)
 
     return BuiltModel(spec=ModelSpec(
-        dim=dim, drift=drift, diffusion=lambda t, x: sig,
+        dim=dim, drift=drift, diffusion=sig,
         drift_split=(bounded, remainder),
         ellipticity_bound=_ellipticity_of(sig)))
 
@@ -143,8 +143,7 @@ def build_model(name: str, params: dict | None = None,
             f"unknown model '{name}'; available: {sorted(REGISTRY)}")
     params = dict(params or {})
     if name == "double_well":
-        if drift_split:
-            pass  # always split; the flag is redundant here
+        # always split; the drift_split flag is redundant here
         return double_well(**params)
     try:
         return REGISTRY[name](drift_split=drift_split, **params)

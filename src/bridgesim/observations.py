@@ -173,33 +173,64 @@ class ProjectionBundle:
     log_eta: float
 
 
+@dataclass(frozen=True)
+class Channel:
+    """Algebra of one observation channel under a shared (n, n) ``a``.
+
+    ``chol`` is the lower Cholesky factor of L a L* in ``cho_factor``
+    form, ``A = (L a L*)^-1``, ``logdet = log det A`` and ``La = L a``.
+    Built once, it serves every step and node at which ``a`` is the same.
+    """
+
+    chol: tuple
+    A: np.ndarray
+    logdet: float
+    La: np.ndarray
+
+    def pull(self, resid: np.ndarray) -> np.ndarray:
+        """a L* (L a L*)^-1 resid for residuals of shape (m,) or (P, m)."""
+        coef = scipy.linalg.cho_solve(self.chol, np.atleast_2d(resid).T).T
+        out = coef @ self.La
+        return out[0] if resid.ndim == 1 else out
+
+
+def shared_channel(a: np.ndarray, L: np.ndarray) -> Channel:
+    """Factor L a L* once for a shared (n, n) ``a``."""
+    mat = L @ a @ L.T
+    mat = 0.5 * (mat + mat.T)
+    try:
+        chol = scipy.linalg.cho_factor(mat, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise EllipticityViolationError(
+            f"L a L* is not positive definite: {exc}") from exc
+    prec = scipy.linalg.cho_solve(chol, np.eye(L.shape[0]))
+    prec = 0.5 * (prec + prec.T)
+    logdet = -2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    return Channel(chol=chol, A=prec, logdet=logdet, La=L @ a)
+
+
+def _batched_cholesky(a: np.ndarray, L: np.ndarray) -> np.ndarray:
+    mat = np.einsum("ai,...ij,bj->...ab", L, a, L)
+    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError as exc:
+        raise EllipticityViolationError(
+            f"L a L* is not positive definite: {exc}") from exc
+
+
 def channel_precision(a: np.ndarray, L: np.ndarray):
     """(L a L*)^-1 and its log-determinant, for shared or batched ``a``.
 
     The inverse is formed by a Cholesky factorization of L a L*, never by
     a direct inversion of an unfactorized matrix.
     """
-    m = L.shape[0]
     if a.ndim == 2:
-        mat = L @ a @ L.T
-        mat = 0.5 * (mat + mat.T)
-        try:
-            chol = scipy.linalg.cho_factor(mat, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise EllipticityViolationError(
-                f"L a L* is not positive definite: {exc}") from exc
-        prec = scipy.linalg.cho_solve(chol, np.eye(m))
-        prec = 0.5 * (prec + prec.T)
-        logdet = -2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-        return prec, logdet
-    mat = np.einsum("ai,...ij,bj->...ab", L, a, L)
-    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise EllipticityViolationError(
-            f"L a L* is not positive definite: {exc}") from exc
-    cinv = np.linalg.solve(chol, np.broadcast_to(np.eye(m), mat.shape))
+        ch = shared_channel(a, L)
+        return ch.A, ch.logdet
+    chol = _batched_cholesky(a, L)
+    cinv = np.linalg.solve(chol, np.broadcast_to(np.eye(L.shape[0]),
+                                                 chol.shape))
     prec = np.einsum("...ki,...kj->...ij", cinv, cinv)
     logdet = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)),
                            axis=-1)
@@ -208,25 +239,9 @@ def channel_precision(a: np.ndarray, L: np.ndarray):
 
 def guide_pull(a: np.ndarray, L: np.ndarray, resid: np.ndarray) -> np.ndarray:
     """a L* (L a L*)^-1 resid for batched residuals of shape (..., m)."""
-    m = L.shape[0]
     if a.ndim == 2:
-        mat = L @ a @ L.T
-        mat = 0.5 * (mat + mat.T)
-        try:
-            chol = scipy.linalg.cho_factor(mat, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise EllipticityViolationError(
-                f"L a L* is not positive definite: {exc}") from exc
-        coef = scipy.linalg.cho_solve(chol, np.atleast_2d(resid).T).T
-        out = coef @ (L @ a)
-        return out[0] if resid.ndim == 1 else out
-    mat = np.einsum("ai,...ij,bj->...ab", L, a, L)
-    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
-    try:
-        chol = np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as exc:
-        raise EllipticityViolationError(
-            f"L a L* is not positive definite: {exc}") from exc
+        return shared_channel(a, L).pull(resid)
+    chol = _batched_cholesky(a, L)
     y = np.linalg.solve(chol, resid[..., None])
     coef = np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
     return np.einsum("...ij,aj,...a->...i", a, L, coef)

@@ -3,7 +3,7 @@ Euler-Maruyama integration of the unconditioned diffusion."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -29,8 +29,13 @@ class ModelSpec:
 
     ``drift`` maps (t, states) to vectors and ``diffusion`` to n x n
     matrices; both must accept states of shape (n,) or (..., n) and
-    broadcast over leading axes.  ``diffusion`` may return a single
-    (n, n) matrix when it does not depend on the state.
+    broadcast over leading axes.  A callable ``diffusion`` may return a
+    single (n, n) matrix when it does not depend on the state.
+
+    ``diffusion`` may instead be an (n, n) array: sigma then depends on
+    neither t nor x, and the simulator and the weights factor the
+    observation channels once per run instead of at every step.  The
+    array is stored as a read-only copy.
 
     ``drift_split`` optionally decomposes the drift into a bounded part,
     used when simulating guided bridges, and a remainder that is
@@ -43,7 +48,7 @@ class ModelSpec:
 
     dim: int
     drift: Coefficient
-    diffusion: Coefficient
+    diffusion: Union[Coefficient, np.ndarray]
     drift_split: Optional[tuple[Coefficient, Coefficient]] = None
     ellipticity_bound: float = 100.0
 
@@ -52,6 +57,19 @@ class ModelSpec:
             raise InvalidConfigurationError("model dimension must be >= 1")
         if not self.ellipticity_bound > 0:
             raise InvalidConfigurationError("ellipticity_bound must be positive")
+        if not callable(self.diffusion):
+            sig = np.array(self.diffusion, dtype=float)
+            if sig.shape != (self.dim, self.dim):
+                raise InvalidConfigurationError(
+                    f"constant diffusion has shape {sig.shape}, expected "
+                    f"{(self.dim, self.dim)}")
+            sig.flags.writeable = False
+            object.__setattr__(self, "diffusion", sig)
+
+    @property
+    def constant_sigma(self) -> Optional[np.ndarray]:
+        """The (n, n) diffusion matrix when it is given as an array."""
+        return None if callable(self.diffusion) else self.diffusion
 
     @property
     def effective_drift(self) -> Coefficient:
@@ -133,8 +151,11 @@ def drift_values(fn: Coefficient, t: float, states: np.ndarray,
         f"drift returned shape {out.shape}, expected {states.shape} or {(dim,)}")
 
 
-def diffusion_values(fn: Coefficient, t: float, states: np.ndarray,
-                     dim: int) -> np.ndarray:
+def diffusion_values(fn: Union[Coefficient, np.ndarray], t: float,
+                     states: np.ndarray, dim: int) -> np.ndarray:
+    """sigma at (t, states) from a callable or a constant (n, n) array."""
+    if not callable(fn):
+        return fn
     out = np.asarray(fn(t, states), dtype=float)
     if out.shape == (dim, dim):
         return out
@@ -334,6 +355,31 @@ def normal_increments(seed: int, path_id: int, n_steps: int,
     return noise_stream(seed, path_id).standard_normal((n_steps, dim))
 
 
+def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
+    """The (P, n_steps, dim) noise of a batch of paths.
+
+    Row p equals ``normal_increments(seed, path_ids[p], n_steps, dim)``
+    bit for bit: one Philox generator is re-keyed to (seed, path_id) at
+    counter 0 with an empty buffer, which is the state a freshly keyed
+    generator starts in, so no generator is built per path.  Each call
+    owns its generator, so concurrent calls are safe.
+    """
+    ids = list(path_ids)
+    out = np.empty((len(ids), n_steps, dim))
+    zeros = np.zeros(4, dtype=np.uint64)
+    bitgen = np.random.Philox(key=zeros[:2])
+    gen = np.random.Generator(bitgen)
+    for p, pid in enumerate(ids):
+        key = np.array([int(seed) & _MASK64, int(pid) & _MASK64],
+                       dtype=np.uint64)
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"key": key, "counter": zeros},
+                        "buffer": zeros, "buffer_pos": 4,
+                        "has_uint32": 0, "uinteger": 0}
+        gen.standard_normal((n_steps, dim), out=out[p])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # unconditioned simulation
 
@@ -360,10 +406,8 @@ def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
     u = _prepare_initial(u, n)
     nodes = grid.nodes
     m_steps = grid.n_steps
-    ids = list(path_ids)
-    p_count = len(ids)
-    xi = np.stack([normal_increments(seed, pid, m_steps, n) for pid in ids]) \
-        if p_count else np.zeros((0, m_steps, n))
+    xi = block_normals(seed, path_ids, m_steps, n)
+    p_count = len(xi)
     states = np.empty((p_count, m_steps + 1, n))
     states[:, 0] = u
     failed = np.full(p_count, -1, dtype=int)

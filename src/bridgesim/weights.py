@@ -25,7 +25,7 @@ from .errors import (
     InvalidObservationError,
     WeightOverflowError,
 )
-from .observations import ObservationSet, channel_precision
+from .observations import ObservationSet, channel_precision, shared_channel
 from .sde import (
     ModelSpec,
     PathSample,
@@ -94,6 +94,12 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
     n = model.dim
     nodes = grid.nodes
     total = np.zeros(p_count)
+
+    def factor(a):
+        return scipy.linalg.cho_factor(0.5 * (a + a.T), lower=True)
+
+    sig_c = model.constant_sigma
+    chol_c = None if sig_c is None else factor(gram(sig_c))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(grid.n_steps):
             t = nodes[j]
@@ -101,13 +107,14 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
             cur = states[:, j]
             dy = states[:, j + 1] - cur
             bc = drift_values(rough, t, cur, n)
-            sig = diffusion_values(model.diffusion, t, cur, n)
-            a = gram(sig)
-            if a.ndim == 2:
-                chol = scipy.linalg.cho_factor(0.5 * (a + a.T), lower=True)
-                x = scipy.linalg.cho_solve(chol, bc.T).T
+            if chol_c is not None:
+                x = scipy.linalg.cho_solve(chol_c, bc.T).T
             else:
-                x = np.linalg.solve(a, bc[..., None])[..., 0]
+                a = gram(diffusion_values(model.diffusion, t, cur, n))
+                if a.ndim == 2:
+                    x = scipy.linalg.cho_solve(factor(a), bc.T).T
+                else:
+                    x = np.linalg.solve(a, bc[..., None])[..., 0]
             total += np.einsum("pi,pi->p", x, dy) \
                 - 0.5 * np.einsum("pi,pi->p", x, bc) * dt
     return total
@@ -169,7 +176,15 @@ def _observation_terms(model, obs, grid, states, preclamp, k, ob, terms,
     dt = np.diff(tt)
     resid = sl @ L.T - ob.value                      # (P, J+1, m)
 
-    prec, _ = _precision_nodes(model, tt, sl, L)
+    sig_c = model.constant_sigma
+    if sig_c is None:
+        prec, _ = _precision_nodes(model, tt, sl, L)
+    else:
+        # filled rather than broadcast, so that the einsums below take
+        # the same summation order as for a callable sigma
+        ch = shared_channel(gram(sig_c), L)
+        prec = np.empty((p_count, n_steps + 1) + ch.A.shape)
+        prec[...] = ch.A
 
     q0 = np.einsum("pi,pij,pj->p", resid[:, 0], prec[:, 0], resid[:, 0])
     boundary = -q0 / (2.0 * ob.window)
@@ -186,21 +201,27 @@ def _observation_terms(model, obs, grid, states, preclamp, k, ob, terms,
     terms["drift_term"][:, k] = drift_steps.sum(axis=1)
     scan(drift_steps, "drift_term", k, j0)
 
-    dprec = prec[:, 1:] - prec[:, :-1]
-    qa = np.einsum("pji,pjik,pjk->pj", resid[:, :-1], dprec, resid[:, :-1])
-    da_steps = -qa / (2.0 * denom)
-    terms["dA_term"][:, k] = da_steps.sum(axis=1)
-    scan(da_steps, "dA_term", k, j0)
+    if sig_c is None:
+        dprec = prec[:, 1:] - prec[:, :-1]
+        qa = np.einsum("pji,pjik,pjk->pj", resid[:, :-1], dprec,
+                       resid[:, :-1])
+        da_steps = -qa / (2.0 * denom)
+        terms["dA_term"][:, k] = da_steps.sum(axis=1)
+        scan(da_steps, "dA_term", k, j0)
 
-    outer = resid[..., :, None] * resid[..., None, :]
-    douter = outer[:, 1:] - outer[:, :-1]
-    qc = np.einsum("pjik,pjik->pj", dprec, douter)
-    covar_steps = -qc / (2.0 * denom)
-    terms["covar_term"][:, k] = covar_steps.sum(axis=1)
-    scan(covar_steps, "covar_term", k, j0)
+        outer = resid[..., :, None] * resid[..., None, :]
+        douter = outer[:, 1:] - outer[:, :-1]
+        qc = np.einsum("pjik,pjik->pj", dprec, douter)
+        covar_steps = -qc / (2.0 * denom)
+        terms["covar_term"][:, k] = covar_steps.sum(axis=1)
+        scan(covar_steps, "covar_term", k, j0)
 
-    _, logdet_post = _precision_nodes(model, tt[-1:], post[:, None, :], L)
-    log_eta = 0.5 * logdet_post[:, 0]
+        _, logdet_post = _precision_nodes(model, tt[-1:], post[:, None, :], L)
+        log_eta = 0.5 * logdet_post[:, 0]
+    else:
+        # constant precision: dA_term and covar_term are exactly 0, and
+        # log det A is the same for every path
+        log_eta = np.full(p_count, 0.5 * ch.logdet)
     terms["log_eta"][:, k] = log_eta
     scan(log_eta[:, None], "log_eta", k, -1)
 

@@ -79,6 +79,64 @@ class TestRunEnsemble:
             bs.run_ensemble(model, obs, grid, np.zeros(1), 10, seed=1,
                             threads=0)
 
+    def test_epsilon_cutoff_rejected(self):
+        """The weights assume full guidance and the terminal projection,
+        so cut-off bridges cannot be weighted."""
+        model, obs, grid = brownian_setup()
+        cfg = bs.BridgeConfig(epsilon_cutoff=0.1)
+        with pytest.raises(InvalidConfigurationError, match="cutoff"):
+            bs.run_ensemble(model, obs, grid, np.zeros(1), 10, seed=1,
+                            cfg=cfg)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_array_sigma_matches_callable(self, threads):
+        """An array diffusion takes the factor-once route; it must give
+        the bits of the equivalent callable, which factors per step."""
+        sigma = np.array([[1.0, 0.0], [0.4, 0.9]])
+        f_diag = np.array([-1.0, -0.5])
+
+        def drift(t, x):
+            return x * f_diag
+
+        def bounded(t, x):
+            return np.tanh(x * f_diag)
+
+        def remainder(t, x):
+            return x * f_diag - np.tanh(x * f_diag)
+
+        def spec(diffusion):
+            return bs.ModelSpec(dim=2, drift=drift, diffusion=diffusion,
+                                drift_split=(bounded, remainder))
+
+        obs = bs.validate([bs.Observation(0.5, [[0.6, 0.8]], [0.3]),
+                           bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
+        grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
+        u = np.array([0.5, -0.3])
+        n_paths = CHUNK_SIZE + 100
+        const = bs.run_ensemble(spec(sigma), obs, grid, u, n_paths, seed=3,
+                                threads=threads)
+        ref = bs.run_ensemble(spec(lambda t, x: sigma), obs, grid, u,
+                              n_paths, seed=3, threads=threads)
+        assert const.states.tobytes() == ref.states.tobytes()
+        assert const.log_weights.tobytes() == ref.log_weights.tobytes()
+        assert sorted(const.preclamp) == sorted(ref.preclamp) == [0, 1]
+        for k in ref.preclamp:
+            assert const.preclamp[k].tobytes() == ref.preclamp[k].tobytes()
+        assert sorted(const.breakdown) == sorted(ref.breakdown)
+        for name, arr in ref.breakdown.items():
+            assert const.breakdown[name].tobytes() == arr.tobytes(), name
+        assert np.any(ref.breakdown["girsanov"] != 0.0)
+
+    def test_array_sigma_is_stored_read_only(self):
+        sigma = np.eye(2)
+        model = bs.ModelSpec(dim=2, drift=lambda t, x: np.zeros_like(x),
+                             diffusion=sigma)
+        assert not model.diffusion.flags.writeable
+        sigma[0, 0] = 5.0
+        assert model.diffusion[0, 0] == 1.0
+        with pytest.raises(InvalidConfigurationError):
+            bs.ModelSpec(dim=2, drift=lambda t, x: x, diffusion=np.eye(3))
+
     def test_paths_view_shares_data(self):
         model, obs, grid = brownian_setup()
         ens = bs.run_ensemble(model, obs, grid, np.zeros(1), 8, seed=5)

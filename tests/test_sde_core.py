@@ -9,6 +9,7 @@ from bridgesim.errors import (
     NumericalBlowupError,
 )
 from bridgesim.sde import (
+    block_normals,
     check_coefficients,
     diffusion_values,
     drift_values,
@@ -43,6 +44,27 @@ class TestNoise:
 
     def test_negative_and_huge_ids_accepted(self):
         bs.noise_stream(-5, 2 ** 70)
+
+    @pytest.mark.parametrize("ids", [
+        [9, 2, 40, 3],                              # non-contiguous
+        [2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5, -1],    # through the 64-bit mask
+        [],                                         # empty batch
+    ])
+    def test_block_equals_stacked_streams(self, ids):
+        block = block_normals(-5, ids, 30, 2)
+        ref = np.stack([bs.normal_increments(-5, pid, 30, 2) for pid in ids]) \
+            if ids else np.zeros((0, 30, 2))
+        assert block.shape == ref.shape
+        assert block.tobytes() == ref.tobytes()
+
+    def test_free_batch_noise_equals_stacked_streams(self):
+        model = bs.brownian(dim=2).spec
+        grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
+        ids = [12, 0, 2 ** 63 + 1]
+        _, _, xi = simulate_free_batch(model, grid, np.zeros(2), 4, ids)
+        ref = np.stack([bs.normal_increments(4, pid, grid.n_steps, 2)
+                        for pid in ids])
+        assert xi.tobytes() == ref.tobytes()
 
 
 class TestCoefficientHelpers:
