@@ -7,8 +7,8 @@ the observation time, then corrects the induced bias with explicit
 path-by-path importance weights.  Linear models come with an exact Gaussian
 reference used for validation and reporting.
 """
-from .bridge import (BatchPaths, BridgeConfig, clamp_at_observation,
-                     simulate_batch, simulate_bridge, simulate_bridge_eps)
+from .bridge import (BatchPaths, BridgeConfig, simulate_batch,
+                     simulate_bridge, simulate_unconditioned)
 from .config import (FunctionalSpec, GridSettings, RunConfig, config_digest,
                      parse_config)
 from .errors import (BridgeSimError, DegenerateConditioningError,
@@ -21,13 +21,12 @@ from .estimator import (EstimateReport, MomentEstimate, WeightedEnsemble,
                         run_ensemble)
 from .models import (BuiltModel, brownian, build_model, double_well,
                      drifted_brownian, ou)
-from .observations import (Observation, ObservationSet, ProjectionBundle,
-                           bundle, channel_precision, guide_pull,
-                           guiding_drift, validate)
+from .observations import (Observation, ObservationSet, channel_precision,
+                           guide_pull, validate)
 from .oracle import (GaussianLaw, LinearModel, condition, joint_law,
                      observation_selector)
 from .sde import (ModelSpec, PathSample, TimeGrid, build_grid,
-                  noise_stream, normal_increments, simulate_unconditioned)
+                  noise_stream, normal_increments)
 from .weights import (LogWeightBreakdown, girsanov_correction, log_weight,
                       normalize_log_weights)
 
@@ -40,15 +39,14 @@ __all__ = [
     "GaussianLaw", "GridSettings", "InvalidConfigurationError",
     "InvalidObservationError", "LinearModel", "LogWeightBreakdown",
     "ModelSpec", "MomentEstimate", "NumericalBlowupError", "Observation",
-    "ObservationSet", "PathSample", "ProjectionBundle", "RunConfig",
-    "TimeGrid", "UnstableRunError", "WeightOverflowError",
-    "WeightedEnsemble", "brownian", "build_grid", "build_model", "bundle",
-    "channel_precision", "clamp_at_observation", "conditional_moments",
-    "condition", "config_digest", "coordinate_at", "double_well",
-    "drifted_brownian", "error_kind", "estimate", "girsanov_correction",
-    "guide_pull", "guiding_drift", "joint_law", "log_weight",
+    "ObservationSet", "PathSample", "RunConfig", "TimeGrid",
+    "UnstableRunError", "WeightOverflowError", "WeightedEnsemble",
+    "brownian", "build_grid", "build_model", "channel_precision",
+    "conditional_moments", "condition", "config_digest", "coordinate_at",
+    "double_well", "drifted_brownian", "error_kind", "estimate",
+    "girsanov_correction", "guide_pull", "joint_law", "log_weight",
     "noise_stream", "normal_increments", "normalize_log_weights",
     "observation_selector", "ou", "parse_config", "run_ensemble",
-    "simulate_batch", "simulate_bridge", "simulate_bridge_eps",
-    "simulate_unconditioned", "validate",
+    "simulate_batch", "simulate_bridge", "simulate_unconditioned",
+    "validate",
 ]

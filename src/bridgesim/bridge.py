@@ -1,5 +1,7 @@
-"""Guided bridge simulation: Euler-Maruyama with an observation pull and
-terminal projection onto each observed value."""
+"""Euler-Maruyama simulation: the one integration kernel, used for guided
+bridges (observation pull and terminal projection onto each observed
+value) and, with no observations and the full drift, for unconditioned
+paths."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -16,11 +18,10 @@ from .observations import ObservationSet, guide_pull, shared_channel
 # normal_increments is no longer called here; it stays in this namespace
 # for tracers that wrap bridgesim.bridge.normal_increments
 from .sde import (  # noqa: F401
-    BLOWUP_FACTOR,
+    Coefficient,
     ModelSpec,
     PathSample,
     TimeGrid,
-    _prepare_initial,
     block_normals,
     check_coefficients,
     diffusion_values,
@@ -29,6 +30,10 @@ from .sde import (  # noqa: F401
     matvec,
     normal_increments,
 )
+
+# A path is declared blown up once its norm exceeds this multiple of the
+# initial scale, or any entry stops being finite.
+BLOWUP_FACTOR = 1e8
 
 
 @dataclass(frozen=True)
@@ -40,15 +45,15 @@ class BridgeConfig:
     always, which is exact for a zero residual anyway).
     ``epsilon_cutoff`` stops every guiding window a distance epsilon
     before its observation time and disables the terminal projection;
-    used to study the cut-off approximation.  ``run_ensemble`` rejects
-    it, because its weights assume the full bridge.
-    ``record_increments`` retains the raw standard-normal draws on the
-    returned path.
+    used to study the cut-off approximation.  With a matching
+    (seed, path_id) a cut-off path shares its driving noise with the
+    full bridge, so the two coincide up to the first cutoff node.
+    ``run_ensemble`` rejects it, because its weights assume the full
+    bridge.
     """
 
     clamp_tolerance: float = 0.0
     epsilon_cutoff: Optional[float] = None
-    record_increments: bool = False
 
 
 @dataclass
@@ -56,28 +61,20 @@ class BatchPaths:
     """Simulation output for a batch of paths sharing one grid."""
 
     grid: TimeGrid
-    path_ids: np.ndarray
+    path_ids: np.ndarray                     # int64, else Python ints
     states: np.ndarray                       # (P, M+1, n)
     preclamp: dict[int, np.ndarray] = field(default_factory=dict)
     failed_step: np.ndarray = None           # (P,), -1 where clean
-    increments: Optional[np.ndarray] = None
 
 
-def clamp_at_observation(model: ModelSpec, obs: ObservationSet, k: int,
-                         z) -> np.ndarray:
-    """Project a state at observation time k exactly onto L z = v.
-
-    The correction moves along a L* (L a L*)^-1, the oblique direction
-    singled out by the diffusion metric, so L z' = v holds exactly and
-    a state already satisfying the constraint is returned unchanged.
-    """
-    ob = obs.items[k]
-    z = np.asarray(z, dtype=float)
-    sig = diffusion_values(model.diffusion, ob.time, z[None, :], model.dim)
-    if sig.ndim == 3:
-        sig = sig[0]
-    a = sig @ sig.T
-    return z + guide_pull(a, ob.matrix, ob.value - ob.matrix @ z)
+def _prepare_initial(u, dim: int) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (dim,):
+        raise InvalidConfigurationError(
+            f"initial state has shape {u.shape}, expected {(dim,)}")
+    if not np.all(np.isfinite(u)):
+        raise InvalidConfigurationError("initial state must be finite")
+    return u
 
 
 def _window_step_table(grid: TimeGrid, obs: ObservationSet,
@@ -104,20 +101,11 @@ def _window_step_table(grid: TimeGrid, obs: ObservationSet,
     return table
 
 
-def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
-                   seed: int, path_ids, cfg: Optional[BridgeConfig] = None,
-                   validate: bool = False) -> BatchPaths:
-    """Euler-Maruyama for a batch of guided bridges.
-
-    Each step adds the guiding pull of every window containing the left
-    node (windows are closed on the left, open at the observation time).
-    In full-bridge mode the state is projected onto the observed value
-    when a step lands on an observation time; the unprojected state is
-    retained per observation for the weight computation.  Failed paths
-    freeze at their last admissible state and are reported through
-    ``failed_step``.
-    """
-    cfg = cfg or BridgeConfig()
+def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
+           seed: int, path_ids, drift_fn: Coefficient, cfg: BridgeConfig,
+           validate: bool) -> BatchPaths:
+    """Euler-Maruyama with drift ``drift_fn`` plus the pull and terminal
+    projection of every observation in ``obs`` (none for free paths)."""
     n = model.dim
     u = _prepare_initial(u, n)
     if obs.items and not obs.validated:
@@ -135,7 +123,11 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     nodes = grid.nodes
     m_steps = grid.n_steps
-    ids = np.asarray(list(path_ids), dtype=int)
+    ids = [int(p) for p in path_ids]
+    try:
+        ids = np.array(ids, dtype=np.int64)
+    except OverflowError:  # the noise streams take any integer id
+        ids = np.array(ids, dtype=object)
     p_count = len(ids)
     xi = block_normals(seed, ids, m_steps, n)
     states = np.empty((p_count, m_steps + 1, n))
@@ -144,7 +136,6 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     preclamp: dict[int, np.ndarray] = {}
     cap = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(u)))
     cur = np.broadcast_to(u, (p_count, n)).copy()
-    drift_fn = model.effective_drift
     # constant sigma: one factorization per observation serves the pull
     # at every step and the terminal projection
     sig_c = model.constant_sigma
@@ -195,22 +186,36 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             states[:, j + 1] = cur
 
     return BatchPaths(grid=grid, path_ids=ids, states=states,
-                      preclamp=preclamp, failed_step=failed,
-                      increments=xi if cfg.record_increments else None)
+                      preclamp=preclamp, failed_step=failed)
 
 
-def _single(model, obs, grid, u, seed, path_id, cfg, validate) -> PathSample:
-    batch = simulate_batch(model, obs, grid, u, seed, [path_id], cfg=cfg,
-                           validate=validate)
-    if batch.failed_step[0] >= 0:
-        step = int(batch.failed_step[0])
+def _single_path(batch: BatchPaths, path_id: int) -> PathSample:
+    """The one path of a single-path batch; raises if it blew up."""
+    step = int(batch.failed_step[0])
+    if step >= 0:
         raise NumericalBlowupError(
-            f"path {path_id} blew up at step {step} (t={grid.nodes[step]:.6g})",
-            step_index=step)
+            f"path {path_id} blew up at step {step} "
+            f"(t={batch.grid.nodes[step]:.6g})", step_index=step)
     return PathSample(
-        grid=grid, states=batch.states[0], seed_id=int(path_id),
-        preclamp={k: v[0] for k, v in batch.preclamp.items()},
-        increments=batch.increments[0] if batch.increments is not None else None)
+        grid=batch.grid, states=batch.states[0], seed_id=int(path_id),
+        preclamp={k: v[0] for k, v in batch.preclamp.items()})
+
+
+def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
+                   seed: int, path_ids, cfg: Optional[BridgeConfig] = None,
+                   validate: bool = False) -> BatchPaths:
+    """Euler-Maruyama for a batch of guided bridges.
+
+    Each step adds the guiding pull of every window containing the left
+    node (windows are closed on the left, open at the observation time).
+    In full-bridge mode the state is projected onto the observed value
+    when a step lands on an observation time; the unprojected state is
+    retained per observation for the weight computation.  Failed paths
+    freeze at their last admissible state and are reported through
+    ``failed_step``.
+    """
+    return _euler(model, obs, grid, u, seed, path_ids, model.effective_drift,
+                  cfg or BridgeConfig(), validate)
 
 
 def simulate_bridge(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
@@ -218,19 +223,24 @@ def simulate_bridge(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                     cfg: Optional[BridgeConfig] = None,
                     validate: bool = False) -> PathSample:
     """Simulate one guided bridge path; the returned path satisfies
-    L y(T_k) = v_k exactly at every observation."""
-    return _single(model, obs, grid, u, seed, path_id, cfg, validate)
+    L y(T_k) = v_k exactly at every observation unless
+    ``cfg.epsilon_cutoff`` selects the cut-off variant."""
+    return _single_path(simulate_batch(model, obs, grid, u, seed, [path_id],
+                                       cfg=cfg, validate=validate), path_id)
 
 
-def simulate_bridge_eps(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
-                        u, seed: int, path_id: int, eps: float,
-                        validate: bool = False) -> PathSample:
-    """Simulate the cut-off variant whose guiding stops a distance
-    ``eps`` before each observation time, without terminal projection.
+def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
+                        path_ids, validate: bool = False) -> BatchPaths:
+    """Euler-Maruyama for a batch of unconditioned paths under the full
+    drift.  ``failed_step[p]`` is -1 for a clean path, else the step
+    index at which the path blew up; a failed path holds its last
+    admissible state from there on."""
+    return _euler(model, ObservationSet(), grid, u, seed, path_ids,
+                  model.drift, BridgeConfig(), validate)
 
-    With a matching (seed, path_id) the path shares its driving noise
-    with :func:`simulate_bridge`, so the two coincide up to the first
-    cutoff node.
-    """
-    cfg = BridgeConfig(epsilon_cutoff=float(eps))
-    return _single(model, obs, grid, u, seed, path_id, cfg, validate)
+
+def simulate_unconditioned(model: ModelSpec, grid: TimeGrid, u, seed: int,
+                           path_id: int, validate: bool = False) -> PathSample:
+    """Simulate one unconditioned path; raises on numerical blowup."""
+    return _single_path(simulate_free_batch(model, grid, u, seed, [path_id],
+                                            validate=validate), path_id)

@@ -12,10 +12,10 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, config_digest, parse_config
+from .config import RunConfig, parse_config
 from .errors import BridgeSimError, InvalidConfigurationError, error_kind
 from .estimator import WeightedEnsemble, run_ensemble, weighted_mean_se
-from .oracle import GaussianLaw, condition, joint_law, observation_selector
+from .oracle import condition, joint_law, observation_selector
 from .sde import build_grid
 from .weights import normalize_log_weights
 
@@ -74,9 +74,10 @@ def _estimates(config: RunConfig, ensemble: WeightedEnsemble,
     return out, log_norm, ess
 
 
-def _oracle_law(config: RunConfig) -> Optional[tuple[GaussianLaw, np.ndarray]]:
-    built = config.build_model()
-    lm = built.linear_reference(config.initial_state)
+def _oracle_values(config: RunConfig) -> Optional[list[float]]:
+    """Exact value of each functional under the conditioned Gaussian law,
+    or None when the model has no closed-form reference."""
+    lm = config.build_model().linear_reference(config.initial_state)
     if lm is None:
         return None
     times = {f.time for f in config.functionals if f.time > 0.0}
@@ -84,31 +85,30 @@ def _oracle_law(config: RunConfig) -> Optional[tuple[GaussianLaw, np.ndarray]]:
     times = np.array(sorted(times))
     law = joint_law(lm, times)
     sel, val = observation_selector(times, lm.dim, config.observations)
-    return condition(law, sel, val), times
-
-
-def _oracle_entries(config: RunConfig, conditioned: GaussianLaw,
-                    times: np.ndarray, estimates) -> list[dict]:
-    dim = config.build_model().spec.dim
+    conditioned = condition(law, sel, val)
     out = []
-    for f, est in zip(config.functionals, estimates):
+    for f in config.functionals:
         if f.time <= 0.0:
-            block = None
+            # time zero is deterministic
+            mean = float(config.initial_state[f.coordinate])
+            var = 0.0
         else:
             block = int(np.nonzero(np.isclose(times, f.time))[0][0])
-        if block is None:
-            # time zero is deterministic
-            exact_mean = float(config.initial_state[f.coordinate])
-            exact_var = 0.0
-        else:
-            i = block * dim + f.coordinate
-            exact_mean = float(conditioned.mean[i])
-            exact_var = float(conditioned.cov[i, i])
-        exact = exact_var if f.kind == "marginal_var" else exact_mean
-        dev = abs(est["value"] - exact)
+            i = block * lm.dim + f.coordinate
+            mean = float(conditioned.mean[i])
+            var = float(conditioned.cov[i, i])
+        out.append(var if f.kind == "marginal_var" else mean)
+    return out
+
+
+def _oracle_entries(config: RunConfig, exact: list[float],
+                    estimates) -> list[dict]:
+    out = []
+    for f, est, value in zip(config.functionals, estimates, exact):
+        dev = abs(est["value"] - value)
         se = est["std_error"]
         out.append({"type": f.kind, "time": f.time, "coordinate": f.coordinate,
-                    "oracle_value": exact, "abs_deviation": dev,
+                    "oracle_value": value, "abs_deviation": dev,
                     "deviation_over_se": dev / se if se > 0 else float("inf")})
     return out
 
@@ -149,7 +149,7 @@ def run(config: RunConfig, threads: Optional[int] = None):
         built.spec, config.observations, grid, config.initial_state,
         config.n_paths, config.seed,
         threads=_resolve_threads(threads, config.threads),
-        validate=config.validate_coefficients, config_digest=config.digest)
+        validate=config.validate_coefficients)
     fvals = _functional_values(config, ensemble)
     estimates, log_norm, ess = _estimates(config, ensemble, fvals)
     report = {
@@ -163,14 +163,9 @@ def run(config: RunConfig, threads: Optional[int] = None):
         "log_norm": log_norm,
         "estimates": estimates,
     }
-    oracle_info = _oracle_law(config)
-    if oracle_info is not None:
-        conditioned, times = oracle_info
-        report["oracle"] = {
-            "comparisons": _oracle_entries(config, conditioned, times,
-                                           estimates)}
-    else:
-        report["oracle"] = None
+    exact = _oracle_values(config)
+    report["oracle"] = None if exact is None else {
+        "comparisons": _oracle_entries(config, exact, estimates)}
     if config.ensemble_csv:
         _write_csv(config.ensemble_csv, config, ensemble, fvals)
     payload = json.dumps(report, indent=2)
@@ -184,25 +179,13 @@ def run(config: RunConfig, threads: Optional[int] = None):
 
 def run_oracle(config: RunConfig):
     """Exact conditional marginals for a linear model configuration."""
-    oracle_info = _oracle_law(config)
-    if oracle_info is None:
+    exact = _oracle_values(config)
+    if exact is None:
         raise InvalidConfigurationError(
             f"model '{config.model_name}' has no closed-form reference")
-    conditioned, times = oracle_info
-    dim = config.build_model().spec.dim
-    values = []
-    for f in config.functionals:
-        if f.time <= 0.0:
-            mean = float(config.initial_state[f.coordinate])
-            var = 0.0
-        else:
-            block = int(np.nonzero(np.isclose(times, f.time))[0][0])
-            i = block * dim + f.coordinate
-            mean = float(conditioned.mean[i])
-            var = float(conditioned.cov[i, i])
-        values.append({"type": f.kind, "time": f.time,
-                       "coordinate": f.coordinate,
-                       "value": var if f.kind == "marginal_var" else mean})
+    values = [{"type": f.kind, "time": f.time, "coordinate": f.coordinate,
+               "value": value}
+              for f, value in zip(config.functionals, exact)]
     report = {"schema_version": 1, "config_digest": config.digest,
               "oracle_values": values}
     print(json.dumps(report, indent=2))

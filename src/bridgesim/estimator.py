@@ -1,7 +1,6 @@
 """Self-normalized importance-sampling ensembles and estimates."""
 from __future__ import annotations
 
-import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -39,7 +38,6 @@ class WeightedEnsemble:
     log_weights: np.ndarray
     breakdown: dict[str, np.ndarray]
     preclamp: dict[int, np.ndarray]
-    config_digest: str
     n_failed: int
     _paths: Optional[list[PathSample]] = field(default=None, repr=False)
 
@@ -81,23 +79,10 @@ class MomentEstimate:
     ess: float
 
 
-def _default_digest(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
-                    u, n_paths: int, seed: int) -> str:
-    h = hashlib.sha256()
-    h.update(np.asarray(u, dtype=float).tobytes())
-    h.update(grid.nodes.tobytes())
-    h.update(f"{model.dim}|{n_paths}|{seed}".encode())
-    for ob in obs.items:
-        h.update(np.asarray([ob.time, ob.window or 0.0]).tobytes())
-        h.update(ob.matrix.tobytes())
-        h.update(ob.value.tobytes())
-    return h.hexdigest()
-
-
 def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                  n_paths: int, seed: int, *, threads: int = 1,
-                 cfg: Optional[BridgeConfig] = None, validate: bool = False,
-                 config_digest: Optional[str] = None) -> WeightedEnsemble:
+                 cfg: Optional[BridgeConfig] = None,
+                 validate: bool = False) -> WeightedEnsemble:
     """Simulate and weight ``n_paths`` independent bridges.
 
     Work proceeds in fixed-size chunks of path indices; the thread count
@@ -115,8 +100,6 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             "run_ensemble does not weight epsilon-cutoff bridges; the "
             "weights assume full guidance and the terminal projection "
             "(simulate cut-off paths with simulate_batch)")
-    digest = config_digest if config_digest is not None else \
-        _default_digest(model, obs, grid, u, n_paths, seed)
 
     chunks = [np.arange(s, min(s + CHUNK_SIZE, n_paths))
               for s in range(0, n_paths, CHUNK_SIZE)]
@@ -165,8 +148,7 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     return WeightedEnsemble(
         grid=grid, states=states, path_ids=path_ids,
         log_weights=np.asarray(log_weights, dtype=float),
-        breakdown=breakdown, preclamp=preclamp, config_digest=digest,
-        n_failed=n_failed)
+        breakdown=breakdown, preclamp=preclamp, n_failed=n_failed)
 
 
 # ---------------------------------------------------------------------------

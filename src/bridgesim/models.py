@@ -142,10 +142,10 @@ def build_model(name: str, params: dict | None = None,
         raise InvalidConfigurationError(
             f"unknown model '{name}'; available: {sorted(REGISTRY)}")
     params = dict(params or {})
-    if name == "double_well":
-        # always split; the drift_split flag is redundant here
-        return double_well(**params)
     try:
+        if name == "double_well":
+            # always split; the drift_split flag is redundant here
+            return double_well(**params)
         return REGISTRY[name](drift_split=drift_split, **params)
     except TypeError as exc:
         raise InvalidConfigurationError(

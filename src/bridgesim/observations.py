@@ -12,7 +12,6 @@ from .errors import (
     EllipticityViolationError,
     InvalidObservationError,
 )
-from .sde import ModelSpec, diffusion_values, gram
 
 ORTHONORMAL_TOL = 1e-10
 ANCHOR_TOL = 1e-10
@@ -157,23 +156,6 @@ def validate(obs: Union[ObservationSet, Iterable[Observation]],
 # projection algebra
 
 @dataclass(frozen=True)
-class ProjectionBundle:
-    """Derived matrices of one observation channel at a point (t, z).
-
-    With a = sigma sigma*: ``A = (L a L*)^-1`` is the precision of the
-    observed combination under the diffusion metric, ``beta = sigma* L* A``
-    maps channel residuals to noise coordinates, ``P = a L* A L`` is the
-    oblique projection onto the pulled directions, and
-    ``log_eta = 0.5 log det A``.
-    """
-
-    A: np.ndarray
-    beta: np.ndarray
-    P: np.ndarray
-    log_eta: float
-
-
-@dataclass(frozen=True)
 class Channel:
     """Algebra of one observation channel under a shared (n, n) ``a``.
 
@@ -188,7 +170,8 @@ class Channel:
     La: np.ndarray
 
     def pull(self, resid: np.ndarray) -> np.ndarray:
-        """a L* (L a L*)^-1 resid for residuals of shape (m,) or (P, m)."""
+        """a L* (L a L*)^-1 resid for residuals of shape (m,) or (P, m):
+        the guiding pull and, for resid = v - L z, the terminal projection."""
         coef = scipy.linalg.cho_solve(self.chol, np.atleast_2d(resid).T).T
         out = coef @ self.La
         return out[0] if resid.ndim == 1 else out
@@ -245,45 +228,3 @@ def guide_pull(a: np.ndarray, L: np.ndarray, resid: np.ndarray) -> np.ndarray:
     y = np.linalg.solve(chol, resid[..., None])
     coef = np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
     return np.einsum("...ij,aj,...a->...i", a, L, coef)
-
-
-def bundle(model: ModelSpec, obs: ObservationSet, t: float, z,
-           k: int) -> ProjectionBundle:
-    """Projection bundle of observation ``k`` at the point (t, z)."""
-    ob = obs.items[k]
-    z = np.asarray(z, dtype=float)
-    sig = diffusion_values(model.diffusion, t, z[None, :], model.dim)
-    if sig.ndim == 3:
-        sig = sig[0]
-    a = sig @ sig.T
-    prec, logdet = channel_precision(a, ob.matrix)
-    beta = sig.T @ ob.matrix.T @ prec
-    proj = a @ ob.matrix.T @ prec @ ob.matrix
-    return ProjectionBundle(A=prec, beta=beta, P=proj, log_eta=0.5 * logdet)
-
-
-def guiding_drift(model: ModelSpec, obs: ObservationSet, t: float,
-                  z) -> np.ndarray:
-    """Pull toward the active observations at the point (t, z).
-
-    Sums -a L* (L a L*)^-1 (L z - v) / (T_k - t) over every observation
-    whose window contains ``t``.  The window is treated as closed on the
-    left, so the pull is already active at the node where a window
-    opens; it is never evaluated at an observation time itself.  The
-    result does not depend on the choice of anchors.
-    """
-    z = np.asarray(z, dtype=float)
-    total = np.zeros_like(z)
-    sig = None
-    a = None
-    for ob in obs.items:
-        if ob.time - ob.window <= t < ob.time:
-            if a is None:
-                sig = diffusion_values(model.diffusion, t, z[None, :],
-                                       model.dim)
-                if sig.ndim == 3:
-                    sig = sig[0]
-                a = sig @ sig.T
-            resid = ob.matrix @ z - ob.value
-            total -= guide_pull(a, ob.matrix, resid) / (ob.time - t)
-    return total

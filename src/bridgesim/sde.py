@@ -1,5 +1,7 @@
-"""Model coefficients, time grids, reproducible noise streams, and
-Euler-Maruyama integration of the unconditioned diffusion."""
+"""Model coefficients, time grids and reproducible noise streams.
+
+Simulation lives in :mod:`bridgesim.bridge`, whose one Euler-Maruyama
+kernel integrates both guided bridges and unconditioned paths."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -11,16 +13,11 @@ from .errors import (
     EllipticityViolationError,
     InvalidConfigurationError,
     InvalidObservationError,
-    NumericalBlowupError,
 )
 
 Coefficient = Callable[[float, np.ndarray], np.ndarray]
 
 _MASK64 = (1 << 64) - 1
-
-# A path is declared blown up once its norm exceeds this multiple of the
-# initial scale, or any entry stops being finite.
-BLOWUP_FACTOR = 1e8
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,6 @@ class PathSample:
     states: np.ndarray
     seed_id: int
     preclamp: dict[int, np.ndarray] = field(default_factory=dict)
-    increments: Optional[np.ndarray] = None
 
     def state_at(self, time: float) -> np.ndarray:
         return self.states[self.grid.index_of(time)]
@@ -378,67 +374,3 @@ def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
                         "has_uint32": 0, "uinteger": 0}
         gen.standard_normal((n_steps, dim), out=out[p])
     return out
-
-
-# ---------------------------------------------------------------------------
-# unconditioned simulation
-
-def _prepare_initial(u, dim: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (dim,):
-        raise InvalidConfigurationError(
-            f"initial state has shape {u.shape}, expected {(dim,)}")
-    if not np.all(np.isfinite(u)):
-        raise InvalidConfigurationError("initial state must be finite")
-    return u
-
-
-def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
-                        path_ids, validate: bool = False):
-    """Euler-Maruyama for a batch of unconditioned paths.
-
-    Returns (states, failed_step, increments) with states of shape
-    (P, M+1, n).  ``failed_step[p]`` is -1 for a clean path, else the
-    step index at which the path blew up; a failed path holds its last
-    admissible state from there on.
-    """
-    n = model.dim
-    u = _prepare_initial(u, n)
-    nodes = grid.nodes
-    m_steps = grid.n_steps
-    xi = block_normals(seed, path_ids, m_steps, n)
-    p_count = len(xi)
-    states = np.empty((p_count, m_steps + 1, n))
-    states[:, 0] = u
-    failed = np.full(p_count, -1, dtype=int)
-    cap = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(u)))
-    cur = np.broadcast_to(u, (p_count, n)).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(m_steps):
-            t = nodes[j]
-            dt = nodes[j + 1] - nodes[j]
-            b = drift_values(model.drift, t, cur, n)
-            sig = diffusion_values(model.diffusion, t, cur, n)
-            if validate:
-                check_coefficients(model, t, cur, sig)
-            nxt = cur + b * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
-            bad = (failed < 0) & (
-                ~np.isfinite(nxt).all(axis=1)
-                | (np.linalg.norm(nxt, axis=1) > cap))
-            failed[bad] = j
-            keep = failed < 0
-            cur = np.where(keep[:, None], nxt, cur)
-            states[:, j + 1] = cur
-    return states, failed, xi
-
-
-def simulate_unconditioned(model: ModelSpec, grid: TimeGrid, u, seed: int,
-                           path_id: int, validate: bool = False) -> PathSample:
-    """Simulate one unconditioned path; raises on numerical blowup."""
-    states, failed, _ = simulate_free_batch(model, grid, u, seed, [path_id],
-                                            validate=validate)
-    if failed[0] >= 0:
-        raise NumericalBlowupError(
-            f"path {path_id} blew up at step {failed[0]} "
-            f"(t={grid.nodes[failed[0]]:.6g})", step_index=int(failed[0]))
-    return PathSample(grid=grid, states=states[0], seed_id=int(path_id))

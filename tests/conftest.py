@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import bridgesim as bs
+from bridgesim.observations import shared_channel
 
 
 def rand_orthonormal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -21,6 +22,15 @@ def rand_spd(rng: np.random.Generator, n: int, cond: float) -> np.ndarray:
         rng.shuffle(lam)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (q * lam) @ q.T
+
+
+def channel_bundle(sigma: np.ndarray, L: np.ndarray):
+    """The kernel's channel for a = sigma sigma* with the matrices derived
+    from it: beta = sigma* L* A maps channel residuals to noise
+    coordinates and P = a L* A L is the oblique projection onto the
+    pulled directions."""
+    ch = shared_channel(sigma @ sigma.T, L)
+    return ch, sigma.T @ L.T @ ch.A, ch.La.T @ ch.A @ L
 
 
 def single_full_obs(time: float, value, dim: int,

@@ -10,7 +10,7 @@ import numpy as np
 
 import bridgesim as bs
 from bridgesim.cli import main
-from conftest import rand_orthonormal, rand_spd
+from conftest import channel_bundle, rand_orthonormal, rand_spd
 
 
 def report(num, ok, detail):
@@ -29,16 +29,15 @@ def test_criterion_01_projection_algebra():
         a = rand_spd(rng, n, 1e3)
         L = rand_orthonormal(rng, m, n)
         sigma = np.linalg.cholesky(a)
-        model = bs.ModelSpec(dim=n, drift=lambda t, x: np.zeros_like(x),
-                             diffusion=lambda t, x, s=sigma: s)
-        obs = bs.validate([bs.Observation(1.0, L, np.zeros(m))], dim=n)
-        b = bs.bundle(model, obs, 0.5, np.zeros(n), 0)
+        ch, beta, P = channel_bundle(sigma, L)
+        r = np.linspace(-1.0, 2.0, m)
         worst = max(
             worst,
-            float(np.abs(L @ b.P - L).max()),
-            float(np.abs(b.P @ b.P - b.P).max()),
-            float(np.abs(b.beta.T @ b.beta - b.A).max()),
-            float(np.abs(L @ sigma @ b.beta - np.eye(m)).max()))
+            float(np.abs(L @ P - L).max()),
+            float(np.abs(P @ P - P).max()),
+            float(np.abs(beta.T @ beta - ch.A).max()),
+            float(np.abs(L @ sigma @ beta - np.eye(m)).max()),
+            float(np.abs(L @ ch.pull(r) - r).max()))
     report(1, worst <= 1e-10,
            f"max identity residual {worst:.3e} over 200 instances "
            "(tolerance 1e-10)")

@@ -9,6 +9,8 @@ from bridgesim.errors import (
     InvalidObservationError,
     NumericalBlowupError,
 )
+from bridgesim.observations import shared_channel
+from bridgesim.sde import gram
 from conftest import rand_orthonormal, single_full_obs
 
 
@@ -41,13 +43,13 @@ class TestReduction:
 
     def test_free_motion_outside_window(self):
         """Before the window opens the bridge moves like the plain SDE."""
-        from bridgesim.sde import simulate_free_batch
+        from bridgesim.bridge import simulate_free_batch
 
         model = bs.brownian(dim=1).spec
         obs = scalar_obs(window=0.25)
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         bridge = bs.simulate_bridge(model, obs, grid, np.zeros(1), 9, 2)
-        free, _, _ = simulate_free_batch(model, grid, np.zeros(1), 9, [2])
+        free = simulate_free_batch(model, grid, np.zeros(1), 9, [2]).states
         j0 = grid.window_start_indices[0]
         assert np.array_equal(bridge.states[:j0 + 1], free[0, :j0 + 1])
         assert not np.allclose(bridge.states[-1], free[0, -1])
@@ -121,19 +123,29 @@ class TestClamp:
         v = rng.standard_normal(m)
         obs = bs.validate([bs.Observation(1.0, L, v)], dim=n)
         z = rng.standard_normal(n)
-        out = bs.clamp_at_observation(model, obs, 0, z)
-        assert np.allclose(L @ out, v, atol=1e-12)
-        # matches the explicit oblique-projection formula
+        grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
+        batch = bs.simulate_batch(model, obs, grid, z, 13, np.arange(16))
+        out = batch.states[:, grid.obs_indices[0]]
+        assert np.abs(out @ L.T - v).max() <= 1e-12
+        # the projected state is the preclamp state moved by the
+        # explicit oblique-projection formula
         a = sigma @ sigma.T
-        direct = z + a @ L.T @ np.linalg.solve(L @ a @ L.T, v - L @ z)
-        assert np.allclose(out, direct, atol=1e-12)
+        for pre, y in zip(batch.preclamp[0], out):
+            direct = pre + a @ L.T @ np.linalg.solve(L @ a @ L.T, v - L @ pre)
+            assert np.allclose(y, direct, atol=1e-12)
 
     def test_clamp_is_a_no_op_on_satisfied_states(self):
+        """Projecting the kernel's pinned states again leaves them put."""
         model = bs.brownian(dim=2).spec
         obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.4])], dim=2)
         z = np.array([0.4, 1.7])
-        assert np.allclose(bs.clamp_at_observation(model, obs, 0, z), z,
-                           atol=1e-14)
+        grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
+        batch = bs.simulate_batch(model, obs, grid, z, 14, np.arange(16))
+        y = batch.states[:, grid.obs_indices[0]]
+        ob = obs.items[0]
+        ch = shared_channel(gram(model.constant_sigma), ob.matrix)
+        again = y + ch.pull(ob.value - y @ ob.matrix.T)
+        assert np.allclose(again, y, atol=1e-14)
 
     def test_clamp_tolerance_skips_projection(self):
         model = bs.brownian(dim=1).spec
@@ -155,8 +167,8 @@ class TestCutoffVariant:
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3,
                              include_times=[1.0 - eps])
         full = bs.simulate_bridge(model, obs, grid, np.zeros(1), 77, 5)
-        cut = bs.simulate_bridge_eps(model, obs, grid, np.zeros(1), 77, 5,
-                                     eps=eps)
+        cut = bs.simulate_bridge(model, obs, grid, np.zeros(1), 77, 5,
+                                 cfg=bs.BridgeConfig(epsilon_cutoff=eps))
         js = grid.index_of(1.0 - eps)
         assert np.array_equal(full.states[:js + 1], cut.states[:js + 1])
         assert not np.isclose(cut.states[-1, 0], 1.0, atol=1e-6)
@@ -168,8 +180,8 @@ class TestCutoffVariant:
         eps = 0.25
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3,
                              include_times=[1.0 - eps])
-        cut = bs.simulate_bridge_eps(model, obs, grid, np.zeros(1), 1, 0,
-                                     eps=eps)
+        cut = bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
+                                 cfg=bs.BridgeConfig(epsilon_cutoff=eps))
         assert not cut.preclamp
 
     def test_cutoff_must_fit_in_windows(self):
@@ -177,16 +189,16 @@ class TestCutoffVariant:
         obs = scalar_obs(window=0.2)
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         with pytest.raises(InvalidConfigurationError):
-            bs.simulate_bridge_eps(model, obs, grid, np.zeros(1), 1, 0,
-                                   eps=0.2)
+            bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
+                               cfg=bs.BridgeConfig(epsilon_cutoff=0.2))
 
     def test_cutoff_requires_a_grid_node(self):
         model = bs.brownian(dim=1).spec
         obs = scalar_obs()
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         with pytest.raises(InvalidConfigurationError) as e:
-            bs.simulate_bridge_eps(model, obs, grid, np.zeros(1), 1, 0,
-                                   eps=0.1234)
+            bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
+                               cfg=bs.BridgeConfig(epsilon_cutoff=0.1234))
         assert "node" in str(e.value)
 
 
@@ -208,16 +220,20 @@ class TestBatchBehavior:
         b = bs.simulate_batch(model, moved, grid, np.zeros(2), 5, np.arange(8))
         assert np.array_equal(a.states, b.states)
 
-    def test_record_increments(self):
-        model = bs.brownian(dim=1).spec
-        obs = scalar_obs()
+    def test_path_ids_beyond_int64(self):
+        """Ids the noise streams accept, including ones past int64, run
+        through the batch kernel and are kept exactly."""
+        model = bs.brownian(dim=2, sigma=[1.0, 1.5]).spec
+        obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.3])], dim=2)
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
-        cfg = bs.BridgeConfig(record_increments=True)
-        path = bs.simulate_bridge(model, obs, grid, np.zeros(1), 21, 4,
-                                  cfg=cfg)
-        assert path.increments is not None
-        assert np.array_equal(path.increments,
-                              bs.normal_increments(21, 4, grid.n_steps, 1))
+        ids = [3, 9, 2 ** 63 + 1]
+        batch = bs.simulate_batch(model, obs, grid, np.zeros(2), 21, ids)
+        assert list(batch.path_ids) == ids
+        for p, pid in enumerate(ids):
+            path = bs.simulate_bridge(model, obs, grid, np.zeros(2), 21, pid)
+            assert batch.states[p].tobytes() == path.states.tobytes()
+            assert batch.preclamp[0][p].tobytes() == \
+                path.preclamp[0].tobytes()
 
     def test_blowup_raises_for_single_bridge(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: x ** 3,

@@ -219,6 +219,15 @@ class TestErrorReporting:
         assert err["error"]["field"] == "n_paths"
         assert err["error"]["message"]
 
+    @pytest.mark.parametrize("name", ["ou", "double_well"])
+    def test_bad_model_parameter_reported(self, tmp_path, capsys, name):
+        cfg = base_config(model={"name": name, "params": {"bogus": 1}})
+        status = main(["validate", write_config(tmp_path, cfg)])
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "invalid-configuration"
+        assert "bogus" in err["error"]["message"]
+
     def test_missing_file(self, tmp_path, capsys):
         status = main(["run", str(tmp_path / "nope.json")])
         assert status == 1
@@ -252,6 +261,26 @@ class TestOtherCommands:
         assert status == 0
         out = json.loads(capsys.readouterr().out)
         assert np.isclose(out["oracle_values"][0]["value"], 0.5)
+
+    def test_oracle_command_matches_run_comparisons(self, tmp_path, capsys):
+        cfg = base_config(
+            model={"name": "ou", "params": {"dim": 2,
+                                            "f_diag": [-1.0, -0.5]}},
+            observations=[{"time": 1.0, "matrix": [[1.0, 0.0]],
+                           "value": [0.7]}],
+            initial_state=[0.5, -0.3], n_paths=50,
+            functionals=[
+                {"type": "coordinate", "time": 0.0, "coordinate": 1},
+                {"type": "coordinate", "time": 0.5, "coordinate": 1},
+                {"type": "marginal_var", "time": 0.5, "coordinate": 0}])
+        path = write_config(tmp_path, cfg)
+        assert main(["oracle", path]) == 0
+        oracle = json.loads(capsys.readouterr().out)["oracle_values"]
+        assert main(["run", path]) == 0
+        run = json.loads(capsys.readouterr().out)["oracle"]["comparisons"]
+        assert [o["value"] for o in oracle] == \
+            [c["oracle_value"] for c in run]
+        assert oracle[0]["value"] == -0.3
 
     def test_oracle_command_needs_linear_model(self, tmp_path, capsys):
         cfg = base_config(model={"name": "double_well",

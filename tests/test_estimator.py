@@ -213,7 +213,7 @@ class TestStateDependentSigmaCrossRoute:
         compare against brute force: keep unconditioned paths landing in
         a narrow band around the observed value.  The band bias is
         O(band^2), well inside the combined tolerance."""
-        from bridgesim.sde import simulate_free_batch
+        from bridgesim.bridge import simulate_free_batch
 
         def diffusion(t, x):
             return (1.0 + 0.25 * np.sin(x))[..., None]
@@ -233,9 +233,10 @@ class TestStateDependentSigmaCrossRoute:
         band = 0.05
         kept = []
         for start in range(0, 200_000, 50_000):
-            states, failed, _ = simulate_free_batch(
+            batch = simulate_free_batch(
                 model, free_grid, np.zeros(1), 77,
                 np.arange(start, start + 50_000))
+            states, failed = batch.states, batch.failed_step
             assert not (failed >= 0).any()
             hit = np.abs(states[:, -1, 0] - target) < band
             kept.append(states[hit, idx, 0])

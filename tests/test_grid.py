@@ -1,6 +1,8 @@
 """Time grid construction: node invariants, refinement, validation."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bridgesim as bs
 from bridgesim.errors import InvalidConfigurationError, InvalidObservationError
@@ -152,3 +154,42 @@ class TestValidation:
         with pytest.raises(InvalidConfigurationError):
             bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.01,
                           include_times=[-0.2])
+
+
+@st.composite
+def grid_inputs(draw):
+    """Validated observations with windows inside their gaps, plus step
+    sizes, refinement ratio, horizon and extra include times."""
+    unit = st.floats(0.0, 1.0)
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+    items, time = [], 0.0
+    for gap in gaps:
+        time += gap
+        window = gap * (0.05 + 0.95 * draw(unit))
+        items.append(bs.Observation(time, [[1.0]], [0.0], window=window))
+    obs = bs.validate(items, dim=1)
+    dt_base = draw(st.floats(0.01, 0.5))
+    dt_min = min(dt_base, obs.min_window) * draw(st.floats(0.001, 0.9))
+    ratio = draw(st.floats(0.1, 0.9))
+    horizon = time + draw(st.floats(0.0, 0.5))
+    include = [horizon * x for x in draw(st.lists(unit, max_size=3))]
+    return obs, dt_base, dt_min, ratio, horizon, include
+
+
+class TestGridProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(grid_inputs())
+    def test_invariants(self, inputs):
+        obs, dt_base, dt_min, ratio, horizon, include = inputs
+        grid = bs.build_grid(horizon, obs, dt_base, dt_min, ratio,
+                             include_times=include)
+        nodes = grid.nodes
+        steps = np.diff(nodes)
+        assert np.all(steps > 0)
+        assert steps.max() <= dt_base * (1.0 + 1e-9)
+        for k, ob in enumerate(obs.items):
+            j1 = grid.obs_indices[k]
+            assert nodes[j1] == ob.time
+            assert abs(nodes[grid.window_start_indices[k]]
+                       - (ob.time - ob.window)) <= 1e-12
+            assert steps[j1 - 1] <= dt_min * (1.0 + 1e-9)

@@ -4,7 +4,29 @@ import pytest
 
 import bridgesim as bs
 from bridgesim.errors import EllipticityViolationError, InvalidObservationError
-from conftest import rand_orthonormal, rand_spd
+from bridgesim.sde import block_normals, diffusion_values, drift_values, matvec
+from conftest import channel_bundle, rand_orthonormal, rand_spd
+
+
+def step_pulls(model, obs, grid, u, seed, ids, cfg=None):
+    """Guiding pull of every kernel step, recovered from the Euler update
+    as (x_{j+1} - x_j - sigma xi_j sqrt(dt)) / dt - b(t_j, x_j).
+
+    A step that lands on an observation node also carries the terminal
+    projection unless ``cfg`` skips it.
+    """
+    batch = bs.simulate_batch(model, obs, grid, u, seed, ids, cfg=cfg)
+    xi = block_normals(seed, ids, grid.n_steps, model.dim)
+    pulls = np.empty_like(batch.states[:, 1:])
+    for j in range(grid.n_steps):
+        t = grid.nodes[j]
+        dt = grid.nodes[j + 1] - t
+        x = batch.states[:, j]
+        sig = diffusion_values(model.diffusion, t, x, model.dim)
+        noise = matvec(sig, xi[:, j]) * np.sqrt(dt)
+        b = drift_values(model.effective_drift, t, x, model.dim)
+        pulls[:, j] = (batch.states[:, j + 1] - x - noise) / dt - b
+    return batch, pulls
 
 
 class TestValidate:
@@ -100,31 +122,29 @@ class TestValidate:
 class TestProjectionAlgebra:
     def test_bundle_frozen_example(self):
         """Anisotropic diagonal noise, second coordinate observed."""
-        model = bs.brownian(dim=2, sigma=[1.0, 2.0]).spec
-        obs = bs.validate([bs.Observation(1.0, [[0.0, 1.0]], [0.7])], dim=2)
-        b = bs.bundle(model, obs, 0.3, np.zeros(2), 0)
-        assert np.allclose(b.A, [[0.25]], atol=1e-14)
-        assert np.allclose(b.beta, [[0.0], [0.5]], atol=1e-14)
-        assert np.allclose(b.P, [[0.0, 0.0], [0.0, 1.0]], atol=1e-14)
-        assert np.isclose(b.log_eta, 0.5 * np.log(0.25), atol=1e-14)
+        sigma = bs.brownian(dim=2, sigma=[1.0, 2.0]).spec.constant_sigma
+        ch, beta, P = channel_bundle(sigma, np.array([[0.0, 1.0]]))
+        assert np.allclose(ch.A, [[0.25]], atol=1e-14)
+        assert np.allclose(beta, [[0.0], [0.5]], atol=1e-14)
+        assert np.allclose(P, [[0.0, 0.0], [0.0, 1.0]], atol=1e-14)
+        assert np.isclose(0.5 * ch.logdet, 0.5 * np.log(0.25), atol=1e-14)
 
     def test_identities_random_instances(self, rng):
-        """L P = L, P^2 = P, beta* beta = A, and L sigma beta = I."""
+        """L P = L, P^2 = P, beta* beta = A, L sigma beta = I, and the
+        pull solves L pull(r) = r."""
         for _ in range(100):
             n = int(rng.integers(1, 7))
             m = int(rng.integers(1, n + 1))
             a = rand_spd(rng, n, 1e3)
             L = rand_orthonormal(rng, m, n)
             sigma = np.linalg.cholesky(a)
-            model = bs.ModelSpec(dim=n, drift=lambda t, x: np.zeros_like(x),
-                                 diffusion=lambda t, x, s=sigma: s)
-            obs = bs.validate([bs.Observation(
-                1.0, L, np.zeros(m))], dim=n)
-            b = bs.bundle(model, obs, 0.5, np.zeros(n), 0)
-            assert np.abs(L @ b.P - L).max() <= 1e-10
-            assert np.abs(b.P @ b.P - b.P).max() <= 1e-10
-            assert np.abs(b.beta.T @ b.beta - b.A).max() <= 1e-10
-            assert np.abs(L @ sigma @ b.beta - np.eye(m)).max() <= 1e-10
+            ch, beta, P = channel_bundle(sigma, L)
+            r = np.linspace(-1.0, 2.0, m)
+            assert np.abs(L @ P - L).max() <= 1e-10
+            assert np.abs(P @ P - P).max() <= 1e-10
+            assert np.abs(beta.T @ beta - ch.A).max() <= 1e-10
+            assert np.abs(L @ sigma @ beta - np.eye(m)).max() <= 1e-10
+            assert np.abs(L @ ch.pull(r) - r).max() <= 1e-10
 
     def test_channel_precision_batched_matches_shared(self, rng):
         n, m, P = 4, 2, 6
@@ -173,17 +193,28 @@ class TestProjectionAlgebra:
 
 
 class TestGuidingDrift:
+    """The pull as the simulation kernel applies it, step by step."""
+
     def test_zero_outside_windows(self):
         model = bs.brownian(dim=1).spec
         obs = bs.validate([bs.Observation(1.0, [[1.0]], [1.0],
                                           window=0.25)], dim=1)
-        z = np.array([0.4])
-        assert np.allclose(bs.guiding_drift(model, obs, 0.5, z), 0.0)
+        # the horizon runs past the observation, and the projection is
+        # skipped, so a step leaves T from an unpinned state
+        grid = bs.build_grid(1.5, obs, dt_base=0.05, dt_min=1e-3,
+                             include_times=[0.5])
+        cfg = bs.BridgeConfig(clamp_tolerance=10.0)
+        batch, pulls = step_pulls(model, obs, grid, np.zeros(1), 4,
+                                  np.arange(8), cfg=cfg)
+        j_open = grid.window_start_indices[0]
+        j_obs = grid.obs_indices[0]
+        assert np.allclose(pulls[:, :j_open], 0.0)
         # the window is closed on the left ...
-        at_open = bs.guiding_drift(model, obs, 0.75, z)
-        assert np.allclose(at_open, (1.0 - 0.4) / 0.25)
+        at_open = (1.0 - batch.states[:, j_open]) / 0.25
+        assert np.allclose(pulls[:, j_open], at_open)
         # ... and open at the observation time itself
-        assert np.allclose(bs.guiding_drift(model, obs, 1.0, z), 0.0)
+        assert np.abs(batch.states[:, j_obs, 0] - 1.0).min() > 1e-6
+        assert np.allclose(pulls[:, j_obs:], 0.0)
 
     def test_matches_manual_formula(self, rng):
         n, m = 3, 2
@@ -196,9 +227,14 @@ class TestGuidingDrift:
         obs = bs.validate([bs.Observation(1.0, L, v)], dim=n)
         z = rng.standard_normal(n)
         t = 0.6
-        manual = -a @ L.T @ np.linalg.solve(L @ a @ L.T, L @ z - v) / (1.0 - t)
-        assert np.allclose(bs.guiding_drift(model, obs, t, z), manual,
-                           atol=1e-12)
+        grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3,
+                             include_times=[t])
+        j = grid.index_of(t)
+        batch, pulls = step_pulls(model, obs, grid, z, 6, np.arange(4))
+        for x, pull in zip(batch.states[:, j], pulls[:, j]):
+            manual = -a @ L.T @ np.linalg.solve(L @ a @ L.T, L @ x - v) \
+                / (1.0 - grid.nodes[j])
+            assert np.allclose(pull, manual, atol=1e-12)
 
     def test_overlapping_windows_sum(self):
         """Two active windows contribute additively; sets constructed
@@ -211,12 +247,12 @@ class TestGuidingDrift:
                            window=1.0, anchor=np.array([0.0, -0.2])),
         )
         obs = bs.ObservationSet(items=items, validated=True)
+        # both windows open at t = 0, where the state is the start z
         z = np.array([0.1, 0.2])
-        t = 0.25
-        out = bs.guiding_drift(model, obs, t, z)
-        expect = np.array([-(0.1 - 0.3) / (0.5 - t),
-                           -(0.2 - (-0.2)) / (1.0 - t)])
-        assert np.allclose(out, expect, atol=1e-14)
+        grid = bs.build_grid(1.0, obs, dt_base=0.25, dt_min=1e-3)
+        _, pulls = step_pulls(model, obs, grid, z, 2, [0])
+        expect = np.array([-(0.1 - 0.3) / 0.5, -(0.2 - (-0.2)) / 1.0])
+        assert np.allclose(pulls[0, 0], expect, atol=1e-14)
 
     def test_anchor_choice_is_irrelevant(self):
         model = bs.brownian(dim=2).spec
@@ -224,13 +260,24 @@ class TestGuidingDrift:
         shifted = bs.validate([bs.Observation(
             1.0, [[1.0, 0.0]], [0.5], anchor=[0.5, -7.0])], dim=2)
         z = np.array([0.2, 0.9])
-        assert np.allclose(bs.guiding_drift(model, base, 0.8, z),
-                           bs.guiding_drift(model, shifted, 0.8, z))
+        grid = bs.build_grid(1.0, base, dt_base=0.05, dt_min=1e-3)
+        _, a = step_pulls(model, base, grid, z, 8, np.arange(4))
+        _, b = step_pulls(model, shifted, grid, z, 8, np.arange(4))
+        assert np.allclose(a, b)
 
     def test_pull_strengthens_near_observation(self):
+        """Brownian motion is autonomous, so the pull at time t depends
+        on t only through T - t: put the state at t = 0 and move T from
+        0.5 to 0.01 time units ahead."""
         model = bs.brownian(dim=1).spec
-        obs = bs.validate([bs.Observation(1.0, [[1.0]], [1.0])], dim=1)
-        z = np.array([0.0])
-        early = bs.guiding_drift(model, obs, 0.5, z)[0]
-        late = bs.guiding_drift(model, obs, 0.99, z)[0]
+
+        def first_pull(time_to_go):
+            obs = bs.validate([bs.Observation(time_to_go, [[1.0]], [1.0])],
+                              dim=1)
+            grid = bs.build_grid(time_to_go, obs, dt_base=0.05, dt_min=1e-4)
+            _, pulls = step_pulls(model, obs, grid, np.zeros(1), 3, [0])
+            return pulls[0, 0, 0]
+
+        early = first_pull(0.5)
+        late = first_pull(0.01)
         assert late > early > 0.0

@@ -83,14 +83,15 @@ class TestJointLaw:
 
     def test_monte_carlo_agreement(self):
         """Unconditioned Euler simulation matches the law's marginals."""
-        from bridgesim.sde import simulate_free_batch
+        from bridgesim.bridge import simulate_free_batch
 
         built = bs.ou(dim=1, f_diag=-1.0, offset=0.5)
         lm = built.linear_reference(np.array([1.0]))
         law = bs.joint_law(lm, [1.0])
         grid = bs.build_grid(1.0, None, dt_base=1e-3, dt_min=1e-3)
-        states, failed, _ = simulate_free_batch(
+        batch = simulate_free_batch(
             built.spec, grid, np.array([1.0]), 99, np.arange(4000))
+        states, failed = batch.states, batch.failed_step
         assert not (failed >= 0).any()
         samples = states[:, -1, 0]
         se_mean = samples.std() / np.sqrt(len(samples))

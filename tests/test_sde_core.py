@@ -8,6 +8,7 @@ from bridgesim.errors import (
     InvalidConfigurationError,
     NumericalBlowupError,
 )
+from bridgesim.bridge import simulate_free_batch
 from bridgesim.sde import (
     block_normals,
     check_coefficients,
@@ -15,7 +16,6 @@ from bridgesim.sde import (
     drift_values,
     gram,
     matvec,
-    simulate_free_batch,
 )
 
 
@@ -58,13 +58,19 @@ class TestNoise:
         assert block.tobytes() == ref.tobytes()
 
     def test_free_batch_noise_equals_stacked_streams(self):
+        """Replaying the zero-drift Euler recursion on the per-path
+        streams reproduces the free batch bit for bit."""
         model = bs.brownian(dim=2).spec
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
         ids = [12, 0, 2 ** 63 + 1]
-        _, _, xi = simulate_free_batch(model, grid, np.zeros(2), 4, ids)
+        batch = simulate_free_batch(model, grid, np.zeros(2), 4, ids)
         ref = np.stack([bs.normal_increments(4, pid, grid.n_steps, 2)
                         for pid in ids])
-        assert xi.tobytes() == ref.tobytes()
+        x = np.zeros((len(ids), 2))
+        for j, dt in enumerate(grid.steps):
+            x = x + matvec(model.diffusion, ref[:, j]) * np.sqrt(dt)
+            assert batch.states[:, j + 1].tobytes() == x.tobytes()
+        assert list(batch.path_ids) == ids
 
 
 class TestCoefficientHelpers:
@@ -142,8 +148,9 @@ class TestIntegrator:
     def test_brownian_terminal_moments(self):
         model = bs.brownian(dim=1).spec
         grid = bs.build_grid(1.0, None, dt_base=0.01, dt_min=0.01)
-        states, failed, _ = simulate_free_batch(
+        batch = simulate_free_batch(
             model, grid, np.zeros(1), 17, np.arange(20_000))
+        states, failed = batch.states, batch.failed_step
         assert not (failed >= 0).any()
         terminal = states[:, -1, 0]
         assert abs(terminal.mean()) < 0.02
@@ -152,8 +159,9 @@ class TestIntegrator:
     def test_ou_mean_decay(self):
         built = bs.ou(dim=1, f_diag=-1.0)
         grid = bs.build_grid(1.0, None, dt_base=1e-3, dt_min=1e-3)
-        states, failed, _ = simulate_free_batch(
+        batch = simulate_free_batch(
             built.spec, grid, np.array([1.0]), 23, np.arange(40_000))
+        states, failed = batch.states, batch.failed_step
         assert not (failed >= 0).any()
         mean = states[:, -1, 0].mean()
         assert abs(mean - np.exp(-1.0)) < 0.01
@@ -166,8 +174,9 @@ class TestIntegrator:
 
         def run(dt, seed):
             grid = bs.build_grid(1.0, None, dt_base=dt, dt_min=dt)
-            states, failed, _ = simulate_free_batch(
+            batch = simulate_free_batch(
                 built.spec, grid, np.zeros(1), seed, np.arange(100_000))
+            states, failed = batch.states, batch.failed_step
             assert not (failed >= 0).any()
             return states[:, -1, 0] ** 2
 
@@ -189,19 +198,17 @@ class TestIntegrator:
     def test_determinism(self):
         model = bs.brownian(dim=2).spec
         grid = bs.build_grid(0.5, None, dt_base=0.05, dt_min=0.05)
-        a, _, _ = simulate_free_batch(model, grid, np.zeros(2), 5,
-                                      np.arange(64))
-        b, _, _ = simulate_free_batch(model, grid, np.zeros(2), 5,
-                                      np.arange(64))
-        assert np.array_equal(a, b)
+        a = simulate_free_batch(model, grid, np.zeros(2), 5, np.arange(64))
+        b = simulate_free_batch(model, grid, np.zeros(2), 5, np.arange(64))
+        assert np.array_equal(a.states, b.states)
 
     def test_path_states_independent_of_batch_layout(self):
         model = bs.brownian(dim=1).spec
         grid = bs.build_grid(0.5, None, dt_base=0.05, dt_min=0.05)
-        alone, _, _ = simulate_free_batch(model, grid, np.zeros(1), 5, [7])
-        grouped, _, _ = simulate_free_batch(model, grid, np.zeros(1), 5,
-                                            [3, 7, 12])
-        assert np.array_equal(alone[0], grouped[1])
+        alone = simulate_free_batch(model, grid, np.zeros(1), 5, [7])
+        grouped = simulate_free_batch(model, grid, np.zeros(1), 5,
+                                      [3, 7, 12])
+        assert np.array_equal(alone.states[0], grouped.states[1])
 
     def test_blowup_raises_for_single_path(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: x ** 3,
@@ -214,8 +221,9 @@ class TestIntegrator:
         model = bs.ModelSpec(dim=1, drift=lambda t, x: x ** 3,
                              diffusion=lambda t, x: np.eye(1))
         grid = bs.build_grid(5.0, None, dt_base=0.5, dt_min=0.5)
-        states, failed, _ = simulate_free_batch(
+        batch = simulate_free_batch(
             model, grid, np.array([3.0]), 1, np.arange(8))
+        states, failed = batch.states, batch.failed_step
         assert (failed >= 0).all()
         assert np.isfinite(states).all()
         for p in range(8):
