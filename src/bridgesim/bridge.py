@@ -14,9 +14,15 @@ from .errors import (
     InvalidObservationError,
     NumericalBlowupError,
 )
-from .observations import ObservationSet, guide_pull, shared_channel
-# normal_increments is no longer called here; it stays in this namespace
-# for tracers that wrap bridgesim.bridge.normal_increments
+# guide_pull and normal_increments are no longer called here; they stay
+# in this namespace for tracers that wrap bridgesim.bridge.<name>
+from .observations import (  # noqa: F401
+    ChannelRecord,
+    ObservationSet,
+    channel_algebra,
+    guide_pull,
+    shared_channel,
+)
 from .sde import (  # noqa: F401
     Coefficient,
     ModelSpec,
@@ -65,6 +71,8 @@ class BatchPaths:
     states: np.ndarray                       # (P, M+1, n)
     preclamp: dict[int, np.ndarray] = field(default_factory=dict)
     failed_step: np.ndarray = None           # (P,), -1 where clean
+    # full bridges under a callable sigma only
+    channel_record: Optional[ChannelRecord] = None
 
 
 def _prepare_initial(u, dim: int) -> np.ndarray:
@@ -141,11 +149,22 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     sig_c = model.constant_sigma
     channels = None if sig_c is None else \
         [shared_channel(gram(sig_c), ob.matrix) for ob in obs.items]
+    # callable sigma: the factorization behind each pull also yields the
+    # precision the weights read at that node; keep it for full bridges
+    record = None
+    if channels is None and clamp_nodes:
+        record = ChannelRecord(
+            precision=[np.empty((p_count, j1 - j0 + 1, ob.m, ob.m))
+                       for j0, _, j1, ob in table],
+            logdet=[np.empty(p_count) for _ in table])
 
-    def pull(k, a, resid):
+    def pull(k, a, resid, node):
         if channels is not None:
             return channels[k].pull(resid)
-        return guide_pull(a, obs.items[k].matrix, resid)
+        move, prec, _ = channel_algebra(a, obs.items[k].matrix, resid)
+        if record is not None:
+            record.precision[k][:, node] = prec
+        return move
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m_steps):
@@ -162,7 +181,8 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                     if a is None and channels is None:
                         a = gram(sig)
                     resid = cur @ ob.matrix.T - ob.value
-                    total = total - pull(k, a, resid) / (nodes[j1] - t)
+                    total = total - pull(k, a, resid, j - j0) / (
+                        nodes[j1] - t)
             nxt = cur + total * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
             bad = (failed < 0) & (
                 ~np.isfinite(nxt).all(axis=1)
@@ -178,15 +198,21 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 a_t = None if channels is not None else gram(
                     diffusion_values(model.diffusion, nodes[j + 1], cur, n))
                 resid = ob.value - cur @ ob.matrix.T
-                move = pull(k0, a_t, resid)
+                move = pull(k0, a_t, resid, -1)
                 if cfg.clamp_tolerance > 0.0:
                     small = np.linalg.norm(resid, axis=1) <= cfg.clamp_tolerance
                     move = np.where(small[:, None], 0.0, move)
                 cur = np.where(keep[:, None], cur + move, cur)
+                if record is not None:
+                    a_t = gram(diffusion_values(model.diffusion, nodes[j + 1],
+                                                cur, n))
+                    record.logdet[k0][:] = channel_algebra(a_t,
+                                                           ob.matrix)[2]
             states[:, j + 1] = cur
 
     return BatchPaths(grid=grid, path_ids=ids, states=states,
-                      preclamp=preclamp, failed_step=failed)
+                      preclamp=preclamp, failed_step=failed,
+                      channel_record=record)
 
 
 def _single_path(batch: BatchPaths, path_id: int) -> PathSample:
@@ -210,9 +236,10 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     node (windows are closed on the left, open at the observation time).
     In full-bridge mode the state is projected onto the observed value
     when a step lands on an observation time; the unprojected state is
-    retained per observation for the weight computation.  Failed paths
-    freeze at their last admissible state and are reported through
-    ``failed_step``.
+    retained per observation for the weight computation, as is, under
+    a callable sigma, the channel record of the factorizations behind
+    the pulls and projections.  Failed paths freeze at their last
+    admissible state and are reported through ``failed_step``.
     """
     return _euler(model, obs, grid, u, seed, path_ids, model.effective_drift,
                   cfg or BridgeConfig(), validate)

@@ -69,7 +69,15 @@ def _require(d: dict, key: str, path: str) -> Any:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InvalidConfigurationError("expected a number", field=path)
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = np.inf
+    # json accepts Infinity and NaN literals
+    if not np.isfinite(value):
+        raise InvalidConfigurationError("expected a finite number",
+                                        field=path)
+    return value
 
 
 def _integer(value, path: str) -> int:

@@ -107,10 +107,13 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     def work(ids: np.ndarray):
         sim = simulate_batch(model, obs, grid, u, seed, ids, cfg=cfg,
                              validate=validate)
+        st, pc, record = sim.states, sim.preclamp, sim.channel_record
         alive = sim.failed_step < 0
-        st = sim.states[alive]
-        pc = {k: v[alive] for k, v in sim.preclamp.items()}
-        terms, issues = batch_breakdown(model, obs, grid, st, pc)
+        if not alive.all():
+            st = st[alive]
+            pc = {k: v[alive] for k, v in pc.items()}
+            record = None if record is None else record.rows(alive)
+        terms, issues = batch_breakdown(model, obs, grid, st, pc, record)
         ok = np.ones(st.shape[0], dtype=bool)
         for row, _, _, _ in issues:
             ok[row] = False

@@ -41,6 +41,8 @@ def _sigma_matrix(dim: int, sigma) -> np.ndarray:
         raise InvalidConfigurationError(
             f"sigma must be a scalar, a length-{dim} vector, or "
             f"a {dim}x{dim} matrix")
+    if not np.all(np.isfinite(out)):
+        raise InvalidConfigurationError("sigma must be finite")
     if np.linalg.svd(out, compute_uv=False).min() <= 0:
         raise InvalidConfigurationError("sigma must be nonsingular")
     return out
@@ -57,6 +59,8 @@ def _vector(dim: int, value, name: str) -> np.ndarray:
         arr = np.full(dim, float(arr))
     if arr.shape != (dim,):
         raise InvalidConfigurationError(f"{name} must have length {dim}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidConfigurationError(f"{name} must be finite")
     return arr
 
 

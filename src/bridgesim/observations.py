@@ -177,6 +177,26 @@ class Channel:
         return out[0] if resid.ndim == 1 else out
 
 
+@dataclass(frozen=True)
+class ChannelRecord:
+    """Channel algebra of a batch along every observation window.
+
+    ``precision[k]`` is (P, J + 1, m, m): A = (L a L*)^-1 at each of the
+    J + 1 nodes of window k, the last one at the state before the
+    terminal projection.  ``logdet[k]`` is (P,): log det A at the
+    projected state.  The bridge kernel fills it as it pulls and
+    projects; the weights read it instead of factoring again.
+    """
+
+    precision: list
+    logdet: list
+
+    def rows(self, mask: np.ndarray) -> "ChannelRecord":
+        """The record of the paths selected by ``mask``."""
+        return ChannelRecord([p[mask] for p in self.precision],
+                             [d[mask] for d in self.logdet])
+
+
 def shared_channel(a: np.ndarray, L: np.ndarray) -> Channel:
     """Factor L a L* once for a shared (n, n) ``a``."""
     mat = L @ a @ L.T
@@ -202,29 +222,37 @@ def _batched_cholesky(a: np.ndarray, L: np.ndarray) -> np.ndarray:
             f"L a L* is not positive definite: {exc}") from exc
 
 
-def channel_precision(a: np.ndarray, L: np.ndarray):
-    """(L a L*)^-1 and its log-determinant, for shared or batched ``a``.
+def channel_algebra(a: np.ndarray, L: np.ndarray,
+                    resid: Optional[np.ndarray] = None):
+    """Factor L a L* once for a shared (n, n) or batched (..., n, n) ``a``.
 
-    The inverse is formed by a Cholesky factorization of L a L*, never by
-    a direct inversion of an unfactorized matrix.
+    Returns the pull a L* (L a L*)^-1 resid (None without ``resid``),
+    the precision A = (L a L*)^-1 and log det A.  The inverse is formed
+    from the Cholesky factor, never by inverting an unfactorized matrix.
     """
     if a.ndim == 2:
         ch = shared_channel(a, L)
-        return ch.A, ch.logdet
+        return (None if resid is None else ch.pull(resid)), ch.A, ch.logdet
     chol = _batched_cholesky(a, L)
+    pull = None
+    if resid is not None:
+        y = np.linalg.solve(chol, resid[..., None])
+        coef = np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
+        pull = np.einsum("...ij,aj,...a->...i", a, L, coef)
     cinv = np.linalg.solve(chol, np.broadcast_to(np.eye(L.shape[0]),
                                                  chol.shape))
     prec = np.einsum("...ki,...kj->...ij", cinv, cinv)
     logdet = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)),
                            axis=-1)
+    return pull, prec, logdet
+
+
+def channel_precision(a: np.ndarray, L: np.ndarray):
+    """(L a L*)^-1 and its log-determinant, for shared or batched ``a``."""
+    _, prec, logdet = channel_algebra(a, L)
     return prec, logdet
 
 
 def guide_pull(a: np.ndarray, L: np.ndarray, resid: np.ndarray) -> np.ndarray:
     """a L* (L a L*)^-1 resid for batched residuals of shape (..., m)."""
-    if a.ndim == 2:
-        return shared_channel(a, L).pull(resid)
-    chol = _batched_cholesky(a, L)
-    y = np.linalg.solve(chol, resid[..., None])
-    coef = np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
-    return np.einsum("...ij,aj,...a->...i", a, L, coef)
+    return channel_algebra(a, L, resid)[0]

@@ -251,10 +251,11 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
     entry of ``include_times``.
     """
     horizon = float(horizon)
-    if not horizon > 0:
-        raise InvalidConfigurationError("horizon must be positive")
-    if not (0 < dt_min <= dt_base):
-        raise InvalidConfigurationError("require 0 < dt_min <= dt_base")
+    if not 0 < horizon < np.inf:
+        raise InvalidConfigurationError("horizon must be positive and finite")
+    if not (0 < dt_min <= dt_base < np.inf):
+        raise InvalidConfigurationError(
+            "require 0 < dt_min <= dt_base, both finite")
     if not (0 < refine_ratio < 1):
         raise InvalidConfigurationError("refine_ratio must lie in (0, 1)")
 

@@ -14,6 +14,7 @@ self-normalization cancels them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +26,12 @@ from .errors import (
     InvalidObservationError,
     WeightOverflowError,
 )
-from .observations import ObservationSet, channel_precision, shared_channel
+from .observations import (
+    ChannelRecord,
+    ObservationSet,
+    channel_precision,
+    shared_channel,
+)
 from .sde import (
     ModelSpec,
     PathSample,
@@ -60,24 +66,43 @@ class LogWeightBreakdown:
                      + self.covar_term.sum() + self.girsanov_term)
 
 
-def _precision_nodes(model: ModelSpec, tt: np.ndarray, states: np.ndarray,
-                     L: np.ndarray):
-    """Channel precision at every node of a window slice.
+def _window_states(states: np.ndarray, preclamp: dict[int, np.ndarray],
+                   k: int, j0: int, j1: int) -> np.ndarray:
+    """States at the nodes of window ``k``, (P, J+1, n), with the state
+    before the terminal projection at the observation node when known."""
+    sl = states[:, j0:j1 + 1, :].copy()
+    pre = preclamp.get(k)
+    if pre is not None:
+        # pre-projection state feeds the final step's terms; the
+        # projected state enters only through the eta factor
+        sl[:, -1, :] = pre
+    return sl
 
-    ``states`` is (P, J+1, n); returns precision (P, J+1, m, m) and its
-    log-determinant (P, J+1), broadcasting a state-independent diffusion.
-    """
-    p_count, n_nodes, n = states.shape
-    m = L.shape[0]
-    prec = np.empty((p_count, n_nodes, m, m))
-    logdet = np.empty((p_count, n_nodes))
-    for j in range(n_nodes):
-        sig = diffusion_values(model.diffusion, tt[j], states[:, j], n)
-        a = gram(sig)
-        pj, lj = channel_precision(a, L)
-        prec[:, j] = pj
-        logdet[:, j] = lj
-    return prec, logdet
+
+def channel_record(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
+                   states: np.ndarray,
+                   preclamp: dict[int, np.ndarray]) -> ChannelRecord:
+    """The channel record of a callable-sigma batch, rebuilt from its
+    states: the record the bridge kernel keeps while it simulates."""
+    n = model.dim
+    p_count = states.shape[0]
+    precision, logdet = [], []
+    for k, ob in enumerate(obs.items):
+        j0 = grid.window_start_indices[k]
+        j1 = grid.obs_indices[k]
+        sl = _window_states(states, preclamp, k, j0, j1)
+        prec = np.empty(sl.shape[:2] + (ob.m, ob.m))
+        for j in range(j1 - j0 + 1):
+            sig = diffusion_values(model.diffusion, grid.nodes[j0 + j],
+                                   sl[:, j], n)
+            prec[:, j] = channel_precision(gram(sig), ob.matrix)[0]
+        sig = diffusion_values(model.diffusion, grid.nodes[j1],
+                               states[:, j1], n)
+        post = np.empty(p_count)
+        post[:] = channel_precision(gram(sig), ob.matrix)[1]
+        precision.append(prec)
+        logdet.append(post)
+    return ChannelRecord(precision, logdet)
 
 
 def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
@@ -121,15 +146,18 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
 
 
 def batch_breakdown(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
-                    states: np.ndarray, preclamp: dict[int, np.ndarray]):
+                    states: np.ndarray, preclamp: dict[int, np.ndarray],
+                    record: Optional[ChannelRecord] = None):
     """Weight terms for a batch of paths.
 
     ``states`` is (P, M+1, n); ``preclamp[k]`` holds the unprojected
     states at observation k when the simulator applied a terminal
-    projection.  Returns a dict of term arrays, each (P, K) with K the
-    number of observations (``girsanov`` is (P,)), and a list of
-    ``(path_row, term, observation, step)`` tuples for non-finite
-    contributions.
+    projection.  Under a callable sigma the terms read the channel
+    precision from ``record``, the one the bridge kernel kept for these
+    rows; without it the record is rebuilt from the states.  Returns a
+    dict of term arrays, each (P, K) with K the number of observations
+    (``girsanov`` is (P,)), and a list of ``(path_row, term,
+    observation, step)`` tuples for non-finite contributions.
     """
     p_count = states.shape[0]
     n_obs = len(obs.items)
@@ -145,8 +173,10 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
                                None if j_offset < 0 else int(j_offset + c)))
 
     with np.errstate(over="ignore", invalid="ignore"):
+        if record is None and model.constant_sigma is None:
+            record = channel_record(model, obs, grid, states, preclamp)
         for k, ob in enumerate(obs.items):
-            _observation_terms(model, obs, grid, states, preclamp, k, ob,
+            _observation_terms(model, grid, states, preclamp, record, k, ob,
                                terms, scan)
 
     girs = _girsanov_batch(model, grid, states)
@@ -155,7 +185,7 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
     return terms, issues
 
 
-def _observation_terms(model, obs, grid, states, preclamp, k, ob, terms,
+def _observation_terms(model, grid, states, preclamp, record, k, ob, terms,
                        scan) -> None:
     """Fill the window terms of observation ``k`` into ``terms``."""
     p_count = states.shape[0]
@@ -163,13 +193,7 @@ def _observation_terms(model, obs, grid, states, preclamp, k, ob, terms,
     j1 = grid.obs_indices[k]
     n_steps = j1 - j0
     tt = grid.nodes[j0:j1 + 1]
-    sl = states[:, j0:j1 + 1, :].copy()
-    post = states[:, j1, :]
-    pre = preclamp.get(k)
-    if pre is not None:
-        # pre-projection state feeds the final step's terms; the
-        # projected state enters only through the eta factor below
-        sl[:, -1, :] = pre
+    sl = _window_states(states, preclamp, k, j0, j1)
     L = ob.matrix
     t_obs = grid.nodes[j1]
     denom = t_obs - tt[:-1]
@@ -178,7 +202,7 @@ def _observation_terms(model, obs, grid, states, preclamp, k, ob, terms,
 
     sig_c = model.constant_sigma
     if sig_c is None:
-        prec, _ = _precision_nodes(model, tt, sl, L)
+        prec = record.precision[k]
     else:
         # filled rather than broadcast, so that the einsums below take
         # the same summation order as for a callable sigma
@@ -216,8 +240,7 @@ def _observation_terms(model, obs, grid, states, preclamp, k, ob, terms,
         terms["covar_term"][:, k] = covar_steps.sum(axis=1)
         scan(covar_steps, "covar_term", k, j0)
 
-        _, logdet_post = _precision_nodes(model, tt[-1:], post[:, None, :], L)
-        log_eta = 0.5 * logdet_post[:, 0]
+        log_eta = 0.5 * record.logdet[k]
     else:
         # constant precision: dA_term and covar_term are exactly 0, and
         # log det A is the same for every path

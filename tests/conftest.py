@@ -42,6 +42,34 @@ def single_full_obs(time: float, value, dim: int,
     return bs.validate(bs.ObservationSet((ob,)), dim=dim)
 
 
+def state_dependent_setup(blowup_at=None, dt_base=0.05, dt_min=1e-3):
+    """Drift sin x and sigma = diag(1 + 0.25 cos x) in three dimensions,
+    observed through a dense rank-1 matrix at t = 0.4 and a dense rank-2
+    one at t = 1.  With ``blowup_at`` the drift explodes on reaching
+    x_0 > blowup_at, so the paths that get there fail."""
+    rng = np.random.default_rng(7)
+    u = np.array([0.3, -0.2, 0.1])
+    items = []
+    for time, rank in ((0.4, 1), (1.0, 2)):
+        L = rand_orthonormal(rng, rank, 3)
+        items.append(bs.Observation(
+            time, L, L @ (u + 0.5 * rng.standard_normal(3))))
+    obs = bs.validate(items, dim=3)
+
+    def drift(t, x):
+        if blowup_at is None:
+            return np.sin(x)
+        return np.where(x[..., :1] > blowup_at, 1e12 * x, np.sin(x))
+
+    def diffusion(t, x):
+        return (1.0 + 0.25 * np.cos(x))[..., :, None] * np.eye(3)
+
+    model = bs.ModelSpec(dim=3, drift=drift, diffusion=diffusion)
+    grid = bs.build_grid(1.0, obs, dt_base=dt_base, dt_min=dt_min,
+                         include_times=[0.55])
+    return model, obs, grid, u
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

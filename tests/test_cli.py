@@ -228,6 +228,34 @@ class TestErrorReporting:
         assert err["error"]["type"] == "invalid-configuration"
         assert "bogus" in err["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("grid", [{"dt_base": 0.02, "dt_min": 1e-3},
+                                      {"dt_base": 0.02}])
+    def test_non_finite_horizon_rejected(self, tmp_path, capsys, command,
+                                         grid):
+        """json reads Infinity; an infinite horizon would collapse the
+        grid to one node and run to a confident wrong answer."""
+        cfg = base_config(horizon=float("inf"), grid=grid)
+        status = main([command, write_config(tmp_path, cfg)])
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "invalid-configuration"
+        assert err["error"]["field"] == "horizon"
+        assert "finite" in err["error"]["message"]
+
+    @pytest.mark.parametrize("name, params, bad", [
+        ("ou", {"dim": 1, "f_diag": float("inf")}, "f_diag"),
+        ("ou", {"dim": 1, "sigma": float("nan")}, "sigma"),
+        ("double_well", {"sigma": float("inf")}, "sigma")])
+    def test_non_finite_model_parameter_reported(self, tmp_path, capsys,
+                                                 name, params, bad):
+        cfg = base_config(model={"name": name, "params": params})
+        status = main(["validate", write_config(tmp_path, cfg)])
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "invalid-configuration"
+        assert err["error"]["message"] == f"{bad} must be finite"
+
     def test_missing_file(self, tmp_path, capsys):
         status = main(["run", str(tmp_path / "nope.json")])
         assert status == 1

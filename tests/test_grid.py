@@ -113,16 +113,17 @@ class TestRefined:
 
 class TestValidation:
     def test_bad_horizon(self):
-        with pytest.raises(InvalidConfigurationError):
-            bs.build_grid(0.0, None, dt_base=0.1, dt_min=0.01)
-        with pytest.raises(InvalidConfigurationError):
-            bs.build_grid(-1.0, None, dt_base=0.1, dt_min=0.01)
+        # an infinite horizon would give a one-node grid
+        for horizon in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(InvalidConfigurationError, match="horizon"):
+                bs.build_grid(horizon, None, dt_base=0.1, dt_min=0.01)
 
     def test_bad_steps(self):
-        with pytest.raises(InvalidConfigurationError):
-            bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.2)
-        with pytest.raises(InvalidConfigurationError):
-            bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.0)
+        for dt_base, dt_min in ((0.1, 0.2), (0.1, 0.0), (np.inf, 0.01),
+                                (np.inf, np.inf), (0.1, np.nan),
+                                (np.nan, 0.01)):
+            with pytest.raises(InvalidConfigurationError, match="dt_min"):
+                bs.build_grid(1.0, None, dt_base=dt_base, dt_min=dt_min)
 
     def test_bad_ratio(self):
         with pytest.raises(InvalidConfigurationError):

@@ -1,9 +1,12 @@
 """Observation validation and the projection algebra."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bridgesim as bs
 from bridgesim.errors import EllipticityViolationError, InvalidObservationError
+from bridgesim.observations import channel_algebra
 from bridgesim.sde import block_normals, diffusion_values, drift_values, matvec
 from conftest import channel_bundle, rand_orthonormal, rand_spd
 
@@ -190,6 +193,62 @@ class TestProjectionAlgebra:
         out = bs.guide_pull(a, L, r)
         assert out.shape == (3,)
         assert np.allclose(L @ out, r, atol=1e-12)
+
+
+@st.composite
+def channel_inputs(draw):
+    """A batch of SPD ``a`` with condition number at most 50, orthonormal
+    ``L`` and residuals, drawn from a hypothesis-chosen numpy seed."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    p_count = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = np.stack([rand_spd(rng, n, 50.0) for _ in range(p_count)])
+    L = rand_orthonormal(rng, m, n)
+    return a, L, rng.standard_normal((p_count, m))
+
+
+def same_bytes(x, y) -> bool:
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestProjectionProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(channel_inputs())
+    def test_identities(self, inputs):
+        """For the shared (scipy) and the batched (numpy) route: the pull
+        solves L pull(r) = r, the precision is symmetric and inverts
+        L a L*, its log-determinant matches slogdet, the batched route
+        matches the per-row shared route, and the one factorization
+        helper gives the bytes of guide_pull and channel_precision."""
+        ab, L, resid = inputs
+        m = L.shape[0]
+        eye = np.eye(m)
+        prec_b, logdet_b = bs.channel_precision(ab, L)
+        pull_b = bs.guide_pull(ab, L, resid)
+        for p, a in enumerate(ab):
+            prec, logdet = bs.channel_precision(a, L)
+            pulls = bs.guide_pull(a, L, resid)
+            for A, ld, pull, r in ((prec, logdet, pulls[p], resid[p]),
+                                   (prec_b[p], logdet_b[p], pull_b[p],
+                                    resid[p])):
+                gram_l = L @ a @ L.T
+                scale = np.abs(A).max()
+                assert np.abs(L @ pull - r).max() <= 1e-10
+                assert np.abs(A - A.T).max() <= 1e-13 * scale
+                assert np.abs(A @ gram_l - eye).max() <= 1e-10
+                sign, ref = np.linalg.slogdet(A)
+                assert sign == 1.0 and abs(ld - ref) <= 1e-10
+            assert np.allclose(prec_b[p], prec, rtol=1e-12, atol=1e-12)
+            assert abs(logdet_b[p] - logdet) <= 1e-12
+            assert np.allclose(pull_b[p], pulls[p], rtol=1e-12, atol=1e-12)
+            pull, A, ld = channel_algebra(a, L, resid)
+            assert same_bytes(pull, pulls)
+            assert same_bytes(A, prec) and same_bytes(ld, logdet)
+        pull, A, ld = channel_algebra(ab, L, resid)
+        assert same_bytes(pull, pull_b)
+        assert same_bytes(A, prec_b) and same_bytes(ld, logdet_b)
 
 
 class TestGuidingDrift:

@@ -11,6 +11,8 @@ from bridgesim.errors import (
     WeightOverflowError,
 )
 from bridgesim.sde import diffusion_values, drift_values
+from bridgesim.weights import batch_breakdown, channel_record
+from conftest import state_dependent_setup
 
 
 def reference_breakdown(model, obs, grid, states, preclamp):
@@ -175,6 +177,68 @@ class TestReferenceAgreement:
         for name in ("log_eta", "boundary", "drift_term", "dA_term",
                      "covar_term"):
             assert np.isclose(getattr(bd, name)[0], ref[name], atol=1e-12)
+
+
+def assert_same_record(got, want):
+    assert len(got.precision) == len(want.precision) == len(want.logdet)
+    for x, y in zip(got.precision + got.logdet,
+                    want.precision + want.logdet):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestChannelRecord:
+    """The kernel keeps the channel precision behind each pull and
+    projection; it must be, byte for byte, the record the weights
+    rebuild from the states, and weight the paths identically."""
+
+    def check(self, model, obs, grid, u, ids, rows=None):
+        batch = bs.simulate_batch(model, obs, grid, u, 5, ids)
+        record = batch.channel_record
+        states, preclamp = batch.states, batch.preclamp
+        if rows is not None:
+            record = record.rows(rows)
+            states = states[rows]
+            preclamp = {k: v[rows] for k, v in preclamp.items()}
+        assert_same_record(record, channel_record(model, obs, grid, states,
+                                                  preclamp))
+        kept, _ = batch_breakdown(model, obs, grid, states, preclamp, record)
+        rebuilt, _ = batch_breakdown(model, obs, grid, states, preclamp)
+        for name, arr in rebuilt.items():
+            assert kept[name].tobytes() == arr.tobytes(), name
+        return record
+
+    def test_state_dependent_sigma(self):
+        model, obs, grid, u = state_dependent_setup()
+        record = self.check(model, obs, grid, u, np.arange(40))
+        assert [p.shape[-1] for p in record.precision] == [1, 2]
+
+    def test_callable_shared_sigma(self):
+        """A callable returning one (n, n) sigma factors through the
+        shared (scipy) route."""
+        sigma = np.array([[1.0, 0.2], [0.0, 1.3]])
+        model = bs.ModelSpec(dim=2, drift=lambda t, x: np.sin(x),
+                             diffusion=lambda t, x: sigma)
+        obs = bs.validate([bs.Observation(0.5, [[0.6, 0.8]], [0.2]),
+                           bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
+        grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
+        self.check(model, obs, grid, np.array([0.5, -0.3]), np.arange(40))
+
+    def test_rows_of_blown_up_batch(self):
+        model, obs, grid, u = state_dependent_setup(blowup_at=3.0)
+        ids = np.arange(64)
+        failed = bs.simulate_batch(model, obs, grid, u, 5, ids).failed_step
+        alive = failed < 0
+        assert 0 < alive.sum() < len(ids)
+        self.check(model, obs, grid, u, ids, rows=alive)
+
+    def test_kept_only_for_full_bridges_under_callable_sigma(self):
+        model, obs, grid, u = state_dependent_setup()
+        cut = bs.BridgeConfig(epsilon_cutoff=grid.nodes[-1] - grid.nodes[-2])
+        assert bs.simulate_batch(model, obs, grid, u, 5, [0], cfg=cut) \
+            .channel_record is None
+        array = bs.ou(dim=3).spec
+        assert bs.simulate_batch(array, obs, grid, u, 5, [0]) \
+            .channel_record is None
 
 
 class TestGirsanov:
