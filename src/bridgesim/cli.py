@@ -3,7 +3,6 @@ linear models, and validate configurations."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -17,14 +16,9 @@ from .errors import BridgeSimError, InvalidConfigurationError, error_kind
 from .estimator import WeightedEnsemble, run_ensemble, weighted_mean_se
 from .oracle import condition, joint_law, observation_selector
 from .sde import build_grid
-from .weights import normalize_log_weights
+from .weights import TERM_NAMES, normalize_log_weights
 
 THREADS_ENV = "BRIDGESIM_THREADS"
-
-
-def _fmt(x: float) -> str:
-    """17 significant digits: lossless for doubles and byte-stable."""
-    return format(float(x), ".17g")
 
 
 def _resolve_threads(cli_value: Optional[int],
@@ -123,19 +117,18 @@ def _write_csv(path: str, config: RunConfig, ensemble: WeightedEnsemble,
     header.append("girsanov")
     header += [f"f_{i}" for i in range(len(config.functionals))]
     bd = ensemble.breakdown
+    cols = [ensemble.log_weights[:, None]]
+    for k in range(n_obs):
+        cols += [bd[name][:, k:k + 1] for name in TERM_NAMES]
+    cols += [bd["girsanov"][:, None], fvals]
+    values = np.hstack(cols)
+    # 17 significant digits: lossless for doubles and byte-stable
+    row = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=",", lineterminator="\n")
-        writer.writerow(header)
-        for i in range(ensemble.size):
-            row = [str(int(ensemble.path_ids[i])),
-                   _fmt(ensemble.log_weights[i])]
-            for k in range(n_obs):
-                row += [_fmt(bd["log_eta"][i, k]), _fmt(bd["boundary"][i, k]),
-                        _fmt(bd["drift_term"][i, k]), _fmt(bd["dA_term"][i, k]),
-                        _fmt(bd["covar_term"][i, k])]
-            row.append(_fmt(bd["girsanov"][i]))
-            row += [_fmt(fvals[i, j]) for j in range(fvals.shape[1])]
-            writer.writerow(row)
+        fh.write(",".join(header) + "\n")
+        # one row's floats at a time, so no list of every row is held
+        fh.writelines(row % (pid, *vals.tolist()) for pid, vals
+                      in zip(ensemble.path_ids.tolist(), values))
 
 
 def run(config: RunConfig, threads: Optional[int] = None):
@@ -226,7 +219,12 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--paths", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="forked worker processes that run the path "
+                            "chunks (default: the config's threads, then "
+                            "$BRIDGESIM_THREADS, then 1, which runs them in "
+                            "this process); results are bit-identical for "
+                            "any count")
 
     p_oracle = sub.add_parser("oracle", help="print exact conditional "
                                              "marginals for linear models")

@@ -1,8 +1,22 @@
 """Exception types shared across the package."""
 
 
+def _restore(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
 class BridgeSimError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Pickling keeps the message and every attribute without calling
+    ``__init__``, so subclasses with required keyword attributes survive
+    the trip back from a worker process.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
 
 
 class InvalidConfigurationError(BridgeSimError, ValueError):

@@ -1,7 +1,11 @@
 """Self-normalized importance-sampling ensembles and estimates."""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+import threading
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -17,8 +21,9 @@ from .observations import ObservationSet
 from .sde import ModelSpec, PathSample, TimeGrid
 from .weights import TERM_NAMES, batch_breakdown, normalize_log_weights
 
-# Paths are simulated in fixed-size chunks regardless of the thread
-# count, so ensembles are bit-identical however the work is scheduled.
+# Paths are simulated in fixed-size chunks regardless of the worker
+# count, so ensembles are bit-identical however the chunks are scheduled
+# over processes.
 CHUNK_SIZE = 1024
 
 FAILURE_CEILING = 0.01
@@ -79,17 +84,76 @@ class MomentEstimate:
     ess: float
 
 
+# ---------------------------------------------------------------------------
+# worker processes
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(threads: int, n_chunks: int) -> int:
+    """Worker processes to fork for ``n_chunks`` chunks: at most
+    ``threads``, the chunk count and the usable CPUs.  1 means the chunks
+    run in the calling process, as they do where ``fork`` is missing."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return max(1, min(threads, n_chunks, _usable_cpus()))
+
+
+# Set by the pool initializer in each forked worker, never in the caller,
+# so concurrent runs in one process do not share it.
+_chunk_work: Optional[Callable] = None
+
+
+def _install_work(work: Callable) -> None:
+    global _chunk_work
+    _chunk_work = work
+
+
+def _run_chunk(index: int):
+    return _chunk_work(index)
+
+
+def _map_in_workers(work: Callable, n_chunks: int, n_workers: int) -> list:
+    """``[work(i) for i in range(n_chunks)]`` over forked workers.
+
+    Fork hands each worker the ``work`` closure (models may hold lambdas)
+    without pickling it; workers receive chunk indices and send back
+    each chunk's arrays, in chunk order.
+    """
+    pool = ProcessPoolExecutor(
+        n_workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_install_work, initargs=(work,))
+    with pool, warnings.catch_warnings():
+        if threading.active_count() == 1:
+            # Python 3.12+ warns on fork whenever the OS counts more than
+            # one thread, which includes the BLAS pool numpy starts at
+            # import.  With no other Python thread running, no
+            # interpreter-level lock can be held across the fork, so only
+            # that case is silenced; a parent with Python threads warns.
+            warnings.filterwarnings(
+                "ignore", message=r".*multi-threaded.*fork",
+                category=DeprecationWarning)
+        return list(pool.map(_run_chunk, range(n_chunks)))
+
+
 def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                  n_paths: int, seed: int, *, threads: int = 1,
                  cfg: Optional[BridgeConfig] = None,
                  validate: bool = False) -> WeightedEnsemble:
     """Simulate and weight ``n_paths`` independent bridges.
 
-    Work proceeds in fixed-size chunks of path indices; the thread count
-    only schedules chunks and never changes any result.  Failed paths
-    are dropped and counted, and the run aborts once more than 1% of
-    paths fail.  ``cfg.epsilon_cutoff`` is rejected: the weights assume
-    guidance over the full window and the terminal projection.
+    Work proceeds in fixed-size chunks of path indices.  With
+    ``threads > 1`` the chunks run in up to that many forked worker
+    processes (never more than the chunks or the usable CPUs); the count
+    only schedules chunks and never changes any result.  One worker, one
+    chunk, or a platform without the ``fork`` start method runs the
+    chunks in this process.  Failed paths are dropped and counted, and
+    the run aborts once more than 1% of paths fail.
+    ``cfg.epsilon_cutoff`` is rejected: the weights assume guidance over
+    the full window and the terminal projection.
     """
     if n_paths < 1:
         raise InvalidConfigurationError("n_paths must be >= 1")
@@ -104,7 +168,8 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     chunks = [np.arange(s, min(s + CHUNK_SIZE, n_paths))
               for s in range(0, n_paths, CHUNK_SIZE)]
 
-    def work(ids: np.ndarray):
+    def work(index: int):
+        ids = chunks[index]
         sim = simulate_batch(model, obs, grid, u, seed, ids, cfg=cfg,
                              validate=validate)
         st, pc, record = sim.states, sim.preclamp, sim.channel_record
@@ -121,11 +186,11 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         return (ids[alive][ok], st[ok], {k: v[ok] for k, v in pc.items()},
                 {name: arr[ok] for name, arr in terms.items()}, n_bad)
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, chunks))
+    n_workers = _worker_count(threads, len(chunks))
+    if n_workers > 1:
+        results = _map_in_workers(work, len(chunks), n_workers)
     else:
-        results = [work(ids) for ids in chunks]
+        results = [work(i) for i in range(len(chunks))]
 
     n_failed = sum(r[4] for r in results)
     if n_failed > FAILURE_CEILING * n_paths:

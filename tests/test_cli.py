@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import bridgesim as bs
-from bridgesim.cli import main
+from bridgesim.cli import _write_csv, main
 from bridgesim.errors import InvalidConfigurationError
+from bridgesim.estimator import WeightedEnsemble
 
 
 def base_config(**updates):
@@ -155,6 +156,64 @@ class TestRunCommand:
         assert main(["run", path_a]) == 0
         assert main(["run", path_b, "--threads", "4"]) == 0
         assert csv_a.read_bytes() == csv_b.read_bytes()
+
+    def test_csv_bytes_match_per_field_rendering(self, tmp_path):
+        """The row template writes the bytes of formatting every field on
+        its own, for signed zeros, non-finite terms, subnormals, the
+        largest double and path ids past 2**62."""
+        cfg = bs.parse_config(base_config(
+            observations=[{"time": 0.5, "matrix": [[1.0]], "value": [0.2]},
+                          {"time": 1.0, "matrix": [[1.0]], "value": [1.0]}],
+            functionals=[{"type": "coordinate", "time": 0.5,
+                          "coordinate": 0},
+                         {"type": "marginal_var", "time": 1.0,
+                          "coordinate": 0}]))
+        grid = bs.build_grid(1.0, cfg.observations, 0.25, 0.25)
+        special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                            np.finfo(float).max, 0.1, 1.0 / 3.0, 0.0, 1e22])
+        rng = np.random.default_rng(3)
+        n = 4
+
+        def pick(*shape):
+            return rng.choice(special, size=shape)
+
+        ids = np.array([0, 2 ** 62 + 3, 2 ** 63 - 1, 17], dtype=np.int64)
+        breakdown = {name: pick(n, 2) for name in (
+            "log_eta", "boundary", "drift_term", "dA_term", "covar_term")}
+        breakdown["girsanov"] = pick(n)
+        ens = WeightedEnsemble(
+            grid=grid, states=np.zeros((n, grid.n_steps + 1, 1)),
+            path_ids=ids, log_weights=pick(n), breakdown=breakdown,
+            preclamp={}, n_failed=0)
+        fvals = pick(n, 2)
+        fvals[0] = [-0.0, np.nan]
+        path = tmp_path / "paths.csv"
+        _write_csv(str(path), cfg, ens, fvals)
+
+        def fmt(x):
+            return format(float(x), ".17g")
+
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, delimiter=",", lineterminator="\n")
+            header = ["path_id", "log_weight"]
+            for k in range(2):
+                header += [f"log_eta_{k}", f"boundary_{k}", f"drift_{k}",
+                           f"dA_{k}", f"covar_{k}"]
+            writer.writerow(header + ["girsanov", "f_0", "f_1"])
+            for i in range(n):
+                row = [str(int(ids[i])), fmt(ens.log_weights[i])]
+                for k in range(2):
+                    row += [fmt(breakdown[name][i, k]) for name in (
+                        "log_eta", "boundary", "drift_term", "dA_term",
+                        "covar_term")]
+                row.append(fmt(breakdown["girsanov"][i]))
+                row += [fmt(v) for v in fvals[i]]
+                writer.writerow(row)
+        assert path.read_bytes() == ref.read_bytes()
+        text = path.read_text()
+        assert "-0," in text and "nan" in text and "inf" in text
+        assert str(2 ** 62 + 3) in text
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

@@ -1,9 +1,16 @@
 """Ensemble runner and self-normalized estimation."""
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 import bridgesim as bs
+import bridgesim.estimator as estimator
 from bridgesim.errors import (
+    ERROR_KIND,
     DegenerateEnsembleError,
     InvalidConfigurationError,
     UnstableRunError,
@@ -171,6 +178,128 @@ class TestRunEnsemble:
         assert len(paths) == 8
         assert paths[3].state_at(1.0)[0] == ens.states[3, -1, 0]
         assert 0 in paths[0].preclamp
+
+
+def ensemble_bytes(ens) -> dict:
+    """Every array of an ensemble as bytes, plus its failure count."""
+    out = {"states": ens.states.tobytes(), "path_ids": ens.path_ids.tobytes(),
+           "log_weights": ens.log_weights.tobytes(), "n_failed": ens.n_failed}
+    out.update({f"breakdown.{k}": v.tobytes()
+                for k, v in ens.breakdown.items()})
+    out.update({f"preclamp.{k}": v.tobytes() for k, v in ens.preclamp.items()})
+    return out
+
+
+ERROR_ATTRIBUTES = {
+    "InvalidConfigurationError": {"field": "observations[1].window"},
+    "InvalidObservationError": {"index": 2, "field": "matrix"},
+    "NumericalBlowupError": {"step_index": 3},
+    "WeightOverflowError": {"term": "boundary", "observation": 1,
+                            "step_index": 7},
+}
+
+
+@pytest.mark.filterwarnings("error")
+class TestWorkerPool:
+    """Chunks in forked worker processes: bits, worker count, errors.
+
+    Warnings are errors here, so a fork from a parent that runs other
+    Python threads (Python 3.12+ warns on it) fails these tests."""
+
+    @pytest.mark.parametrize("cls", list(ERROR_KIND),
+                             ids=lambda c: c.__name__)
+    def test_errors_survive_pickling(self, cls):
+        attrs = ERROR_ATTRIBUTES.get(cls.__name__, {})
+        exc = cls("something went wrong", **attrs)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == "something went wrong"
+        assert back.args == exc.args
+        assert vars(back) == vars(exc) == attrs
+
+    def test_bits_do_not_depend_on_workers(self):
+        """2 chunks plus a one-path chunk, with failed paths in two
+        chunks: every array is byte-equal at 1, 2 and 3 workers."""
+        model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
+        n_paths = 2 * CHUNK_SIZE + 1
+        runs = [ensemble_bytes(bs.run_ensemble(model, obs, grid, u, n_paths,
+                                               seed=5, threads=threads))
+                for threads in (1, 2, 3)]
+        failed = np.setdiff1d(np.arange(n_paths),
+                              np.frombuffer(runs[0]["path_ids"], dtype=int))
+        assert len(np.unique(failed // CHUNK_SIZE)) >= 2
+        assert runs[0]["n_failed"] == len(failed)
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_worker_count_is_capped(self, monkeypatch):
+        """threads=64 on two chunks forks at most two workers."""
+        usable = estimator._usable_cpus()
+        assert estimator._worker_count(64, 2) == min(2, usable)
+        assert estimator._worker_count(64, 1) == 1
+        assert estimator._worker_count(1, 50) == 1
+        assert 1 <= estimator._worker_count(64, 50) <= usable
+
+        started = []
+
+        class Recording(estimator.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(estimator, "ProcessPoolExecutor", Recording)
+        model, obs, grid = brownian_setup(dt_base=0.05)
+        n = CHUNK_SIZE + 10
+        serial = bs.run_ensemble(model, obs, grid, np.zeros(1), n, seed=2)
+        wide = bs.run_ensemble(model, obs, grid, np.zeros(1), n, seed=2,
+                               threads=64)
+        assert ensemble_bytes(wide) == ensemble_bytes(serial)
+        assert started == ([2] if usable > 1 else [])
+
+    def test_worker_error_matches_in_process(self):
+        """A diffusion of the wrong shape raises the same error type and
+        message from a worker as in process."""
+        model = bs.ModelSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
+                             diffusion=lambda t, x: np.ones((2, 2)))
+        obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.0])], dim=1)
+        grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
+        errors = []
+        for threads in (1, 2):
+            with pytest.raises(InvalidConfigurationError) as info:
+                bs.run_ensemble(model, obs, grid, np.zeros(1),
+                                CHUNK_SIZE + 1, seed=1, threads=threads)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert "diffusion returned shape (2, 2)" in errors[0][1]
+
+    def test_unpicklable_worker_error_does_not_hang(self):
+        """An exception that pickles but cannot be rebuilt in the parent
+        breaks the pool with an error instead of hanging the run."""
+        if estimator._worker_count(2, 2) < 2:
+            pytest.skip("needs fork and two usable CPUs")
+        script = """
+import numpy as np
+import bridgesim as bs
+
+class Unrebuildable(Exception):
+    def __init__(self, a, b):
+        super().__init__(f"{a} {b}")
+
+def drift(t, x):
+    raise Unrebuildable("user", "error")
+
+model = bs.ModelSpec(dim=1, drift=drift, diffusion=np.eye(1))
+obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.0])], dim=1)
+grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
+bs.run_ensemble(model, obs, grid, np.zeros(1), 2 * 1024, seed=1, threads=2)
+"""
+        src = os.path.dirname(os.path.dirname(estimator.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 1
+        assert "BrokenProcessPool" in proc.stderr
 
 
 class TestEstimate:
