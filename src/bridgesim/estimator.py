@@ -3,8 +3,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
-import warnings
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -113,7 +112,17 @@ def _install_work(work: Callable) -> None:
 
 
 def _run_chunk(index: int):
-    return _chunk_work(index)
+    try:
+        return _chunk_work(index)
+    except BaseException as exc:
+        # An exception the parent cannot rebuild would break the pool;
+        # send its type and message in one that it can.
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            raise RuntimeError(
+                f"{type(exc).__qualname__}: {exc}") from exc
+        raise
 
 
 def _map_in_workers(work: Callable, n_chunks: int, n_workers: int) -> list:
@@ -123,19 +132,9 @@ def _map_in_workers(work: Callable, n_chunks: int, n_workers: int) -> list:
     without pickling it; workers receive chunk indices and send back
     each chunk's arrays, in chunk order.
     """
-    pool = ProcessPoolExecutor(
-        n_workers, mp_context=multiprocessing.get_context("fork"),
-        initializer=_install_work, initargs=(work,))
-    with pool, warnings.catch_warnings():
-        if threading.active_count() == 1:
-            # Python 3.12+ warns on fork whenever the OS counts more than
-            # one thread, which includes the BLAS pool numpy starts at
-            # import.  With no other Python thread running, no
-            # interpreter-level lock can be held across the fork, so only
-            # that case is silenced; a parent with Python threads warns.
-            warnings.filterwarnings(
-                "ignore", message=r".*multi-threaded.*fork",
-                category=DeprecationWarning)
+    with ProcessPoolExecutor(
+            n_workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_install_work, initargs=(work,)) as pool:
         return list(pool.map(_run_chunk, range(n_chunks)))
 
 
