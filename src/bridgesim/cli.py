@@ -13,7 +13,8 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .errors import BridgeSimError, InvalidConfigurationError, error_kind
-from .estimator import WeightedEnsemble, run_ensemble, weighted_mean_se
+from .estimator import (WeightedEnsemble, coordinate_at, run_ensemble,
+                        weighted_mean_se)
 from .oracle import condition, joint_law, observation_selector
 from .sde import build_grid
 from .weights import TERM_NAMES, normalize_log_weights
@@ -40,31 +41,17 @@ def _resolve_threads(cli_value: Optional[int],
     return 1
 
 
-def _functional_values(config: RunConfig, ensemble: WeightedEnsemble):
-    """Raw per-path functional values, one column per functional."""
-    cols = []
-    for f in config.functionals:
-        idx = ensemble.grid.index_of(f.time)
-        cols.append(ensemble.states[:, idx, f.coordinate])
-    return np.column_stack(cols) if cols else np.zeros((ensemble.size, 0))
-
-
 def _estimates(config: RunConfig, ensemble: WeightedEnsemble,
                fvals: np.ndarray):
     weights, log_norm, ess = normalize_log_weights(ensemble.log_weights)
     out = []
     for i, f in enumerate(config.functionals):
-        col = fvals[:, i]
-        mean, mean_se = weighted_mean_se(weights, col[:, None])
-        mean, mean_se = float(mean[0]), float(mean_se[0])
+        col = fvals[:, i:i + 1]
+        value, se = weighted_mean_se(weights, col)
         if f.kind == "marginal_var":
-            dev = (col - mean) ** 2
-            var, var_se = weighted_mean_se(weights, dev[:, None])
-            value, se = float(var[0]), float(var_se[0])
-        else:
-            value, se = mean, mean_se
+            value, se = weighted_mean_se(weights, (col - value) ** 2)
         out.append({"type": f.kind, "time": f.time, "coordinate": f.coordinate,
-                    "value": value, "std_error": se})
+                    "value": value.item(), "std_error": se.item()})
     return out, log_norm, ess
 
 
@@ -142,8 +129,11 @@ def run(config: RunConfig, threads: Optional[int] = None):
         built.spec, config.observations, grid, config.initial_state,
         config.n_paths, config.seed,
         threads=_resolve_threads(threads, config.threads),
-        validate=config.validate_coefficients)
-    fvals = _functional_values(config, ensemble)
+        validate=config.validate_coefficients,
+        keep_times=[f.time for f in config.functionals])
+    cols = [coordinate_at(f.time, f.coordinate).array_map(ensemble)
+            for f in config.functionals]
+    fvals = np.column_stack(cols) if cols else np.zeros((ensemble.size, 0))
     estimates, log_norm, ess = _estimates(config, ensemble, fvals)
     report = {
         "schema_version": 1,

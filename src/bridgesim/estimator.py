@@ -5,8 +5,8 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ class WeightedEnsemble:
 
     ``states`` stacks the retained (non-failed) paths; ``breakdown``
     maps each weight term to a (K, N_obs) array plus ``girsanov`` (K,).
+    ``kept_nodes`` lists a thinned ensemble's grid nodes, else None.
     """
 
     grid: TimeGrid
@@ -43,22 +44,34 @@ class WeightedEnsemble:
     breakdown: dict[str, np.ndarray]
     preclamp: dict[int, np.ndarray]
     n_failed: int
-    _paths: Optional[list[PathSample]] = field(default=None, repr=False)
+    kept_nodes: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
         return len(self.path_ids)
 
+    def _thinned(self, need: str) -> InvalidConfigurationError:
+        kept = self.grid.nodes[self.kept_nodes].tolist()
+        return InvalidConfigurationError(
+            f"{need}, but the ensemble kept only times {kept}")
+
+    def state_at(self, time: float) -> np.ndarray:
+        """Every retained path's state at grid time ``time``, (K, n)."""
+        node = self.grid.index_of(time)
+        if self.kept_nodes is not None:
+            if node not in self.kept_nodes:
+                raise self._thinned(f"time {time!r} was not kept")
+            node = int(np.searchsorted(self.kept_nodes, node))
+        return self.states[:, node]
+
     @property
-    def paths(self) -> list[PathSample]:
-        if self._paths is None:
-            self._paths = [
-                PathSample(
-                    grid=self.grid, states=self.states[i],
-                    seed_id=int(self.path_ids[i]),
-                    preclamp={k: v[i] for k, v in self.preclamp.items()})
-                for i in range(self.size)]
-        return self._paths
+    def paths(self) -> Iterator[PathSample]:
+        """The retained paths, built as ``PathSample``s while iterated."""
+        if self.kept_nodes is not None:
+            raise self._thinned("a per-path functional needs every node")
+        return (PathSample(self.grid, self.states[i], int(self.path_ids[i]),
+                           {k: v[i] for k, v in self.preclamp.items()})
+                for i in range(self.size))
 
 
 @dataclass(frozen=True)
@@ -140,8 +153,9 @@ def _map_in_workers(work: Callable, n_chunks: int, n_workers: int) -> list:
 
 def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                  n_paths: int, seed: int, *, threads: int = 1,
-                 cfg: Optional[BridgeConfig] = None,
-                 validate: bool = False) -> WeightedEnsemble:
+                 cfg: Optional[BridgeConfig] = None, validate: bool = False,
+                 keep_times: Optional[Sequence[float]] = None
+                 ) -> WeightedEnsemble:
     """Simulate and weight ``n_paths`` independent bridges.
 
     Work proceeds in fixed-size chunks of path indices.  With
@@ -153,6 +167,8 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     the run aborts once more than 1% of paths fail.
     ``cfg.epsilon_cutoff`` is rejected: the weights assume guidance over
     the full window and the terminal projection.
+    ``keep_times`` keeps only those grid times' states of each weighted
+    chunk; only array functionals read such a thinned ensemble.
     """
     if n_paths < 1:
         raise InvalidConfigurationError("n_paths must be >= 1")
@@ -166,6 +182,8 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     chunks = [np.arange(s, min(s + CHUNK_SIZE, n_paths))
               for s in range(0, n_paths, CHUNK_SIZE)]
+    kept = None if keep_times is None else np.unique(
+        np.array([grid.index_of(t) for t in keep_times], dtype=np.intp))
 
     def work(index: int):
         ids = chunks[index]
@@ -178,6 +196,7 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             pc = {k: v[alive] for k, v in pc.items()}
             record = None if record is None else record.rows(alive)
         terms, issues = batch_breakdown(model, obs, grid, st, pc, record)
+        st = st if kept is None else st[:, kept]   # a copy; frees the rest
         ok = np.ones(st.shape[0], dtype=bool)
         for row, _, _, _ in issues:
             ok[row] = False
@@ -199,21 +218,14 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     path_ids = np.concatenate([r[0] for r in results])
     states = np.concatenate([r[1] for r in results])
-    n_obs = len(obs.items)
-    breakdown = {}
-    for name in TERM_NAMES:
-        breakdown[name] = np.concatenate([r[3][name] for r in results]) \
-            if results else np.zeros((0, n_obs))
-    breakdown["girsanov"] = np.concatenate([r[3]["girsanov"] for r in results])
-    preclamp = {}
-    for k in range(n_obs):
-        parts = [r[2][k] for r in results if k in r[2]]
-        if parts:
-            preclamp[k] = np.concatenate(parts)
+    breakdown = {name: np.concatenate([r[3][name] for r in results])
+                 for name in (*TERM_NAMES, "girsanov")}
+    preclamp = {k: np.concatenate([r[2][k] for r in results])
+                for k in results[0][2]}
     log_weights = sum(breakdown[name].sum(axis=1) for name in TERM_NAMES) \
         + breakdown["girsanov"]
     return WeightedEnsemble(
-        grid=grid, states=states, path_ids=path_ids,
+        grid=grid, states=states, path_ids=path_ids, kept_nodes=kept,
         log_weights=np.asarray(log_weights, dtype=float),
         breakdown=breakdown, preclamp=preclamp, n_failed=n_failed)
 
@@ -230,45 +242,58 @@ def weighted_mean_se(weights: np.ndarray, fvals: np.ndarray):
     return value.reshape(fvals.shape[1:]), se.reshape(fvals.shape[1:])
 
 
-def estimate(ensemble: WeightedEnsemble,
-             f: Callable[[PathSample], float | np.ndarray]) -> EstimateReport:
-    """Estimate E[f | observations] from a weighted ensemble.
-
-    ``f`` may return a scalar or a vector of functionals; the report
-    carries one value and standard error per component.
-    """
+def _values(ensemble: WeightedEnsemble, f) -> np.ndarray:
+    """(K, ...) values of ``f``: its array map, else one call a path."""
     if ensemble.size == 0:
         raise DegenerateEnsembleError("ensemble retained no paths")
+    array_map = getattr(f, "array_map", None)
+    if array_map is not None:
+        return array_map(ensemble).reshape(ensemble.size, -1)
+    return np.asarray([np.atleast_1d(np.asarray(f(p), dtype=float))
+                       for p in ensemble.paths])
+
+
+def estimate(ensemble: WeightedEnsemble, f) -> EstimateReport:
+    """Estimate E[f | observations] from a weighted ensemble.
+
+    ``f``, an array functional or a per-path callable, may return a
+    scalar or a vector; the report has a value and SE per component.
+    """
+    fvals = _values(ensemble, f)
     weights, _, ess = normalize_log_weights(ensemble.log_weights)
-    fvals = np.asarray([np.atleast_1d(np.asarray(f(p), dtype=float))
-                        for p in ensemble.paths])
     value, se = weighted_mean_se(weights, fvals)
     return EstimateReport(value=value, std_error=se, ess=ess,
                           n_paths=ensemble.size, n_failed=ensemble.n_failed)
 
 
-def conditional_moments(ensemble: WeightedEnsemble,
-                        f: Callable[[PathSample], float]) -> MomentEstimate:
+def conditional_moments(ensemble: WeightedEnsemble, f) -> MomentEstimate:
     """Conditional mean and variance of a scalar functional.
 
     The variance estimate is the weighted second moment about the
     estimated mean; its standard error treats the mean as fixed.
     """
-    if ensemble.size == 0:
-        raise DegenerateEnsembleError("ensemble retained no paths")
+    fv = _values(ensemble, f)
     weights, _, ess = normalize_log_weights(ensemble.log_weights)
-    fv = np.asarray([float(f(p)) for p in ensemble.paths])
-    mean = float(weights @ fv)
-    mean_se = float(np.sqrt(np.sum(weights ** 2 * (fv - mean) ** 2)))
-    dev = (fv - mean) ** 2
-    var = float(weights @ dev)
-    var_se = float(np.sqrt(np.sum(weights ** 2 * (dev - var) ** 2)))
-    return MomentEstimate(mean=mean, mean_se=mean_se, var=var, var_se=var_se,
-                          ess=ess)
+    mean, mean_se = weighted_mean_se(weights, fv)
+    var, var_se = weighted_mean_se(weights, (fv - mean) ** 2)
+    return MomentEstimate(mean=mean.item(), mean_se=mean_se.item(),
+                          var=var.item(), var_se=var_se.item(), ess=ess)
 
 
-def coordinate_at(time: float, index: int) -> Callable[[PathSample], float]:
-    """Functional extracting one state coordinate at a grid time."""
-    def f(path: PathSample) -> float:
-        return float(path.state_at(time)[index])
-    return f
+@dataclass(frozen=True)
+class CoordinateAt:
+    """Coordinate ``index`` at grid time ``time``, of one ``PathSample``
+    or, through ``array_map``, of every path of an ensemble."""
+
+    time: float
+    index: int
+
+    def __call__(self, path: PathSample) -> float:
+        return float(path.state_at(self.time)[self.index])
+
+    def array_map(self, ens: WeightedEnsemble) -> np.ndarray:
+        # a contiguous copy, so the reductions give a per-path list's bits
+        return np.ascontiguousarray(ens.state_at(self.time)[:, self.index])
+
+
+coordinate_at = CoordinateAt

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import bridgesim as bs
-from bridgesim.cli import _write_csv, main
+from bridgesim.cli import _estimates, _write_csv, main
 from bridgesim.errors import InvalidConfigurationError
-from bridgesim.estimator import WeightedEnsemble
+from bridgesim.estimator import CHUNK_SIZE, WeightedEnsemble
 
 
 def base_config(**updates):
@@ -214,6 +214,45 @@ class TestRunCommand:
         text = path.read_text()
         assert "-0," in text and "nan" in text and "inf" in text
         assert str(2 ** 62 + 3) in text
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_thinned_run_matches_full_state_run(self, tmp_path, threads):
+        """The run keeps only its functionals' nodes; its CSV and report
+        estimates are the bytes of a run that keeps every state."""
+        report_path = tmp_path / "report.json"
+        csv_path = tmp_path / "paths.csv"
+        raw = base_config(
+            model={"name": "ou", "drift_split": True,
+                   "params": {"dim": 2, "f_diag": [-1.0, -0.5],
+                              "sigma": [1.0, 1.5]}},
+            observations=[{"time": 1.0, "matrix": [[1.0, 0.0]],
+                           "value": [0.7]}],
+            initial_state=[0.5, -0.3], n_paths=CHUNK_SIZE + 100,
+            functionals=[
+                {"type": "coordinate", "time": 0.5, "coordinate": 0},
+                {"type": "marginal_var", "time": 0.5, "coordinate": 0},
+                {"type": "coordinate", "time": 1.0, "coordinate": 1}],
+            outputs={"report": str(report_path),
+                     "ensemble_csv": str(csv_path)})
+        assert main(["run", write_config(tmp_path, raw),
+                     "--threads", threads]) == 0
+
+        cfg = bs.parse_config(raw)
+        times = [f.time for f in cfg.functionals]
+        grid = bs.build_grid(cfg.horizon, cfg.observations, cfg.grid.dt_base,
+                             cfg.grid.dt_min, cfg.grid.refine_ratio,
+                             include_times=times)
+        full = bs.run_ensemble(cfg.build_model().spec, cfg.observations,
+                               grid, cfg.initial_state, cfg.n_paths, cfg.seed)
+        assert full.states.shape[1] == grid.n_steps + 1
+        fvals = np.column_stack(
+            [full.states[:, grid.index_of(f.time), f.coordinate]
+             for f in cfg.functionals])
+        ref = tmp_path / "ref.csv"
+        _write_csv(str(ref), cfg, full, fvals)
+        assert csv_path.read_bytes() == ref.read_bytes()
+        estimates, _, _ = _estimates(cfg, full, fvals)
+        assert json.loads(report_path.read_text())["estimates"] == estimates
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())

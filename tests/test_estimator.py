@@ -174,10 +174,14 @@ class TestRunEnsemble:
     def test_paths_view_shares_data(self):
         model, obs, grid = brownian_setup()
         ens = bs.run_ensemble(model, obs, grid, np.zeros(1), 8, seed=5)
-        paths = ens.paths
-        assert len(paths) == 8
-        assert paths[3].state_at(1.0)[0] == ens.states[3, -1, 0]
-        assert 0 in paths[0].preclamp
+        at_end = ens.state_at(1.0)
+        assert np.shares_memory(at_end, ens.states)
+        values = bs.coordinate_at(1.0, 0).array_map(ens)
+        assert len(values) == 8
+        assert values[3] == ens.states[3, -1, 0]
+        assert at_end[3, 0] == ens.states[3, -1, 0]
+        assert 0 in ens.preclamp
+        assert len(ens.preclamp[0]) == 8
 
 
 def ensemble_bytes(ens) -> dict:
@@ -363,6 +367,124 @@ class TestConditionalMoments:
         mom = bs.conditional_moments(ens, bs.coordinate_at(1.0, 0))
         assert np.isclose(mom.mean, 1.0, atol=1e-12)
         assert np.isclose(mom.var, 0.0, atol=1e-20)
+
+
+def ou_setup():
+    """The criterion-06 model: 2-D OU, first coordinate observed at 1."""
+    model = bs.ou(dim=2, f_diag=[-1.0, -0.5], sigma=[1.0, 1.5]).spec
+    obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
+    grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3,
+                         include_times=[0.5])
+    return model, obs, grid, np.array([0.5, -0.3])
+
+
+def moment_bytes(mom) -> bytes:
+    return np.array([mom.mean, mom.mean_se, mom.var, mom.var_se,
+                     mom.ess]).tobytes()
+
+
+class TestArrayFunctionals:
+    """``coordinate_at`` maps the ensemble's state array in one slice; a
+    plain callable runs once per path.  Both give the same bytes."""
+
+    @pytest.mark.parametrize("time,index", [(0.5, 0), (1.0, 1), (0.0, 1)])
+    def test_array_map_matches_per_path_callable(self, time, index):
+        model, obs, grid, u = ou_setup()
+        ens = bs.run_ensemble(model, obs, grid, u, 1500, seed=17)
+        f = bs.coordinate_at(time, index)
+
+        def per_path(path):
+            return path.state_at(time)[index]
+
+        rep, ref = bs.estimate(ens, f), bs.estimate(ens, per_path)
+        assert rep.value.shape == rep.std_error.shape == (1,)
+        assert ref.value.shape == ref.std_error.shape == (1,)
+        assert rep.value.tobytes() == ref.value.tobytes()
+        assert rep.std_error.tobytes() == ref.std_error.tobytes()
+        assert rep.ess == ref.ess
+        assert moment_bytes(bs.conditional_moments(ens, f)) == \
+            moment_bytes(bs.conditional_moments(ens, per_path))
+        assert f(next(ens.paths)) == ens.states[0, grid.index_of(time), index]
+
+    def test_vector_array_map(self):
+        """Any object with an ``array_map`` is evaluated through it."""
+        class EndState:
+            def array_map(self, ensemble):
+                return np.ascontiguousarray(ensemble.state_at(1.0))
+
+        model, obs, grid, u = ou_setup()
+        ens = bs.run_ensemble(model, obs, grid, u, 300, seed=4)
+        rep = bs.estimate(ens, EndState())
+        ref = bs.estimate(ens, lambda p: p.state_at(1.0))
+        assert rep.value.shape == (2,)
+        assert rep.value.tobytes() == ref.value.tobytes()
+        assert rep.std_error.tobytes() == ref.std_error.tobytes()
+        with pytest.raises(ValueError, match="size 1"):
+            bs.conditional_moments(ens, EndState())
+
+    def test_moments_formula_is_weighted_mean_se(self):
+        """One column through weighted_mean_se gives the bytes of the
+        vector formulas w @ f and sqrt(sum(w^2 (f - mean)^2))."""
+        rng = np.random.default_rng(11)
+        for n in rng.integers(1000, 30001, size=25):
+            w, _, _ = bs.normalize_log_weights(2.0 * rng.standard_normal(n))
+            f = 1.0 + 3.0 * rng.standard_normal(n)
+            mean, se = weighted_mean_se(w, f[:, None])
+            direct = w @ f
+            assert mean.tobytes() == np.array([direct]).tobytes()
+            want = np.sqrt(np.sum(w ** 2 * (f - direct) ** 2))
+            assert se.tobytes() == np.array([want]).tobytes()
+
+
+class TestThinnedEnsemble:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_keep_times_matches_full_ensemble(self, threads):
+        """Two chunks with failed paths: a thinned run holds the full
+        run's bytes in every array, and in its kept state columns."""
+        model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
+        n_paths = CHUNK_SIZE + 100
+        full = bs.run_ensemble(model, obs, grid, u, n_paths, seed=5,
+                               threads=threads)
+        thin = bs.run_ensemble(model, obs, grid, u, n_paths, seed=5,
+                               threads=threads, keep_times=[1.0, 0.55, 1.0])
+        nodes = [grid.index_of(0.55), grid.index_of(1.0)]
+        assert thin.kept_nodes.tolist() == nodes
+        assert thin.states.shape == (full.size, 2, 3)
+        assert thin.states.flags.c_contiguous
+        assert thin.states.tobytes() == full.states[:, nodes].tobytes()
+        assert 0 < thin.n_failed == full.n_failed
+        want = ensemble_bytes(full)
+        got = ensemble_bytes(thin)
+        del want["states"], got["states"]
+        assert got == want
+        for time in (0.55, 1.0):
+            assert thin.state_at(time).tobytes() == \
+                full.state_at(time).tobytes()
+            f = bs.coordinate_at(time, 2)
+            a, b = bs.estimate(thin, f), bs.estimate(full, f)
+            assert a.value.tobytes() == b.value.tobytes()
+            assert a.std_error.tobytes() == b.std_error.tobytes()
+            assert moment_bytes(bs.conditional_moments(thin, f)) == \
+                moment_bytes(bs.conditional_moments(full, f))
+
+    def test_rejects_what_it_did_not_keep(self):
+        model, obs, grid = brownian_setup()
+        ens = bs.run_ensemble(model, obs, grid, np.zeros(1), 16, seed=3,
+                              keep_times=[0.5])
+        assert ens.states.shape == (16, 1, 1)
+        with pytest.raises(InvalidConfigurationError,
+                           match="per-path functional.*kept only times"):
+            bs.estimate(ens, lambda p: p.state_at(0.5)[0])
+        with pytest.raises(InvalidConfigurationError,
+                           match="kept only times"):
+            bs.conditional_moments(ens, lambda p: p.state_at(0.5)[0])
+        with pytest.raises(InvalidConfigurationError,
+                           match="time 1.0 was not kept"):
+            bs.estimate(ens, bs.coordinate_at(1.0, 0))
+        with pytest.raises(InvalidConfigurationError,
+                           match="not a grid node"):
+            bs.run_ensemble(model, obs, grid, np.zeros(1), 16, seed=3,
+                            keep_times=[0.123])
 
 
 class TestStateDependentSigmaCrossRoute:
