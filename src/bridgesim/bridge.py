@@ -19,9 +19,8 @@ from .errors import (
 from .observations import (  # noqa: F401
     ChannelRecord,
     ObservationSet,
-    channel_algebra,
+    channel,
     guide_pull,
-    shared_channel,
 )
 from .sde import (  # noqa: F401
     Coefficient,
@@ -35,6 +34,7 @@ from .sde import (  # noqa: F401
     gram,
     matvec,
     normal_increments,
+    vecmat,
 )
 
 # A path is declared blown up once its norm exceeds this multiple of the
@@ -73,6 +73,8 @@ class BatchPaths:
     failed_step: np.ndarray = None           # (P,), -1 where clean
     # full bridges under a callable sigma only
     channel_record: Optional[ChannelRecord] = None
+    # bridges only: the guiding drift at each step's left node, (P, M, n)
+    drift: Optional[np.ndarray] = None
 
 
 def _prepare_initial(u, dim: int) -> np.ndarray:
@@ -141,6 +143,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     states = np.empty((p_count, m_steps + 1, n))
     states[:, 0] = u
     failed = np.full(p_count, -1, dtype=int)
+    drift = np.empty((p_count, m_steps, n)) if obs.items else None
     preclamp: dict[int, np.ndarray] = {}
     cap = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(u)))
     cur = np.broadcast_to(u, (p_count, n)).copy()
@@ -148,7 +151,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     # at every step and the terminal projection
     sig_c = model.constant_sigma
     channels = None if sig_c is None else \
-        [shared_channel(gram(sig_c), ob.matrix) for ob in obs.items]
+        [channel(gram(sig_c), ob.matrix) for ob in obs.items]
     # callable sigma: the factorization behind each pull also yields the
     # precision the weights read at that node; keep it for full bridges
     record = None
@@ -158,31 +161,34 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                        for j0, _, j1, ob in table],
             logdet=[np.empty(p_count) for _ in table])
 
-    def pull(k, a, resid, node):
+    def chan(k, t, x, sig=None, node=None):
+        """Observation k's channel at time t and states x, kept in the
+        record at window node ``node``."""
         if channels is not None:
-            return channels[k].pull(resid)
-        move, prec, _ = channel_algebra(a, obs.items[k].matrix, resid)
-        if record is not None:
-            record.precision[k][:, node] = prec
-        return move
+            return channels[k]
+        if sig is None:
+            sig = diffusion_values(model.diffusion, t, x, n)
+        ch = channel(gram(sig), obs.items[k].matrix)
+        if record is not None and node is not None:
+            record.precision[k][:, node] = ch.A
+        return ch
 
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m_steps):
             t = nodes[j]
             dt = nodes[j + 1] - nodes[j]
             b = drift_values(drift_fn, t, cur, n)
+            if drift is not None:
+                drift[:, j] = b
             sig = diffusion_values(model.diffusion, t, cur, n)
             if validate:
                 check_coefficients(model, t, cur, sig)
-            a = None
             total = b
             for k, (j0, js, j1, ob) in enumerate(table):
                 if j0 <= j < js:
-                    if a is None and channels is None:
-                        a = gram(sig)
-                    resid = cur @ ob.matrix.T - ob.value
-                    total = total - pull(k, a, resid, j - j0) / (
-                        nodes[j1] - t)
+                    resid = vecmat(cur, ob.matrix.T) - ob.value
+                    ch = chan(k, t, cur, sig, j - j0)
+                    total = total - ch.pull(resid) / (nodes[j1] - t)
             nxt = cur + total * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
             bad = (failed < 0) & (
                 ~np.isfinite(nxt).all(axis=1)
@@ -195,24 +201,19 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             if k0 is not None:
                 ob = obs.items[k0]
                 preclamp[k0] = cur.copy()
-                a_t = None if channels is not None else gram(
-                    diffusion_values(model.diffusion, nodes[j + 1], cur, n))
-                resid = ob.value - cur @ ob.matrix.T
-                move = pull(k0, a_t, resid, -1)
+                resid = ob.value - vecmat(cur, ob.matrix.T)
+                move = chan(k0, nodes[j + 1], cur, node=-1).pull(resid)
                 if cfg.clamp_tolerance > 0.0:
                     small = np.linalg.norm(resid, axis=1) <= cfg.clamp_tolerance
                     move = np.where(small[:, None], 0.0, move)
                 cur = np.where(keep[:, None], cur + move, cur)
                 if record is not None:
-                    a_t = gram(diffusion_values(model.diffusion, nodes[j + 1],
-                                                cur, n))
-                    record.logdet[k0][:] = channel_algebra(a_t,
-                                                           ob.matrix)[2]
+                    record.logdet[k0][:] = chan(k0, nodes[j + 1], cur).logdet
             states[:, j + 1] = cur
 
     return BatchPaths(grid=grid, path_ids=ids, states=states,
                       preclamp=preclamp, failed_step=failed,
-                      channel_record=record)
+                      channel_record=record, drift=drift)
 
 
 def _single_path(batch: BatchPaths, path_id: int) -> PathSample:

@@ -16,7 +16,7 @@ from .errors import BridgeSimError, InvalidConfigurationError, error_kind
 from .estimator import (WeightedEnsemble, coordinate_at, run_ensemble,
                         weighted_mean_se)
 from .oracle import condition, joint_law, observation_selector
-from .sde import build_grid
+from .sde import NUMERICS_SCHEME, build_grid
 from .weights import TERM_NAMES, normalize_log_weights
 
 THREADS_ENV = "BRIDGESIM_THREADS"
@@ -139,6 +139,7 @@ def run(config: RunConfig, threads: Optional[int] = None):
         "schema_version": 1,
         "version": __version__,
         "config_digest": config.digest,
+        "numerics_scheme": NUMERICS_SCHEME,
         "seed": config.seed,
         "n_paths": ensemble.size,
         "n_failed": ensemble.n_failed,

@@ -20,9 +20,8 @@ from .observations import ObservationSet
 from .sde import ModelSpec, PathSample, TimeGrid
 from .weights import TERM_NAMES, batch_breakdown, normalize_log_weights
 
-# Paths are simulated in fixed-size chunks regardless of the worker
-# count, so ensembles are bit-identical however the chunks are scheduled
-# over processes.
+# Paths are simulated and weighted this many at a time; a path's bits
+# depend on neither the chunk size nor the worker count.
 CHUNK_SIZE = 1024
 
 FAILURE_CEILING = 0.01
@@ -138,17 +137,17 @@ def _run_chunk(index: int):
         raise
 
 
-def _map_in_workers(work: Callable, n_chunks: int, n_workers: int) -> list:
-    """``[work(i) for i in range(n_chunks)]`` over forked workers.
+def _map_in_workers(work: Callable, n_chunks: int, n_workers: int):
+    """``work(i) for i in range(n_chunks)`` over forked workers.
 
     Fork hands each worker the ``work`` closure (models may hold lambdas)
     without pickling it; workers receive chunk indices and send back
-    each chunk's arrays, in chunk order.
+    each chunk's arrays, which are yielded in chunk order.
     """
     with ProcessPoolExecutor(
             n_workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_install_work, initargs=(work,)) as pool:
-        return list(pool.map(_run_chunk, range(n_chunks)))
+        yield from pool.map(_run_chunk, range(n_chunks))
 
 
 def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
@@ -190,42 +189,54 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         sim = simulate_batch(model, obs, grid, u, seed, ids, cfg=cfg,
                              validate=validate)
         st, pc, record = sim.states, sim.preclamp, sim.channel_record
+        drift = sim.drift
         alive = sim.failed_step < 0
         if not alive.all():
             st = st[alive]
             pc = {k: v[alive] for k, v in pc.items()}
             record = None if record is None else record.rows(alive)
-        terms, issues = batch_breakdown(model, obs, grid, st, pc, record)
+            drift = None if drift is None else drift[alive]
+        terms, issues = batch_breakdown(model, obs, grid, st, pc, record,
+                                        drift)
         st = st if kept is None else st[:, kept]   # a copy; frees the rest
         ok = np.ones(st.shape[0], dtype=bool)
         for row, _, _, _ in issues:
             ok[row] = False
-        n_bad = int(len(ids) - ok.sum())
-        return (ids[alive][ok], st[ok], {k: v[ok] for k, v in pc.items()},
-                {name: arr[ok] for name, arr in terms.items()}, n_bad)
+        rows = {"path_ids": ids[alive][ok], "states": st[ok]}
+        rows.update({name: arr[ok] for name, arr in terms.items()})
+        rows.update({("preclamp", k): v[ok] for k, v in pc.items()})
+        return rows, int(len(ids) - ok.sum())
 
     n_workers = _worker_count(threads, len(chunks))
     if n_workers > 1:
         results = _map_in_workers(work, len(chunks), n_workers)
     else:
-        results = [work(i) for i in range(len(chunks))]
-
-    n_failed = sum(r[4] for r in results)
+        results = map(work, range(len(chunks)))
+    # each chunk's rows are copied into place as it arrives, so no more
+    # than one chunk's result is held besides the merged arrays
+    merged: dict = {}
+    size = n_failed = 0
+    for rows, n_bad in results:
+        count = len(rows["path_ids"])
+        for key, arr in rows.items():
+            if key not in merged:
+                merged[key] = np.empty((n_paths,) + arr.shape[1:], arr.dtype)
+            merged[key][size:size + count] = arr
+        size += count
+        n_failed += n_bad
     if n_failed > FAILURE_CEILING * n_paths:
         raise UnstableRunError(
             f"{n_failed} of {n_paths} paths failed, above the "
             f"{FAILURE_CEILING:.0%} ceiling")
 
-    path_ids = np.concatenate([r[0] for r in results])
-    states = np.concatenate([r[1] for r in results])
-    breakdown = {name: np.concatenate([r[3][name] for r in results])
-                 for name in (*TERM_NAMES, "girsanov")}
-    preclamp = {k: np.concatenate([r[2][k] for r in results])
-                for k in results[0][2]}
+    merged = {key: arr[:size] for key, arr in merged.items()}
+    breakdown = {name: merged[name] for name in (*TERM_NAMES, "girsanov")}
+    preclamp = {k: merged["preclamp", k] for k in range(len(obs.items))}
     log_weights = sum(breakdown[name].sum(axis=1) for name in TERM_NAMES) \
         + breakdown["girsanov"]
     return WeightedEnsemble(
-        grid=grid, states=states, path_ids=path_ids, kept_nodes=kept,
+        grid=grid, states=merged["states"], path_ids=merged["path_ids"],
+        kept_nodes=kept,
         log_weights=np.asarray(log_weights, dtype=float),
         breakdown=breakdown, preclamp=preclamp, n_failed=n_failed)
 

@@ -6,12 +6,12 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     EllipticityViolationError,
     InvalidObservationError,
 )
+from .sde import dot, product, vecmat
 
 ORTHONORMAL_TOL = 1e-10
 ANCHOR_TOL = 1e-10
@@ -157,24 +157,22 @@ def validate(obs: Union[ObservationSet, Iterable[Observation]],
 
 @dataclass(frozen=True)
 class Channel:
-    """Algebra of one observation channel under a shared (n, n) ``a``.
+    """Algebra of one observation channel under a shared (n, n) or a
+    batched (..., n, n) ``a``.
 
-    ``chol`` is the lower Cholesky factor of L a L* in ``cho_factor``
-    form, ``A = (L a L*)^-1``, ``logdet = log det A`` and ``La = L a``.
-    Built once, it serves every step and node at which ``a`` is the same.
+    ``A = (L a L*)^-1``, ``logdet = log det A`` and the gain
+    ``gain = A L a``, (..., m, n).  Built once, a shared channel serves
+    every step and node at which ``a`` is the same.
     """
 
-    chol: tuple
     A: np.ndarray
-    logdet: float
-    La: np.ndarray
+    logdet: Union[float, np.ndarray]
+    gain: np.ndarray
 
     def pull(self, resid: np.ndarray) -> np.ndarray:
-        """a L* (L a L*)^-1 resid for residuals of shape (m,) or (P, m):
-        the guiding pull and, for resid = v - L z, the terminal projection."""
-        coef = scipy.linalg.cho_solve(self.chol, np.atleast_2d(resid).T).T
-        out = coef @ self.La
-        return out[0] if resid.ndim == 1 else out
+        """a L* (L a L*)^-1 resid = resid G for residuals (..., m): the
+        guiding pull and, for resid = v - L z, the terminal projection."""
+        return vecmat(resid, self.gain)
 
 
 @dataclass(frozen=True)
@@ -197,62 +195,43 @@ class ChannelRecord:
                              [d[mask] for d in self.logdet])
 
 
-def shared_channel(a: np.ndarray, L: np.ndarray) -> Channel:
-    """Factor L a L* once for a shared (n, n) ``a``."""
-    mat = L @ a @ L.T
-    mat = 0.5 * (mat + mat.T)
-    try:
-        chol = scipy.linalg.cho_factor(mat, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise EllipticityViolationError(
-            f"L a L* is not positive definite: {exc}") from exc
-    prec = scipy.linalg.cho_solve(chol, np.eye(L.shape[0]))
-    prec = 0.5 * (prec + prec.T)
-    logdet = -2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    return Channel(chol=chol, A=prec, logdet=logdet, La=L @ a)
+def channel(a: np.ndarray, L: np.ndarray) -> Channel:
+    """The one factorization of L a L*, for a shared (n, n) or batched
+    (..., n, n) ``a``; every pull, projection and precision uses it.
 
-
-def _batched_cholesky(a: np.ndarray, L: np.ndarray) -> np.ndarray:
-    mat = np.einsum("ai,...ij,bj->...ab", L, a, L)
+    A comes from the inverted Cholesky factor, never from inverting an
+    unfactorized matrix.  Every product is summed in a fixed order (see
+    :func:`bridgesim.sde.product`), so a row's bits do not depend on the
+    batch it is factored in.
+    """
+    La = product(L, a)
+    mat = product(La, L.T)
     mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
     try:
-        return np.linalg.cholesky(mat)
+        chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise EllipticityViolationError(
             f"L a L* is not positive definite: {exc}") from exc
-
-
-def channel_algebra(a: np.ndarray, L: np.ndarray,
-                    resid: Optional[np.ndarray] = None):
-    """Factor L a L* once for a shared (n, n) or batched (..., n, n) ``a``.
-
-    Returns the pull a L* (L a L*)^-1 resid (None without ``resid``),
-    the precision A = (L a L*)^-1 and log det A.  The inverse is formed
-    from the Cholesky factor, never by inverting an unfactorized matrix.
-    """
-    if a.ndim == 2:
-        ch = shared_channel(a, L)
-        return (None if resid is None else ch.pull(resid)), ch.A, ch.logdet
-    chol = _batched_cholesky(a, L)
-    pull = None
-    if resid is not None:
-        y = np.linalg.solve(chol, resid[..., None])
-        coef = np.linalg.solve(np.swapaxes(chol, -1, -2), y)[..., 0]
-        pull = np.einsum("...ij,aj,...a->...i", a, L, coef)
-    cinv = np.linalg.solve(chol, np.broadcast_to(np.eye(L.shape[0]),
-                                                 chol.shape))
-    prec = np.einsum("...ki,...kj->...ij", cinv, cinv)
-    logdet = -2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)),
-                           axis=-1)
-    return pull, prec, logdet
+    # forward substitution, one row of the inverse factor at a time
+    diag = np.diagonal(chol, axis1=-2, axis2=-1)
+    inv = np.zeros_like(chol)
+    for i in range(chol.shape[-1]):
+        inv[..., i, i] = 1.0 / diag[..., i]
+        if i:
+            inv[..., i, :i] = -vecmat(chol[..., i, :i], inv[..., :i, :i]) \
+                * inv[..., i, i, None]
+    prec = product(np.swapaxes(inv, -1, -2), inv)
+    # the logs summed in a fixed order; a reduction's order varies
+    logdet = -2.0 * dot(np.log(diag), np.ones_like(diag))
+    return Channel(A=prec, logdet=logdet, gain=product(prec, La))
 
 
 def channel_precision(a: np.ndarray, L: np.ndarray):
     """(L a L*)^-1 and its log-determinant, for shared or batched ``a``."""
-    _, prec, logdet = channel_algebra(a, L)
-    return prec, logdet
+    ch = channel(a, L)
+    return ch.A, ch.logdet
 
 
 def guide_pull(a: np.ndarray, L: np.ndarray, resid: np.ndarray) -> np.ndarray:
     """a L* (L a L*)^-1 resid for batched residuals of shape (..., m)."""
-    return channel_algebra(a, L, resid)[0]
+    return channel(a, L).pull(resid)

@@ -19,6 +19,11 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 
 _MASK64 = (1 << 64) - 1
 
+# Version of the arithmetic behind a run's bits, reported by ``bridgesim
+# run``.  Scheme 2: one numpy Cholesky route, products summed in a fixed
+# order, so a path's bits depend on (seed, path_id) and not its batch.
+NUMERICS_SCHEME = 2
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -162,18 +167,43 @@ def diffusion_values(fn: Union[Coefficient, np.ndarray], t: float,
         f"{states.shape[:-1] + (dim, dim)} or {(dim, dim)}")
 
 
+def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y for shared or batched operands, broadcast over leading axes.
+
+    The inner axis is summed term by term in a fixed order, so the bits
+    of a row do not depend on how many rows share the call; a BLAS
+    product over a whole batch rounds differently by row count.
+    """
+    out = np.empty(np.broadcast(x[..., 0, 0], y[..., 0, 0]).shape
+                   + (x.shape[-2], y.shape[-1]))
+    # one entry at a time: the loops then run over the long batch axes
+    for r in range(x.shape[-2]):
+        for c in range(y.shape[-1]):
+            acc = out[..., r, c]
+            np.multiply(x[..., r, 0], y[..., 0, c], out=acc)
+            for i in range(1, x.shape[-1]):
+                acc += x[..., r, i] * y[..., i, c]
+    return out
+
+
+def vecmat(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """x @ mat for row vectors x (..., k), summed as in :func:`product`."""
+    return product(x[..., None, :], mat)[..., 0, :]
+
+
+def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Inner products of the rows of x and y, summed as in :func:`product`."""
+    return product(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
 def matvec(sig: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """sigma @ v for a shared (n, n) or batched (..., n, n) matrix."""
-    if sig.ndim == 2:
-        return vec @ sig.T
-    return np.einsum("...ij,...j->...i", sig, vec)
+    return vecmat(vec, np.swapaxes(sig, -1, -2))
 
 
 def gram(sig: np.ndarray) -> np.ndarray:
     """a = sigma sigma* for shared or batched sigma."""
-    if sig.ndim == 2:
-        return sig @ sig.T
-    return np.einsum("...ij,...kj->...ik", sig, sig)
+    return product(sig, np.swapaxes(sig, -1, -2))
 
 
 def check_coefficients(model: ModelSpec, t: float, states: np.ndarray,

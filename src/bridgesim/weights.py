@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 from scipy.special import logsumexp
 
 from .errors import (
@@ -29,16 +28,18 @@ from .errors import (
 from .observations import (
     ChannelRecord,
     ObservationSet,
+    channel,
     channel_precision,
-    shared_channel,
 )
 from .sde import (
     ModelSpec,
     PathSample,
     TimeGrid,
     diffusion_values,
+    dot,
     drift_values,
     gram,
+    vecmat,
 )
 
 TERM_NAMES = ("log_eta", "boundary", "drift_term", "dA_term", "covar_term")
@@ -84,8 +85,10 @@ def channel_record(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
                    preclamp: dict[int, np.ndarray]) -> ChannelRecord:
     """The channel record of a callable-sigma batch, rebuilt from its
     states: the record the bridge kernel keeps while it simulates."""
-    n = model.dim
-    p_count = states.shape[0]
+    def factor(j, x, L):
+        return channel_precision(gram(diffusion_values(
+            model.diffusion, grid.nodes[j], x, model.dim)), L)
+
     precision, logdet = [], []
     for k, ob in enumerate(obs.items):
         j0 = grid.window_start_indices[k]
@@ -93,15 +96,10 @@ def channel_record(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
         sl = _window_states(states, preclamp, k, j0, j1)
         prec = np.empty(sl.shape[:2] + (ob.m, ob.m))
         for j in range(j1 - j0 + 1):
-            sig = diffusion_values(model.diffusion, grid.nodes[j0 + j],
-                                   sl[:, j], n)
-            prec[:, j] = channel_precision(gram(sig), ob.matrix)[0]
-        sig = diffusion_values(model.diffusion, grid.nodes[j1],
-                               states[:, j1], n)
-        post = np.empty(p_count)
-        post[:] = channel_precision(gram(sig), ob.matrix)[1]
+            prec[:, j] = factor(j0 + j, sl[:, j], ob.matrix)[0]
         precision.append(prec)
-        logdet.append(post)
+        logdet.append(np.empty(states.shape[0]))
+        logdet[-1][:] = factor(j1, states[:, j1], ob.matrix)[1]
     return ChannelRecord(precision, logdet)
 
 
@@ -117,14 +115,12 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
         return np.zeros(p_count)
     rough = model.drift_split[1]
     n = model.dim
+    eye = np.eye(n)
     nodes = grid.nodes
     total = np.zeros(p_count)
-
-    def factor(a):
-        return scipy.linalg.cho_factor(0.5 * (a + a.T), lower=True)
-
     sig_c = model.constant_sigma
-    chol_c = None if sig_c is None else factor(gram(sig_c))
+    # a^-1 is the channel precision of the full observation L = I
+    a_inv = None if sig_c is None else channel_precision(gram(sig_c), eye)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(grid.n_steps):
             t = nodes[j]
@@ -132,29 +128,28 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
             cur = states[:, j]
             dy = states[:, j + 1] - cur
             bc = drift_values(rough, t, cur, n)
-            if chol_c is not None:
-                x = scipy.linalg.cho_solve(chol_c, bc.T).T
-            else:
-                a = gram(diffusion_values(model.diffusion, t, cur, n))
-                if a.ndim == 2:
-                    x = scipy.linalg.cho_solve(factor(a), bc.T).T
-                else:
-                    x = np.linalg.solve(a, bc[..., None])[..., 0]
-            total += np.einsum("pi,pi->p", x, dy) \
-                - 0.5 * np.einsum("pi,pi->p", x, bc) * dt
+            if sig_c is None:
+                a_inv = channel_precision(
+                    gram(diffusion_values(model.diffusion, t, cur, n)),
+                    eye)[0]
+            x = vecmat(bc, a_inv)
+            total += dot(x, dy) - 0.5 * dot(x, bc) * dt
     return total
 
 
 def batch_breakdown(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
                     states: np.ndarray, preclamp: dict[int, np.ndarray],
-                    record: Optional[ChannelRecord] = None):
+                    record: Optional[ChannelRecord] = None,
+                    drift: Optional[np.ndarray] = None):
     """Weight terms for a batch of paths.
 
     ``states`` is (P, M+1, n); ``preclamp[k]`` holds the unprojected
     states at observation k when the simulator applied a terminal
     projection.  Under a callable sigma the terms read the channel
     precision from ``record``, the one the bridge kernel kept for these
-    rows; without it the record is rebuilt from the states.  Returns a
+    rows; without it the record is rebuilt from the states.  ``drift``
+    is the kernel's guiding drift at each step, (P, M, n); without it
+    the drift is evaluated at the states.  Returns a
     dict of term arrays, each (P, K) with K the number of observations
     (``girsanov`` is (P,)), and a list of ``(path_row, term,
     observation, step)`` tuples for non-finite contributions.
@@ -164,30 +159,33 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
     terms = {name: np.zeros((p_count, n_obs)) for name in TERM_NAMES}
     issues: list[tuple[int, str, int, int | None]] = []
 
-    def scan(values: np.ndarray, term: str, k: int, j_offset: int):
-        bad = ~np.isfinite(values)
-        if bad.any():
-            rows, cols = np.nonzero(np.atleast_2d(bad))
-            for r, c in zip(rows, cols):
-                issues.append((int(r), term, k,
-                               None if j_offset < 0 else int(j_offset + c)))
+    def put(term: str, k: int, values: np.ndarray,
+            j0: Optional[int] = None):
+        """Store ``term`` of observation ``k`` (-1: of the whole path):
+        per path (P,), or per step (P, J) from step ``j0``, summed over
+        the steps.  Non-finite entries are reported."""
+        steps = values if values.ndim == 2 else values[:, None]
+        if k < 0:
+            terms[term] = steps.sum(axis=1)
+        else:
+            terms[term][:, k] = steps.sum(axis=1)
+        for r, c in zip(*np.nonzero(~np.isfinite(steps))):
+            issues.append((int(r), term, k,
+                           None if j0 is None else int(j0 + c)))
 
     with np.errstate(over="ignore", invalid="ignore"):
         if record is None and model.constant_sigma is None:
             record = channel_record(model, obs, grid, states, preclamp)
         for k, ob in enumerate(obs.items):
-            _observation_terms(model, grid, states, preclamp, record, k, ob,
-                               terms, scan)
-
-    girs = _girsanov_batch(model, grid, states)
-    scan(girs[:, None], "girsanov", -1, -1)
-    terms["girsanov"] = girs
+            _observation_terms(model, grid, states, preclamp, record, drift,
+                               k, ob, put)
+    put("girsanov", -1, _girsanov_batch(model, grid, states))
     return terms, issues
 
 
-def _observation_terms(model, grid, states, preclamp, record, k, ob, terms,
-                       scan) -> None:
-    """Fill the window terms of observation ``k`` into ``terms``."""
+def _observation_terms(model, grid, states, preclamp, record, drift, k, ob,
+                       put) -> None:
+    """Store the window terms of observation ``k`` through ``put``."""
     p_count = states.shape[0]
     j0 = grid.window_start_indices[k]
     j1 = grid.obs_indices[k]
@@ -195,58 +193,42 @@ def _observation_terms(model, grid, states, preclamp, record, k, ob, terms,
     tt = grid.nodes[j0:j1 + 1]
     sl = _window_states(states, preclamp, k, j0, j1)
     L = ob.matrix
-    t_obs = grid.nodes[j1]
-    denom = t_obs - tt[:-1]
-    dt = np.diff(tt)
-    resid = sl @ L.T - ob.value                      # (P, J+1, m)
+    denom = grid.nodes[j1] - tt[:-1]
+    resid = vecmat(sl, L.T) - ob.value               # (P, J+1, m)
+    r0, r = resid[:, 0], resid[:, :-1]
 
     sig_c = model.constant_sigma
     if sig_c is None:
         prec = record.precision[k]
     else:
-        # filled rather than broadcast, so that the einsums below take
-        # the same summation order as for a callable sigma
-        ch = shared_channel(gram(sig_c), L)
-        prec = np.empty((p_count, n_steps + 1) + ch.A.shape)
-        prec[...] = ch.A
+        ch = channel(gram(sig_c), L)
+        prec = np.broadcast_to(ch.A, (p_count, n_steps + 1) + ch.A.shape)
+    put("boundary", k, -dot(vecmat(r0, prec[:, 0]), r0) / (2.0 * ob.window))
 
-    q0 = np.einsum("pi,pij,pj->p", resid[:, 0], prec[:, 0], resid[:, 0])
-    boundary = -q0 / (2.0 * ob.window)
-    terms["boundary"][:, k] = boundary
-    scan(boundary[:, None], "boundary", k, -1)
-
-    bvals = np.empty((p_count, n_steps, model.dim))
-    for j in range(n_steps):
-        bvals[:, j] = drift_values(model.effective_drift, tt[j],
-                                   states[:, j0 + j], model.dim)
-    lb = bvals @ L.T
-    qd = np.einsum("pji,pjik,pjk->pj", resid[:, :-1], prec[:, :-1], lb)
-    drift_steps = -qd * dt / denom
-    terms["drift_term"][:, k] = drift_steps.sum(axis=1)
-    scan(drift_steps, "drift_term", k, j0)
+    if drift is None:
+        drift = np.empty((p_count, n_steps, model.dim))
+        for j in range(n_steps):
+            drift[:, j] = drift_values(model.effective_drift, tt[j],
+                                       states[:, j0 + j], model.dim)
+    else:
+        drift = drift[:, j0:j1]
+    qd = dot(vecmat(r, prec[:, :-1]), vecmat(drift, L.T))
+    put("drift_term", k, -qd * np.diff(tt) / denom, j0)
 
     if sig_c is None:
         dprec = prec[:, 1:] - prec[:, :-1]
-        qa = np.einsum("pji,pjik,pjk->pj", resid[:, :-1], dprec,
-                       resid[:, :-1])
-        da_steps = -qa / (2.0 * denom)
-        terms["dA_term"][:, k] = da_steps.sum(axis=1)
-        scan(da_steps, "dA_term", k, j0)
-
+        qa = dot(vecmat(r, dprec), r)
+        put("dA_term", k, -qa / (2.0 * denom), j0)
         outer = resid[..., :, None] * resid[..., None, :]
         douter = outer[:, 1:] - outer[:, :-1]
-        qc = np.einsum("pjik,pjik->pj", dprec, douter)
-        covar_steps = -qc / (2.0 * denom)
-        terms["covar_term"][:, k] = covar_steps.sum(axis=1)
-        scan(covar_steps, "covar_term", k, j0)
-
-        log_eta = 0.5 * record.logdet[k]
+        flat = dprec.shape[:2] + (ob.m ** 2,)
+        qc = dot(dprec.reshape(flat), douter.reshape(flat))
+        put("covar_term", k, -qc / (2.0 * denom), j0)
+        put("log_eta", k, 0.5 * record.logdet[k])
     else:
         # constant precision: dA_term and covar_term are exactly 0, and
         # log det A is the same for every path
-        log_eta = np.full(p_count, 0.5 * ch.logdet)
-    terms["log_eta"][:, k] = log_eta
-    scan(log_eta[:, None], "log_eta", k, -1)
+        put("log_eta", k, np.full(p_count, 0.5 * ch.logdet))
 
 
 def log_weight(path: PathSample, model: ModelSpec,
@@ -272,13 +254,8 @@ def log_weight(path: PathSample, model: ModelSpec,
             + (f" at step {step}" if step is not None else ""),
             term=term, observation=None if k < 0 else k, step_index=step)
     return LogWeightBreakdown(
-        log_eta=terms["log_eta"][0],
-        boundary=terms["boundary"][0],
-        drift_term=terms["drift_term"][0],
-        dA_term=terms["dA_term"][0],
-        covar_term=terms["covar_term"][0],
-        girsanov_term=float(terms["girsanov"][0]),
-    )
+        **{name: terms[name][0] for name in TERM_NAMES},
+        girsanov_term=float(terms["girsanov"][0]))
 
 
 def girsanov_correction(path: PathSample, model: ModelSpec) -> float:

@@ -9,7 +9,7 @@ from bridgesim.errors import (
     InvalidObservationError,
     NumericalBlowupError,
 )
-from bridgesim.observations import shared_channel
+from bridgesim.observations import channel
 from bridgesim.sde import gram
 from conftest import rand_orthonormal, single_full_obs
 
@@ -143,7 +143,7 @@ class TestClamp:
         batch = bs.simulate_batch(model, obs, grid, z, 14, np.arange(16))
         y = batch.states[:, grid.obs_indices[0]]
         ob = obs.items[0]
-        ch = shared_channel(gram(model.constant_sigma), ob.matrix)
+        ch = channel(gram(model.constant_sigma), ob.matrix)
         again = y + ch.pull(ob.value - y @ ob.matrix.T)
         assert np.allclose(again, y, atol=1e-14)
 
@@ -235,10 +235,6 @@ class TestBatchBehavior:
             assert batch.preclamp[0][p].tobytes() == \
                 path.preclamp[0].tobytes()
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the observed residual is a matrix product whose rounding depends "
-        "on the batch's row count when a row of L has two non-zero "
-        "entries; numerics scheme 2 in ROADMAP computes it row-wise"))
     def test_dense_row_bits_do_not_depend_on_batch(self):
         """A path regenerated alone from (seed, path_id) is byte-equal to
         its row of a larger batch, for an observation row with two
@@ -250,6 +246,19 @@ class TestBatchBehavior:
         batch = bs.simulate_batch(model, obs, grid, u, 4, [3, 9, 11])
         path = bs.simulate_bridge(model, obs, grid, u, 4, 9)
         assert batch.states[1].tobytes() == path.states.tobytes()
+
+    def test_nondiagonal_sigma_row_bits_do_not_depend_on_batch(self):
+        """The same for a non-diagonal constant sigma observed through a
+        coordinate row: the noise and the pull mix coordinates."""
+        sigma = np.array([[1.0, 0.0], [0.4, 0.9]])
+        model = bs.ModelSpec(dim=2, drift=lambda t, x: -x, diffusion=sigma)
+        obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.3])], dim=2)
+        grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
+        u = np.array([0.5, -0.3])
+        batch = bs.simulate_batch(model, obs, grid, u, 4, [3, 9, 11])
+        path = bs.simulate_bridge(model, obs, grid, u, 4, 9)
+        assert batch.states[1].tobytes() == path.states.tobytes()
+        assert batch.preclamp[0][1].tobytes() == path.preclamp[0].tobytes()
 
     def test_blowup_raises_for_single_bridge(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: x ** 3,

@@ -203,6 +203,67 @@ ERROR_ATTRIBUTES = {
 }
 
 
+class TestChunkLayout:
+    """A path's bits depend on (seed, path_id) alone, not on the chunk
+    it is simulated and weighted in."""
+
+    @staticmethod
+    def nondiagonal_sigma():
+        sigma = np.array([[1.0, 0.0], [0.4, 0.9]])
+        model = bs.ModelSpec(dim=2, drift=lambda t, x: -x, diffusion=sigma)
+        obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.3])], dim=2)
+        grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
+        return model, obs, grid, np.array([0.5, -0.3])
+
+    @staticmethod
+    def drift_split():
+        """Split drift under a state-dependent sigma, so the Girsanov
+        term inverts a batched a at every step."""
+        def diffusion(t, x):
+            return (1.0 + 0.25 * np.cos(x))[..., :, None] * np.eye(2)
+
+        model = bs.ModelSpec(
+            dim=2, drift=lambda t, x: -x, diffusion=diffusion,
+            drift_split=(lambda t, x: -np.tanh(x),
+                         lambda t, x: np.tanh(x) - x))
+        obs = bs.validate([bs.Observation(0.5, [[0.6, 0.8]], [0.2]),
+                           bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
+        grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
+        return model, obs, grid, np.array([0.5, -0.3])
+
+    @pytest.mark.parametrize("setup", ["dense_L", "nondiagonal_sigma",
+                                       "drift_split"])
+    def test_bits_do_not_depend_on_chunk_size(self, setup, monkeypatch):
+        model, obs, grid, u = {
+            "dense_L": state_dependent_setup,
+            "nondiagonal_sigma": self.nondiagonal_sigma,
+            "drift_split": self.drift_split}[setup]()
+        runs = []
+        for size in (1, 3, 1024):
+            monkeypatch.setattr(estimator, "CHUNK_SIZE", size)
+            runs.append(ensemble_bytes(bs.run_ensemble(model, obs, grid, u,
+                                                       7, seed=8)))
+        assert runs[0]["n_failed"] == 0
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_weights_reuse_the_kernel_drift(self):
+        """The weights read the drift the kernel evaluated: one drift
+        call per step per chunk."""
+        calls = []
+
+        def drift(t, x):
+            calls.append(t)
+            return np.sin(x)
+
+        model = bs.ModelSpec(dim=2, drift=drift, diffusion=np.eye(2))
+        obs = bs.validate([bs.Observation(0.5, [[0.6, 0.8]], [0.2]),
+                           bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
+        grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
+        bs.run_ensemble(model, obs, grid, np.zeros(2), CHUNK_SIZE + 1, seed=2)
+        assert len(calls) == 2 * grid.n_steps
+
+
 @pytest.mark.filterwarnings("error")
 class TestWorkerPool:
     """Chunks in forked worker processes: bits, worker count, errors.

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import bridgesim as bs
 from bridgesim.errors import EllipticityViolationError, InvalidObservationError
-from bridgesim.observations import channel_algebra
+from bridgesim.observations import channel
 from bridgesim.sde import block_normals, diffusion_values, drift_values, matvec
 from conftest import channel_bundle, rand_orthonormal, rand_spd
 
@@ -217,11 +217,11 @@ class TestProjectionProperties:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(channel_inputs())
     def test_identities(self, inputs):
-        """For the shared (scipy) and the batched (numpy) route: the pull
-        solves L pull(r) = r, the precision is symmetric and inverts
-        L a L*, its log-determinant matches slogdet, the batched route
-        matches the per-row shared route, and the one factorization
-        helper gives the bytes of guide_pull and channel_precision."""
+        """For a shared a and for a batch of them: the pull solves
+        L pull(r) = r, the precision is symmetric and inverts L a L*, its
+        log-determinant matches slogdet, the batched factorization
+        matches the per-row shared one, and the one factorization helper
+        gives the bytes of guide_pull and channel_precision."""
         ab, L, resid = inputs
         m = L.shape[0]
         eye = np.eye(m)
@@ -243,12 +243,12 @@ class TestProjectionProperties:
             assert np.allclose(prec_b[p], prec, rtol=1e-12, atol=1e-12)
             assert abs(logdet_b[p] - logdet) <= 1e-12
             assert np.allclose(pull_b[p], pulls[p], rtol=1e-12, atol=1e-12)
-            pull, A, ld = channel_algebra(a, L, resid)
-            assert same_bytes(pull, pulls)
-            assert same_bytes(A, prec) and same_bytes(ld, logdet)
-        pull, A, ld = channel_algebra(ab, L, resid)
-        assert same_bytes(pull, pull_b)
-        assert same_bytes(A, prec_b) and same_bytes(ld, logdet_b)
+            ch = channel(a, L)
+            assert same_bytes(ch.pull(resid), pulls)
+            assert same_bytes(ch.A, prec) and same_bytes(ch.logdet, logdet)
+        ch = channel(ab, L)
+        assert same_bytes(ch.pull(resid), pull_b)
+        assert same_bytes(ch.A, prec_b) and same_bytes(ch.logdet, logdet_b)
 
 
 class TestGuidingDrift:

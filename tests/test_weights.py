@@ -189,19 +189,22 @@ def assert_same_record(got, want):
 class TestChannelRecord:
     """The kernel keeps the channel precision behind each pull and
     projection; it must be, byte for byte, the record the weights
-    rebuild from the states, and weight the paths identically."""
+    rebuild from the states, and weight the paths identically.  So must
+    the guiding drift the kernel evaluated at each step."""
 
     def check(self, model, obs, grid, u, ids, rows=None):
         batch = bs.simulate_batch(model, obs, grid, u, 5, ids)
-        record = batch.channel_record
+        record, drift = batch.channel_record, batch.drift
         states, preclamp = batch.states, batch.preclamp
         if rows is not None:
             record = record.rows(rows)
+            drift = drift[rows]
             states = states[rows]
             preclamp = {k: v[rows] for k, v in preclamp.items()}
         assert_same_record(record, channel_record(model, obs, grid, states,
                                                   preclamp))
-        kept, _ = batch_breakdown(model, obs, grid, states, preclamp, record)
+        kept, _ = batch_breakdown(model, obs, grid, states, preclamp, record,
+                                  drift)
         rebuilt, _ = batch_breakdown(model, obs, grid, states, preclamp)
         for name, arr in rebuilt.items():
             assert kept[name].tobytes() == arr.tobytes(), name
@@ -213,8 +216,8 @@ class TestChannelRecord:
         assert [p.shape[-1] for p in record.precision] == [1, 2]
 
     def test_callable_shared_sigma(self):
-        """A callable returning one (n, n) sigma factors through the
-        shared (scipy) route."""
+        """A callable returning one (n, n) sigma factors one shared
+        channel per step."""
         sigma = np.array([[1.0, 0.2], [0.0, 1.3]])
         model = bs.ModelSpec(dim=2, drift=lambda t, x: np.sin(x),
                              diffusion=lambda t, x: sigma)
