@@ -42,6 +42,16 @@ def single_full_obs(time: float, value, dim: int,
     return bs.validate(bs.ObservationSet((ob,)), dim=dim)
 
 
+def nondiagonal_sigma_setup():
+    """Drift -x and the constant non-diagonal sigma [[1, 0], [0.4, 0.9]]
+    in two dimensions, the first coordinate observed at t = 1."""
+    sigma = np.array([[1.0, 0.0], [0.4, 0.9]])
+    model = bs.ModelSpec(dim=2, drift=lambda t, x: -x, diffusion=sigma)
+    obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.3])], dim=2)
+    grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
+    return model, obs, grid, np.array([0.5, -0.3])
+
+
 def state_dependent_setup(blowup_at=None, dt_base=0.05, dt_min=1e-3):
     """Drift sin x and sigma = diag(1 + 0.25 cos x) in three dimensions,
     observed through a dense rank-1 matrix at t = 0.4 and a dense rank-2

@@ -11,7 +11,8 @@ from bridgesim.errors import (
 )
 from bridgesim.observations import channel
 from bridgesim.sde import gram
-from conftest import rand_orthonormal, single_full_obs
+from conftest import (nondiagonal_sigma_setup, rand_orthonormal,
+                      single_full_obs)
 
 
 def scalar_obs(time=1.0, value=1.0, window=None):
@@ -235,26 +236,17 @@ class TestBatchBehavior:
             assert batch.preclamp[0][p].tobytes() == \
                 path.preclamp[0].tobytes()
 
-    def test_dense_row_bits_do_not_depend_on_batch(self):
+    @pytest.mark.parametrize("case", ["dense_row", "nondiagonal_sigma"])
+    def test_dense_row_bits_do_not_depend_on_batch(self, case):
         """A path regenerated alone from (seed, path_id) is byte-equal to
         its row of a larger batch, for an observation row with two
-        non-zero entries."""
-        model = bs.brownian(dim=2).spec
-        obs = bs.validate([bs.Observation(1.0, [[0.6, 0.8]], [0.3])], dim=2)
-        grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
-        u = np.array([0.5, -0.3])
-        batch = bs.simulate_batch(model, obs, grid, u, 4, [3, 9, 11])
-        path = bs.simulate_bridge(model, obs, grid, u, 4, 9)
-        assert batch.states[1].tobytes() == path.states.tobytes()
-
-    def test_nondiagonal_sigma_row_bits_do_not_depend_on_batch(self):
-        """The same for a non-diagonal constant sigma observed through a
-        coordinate row: the noise and the pull mix coordinates."""
-        sigma = np.array([[1.0, 0.0], [0.4, 0.9]])
-        model = bs.ModelSpec(dim=2, drift=lambda t, x: -x, diffusion=sigma)
-        obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.3])], dim=2)
-        grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
-        u = np.array([0.5, -0.3])
+        non-zero entries, and for a non-diagonal constant sigma observed
+        through a coordinate row."""
+        model, obs, grid, u = nondiagonal_sigma_setup()
+        if case == "dense_row":
+            model = bs.brownian(dim=2).spec
+            obs = bs.validate([bs.Observation(1.0, [[0.6, 0.8]], [0.3])],
+                              dim=2)
         batch = bs.simulate_batch(model, obs, grid, u, 4, [3, 9, 11])
         path = bs.simulate_bridge(model, obs, grid, u, 4, 9)
         assert batch.states[1].tobytes() == path.states.tobytes()

@@ -17,7 +17,7 @@ from bridgesim.errors import (
 )
 from bridgesim.estimator import CHUNK_SIZE, weighted_mean_se
 from bridgesim.weights import batch_breakdown
-from conftest import state_dependent_setup
+from conftest import nondiagonal_sigma_setup, state_dependent_setup
 
 
 def brownian_setup(dt_base=0.02, dt_min=1e-3, value=1.0):
@@ -208,14 +208,6 @@ class TestChunkLayout:
     it is simulated and weighted in."""
 
     @staticmethod
-    def nondiagonal_sigma():
-        sigma = np.array([[1.0, 0.0], [0.4, 0.9]])
-        model = bs.ModelSpec(dim=2, drift=lambda t, x: -x, diffusion=sigma)
-        obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.3])], dim=2)
-        grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
-        return model, obs, grid, np.array([0.5, -0.3])
-
-    @staticmethod
     def drift_split():
         """Split drift under a state-dependent sigma, so the Girsanov
         term inverts a batched a at every step."""
@@ -236,7 +228,7 @@ class TestChunkLayout:
     def test_bits_do_not_depend_on_chunk_size(self, setup, monkeypatch):
         model, obs, grid, u = {
             "dense_L": state_dependent_setup,
-            "nondiagonal_sigma": self.nondiagonal_sigma,
+            "nondiagonal_sigma": nondiagonal_sigma_setup,
             "drift_split": self.drift_split}[setup]()
         runs = []
         for size in (1, 3, 1024):
