@@ -7,8 +7,8 @@ the observation time, then corrects the induced bias with explicit
 path-by-path importance weights.  Linear models come with an exact Gaussian
 reference used for validation and reporting.
 """
-from .bridge import (BatchPaths, BridgeConfig, simulate_batch,
-                     simulate_bridge, simulate_unconditioned)
+from .bridge import (BatchPaths, simulate_batch, simulate_bridge,
+                     simulate_unconditioned)
 from .config import (FunctionalSpec, GridSettings, RunConfig, config_digest,
                      parse_config)
 from .errors import (BridgeSimError, DegenerateConditioningError,
@@ -33,7 +33,7 @@ from .weights import (LogWeightBreakdown, girsanov_correction, log_weight,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchPaths", "BridgeConfig", "BridgeSimError", "BuiltModel",
+    "BatchPaths", "BridgeSimError", "BuiltModel",
     "DegenerateConditioningError", "DegenerateEnsembleError",
     "EllipticityViolationError", "EstimateReport", "FunctionalSpec",
     "GaussianLaw", "GridSettings", "InvalidConfigurationError",

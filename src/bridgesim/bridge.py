@@ -4,7 +4,7 @@ value) and, with no observations and the full drift, for unconditioned
 paths."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -42,26 +42,6 @@ from .sde import (  # noqa: F401
 BLOWUP_FACTOR = 1e8
 
 
-@dataclass(frozen=True)
-class BridgeConfig:
-    """Options for bridge simulation.
-
-    ``clamp_tolerance`` skips the terminal projection when the residual
-    at an observation time is already within the tolerance (0 projects
-    always, which is exact for a zero residual anyway).
-    ``epsilon_cutoff`` stops every guiding window a distance epsilon
-    before its observation time and disables the terminal projection;
-    used to study the cut-off approximation.  With a matching
-    (seed, path_id) a cut-off path shares its driving noise with the
-    full bridge, so the two coincide up to the first cutoff node.
-    ``run_ensemble`` rejects it, because its weights assume the full
-    bridge.
-    """
-
-    clamp_tolerance: float = 0.0
-    epsilon_cutoff: Optional[float] = None
-
-
 @dataclass
 class BatchPaths:
     """Simulation output for a batch of paths sharing one grid."""
@@ -75,6 +55,19 @@ class BatchPaths:
     channel_record: Optional[ChannelRecord] = None
     # bridges only: the guiding drift at each step's left node, (P, M, n)
     drift: Optional[np.ndarray] = None
+
+    def rows(self, mask: np.ndarray) -> "BatchPaths":
+        """The paths selected by the boolean ``mask``; the batch itself
+        when every path is selected."""
+        if mask.all():
+            return self
+        record = self.channel_record
+        return replace(
+            self, path_ids=self.path_ids[mask], states=self.states[mask],
+            preclamp={k: v[mask] for k, v in self.preclamp.items()},
+            failed_step=self.failed_step[mask],
+            channel_record=None if record is None else record.rows(mask),
+            drift=None if self.drift is None else self.drift[mask])
 
 
 def _prepare_initial(u, dim: int) -> np.ndarray:
@@ -112,16 +105,16 @@ def _window_step_table(grid: TimeGrid, obs: ObservationSet,
 
 
 def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
-           seed: int, path_ids, drift_fn: Coefficient, cfg: BridgeConfig,
-           validate: bool) -> BatchPaths:
+           seed: int, path_ids, drift_fn: Coefficient,
+           cutoff: Optional[float], validate: bool) -> BatchPaths:
     """Euler-Maruyama with drift ``drift_fn`` plus the pull and terminal
-    projection of every observation in ``obs`` (none for free paths)."""
+    projection of every observation in ``obs`` (none for free paths);
+    ``cutoff`` selects the epsilon cut-off variant."""
     n = model.dim
     u = _prepare_initial(u, n)
     if obs.items and not obs.validated:
         raise InvalidObservationError(
             "observation set must be validated before simulation")
-    cutoff = cfg.epsilon_cutoff
     if cutoff is not None and obs.items:
         if not (0.0 < cutoff < obs.min_window):
             raise InvalidConfigurationError(
@@ -190,9 +183,8 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                     ch = chan(k, t, cur, sig, j - j0)
                     total = total - ch.pull(resid) / (nodes[j1] - t)
             nxt = cur + total * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
-            bad = (failed < 0) & (
-                ~np.isfinite(nxt).all(axis=1)
-                | (np.linalg.norm(nxt, axis=1) > cap))
+            # a non-finite entry fails the comparison too
+            bad = (failed < 0) & ~(np.linalg.norm(nxt, axis=1) <= cap)
             failed[bad] = j
             keep = failed < 0
             cur = np.where(keep[:, None], nxt, cur)
@@ -203,9 +195,6 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 preclamp[k0] = cur.copy()
                 resid = ob.value - vecmat(cur, ob.matrix.T)
                 move = chan(k0, nodes[j + 1], cur, node=-1).pull(resid)
-                if cfg.clamp_tolerance > 0.0:
-                    small = np.linalg.norm(resid, axis=1) <= cfg.clamp_tolerance
-                    move = np.where(small[:, None], 0.0, move)
                 cur = np.where(keep[:, None], cur + move, cur)
                 if record is not None:
                     record.logdet[k0][:] = chan(k0, nodes[j + 1], cur).logdet
@@ -229,7 +218,7 @@ def _single_path(batch: BatchPaths, path_id: int) -> PathSample:
 
 
 def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
-                   seed: int, path_ids, cfg: Optional[BridgeConfig] = None,
+                   seed: int, path_ids, epsilon_cutoff: Optional[float] = None,
                    validate: bool = False) -> BatchPaths:
     """Euler-Maruyama for a batch of guided bridges.
 
@@ -241,20 +230,28 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     a callable sigma, the channel record of the factorizations behind
     the pulls and projections.  Failed paths freeze at their last
     admissible state and are reported through ``failed_step``.
+
+    ``epsilon_cutoff`` stops every guiding window a distance epsilon
+    before its observation time and disables the terminal projection;
+    it serves the study of the cut-off approximation.  With a matching
+    (seed, path_id) a cut-off path shares its driving noise with the
+    full bridge, so the two coincide up to the first cut-off node.  The
+    weights assume the full bridge, so cut-off paths are never weighted.
     """
     return _euler(model, obs, grid, u, seed, path_ids, model.effective_drift,
-                  cfg or BridgeConfig(), validate)
+                  epsilon_cutoff, validate)
 
 
 def simulate_bridge(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                     seed: int, path_id: int,
-                    cfg: Optional[BridgeConfig] = None,
+                    epsilon_cutoff: Optional[float] = None,
                     validate: bool = False) -> PathSample:
     """Simulate one guided bridge path; the returned path satisfies
     L y(T_k) = v_k exactly at every observation unless
-    ``cfg.epsilon_cutoff`` selects the cut-off variant."""
-    return _single_path(simulate_batch(model, obs, grid, u, seed, [path_id],
-                                       cfg=cfg, validate=validate), path_id)
+    ``epsilon_cutoff`` selects the cut-off variant."""
+    return _single_path(simulate_batch(
+        model, obs, grid, u, seed, [path_id], epsilon_cutoff=epsilon_cutoff,
+        validate=validate), path_id)
 
 
 def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
@@ -264,7 +261,7 @@ def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
     index at which the path blew up; a failed path holds its last
     admissible state from there on."""
     return _euler(model, ObservationSet(), grid, u, seed, path_ids,
-                  model.drift, BridgeConfig(), validate)
+                  model.drift, None, validate)
 
 
 def simulate_unconditioned(model: ModelSpec, grid: TimeGrid, u, seed: int,

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -52,7 +52,6 @@ class RunConfig:
     report_path: Optional[str]
     ensemble_csv: Optional[str]
     digest: str
-    raw: dict = field(repr=False, default_factory=dict)
 
     def build_model(self) -> BuiltModel:
         return build_model(self.model_name, self.model_params,
@@ -143,15 +142,12 @@ def parse_config(source) -> RunConfig:
         matrix = _require(entry, "matrix", path + ".")
         value = _require(entry, "value", path + ".")
         window = entry.get("window")
-        anchor = entry.get("anchor")
         try:
             items.append(Observation(
                 time=time, matrix=np.asarray(matrix, dtype=float),
                 value=np.asarray(value, dtype=float),
                 window=None if window is None else _number(window,
-                                                           path + ".window"),
-                anchor=None if anchor is None else np.asarray(anchor,
-                                                              dtype=float)))
+                                                           path + ".window")))
         except (TypeError, ValueError) as exc:
             raise InvalidConfigurationError(f"malformed observation: {exc}",
                                             field=path)
@@ -252,4 +248,4 @@ def parse_config(source) -> RunConfig:
         initial_state=initial_state, horizon=horizon, n_paths=n_paths,
         seed=seed, threads=threads, validate_coefficients=validate_flag,
         functionals=tuple(functionals), report_path=report_path,
-        ensemble_csv=ensemble_csv, digest=config_digest(raw), raw=raw)
+        ensemble_csv=ensemble_csv, digest=config_digest(raw))

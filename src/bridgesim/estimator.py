@@ -10,7 +10,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bridge import BridgeConfig, simulate_batch
+from .bridge import simulate_batch
 from .errors import (
     DegenerateEnsembleError,
     InvalidConfigurationError,
@@ -152,7 +152,7 @@ def _map_in_workers(work: Callable, n_chunks: int, n_workers: int):
 
 def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                  n_paths: int, seed: int, *, threads: int = 1,
-                 cfg: Optional[BridgeConfig] = None, validate: bool = False,
+                 validate: bool = False,
                  keep_times: Optional[Sequence[float]] = None
                  ) -> WeightedEnsemble:
     """Simulate and weight ``n_paths`` independent bridges.
@@ -164,8 +164,6 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     chunk, or a platform without the ``fork`` start method runs the
     chunks in this process.  Failed paths are dropped and counted, and
     the run aborts once more than 1% of paths fail.
-    ``cfg.epsilon_cutoff`` is rejected: the weights assume guidance over
-    the full window and the terminal projection.
     ``keep_times`` keeps only those grid times' states of each weighted
     chunk; only array functionals read such a thinned ensemble.
     """
@@ -173,11 +171,6 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         raise InvalidConfigurationError("n_paths must be >= 1")
     if threads < 1:
         raise InvalidConfigurationError("threads must be >= 1")
-    if cfg is not None and cfg.epsilon_cutoff is not None:
-        raise InvalidConfigurationError(
-            "run_ensemble does not weight epsilon-cutoff bridges; the "
-            "weights assume full guidance and the terminal projection "
-            "(simulate cut-off paths with simulate_batch)")
 
     chunks = [np.arange(s, min(s + CHUNK_SIZE, n_paths))
               for s in range(0, n_paths, CHUNK_SIZE)]
@@ -186,25 +179,17 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     def work(index: int):
         ids = chunks[index]
-        sim = simulate_batch(model, obs, grid, u, seed, ids, cfg=cfg,
+        sim = simulate_batch(model, obs, grid, u, seed, ids,
                              validate=validate)
-        st, pc, record = sim.states, sim.preclamp, sim.channel_record
-        drift = sim.drift
-        alive = sim.failed_step < 0
-        if not alive.all():
-            st = st[alive]
-            pc = {k: v[alive] for k, v in pc.items()}
-            record = None if record is None else record.rows(alive)
-            drift = None if drift is None else drift[alive]
-        terms, issues = batch_breakdown(model, obs, grid, st, pc, record,
-                                        drift)
-        st = st if kept is None else st[:, kept]   # a copy; frees the rest
+        sim = sim.rows(sim.failed_step < 0)
+        terms, issues = batch_breakdown(model, obs, sim)
+        st = sim.states if kept is None else sim.states[:, kept]  # a copy
         ok = np.ones(st.shape[0], dtype=bool)
         for row, _, _, _ in issues:
             ok[row] = False
-        rows = {"path_ids": ids[alive][ok], "states": st[ok]}
+        rows = {"path_ids": sim.path_ids[ok], "states": st[ok]}
         rows.update({name: arr[ok] for name, arr in terms.items()})
-        rows.update({("preclamp", k): v[ok] for k, v in pc.items()})
+        rows.update({("preclamp", k): v[ok] for k, v in sim.preclamp.items()})
         return rows, int(len(ids) - ok.sum())
 
     n_workers = _worker_count(threads, len(chunks))

@@ -14,7 +14,6 @@ from .errors import (
 from .sde import dot, product, vecmat
 
 ORTHONORMAL_TOL = 1e-10
-ANCHOR_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -23,17 +22,14 @@ class Observation:
 
     ``matrix`` is (m, n) with orthonormal rows, ``value`` is (m,).
     ``window`` is the length of the correction interval before ``time``
-    during which the guiding pull acts; ``anchor`` is any state with
-    L anchor = value.  Both default during validation: the window to the
-    gap since the previous observation, the anchor to the minimal-norm
-    solution matrix.T @ value.
+    during which the guiding pull acts; validation defaults it to the
+    gap since the previous observation.
     """
 
     time: float
     matrix: np.ndarray
     value: np.ndarray
     window: Optional[float] = None
-    anchor: Optional[np.ndarray] = None
 
     def __post_init__(self):
         object.__setattr__(self, "time", float(self.time))
@@ -43,9 +39,6 @@ class Observation:
                            np.atleast_1d(np.asarray(self.value, dtype=float)))
         if self.window is not None:
             object.__setattr__(self, "window", float(self.window))
-        if self.anchor is not None:
-            object.__setattr__(self, "anchor",
-                               np.asarray(self.anchor, dtype=float))
 
     @property
     def m(self) -> int:
@@ -89,9 +82,8 @@ def validate(obs: Union[ObservationSet, Iterable[Observation]],
     """Check observation invariants and fill defaults.
 
     Requires strictly increasing positive times, orthonormal rows of
-    each matrix, windows that stay within the gap to the previous
-    observation, and anchors consistent with the observed values.
-    Returns a new validated set.
+    each matrix and windows that stay within the gap to the previous
+    observation.  Returns a new validated set.
     """
     items = tuple(obs.items if isinstance(obs, ObservationSet) else obs)
     n = dim
@@ -137,17 +129,7 @@ def validate(obs: Union[ObservationSet, Iterable[Observation]],
                 f"correction window {window} must lie in (0, {gap}]; it may "
                 "not reach past the previous observation time", index=k,
                 field="window")
-        anchor = mat.T @ ob.value if ob.anchor is None else ob.anchor
-        if anchor.shape != (n,) or not np.all(np.isfinite(anchor)):
-            raise InvalidObservationError(
-                f"anchor must be a finite vector of length {n}",
-                index=k, field="anchor")
-        miss = float(np.abs(mat @ anchor - ob.value).max())
-        if miss > ANCHOR_TOL:
-            raise InvalidObservationError(
-                f"anchor is inconsistent with the observed value "
-                f"(|L u - v| = {miss:.3e})", index=k, field="anchor")
-        checked.append(replace(ob, window=window, anchor=anchor))
+        checked.append(replace(ob, window=window))
         prev_time = ob.time
     return ObservationSet(items=tuple(checked), validated=True)
 

@@ -36,7 +36,7 @@ class ModelSpec:
 
     ``diffusion`` may instead be an (n, n) array: sigma then depends on
     neither t nor x, and the simulator and the weights factor the
-    observation channels once per run instead of at every step.  The
+    observation channels once per chunk instead of at every step.  The
     array is stored as a read-only copy.
 
     ``drift_split`` optionally decomposes the drift into a bounded part,
@@ -111,12 +111,7 @@ class TimeGrid:
 
     def index_of(self, time: float, tol: float = 1e-9) -> int:
         """Index of the grid node equal to ``time`` (within ``tol``)."""
-        nodes = self.nodes
-        i = int(np.searchsorted(nodes, time))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(nodes) and abs(nodes[j] - time) <= tol:
-                return j
-        raise InvalidConfigurationError(f"time {time!r} is not a grid node")
+        return _index_near(self.nodes, time, tol)
 
 
 @dataclass
@@ -229,6 +224,16 @@ def check_coefficients(model: ModelSpec, t: float, states: np.ndarray,
 # ---------------------------------------------------------------------------
 # grid construction
 
+def _index_near(values, x: float, tol: float) -> int:
+    """Index of the entry of the sorted grid times ``values`` within
+    ``tol`` of ``x``."""
+    i = int(np.searchsorted(values, x))
+    for j in (i - 1, i, i + 1):
+        if 0 <= j < len(values) and abs(values[j] - x) <= tol:
+            return j
+    raise InvalidConfigurationError(f"time {x!r} is not a grid node")
+
+
 def _fill_uniform(s: float, e: float, dt_base: float) -> list[float]:
     out = []
     i = 1
@@ -325,11 +330,7 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
         keys.append(time)
 
     def key_at(x: float) -> float:
-        i = int(np.searchsorted(keys, x))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(keys) and abs(keys[j] - x) <= tol:
-                return keys[j]
-        raise InvalidConfigurationError(f"internal grid anchor lookup failed at {x}")
+        return keys[_index_near(keys, x, tol)]
 
     windows = [(key_at(ob.time - ob.window), key_at(ob.time)) for ob in items]
 
@@ -350,15 +351,10 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
     if np.any(np.diff(arr) <= 0):
         raise InvalidConfigurationError("grid construction produced a non-increasing node sequence")
 
-    def locate(x: float) -> int:
-        i = int(np.searchsorted(arr, x))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(arr) and abs(arr[j] - x) <= tol:
-                return j
-        raise InvalidConfigurationError(f"internal grid node lookup failed at {x}")
-
-    obs_indices = {k: locate(windows[k][1]) for k in range(len(items))}
-    window_start_indices = {k: locate(windows[k][0]) for k in range(len(items))}
+    obs_indices = {k: _index_near(arr, windows[k][1], tol)
+                   for k in range(len(items))}
+    window_start_indices = {k: _index_near(arr, windows[k][0], tol)
+                            for k in range(len(items))}
     return TimeGrid(arr, obs_indices, window_start_indices)
 
 

@@ -13,12 +13,13 @@ self-normalization cancels them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
+from .bridge import BatchPaths
 from .errors import (
     DegenerateEnsembleError,
     InvalidConfigurationError,
@@ -80,11 +81,12 @@ def _window_states(states: np.ndarray, preclamp: dict[int, np.ndarray],
     return sl
 
 
-def channel_record(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
-                   states: np.ndarray,
-                   preclamp: dict[int, np.ndarray]) -> ChannelRecord:
+def channel_record(model: ModelSpec, obs: ObservationSet,
+                   batch: BatchPaths) -> ChannelRecord:
     """The channel record of a callable-sigma batch, rebuilt from its
     states: the record the bridge kernel keeps while it simulates."""
+    grid, states, preclamp = batch.grid, batch.states, batch.preclamp
+
     def factor(j, x, L):
         return channel_precision(gram(diffusion_values(
             model.diffusion, grid.nodes[j], x, model.dim)), L)
@@ -113,7 +115,7 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
     p_count = states.shape[0]
     if model.drift_split is None:
         return np.zeros(p_count)
-    rough = model.drift_split[1]
+    rough = model.rough_drift
     n = model.dim
     eye = np.eye(n)
     nodes = grid.nodes
@@ -137,23 +139,21 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
     return total
 
 
-def batch_breakdown(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
-                    states: np.ndarray, preclamp: dict[int, np.ndarray],
-                    record: Optional[ChannelRecord] = None,
-                    drift: Optional[np.ndarray] = None):
-    """Weight terms for a batch of paths.
+def batch_breakdown(model: ModelSpec, obs: ObservationSet,
+                    batch: BatchPaths):
+    """Weight terms for a batch of full bridges.
 
-    ``states`` is (P, M+1, n); ``preclamp[k]`` holds the unprojected
-    states at observation k when the simulator applied a terminal
-    projection.  Under a callable sigma the terms read the channel
-    precision from ``record``, the one the bridge kernel kept for these
-    rows; without it the record is rebuilt from the states.  ``drift``
-    is the kernel's guiding drift at each step, (P, M, n); without it
-    the drift is evaluated at the states.  Returns a
-    dict of term arrays, each (P, K) with K the number of observations
-    (``girsanov`` is (P,)), and a list of ``(path_row, term,
-    observation, step)`` tuples for non-finite contributions.
+    The terms read the batch's states and, per observation, the
+    unprojected states of its terminal projection.  Under a callable
+    sigma they read the channel precision from the batch's
+    ``channel_record`` and the guiding drift from its ``drift``, the
+    ones the bridge kernel kept for these rows; without them both are
+    rebuilt from the states.  Returns a dict of term arrays, each
+    (P, K) with K the number of observations (``girsanov`` is (P,)),
+    and a list of ``(path_row, term, observation, step)`` tuples for
+    non-finite contributions.
     """
+    states = batch.states
     p_count = states.shape[0]
     n_obs = len(obs.items)
     terms = {name: np.zeros((p_count, n_obs)) for name in TERM_NAMES}
@@ -174,24 +174,25 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
                            None if j0 is None else int(j0 + c)))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if record is None and model.constant_sigma is None:
-            record = channel_record(model, obs, grid, states, preclamp)
+        if batch.channel_record is None and model.constant_sigma is None:
+            batch = replace(batch,
+                            channel_record=channel_record(model, obs, batch))
         for k, ob in enumerate(obs.items):
-            _observation_terms(model, grid, states, preclamp, record, drift,
-                               k, ob, put)
-    put("girsanov", -1, _girsanov_batch(model, grid, states))
+            _observation_terms(model, batch, k, ob, put)
+    put("girsanov", -1, _girsanov_batch(model, batch.grid, states))
     return terms, issues
 
 
-def _observation_terms(model, grid, states, preclamp, record, drift, k, ob,
-                       put) -> None:
+def _observation_terms(model: ModelSpec, batch: BatchPaths, k: int,
+                       ob, put) -> None:
     """Store the window terms of observation ``k`` through ``put``."""
+    grid, states, record = batch.grid, batch.states, batch.channel_record
     p_count = states.shape[0]
     j0 = grid.window_start_indices[k]
     j1 = grid.obs_indices[k]
     n_steps = j1 - j0
     tt = grid.nodes[j0:j1 + 1]
-    sl = _window_states(states, preclamp, k, j0, j1)
+    sl = _window_states(states, batch.preclamp, k, j0, j1)
     L = ob.matrix
     denom = grid.nodes[j1] - tt[:-1]
     resid = vecmat(sl, L.T) - ob.value               # (P, J+1, m)
@@ -205,13 +206,13 @@ def _observation_terms(model, grid, states, preclamp, record, drift, k, ob,
         prec = np.broadcast_to(ch.A, (p_count, n_steps + 1) + ch.A.shape)
     put("boundary", k, -dot(vecmat(r0, prec[:, 0]), r0) / (2.0 * ob.window))
 
-    if drift is None:
+    if batch.drift is None:
         drift = np.empty((p_count, n_steps, model.dim))
         for j in range(n_steps):
             drift[:, j] = drift_values(model.effective_drift, tt[j],
                                        states[:, j0 + j], model.dim)
     else:
-        drift = drift[:, j0:j1]
+        drift = batch.drift[:, j0:j1]
     qd = dot(vecmat(r, prec[:, :-1]), vecmat(drift, L.T))
     put("drift_term", k, -qd * np.diff(tt) / denom, j0)
 
@@ -243,9 +244,11 @@ def log_weight(path: PathSample, model: ModelSpec,
     if obs.items and not obs.validated:
         raise InvalidObservationError(
             "observation set must be validated before weighting")
-    states = path.states[None, ...]
-    preclamp = {k: v[None, ...] for k, v in path.preclamp.items()}
-    terms, issues = batch_breakdown(model, obs, path.grid, states, preclamp)
+    batch = BatchPaths(
+        grid=path.grid, path_ids=np.array([path.seed_id]),
+        states=path.states[None, ...],
+        preclamp={k: v[None, ...] for k, v in path.preclamp.items()})
+    terms, issues = batch_breakdown(model, obs, batch)
     if issues:
         _, term, k, step = issues[0]
         raise WeightOverflowError(

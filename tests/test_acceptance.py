@@ -187,9 +187,8 @@ def test_criterion_07_cutoff_convergence():
     full = bs.simulate_batch(model, obs, grid, np.zeros(1), 2007, ids)
     gaps = []
     for eps in eps_values:
-        cfg = bs.BridgeConfig(epsilon_cutoff=eps)
         cut = bs.simulate_batch(model, obs, grid, np.zeros(1), 2007, ids,
-                                cfg=cfg)
+                                epsilon_cutoff=eps)
         gaps.append(float(np.mean(
             (cut.states[:, -1] - full.states[:, -1]) ** 2)))
     ok = gaps[0] > gaps[1] > gaps[2]

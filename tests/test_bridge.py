@@ -12,7 +12,7 @@ from bridgesim.errors import (
 from bridgesim.observations import channel
 from bridgesim.sde import gram
 from conftest import (nondiagonal_sigma_setup, rand_orthonormal,
-                      single_full_obs)
+                      single_full_obs, state_dependent_setup)
 
 
 def scalar_obs(time=1.0, value=1.0, window=None):
@@ -149,13 +149,14 @@ class TestClamp:
         assert np.allclose(again, y, atol=1e-14)
 
     def test_clamp_tolerance_skips_projection(self):
+        """The state the kernel keeps from before the terminal
+        projection has not been projected."""
         model = bs.brownian(dim=1).spec
         obs = scalar_obs()
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
-        cfg = bs.BridgeConfig(clamp_tolerance=10.0)
         batch = bs.simulate_batch(model, obs, grid, np.zeros(1), 3,
-                                  np.arange(16), cfg=cfg)
-        miss = np.abs(batch.states[:, -1, 0] - 1.0)
+                                  np.arange(16))
+        miss = np.abs(batch.preclamp[0][:, 0] - 1.0)
         assert miss.max() > 1e-6          # nothing was projected
         assert miss.max() < 0.5           # but the guiding already converged
 
@@ -169,7 +170,7 @@ class TestCutoffVariant:
                              include_times=[1.0 - eps])
         full = bs.simulate_bridge(model, obs, grid, np.zeros(1), 77, 5)
         cut = bs.simulate_bridge(model, obs, grid, np.zeros(1), 77, 5,
-                                 cfg=bs.BridgeConfig(epsilon_cutoff=eps))
+                                 epsilon_cutoff=eps)
         js = grid.index_of(1.0 - eps)
         assert np.array_equal(full.states[:js + 1], cut.states[:js + 1])
         assert not np.isclose(cut.states[-1, 0], 1.0, atol=1e-6)
@@ -182,7 +183,7 @@ class TestCutoffVariant:
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3,
                              include_times=[1.0 - eps])
         cut = bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
-                                 cfg=bs.BridgeConfig(epsilon_cutoff=eps))
+                                 epsilon_cutoff=eps)
         assert not cut.preclamp
 
     def test_cutoff_must_fit_in_windows(self):
@@ -191,7 +192,7 @@ class TestCutoffVariant:
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         with pytest.raises(InvalidConfigurationError):
             bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
-                               cfg=bs.BridgeConfig(epsilon_cutoff=0.2))
+                               epsilon_cutoff=0.2)
 
     def test_cutoff_requires_a_grid_node(self):
         model = bs.brownian(dim=1).spec
@@ -199,7 +200,7 @@ class TestCutoffVariant:
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         with pytest.raises(InvalidConfigurationError) as e:
             bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
-                               cfg=bs.BridgeConfig(epsilon_cutoff=0.1234))
+                               epsilon_cutoff=0.1234)
         assert "node" in str(e.value)
 
 
@@ -210,16 +211,6 @@ class TestBatchBehavior:
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.01)
         with pytest.raises(InvalidObservationError):
             bs.simulate_batch(model, raw, grid, np.zeros(1), 1, [0])
-
-    def test_anchor_does_not_affect_paths(self):
-        model = bs.brownian(dim=2).spec
-        base = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.5])], dim=2)
-        moved = bs.validate([bs.Observation(
-            1.0, [[1.0, 0.0]], [0.5], anchor=[0.5, 9.0])], dim=2)
-        grid = bs.build_grid(1.0, base, dt_base=0.05, dt_min=1e-3)
-        a = bs.simulate_batch(model, base, grid, np.zeros(2), 5, np.arange(8))
-        b = bs.simulate_batch(model, moved, grid, np.zeros(2), 5, np.arange(8))
-        assert np.array_equal(a.states, b.states)
 
     def test_path_ids_beyond_int64(self):
         """Ids the noise streams accept, including ones past int64, run
@@ -251,6 +242,27 @@ class TestBatchBehavior:
         path = bs.simulate_bridge(model, obs, grid, u, 4, 9)
         assert batch.states[1].tobytes() == path.states.tobytes()
         assert batch.preclamp[0][1].tobytes() == path.preclamp[0].tobytes()
+
+    def test_rows_select_every_field(self):
+        """``rows`` keeps the selected paths of every per-path field, and
+        hands back the batch itself when it keeps them all."""
+        model, obs, grid, u = state_dependent_setup(blowup_at=3.0)
+        batch = bs.simulate_batch(model, obs, grid, u, 5, np.arange(64))
+        alive = batch.failed_step < 0
+        assert 0 < alive.sum() < len(alive)
+        assert batch.rows(np.ones(len(alive), dtype=bool)) is batch
+        sub = batch.rows(alive)
+        assert sub.grid is batch.grid
+        for name in ("path_ids", "states", "failed_step", "drift"):
+            assert np.array_equal(getattr(sub, name),
+                                  getattr(batch, name)[alive]), name
+        assert sorted(sub.preclamp) == sorted(batch.preclamp)
+        for k, v in batch.preclamp.items():
+            assert np.array_equal(sub.preclamp[k], v[alive])
+        got, want = sub.channel_record, batch.channel_record
+        for x, y in zip(got.precision + got.logdet,
+                        want.precision + want.logdet):
+            assert np.array_equal(x, y[alive])
 
     def test_blowup_raises_for_single_bridge(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: x ** 3,

@@ -95,6 +95,14 @@ class TestParseConfig:
         with pytest.raises(InvalidConfigurationError):
             bs.parse_config("{not json")
 
+    def test_observation_anchor_key_is_ignored(self):
+        """An observation's ``anchor``, even an inconsistent one, is an
+        unknown key like any other."""
+        raw = base_config()
+        raw["observations"][0]["anchor"] = [5.0]
+        ob = bs.parse_config(raw).observations.items[0]
+        assert np.array_equal(ob.value, [1.0]) and ob.window == 1.0
+
     def test_model_params_flow_through(self):
         raw = base_config(model={"name": "ou",
                                  "params": {"dim": 1, "f_diag": -2.0}})

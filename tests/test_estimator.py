@@ -1,4 +1,5 @@
 """Ensemble runner and self-normalized estimation."""
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -88,15 +89,6 @@ class TestRunEnsemble:
             bs.run_ensemble(model, obs, grid, np.zeros(1), 10, seed=1,
                             threads=0)
 
-    def test_epsilon_cutoff_rejected(self):
-        """The weights assume full guidance and the terminal projection,
-        so cut-off bridges cannot be weighted."""
-        model, obs, grid = brownian_setup()
-        cfg = bs.BridgeConfig(epsilon_cutoff=0.1)
-        with pytest.raises(InvalidConfigurationError, match="cutoff"):
-            bs.run_ensemble(model, obs, grid, np.zeros(1), 10, seed=1,
-                            cfg=cfg)
-
     @pytest.mark.parametrize("threads", [1, 2])
     def test_array_sigma_matches_callable(self, threads):
         """An array diffusion takes the factor-once route; it must give
@@ -151,9 +143,8 @@ class TestRunEnsemble:
             ids = np.arange(start, min(start + CHUNK_SIZE, n_paths))
             sim = bs.simulate_batch(model, obs, grid, u, 5, ids)
             alive = sim.failed_step < 0
-            terms, issues = batch_breakdown(
-                model, obs, grid, sim.states[alive],
-                {k: v[alive] for k, v in sim.preclamp.items()})
+            terms, issues = batch_breakdown(model, obs, dataclasses.replace(
+                sim.rows(alive), channel_record=None, drift=None))
             assert not issues
             parts.append(terms)
         assert sorted(ens.breakdown) == sorted(parts[0])

@@ -11,14 +11,14 @@ from bridgesim.sde import block_normals, diffusion_values, drift_values, matvec
 from conftest import channel_bundle, rand_orthonormal, rand_spd
 
 
-def step_pulls(model, obs, grid, u, seed, ids, cfg=None):
+def step_pulls(model, obs, grid, u, seed, ids):
     """Guiding pull of every kernel step, recovered from the Euler update
     as (x_{j+1} - x_j - sigma xi_j sqrt(dt)) / dt - b(t_j, x_j).
 
     A step that lands on an observation node also carries the terminal
-    projection unless ``cfg`` skips it.
+    projection.
     """
-    batch = bs.simulate_batch(model, obs, grid, u, seed, ids, cfg=cfg)
+    batch = bs.simulate_batch(model, obs, grid, u, seed, ids)
     xi = block_normals(seed, ids, grid.n_steps, model.dim)
     pulls = np.empty_like(batch.states[:, 1:])
     for j in range(grid.n_steps):
@@ -41,8 +41,6 @@ class TestValidate:
         assert obs.validated
         assert obs.items[0].window == 0.5
         assert obs.items[1].window == 0.5
-        assert np.allclose(obs.items[0].anchor, [0.3, 0.0])
-        assert np.allclose(obs.items[1].anchor, [0.0, -0.2])
         assert obs.min_window == 0.5
 
     def test_accepts_plain_iterable(self):
@@ -105,15 +103,6 @@ class TestValidate:
         obs = bs.validate([bs.Observation(0.5, [[1.0]], [0.3]),
                            bs.Observation(1.0, [[1.0]], [0.7], window=0.5)])
         assert obs.items[1].window == 0.5
-
-    def test_anchor_consistency(self):
-        obs = bs.validate([bs.Observation(
-            1.0, [[1.0, 0.0]], [0.5], anchor=[0.5, 3.0])], dim=2)
-        assert np.allclose(obs.items[0].anchor, [0.5, 3.0])
-        with pytest.raises(InvalidObservationError) as e:
-            bs.validate([bs.Observation(
-                1.0, [[1.0, 0.0]], [0.5], anchor=[0.4, 3.0])], dim=2)
-        assert e.value.field == "anchor"
 
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidObservationError):
@@ -258,13 +247,12 @@ class TestGuidingDrift:
         model = bs.brownian(dim=1).spec
         obs = bs.validate([bs.Observation(1.0, [[1.0]], [1.0],
                                           window=0.25)], dim=1)
-        # the horizon runs past the observation, and the projection is
-        # skipped, so a step leaves T from an unpinned state
+        # the horizon runs past the observation, so a step leaves T; a
+        # window closed at T would divide by T - t = 0 there
         grid = bs.build_grid(1.5, obs, dt_base=0.05, dt_min=1e-3,
                              include_times=[0.5])
-        cfg = bs.BridgeConfig(clamp_tolerance=10.0)
         batch, pulls = step_pulls(model, obs, grid, np.zeros(1), 4,
-                                  np.arange(8), cfg=cfg)
+                                  np.arange(8))
         j_open = grid.window_start_indices[0]
         j_obs = grid.obs_indices[0]
         assert np.allclose(pulls[:, :j_open], 0.0)
@@ -272,7 +260,7 @@ class TestGuidingDrift:
         at_open = (1.0 - batch.states[:, j_open]) / 0.25
         assert np.allclose(pulls[:, j_open], at_open)
         # ... and open at the observation time itself
-        assert np.abs(batch.states[:, j_obs, 0] - 1.0).min() > 1e-6
+        assert np.abs(batch.preclamp[0][:, 0] - 1.0).min() > 1e-6
         assert np.allclose(pulls[:, j_obs:], 0.0)
 
     def test_matches_manual_formula(self, rng):
@@ -301,9 +289,9 @@ class TestGuidingDrift:
         model = bs.brownian(dim=2).spec
         items = (
             bs.Observation(0.5, np.array([[1.0, 0.0]]), np.array([0.3]),
-                           window=0.5, anchor=np.array([0.3, 0.0])),
+                           window=0.5),
             bs.Observation(1.0, np.array([[0.0, 1.0]]), np.array([-0.2]),
-                           window=1.0, anchor=np.array([0.0, -0.2])),
+                           window=1.0),
         )
         obs = bs.ObservationSet(items=items, validated=True)
         # both windows open at t = 0, where the state is the start z
@@ -312,17 +300,6 @@ class TestGuidingDrift:
         _, pulls = step_pulls(model, obs, grid, z, 2, [0])
         expect = np.array([-(0.1 - 0.3) / 0.5, -(0.2 - (-0.2)) / 1.0])
         assert np.allclose(pulls[0, 0], expect, atol=1e-14)
-
-    def test_anchor_choice_is_irrelevant(self):
-        model = bs.brownian(dim=2).spec
-        base = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.5])], dim=2)
-        shifted = bs.validate([bs.Observation(
-            1.0, [[1.0, 0.0]], [0.5], anchor=[0.5, -7.0])], dim=2)
-        z = np.array([0.2, 0.9])
-        grid = bs.build_grid(1.0, base, dt_base=0.05, dt_min=1e-3)
-        _, a = step_pulls(model, base, grid, z, 8, np.arange(4))
-        _, b = step_pulls(model, shifted, grid, z, 8, np.arange(4))
-        assert np.allclose(a, b)
 
     def test_pull_strengthens_near_observation(self):
         """Brownian motion is autonomous, so the pull at time t depends

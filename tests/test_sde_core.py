@@ -232,6 +232,28 @@ class TestIntegrator:
             assert np.array_equal(states[p, j:], np.broadcast_to(
                 frozen, states[p, j:].shape))
 
+    def test_nan_drift_fails_at_first_bad_state(self):
+        """A drift that is NaN above x = 1 fails each path at the first
+        node past 1 that a step leaves from, which no norm bound alone
+        would catch; the path stays frozen there."""
+        model = bs.ModelSpec(
+            dim=1, drift=lambda t, x: np.where(x > 1.0, np.nan, 0.0),
+            diffusion=lambda t, x: np.eye(1))
+        grid = bs.build_grid(4.0, None, dt_base=0.05, dt_min=0.05)
+        batch = simulate_free_batch(model, grid, np.zeros(1), 2,
+                                    np.arange(64))
+        states, failed = batch.states, batch.failed_step
+        assert 0 < (failed >= 0).sum() < 64
+        for p in range(64):
+            over = np.nonzero(states[p, :-1, 0] > 1.0)[0]
+            if over.size == 0:
+                assert failed[p] == -1
+                continue
+            j = over[0]
+            assert failed[p] == j
+            assert np.array_equal(states[p, j:], np.broadcast_to(
+                states[p, j], states[p, j:].shape))
+
     def test_bad_initial_state(self):
         model = bs.brownian(dim=2).spec
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)

@@ -1,5 +1,7 @@
 """Path weights: degenerate cases, a loop-based reference implementation,
 the drift-remainder correction, and normalization."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -194,18 +196,13 @@ class TestChannelRecord:
 
     def check(self, model, obs, grid, u, ids, rows=None):
         batch = bs.simulate_batch(model, obs, grid, u, 5, ids)
-        record, drift = batch.channel_record, batch.drift
-        states, preclamp = batch.states, batch.preclamp
         if rows is not None:
-            record = record.rows(rows)
-            drift = drift[rows]
-            states = states[rows]
-            preclamp = {k: v[rows] for k, v in preclamp.items()}
-        assert_same_record(record, channel_record(model, obs, grid, states,
-                                                  preclamp))
-        kept, _ = batch_breakdown(model, obs, grid, states, preclamp, record,
-                                  drift)
-        rebuilt, _ = batch_breakdown(model, obs, grid, states, preclamp)
+            batch = batch.rows(rows)
+        record = batch.channel_record
+        assert_same_record(record, channel_record(model, obs, batch))
+        kept, _ = batch_breakdown(model, obs, batch)
+        rebuilt, _ = batch_breakdown(model, obs, dataclasses.replace(
+            batch, channel_record=None, drift=None))
         for name, arr in rebuilt.items():
             assert kept[name].tobytes() == arr.tobytes(), name
         return record
@@ -236,9 +233,9 @@ class TestChannelRecord:
 
     def test_kept_only_for_full_bridges_under_callable_sigma(self):
         model, obs, grid, u = state_dependent_setup()
-        cut = bs.BridgeConfig(epsilon_cutoff=grid.nodes[-1] - grid.nodes[-2])
-        assert bs.simulate_batch(model, obs, grid, u, 5, [0], cfg=cut) \
-            .channel_record is None
+        cut = grid.nodes[-1] - grid.nodes[-2]
+        assert bs.simulate_batch(model, obs, grid, u, 5, [0],
+                                 epsilon_cutoff=cut).channel_record is None
         array = bs.ou(dim=3).spec
         assert bs.simulate_batch(array, obs, grid, u, 5, [0]) \
             .channel_record is None
