@@ -27,9 +27,11 @@ from .sde import (  # noqa: F401
     ModelSpec,
     PathSample,
     TimeGrid,
+    batch_innermost,
     block_normals,
     check_coefficients,
     diffusion_values,
+    dot,
     drift_values,
     gram,
     matvec,
@@ -132,14 +134,22 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     except OverflowError:  # the noise streams take any integer id
         ids = np.array(ids, dtype=object)
     p_count = len(ids)
-    xi = block_normals(seed, ids, m_steps, n)
-    states = np.empty((p_count, m_steps + 1, n))
+    # every per-chunk array keeps the path axis innermost in memory; the
+    # public shapes stay (P, ...)
+    paths = (p_count,)
+    xi = batch_innermost(paths, (m_steps, n))
+    xi[...] = block_normals(seed, ids, m_steps, n)
+    states = batch_innermost(paths, (m_steps + 1, n))
     states[:, 0] = u
     failed = np.full(p_count, -1, dtype=int)
-    drift = np.empty((p_count, m_steps, n)) if obs.items else None
+    drift = batch_innermost(paths, (m_steps, n)) if obs.items else None
     preclamp: dict[int, np.ndarray] = {}
     cap = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(u)))
-    cur = np.broadcast_to(u, (p_count, n)).copy()
+    # the check compares squares; a square that overflows fails it even
+    # where the squared cap overflows too
+    cap2 = min(cap * cap, np.finfo(float).max)
+    cur = batch_innermost(paths, (n,))
+    cur[...] = u
     # constant sigma: one factorization per observation serves the pull
     # at every step and the terminal projection
     sig_c = model.constant_sigma
@@ -150,7 +160,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     record = None
     if channels is None and clamp_nodes:
         record = ChannelRecord(
-            precision=[np.empty((p_count, j1 - j0 + 1, ob.m, ob.m))
+            precision=[batch_innermost(paths, (j1 - j0 + 1, ob.m, ob.m))
                        for j0, _, j1, ob in table],
             logdet=[np.empty(p_count) for _ in table])
 
@@ -184,7 +194,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                     total = total - ch.pull(resid) / (nodes[j1] - t)
             nxt = cur + total * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
             # a non-finite entry fails the comparison too
-            bad = (failed < 0) & ~(np.linalg.norm(nxt, axis=1) <= cap)
+            bad = (failed < 0) & ~(dot(nxt, nxt) <= cap2)
             failed[bad] = j
             keep = failed < 0
             cur = np.where(keep[:, None], nxt, cur)
@@ -192,7 +202,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             k0 = clamp_nodes.get(j + 1)
             if k0 is not None:
                 ob = obs.items[k0]
-                preclamp[k0] = cur.copy()
+                preclamp[k0] = cur.copy(order="K")
                 resid = ob.value - vecmat(cur, ob.matrix.T)
                 move = chan(k0, nodes[j + 1], cur, node=-1).pull(resid)
                 cur = np.where(keep[:, None], cur + move, cur)

@@ -32,7 +32,11 @@ class ModelSpec:
     ``drift`` maps (t, states) to vectors and ``diffusion`` to n x n
     matrices; both must accept states of shape (n,) or (..., n) and
     broadcast over leading axes.  A callable ``diffusion`` may return a
-    single (n, n) matrix when it does not depend on the state.
+    single (n, n) matrix when it does not depend on the state.  The
+    simulator keeps the path axis innermost in memory, so the (..., n)
+    states a callable receives need not be C-contiguous: elementwise
+    arithmetic gives the same bits for any layout, while a BLAS ``@``
+    inside a callable may round differently by layout.
 
     ``diffusion`` may instead be an (n, n) array: sigma then depends on
     neither t nor x, and the simulator and the weights factor the
@@ -162,15 +166,25 @@ def diffusion_values(fn: Union[Coefficient, np.ndarray], t: float,
         f"{states.shape[:-1] + (dim, dim)} or {(dim, dim)}")
 
 
+def batch_innermost(batch: tuple, shape: tuple) -> np.ndarray:
+    """An empty ``batch + shape`` array whose batch axes are innermost in
+    memory, so an operation on one entry per row, such as ``[..., i]``,
+    runs over contiguous memory instead of striding by the row length."""
+    nb, ns = len(batch), len(shape)
+    return np.empty(shape + batch).transpose(*range(ns, ns + nb), *range(ns))
+
+
 def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x @ y for shared or batched operands, broadcast over leading axes.
 
     The inner axis is summed term by term in a fixed order, so the bits
     of a row do not depend on how many rows share the call; a BLAS
-    product over a whole batch rounds differently by row count.
+    product over a whole batch rounds differently by row count.  The
+    result has the batch axes innermost in memory: each entry
+    ``out[..., r, c]`` is one contiguous run over the batch.
     """
-    out = np.empty(np.broadcast(x[..., 0, 0], y[..., 0, 0]).shape
-                   + (x.shape[-2], y.shape[-1]))
+    out = batch_innermost(np.broadcast(x[..., 0, 0], y[..., 0, 0]).shape,
+                          (x.shape[-2], y.shape[-1]))
     # one entry at a time: the loops then run over the long batch axes
     for r in range(x.shape[-2]):
         for c in range(y.shape[-1]):
@@ -389,15 +403,16 @@ def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
     """
     ids = list(path_ids)
     out = np.empty((len(ids), n_steps, dim))
-    zeros = np.zeros(4, dtype=np.uint64)
-    bitgen = np.random.Philox(key=zeros[:2])
+    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
+    # one state dict serves every path; only the key's path half changes
+    key = [int(seed) & _MASK64, 0]
+    zeros = (0, 0, 0, 0)
+    state = {"bit_generator": "Philox",
+             "state": {"key": key, "counter": zeros},
+             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for p, pid in enumerate(ids):
-        key = np.array([int(seed) & _MASK64, int(pid) & _MASK64],
-                       dtype=np.uint64)
-        bitgen.state = {"bit_generator": "Philox",
-                        "state": {"key": key, "counter": zeros},
-                        "buffer": zeros, "buffer_pos": 4,
-                        "has_uint32": 0, "uinteger": 0}
+        key[1] = int(pid) & _MASK64
+        bitgen.state = state
         gen.standard_normal((n_steps, dim), out=out[p])
     return out

@@ -72,7 +72,7 @@ def _window_states(states: np.ndarray, preclamp: dict[int, np.ndarray],
                    k: int, j0: int, j1: int) -> np.ndarray:
     """States at the nodes of window ``k``, (P, J+1, n), with the state
     before the terminal projection at the observation node when known."""
-    sl = states[:, j0:j1 + 1, :].copy()
+    sl = states[:, j0:j1 + 1, :].copy(order="K")
     pre = preclamp.get(k)
     if pre is not None:
         # pre-projection state feeds the final step's terms; the

@@ -148,7 +148,7 @@ class TestClamp:
         again = y + ch.pull(ob.value - y @ ob.matrix.T)
         assert np.allclose(again, y, atol=1e-14)
 
-    def test_clamp_tolerance_skips_projection(self):
+    def test_preclamp_is_unprojected(self):
         """The state the kernel keeps from before the terminal
         projection has not been projected."""
         model = bs.brownian(dim=1).spec

@@ -33,7 +33,7 @@ def step_pulls(model, obs, grid, u, seed, ids):
 
 
 class TestValidate:
-    def test_defaults_fill_window_and_anchor(self):
+    def test_defaults_fill_window(self):
         obs = bs.validate(bs.ObservationSet((
             bs.Observation(0.5, [[1.0, 0.0]], [0.3]),
             bs.Observation(1.0, [[0.0, 1.0]], [-0.2]),

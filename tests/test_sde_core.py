@@ -1,4 +1,6 @@
 """Noise streams, coefficient plumbing, and the unconditioned integrator."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,19 @@ from bridgesim.errors import (
     InvalidConfigurationError,
     NumericalBlowupError,
 )
-from bridgesim.bridge import simulate_free_batch
+from bridgesim.bridge import simulate_batch, simulate_free_batch
 from bridgesim.sde import (
     block_normals,
     check_coefficients,
     diffusion_values,
+    dot,
     drift_values,
     gram,
     matvec,
+    product,
+    vecmat,
 )
+from conftest import state_dependent_setup
 
 
 class TestNoise:
@@ -122,6 +128,53 @@ class TestCoefficientHelpers:
             drift_split=(lambda t, x: 0.4 * x, lambda t, x: 0.7 * x))
         with pytest.raises(InvalidConfigurationError):
             check_coefficients(model, 0.0, np.ones((1, 1)), np.eye(1))
+
+
+def paths_innermost(a: np.ndarray) -> np.ndarray:
+    """A copy of ``a`` whose leading (path) axis is innermost in memory."""
+    return np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)
+
+
+class TestLayout:
+    """The fixed-order sums give the same bytes whatever the memory
+    layout of their operands; the kernel keeps the path axis innermost."""
+
+    @pytest.mark.parametrize("fn, shapes", [
+        (gram, [(64, 3, 3)]),                           # batched sigma
+        (product, [(64, 1, 2), (2, 2)]),                # shared matrix
+        (product, [(64, 5, 1, 2), (64, 5, 2, 2)]),      # window quadratics
+        (vecmat, [(64, 2), (2, 2)]),
+        (vecmat, [(64, 5, 2), (64, 5, 2, 2)]),
+        (dot, [(64, 3), (64, 3)]),
+        (dot, [(64, 5, 2), (64, 5, 2)]),
+    ], ids=["gram", "product-shared", "product-window", "vecmat-shared",
+            "vecmat-window", "dot", "dot-window"])
+    def test_sums_do_not_depend_on_layout(self, rng, fn, shapes):
+        ops = [rng.standard_normal(s) for s in shapes]
+        ref = fn(*ops)
+        # each entry of the result is one contiguous run over the batch
+        n_batch = len(shapes[0]) - (1 if fn in (vecmat, dot) else 2)
+        entry = ref[(...,) + (0,) * (ref.ndim - n_batch)]
+        assert entry.flags.c_contiguous
+        batched = [i for i, s in enumerate(shapes) if s[0] == 64]
+        for flip in itertools.product((False, True), repeat=len(batched)):
+            args = list(ops)
+            for i, f in zip(batched, flip):
+                if f:
+                    args[i] = paths_innermost(ops[i])
+                    assert args[i].strides[0] == args[i].itemsize
+            out = fn(*args)
+            assert out.shape == ref.shape
+            assert out.tobytes() == ref.tobytes()
+
+    def test_kernel_arrays_keep_paths_innermost(self):
+        model, obs, grid, u = state_dependent_setup()
+        batch = simulate_batch(model, obs, grid, u, 3, np.arange(16))
+        arrays = [batch.states, batch.drift, *batch.preclamp.values(),
+                  *batch.channel_record.precision]
+        for arr in arrays:
+            assert arr.shape[0] == 16
+            assert arr.strides[0] == arr.itemsize
 
 
 class TestModelSpec:
@@ -253,6 +306,40 @@ class TestIntegrator:
             assert failed[p] == j
             assert np.array_equal(states[p, j:], np.broadcast_to(
                 states[p, j], states[p, j:].shape))
+
+    @pytest.mark.parametrize("start, target, step", [
+        (0.0, 1e200, 3),                # finite, but its squared norm is inf
+        (1e150, 1e200, 3),              # and so is the squared cap
+        (0.0, 1e8 * (1 + 1e-12), 6),    # just above the cap of 1e8
+        (0.0, 1e8 * (1 - 1e-12), None),  # just below it
+    ], ids=["square-overflows", "cap-square-overflows", "above-cap",
+            "below-cap"])
+    def test_large_state_fails_at_its_step(self, start, target, step):
+        """A step landing on a state of norm ``target`` fails the path at
+        that step exactly when the norm exceeds the cap, 1e8 (1 + |u|);
+        the path stays frozen at the state it left from."""
+        grid = bs.build_grid(0.5, None, dt_base=0.05, dt_min=0.05)
+        jump = 4 if step is None else step
+        t_jump, dt = grid.nodes[jump], grid.steps[jump]
+
+        def drift(t, x):
+            out = np.zeros_like(x)
+            if t == t_jump:
+                out[..., 0] = (target - x[..., 0]) / dt
+            return out
+
+        # sigma small enough that the jump lands on ``target`` to a few ulps
+        model = bs.ModelSpec(dim=2, drift=drift, diffusion=1e-30 * np.eye(2))
+        batch = simulate_free_batch(model, grid, np.array([start, 0.0]), 2,
+                                    np.arange(8))
+        states, failed = batch.states, batch.failed_step
+        if step is None:
+            assert (failed == -1).all()
+            assert np.allclose(states[:, jump + 1, 0], target, rtol=1e-14)
+            return
+        assert (failed == step).all()
+        assert np.array_equal(states[:, step:], np.broadcast_to(
+            states[:, step:step + 1], states[:, step:].shape))
 
     def test_bad_initial_state(self):
         model = bs.brownian(dim=2).spec
