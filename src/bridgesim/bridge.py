@@ -4,16 +4,12 @@ value) and, with no observations and the full drift, for unconditioned
 paths."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidConfigurationError,
-    InvalidObservationError,
-    NumericalBlowupError,
-)
+from .errors import InvalidConfigurationError, InvalidObservationError
 # guide_pull and normal_increments are no longer called here; they stay
 # in this namespace for tracers that wrap bridgesim.bridge.<name>
 from .observations import (  # noqa: F401
@@ -25,7 +21,6 @@ from .observations import (  # noqa: F401
 from .sde import (  # noqa: F401
     Coefficient,
     ModelSpec,
-    PathSample,
     TimeGrid,
     batch_innermost,
     block_normals,
@@ -57,19 +52,6 @@ class BatchPaths:
     channel_record: Optional[ChannelRecord] = None
     # bridges only: the guiding drift at each step's left node, (P, M, n)
     drift: Optional[np.ndarray] = None
-
-    def rows(self, mask: np.ndarray) -> "BatchPaths":
-        """The paths selected by the boolean ``mask``; the batch itself
-        when every path is selected."""
-        if mask.all():
-            return self
-        record = self.channel_record
-        return replace(
-            self, path_ids=self.path_ids[mask], states=self.states[mask],
-            preclamp={k: v[mask] for k, v in self.preclamp.items()},
-            failed_step=self.failed_step[mask],
-            channel_record=None if record is None else record.rows(mask),
-            drift=None if self.drift is None else self.drift[mask])
 
 
 def _prepare_initial(u, dim: int) -> np.ndarray:
@@ -215,18 +197,6 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                       channel_record=record, drift=drift)
 
 
-def _single_path(batch: BatchPaths, path_id: int) -> PathSample:
-    """The one path of a single-path batch; raises if it blew up."""
-    step = int(batch.failed_step[0])
-    if step >= 0:
-        raise NumericalBlowupError(
-            f"path {path_id} blew up at step {step} "
-            f"(t={batch.grid.nodes[step]:.6g})", step_index=step)
-    return PathSample(
-        grid=batch.grid, states=batch.states[0], seed_id=int(path_id),
-        preclamp={k: v[0] for k, v in batch.preclamp.items()})
-
-
 def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                    seed: int, path_ids, epsilon_cutoff: Optional[float] = None,
                    validate: bool = False) -> BatchPaths:
@@ -252,18 +222,6 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                   epsilon_cutoff, validate)
 
 
-def simulate_bridge(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
-                    seed: int, path_id: int,
-                    epsilon_cutoff: Optional[float] = None,
-                    validate: bool = False) -> PathSample:
-    """Simulate one guided bridge path; the returned path satisfies
-    L y(T_k) = v_k exactly at every observation unless
-    ``epsilon_cutoff`` selects the cut-off variant."""
-    return _single_path(simulate_batch(
-        model, obs, grid, u, seed, [path_id], epsilon_cutoff=epsilon_cutoff,
-        validate=validate), path_id)
-
-
 def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
                         path_ids, validate: bool = False) -> BatchPaths:
     """Euler-Maruyama for a batch of unconditioned paths under the full
@@ -272,10 +230,3 @@ def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
     admissible state from there on."""
     return _euler(model, ObservationSet(), grid, u, seed, path_ids,
                   model.drift, None, validate)
-
-
-def simulate_unconditioned(model: ModelSpec, grid: TimeGrid, u, seed: int,
-                           path_id: int, validate: bool = False) -> PathSample:
-    """Simulate one unconditioned path; raises on numerical blowup."""
-    return _single_path(simulate_free_batch(model, grid, u, seed, [path_id],
-                                            validate=validate), path_id)

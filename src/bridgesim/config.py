@@ -85,6 +85,19 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise InvalidConfigurationError("expected true or false", field=path)
+    return value
+
+
+def _file_path(value, path: str) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise InvalidConfigurationError("expected a path string or null",
+                                        field=path)
+    return value
+
+
 def config_digest(raw: dict) -> str:
     """Digest of the canonical JSON form of the effective configuration."""
     canon = json.dumps(raw, sort_keys=True, separators=(",", ":"))
@@ -125,7 +138,8 @@ def parse_config(source) -> RunConfig:
     if not isinstance(params, dict):
         raise InvalidConfigurationError("model params must be an object",
                                         field="model.params")
-    drift_split = bool(model_raw.get("drift_split", False))
+    drift_split = _boolean(model_raw.get("drift_split", False),
+                           "model.drift_split")
     built = build_model(name, params, drift_split)
     dim = built.spec.dim
 
@@ -206,7 +220,7 @@ def parse_config(source) -> RunConfig:
         if threads < 1:
             raise InvalidConfigurationError("threads must be >= 1",
                                             field="threads")
-    validate_flag = bool(raw.get("validate", False))
+    validate_flag = _boolean(raw.get("validate", False), "validate")
 
     fun_raw = _require(raw, "functionals", "")
     if not isinstance(fun_raw, list):
@@ -238,8 +252,9 @@ def parse_config(source) -> RunConfig:
     if not isinstance(outputs, dict):
         raise InvalidConfigurationError("outputs must be an object",
                                         field="outputs")
-    report_path = outputs.get("report")
-    ensemble_csv = outputs.get("ensemble_csv")
+    report_path = _file_path(outputs.get("report"), "outputs.report")
+    ensemble_csv = _file_path(outputs.get("ensemble_csv"),
+                              "outputs.ensemble_csv")
 
     return RunConfig(
         model_name=name, model_params=params, drift_split=drift_split,

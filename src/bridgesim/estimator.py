@@ -68,8 +68,7 @@ class WeightedEnsemble:
         """The retained paths, built as ``PathSample``s while iterated."""
         if self.kept_nodes is not None:
             raise self._thinned("a per-path functional needs every node")
-        return (PathSample(self.grid, self.states[i], int(self.path_ids[i]),
-                           {k: v[i] for k, v in self.preclamp.items()})
+        return (PathSample(self.grid, self.states[i], int(self.path_ids[i]))
                 for i in range(self.size))
 
 
@@ -181,10 +180,11 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         ids = chunks[index]
         sim = simulate_batch(model, obs, grid, u, seed, ids,
                              validate=validate)
-        sim = sim.rows(sim.failed_step < 0)
+        # a row's terms do not depend on the other rows, so the failed
+        # paths are weighted with the rest and dropped afterwards
         terms, issues = batch_breakdown(model, obs, sim)
         st = sim.states if kept is None else sim.states[:, kept]  # a copy
-        ok = np.ones(st.shape[0], dtype=bool)
+        ok = sim.failed_step < 0
         for row, _, _, _ in issues:
             ok[row] = False
         rows = {"path_ids": sim.path_ids[ok], "states": st[ok]}

@@ -27,6 +27,9 @@ class BuiltModel:
 
 
 def _sigma_matrix(dim: int, sigma) -> np.ndarray:
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) \
+            or dim < 1:
+        raise InvalidConfigurationError("dim must be a positive integer")
     arr = np.asarray(sigma, dtype=float)
     if arr.ndim == 0:
         out = float(arr) * np.eye(dim)
@@ -151,6 +154,8 @@ def build_model(name: str, params: dict | None = None,
             # always split; the drift_split flag is redundant here
             return double_well(**params)
         return REGISTRY[name](drift_split=drift_split, **params)
-    except TypeError as exc:
+    except InvalidConfigurationError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise InvalidConfigurationError(
             f"bad parameters for model '{name}': {exc}") from exc

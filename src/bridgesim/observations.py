@@ -171,11 +171,6 @@ class ChannelRecord:
     precision: list
     logdet: list
 
-    def rows(self, mask: np.ndarray) -> "ChannelRecord":
-        """The record of the paths selected by ``mask``."""
-        return ChannelRecord([p[mask] for p in self.precision],
-                             [d[mask] for d in self.logdet])
-
 
 def channel(a: np.ndarray, L: np.ndarray) -> Channel:
     """The one factorization of L a L*, for a shared (n, n) or batched

@@ -120,18 +120,12 @@ class TimeGrid:
 
 @dataclass
 class PathSample:
-    """A single simulated trajectory on a grid.
-
-    ``preclamp`` maps an observation index to the state reached at the
-    observation time before the terminal projection was applied; it is
-    populated by the bridge simulator and consumed by the weight
-    computation.
-    """
+    """A single simulated trajectory on a grid, for per-path
+    functionals."""
 
     grid: TimeGrid
     states: np.ndarray
     seed_id: int
-    preclamp: dict[int, np.ndarray] = field(default_factory=dict)
 
     def state_at(self, time: float) -> np.ndarray:
         return self.states[self.grid.index_of(time)]

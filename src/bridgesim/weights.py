@@ -13,19 +13,14 @@ self-normalization cancels them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .bridge import BatchPaths
-from .errors import (
-    DegenerateEnsembleError,
-    InvalidConfigurationError,
-    InvalidObservationError,
-    WeightOverflowError,
-)
+from .errors import DegenerateEnsembleError, InvalidObservationError
 from .observations import (
     ChannelRecord,
     ObservationSet,
@@ -34,7 +29,6 @@ from .observations import (
 )
 from .sde import (
     ModelSpec,
-    PathSample,
     TimeGrid,
     diffusion_values,
     dot,
@@ -44,28 +38,6 @@ from .sde import (
 )
 
 TERM_NAMES = ("log_eta", "boundary", "drift_term", "dA_term", "covar_term")
-
-
-@dataclass(frozen=True)
-class LogWeightBreakdown:
-    """Per-observation weight terms of a single path.
-
-    Each array holds one entry per observation; ``girsanov_term`` is a
-    single number for the whole path.
-    """
-
-    log_eta: np.ndarray
-    boundary: np.ndarray
-    drift_term: np.ndarray
-    dA_term: np.ndarray
-    covar_term: np.ndarray
-    girsanov_term: float
-
-    @property
-    def total(self) -> float:
-        return float(self.log_eta.sum() + self.boundary.sum()
-                     + self.drift_term.sum() + self.dA_term.sum()
-                     + self.covar_term.sum() + self.girsanov_term)
 
 
 def _window_states(states: np.ndarray, preclamp: dict[int, np.ndarray],
@@ -148,11 +120,20 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet,
     sigma they read the channel precision from the batch's
     ``channel_record`` and the guiding drift from its ``drift``, the
     ones the bridge kernel kept for these rows; without them both are
-    rebuilt from the states.  Returns a dict of term arrays, each
-    (P, K) with K the number of observations (``girsanov`` is (P,)),
-    and a list of ``(path_row, term, observation, step)`` tuples for
-    non-finite contributions.
+    rebuilt from the states.  The window sums run over the grid steps
+    of each correction window, left points included; the final step up
+    to the observation time uses the state before terminal projection
+    and keeps the left node in its denominator.  A row's terms do not
+    depend on the other rows of the batch.
+
+    Returns a dict of term arrays, each (P, K) with K the number of
+    observations (``girsanov`` is (P,)), and a list of
+    ``(path_row, term, observation, step)`` tuples for non-finite
+    contributions.
     """
+    if obs.items and not obs.validated:
+        raise InvalidObservationError(
+            "observation set must be validated before weighting")
     states = batch.states
     p_count = states.shape[0]
     n_obs = len(obs.items)
@@ -230,43 +211,6 @@ def _observation_terms(model: ModelSpec, batch: BatchPaths, k: int,
         # constant precision: dA_term and covar_term are exactly 0, and
         # log det A is the same for every path
         put("log_eta", k, np.full(p_count, 0.5 * ch.logdet))
-
-
-def log_weight(path: PathSample, model: ModelSpec,
-               obs: ObservationSet) -> LogWeightBreakdown:
-    """Log-weight breakdown of one bridge path.
-
-    The window sums run over the grid steps of each correction window,
-    left points included; the final partial step up to the observation
-    time uses the state before terminal projection and keeps the left
-    node in its denominator.
-    """
-    if obs.items and not obs.validated:
-        raise InvalidObservationError(
-            "observation set must be validated before weighting")
-    batch = BatchPaths(
-        grid=path.grid, path_ids=np.array([path.seed_id]),
-        states=path.states[None, ...],
-        preclamp={k: v[None, ...] for k, v in path.preclamp.items()})
-    terms, issues = batch_breakdown(model, obs, batch)
-    if issues:
-        _, term, k, step = issues[0]
-        raise WeightOverflowError(
-            f"non-finite weight contribution in term '{term}'"
-            + (f" of observation {k}" if k >= 0 else "")
-            + (f" at step {step}" if step is not None else ""),
-            term=term, observation=None if k < 0 else k, step_index=step)
-    return LogWeightBreakdown(
-        **{name: terms[name][0] for name in TERM_NAMES},
-        girsanov_term=float(terms["girsanov"][0]))
-
-
-def girsanov_correction(path: PathSample, model: ModelSpec) -> float:
-    """Path correction for the drift remainder of a split model."""
-    if model.drift_split is None:
-        raise InvalidConfigurationError(
-            "girsanov_correction requires a model with drift_split")
-    return float(_girsanov_batch(model, path.grid, path.states[None, ...])[0])
 
 
 def normalize_log_weights(logw):

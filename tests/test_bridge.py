@@ -7,12 +7,12 @@ from bridgesim.errors import (
     EllipticityViolationError,
     InvalidConfigurationError,
     InvalidObservationError,
-    NumericalBlowupError,
+    UnstableRunError,
 )
 from bridgesim.observations import channel
 from bridgesim.sde import gram
 from conftest import (nondiagonal_sigma_setup, rand_orthonormal,
-                      single_full_obs, state_dependent_setup)
+                      single_full_obs)
 
 
 def scalar_obs(time=1.0, value=1.0, window=None):
@@ -28,7 +28,8 @@ class TestReduction:
         model = bs.brownian(dim=1).spec
         obs = scalar_obs()
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
-        path = bs.simulate_bridge(model, obs, grid, np.zeros(1), 41, 6)
+        states = bs.simulate_batch(model, obs, grid, np.zeros(1), 41,
+                                   [6]).states[0]
 
         xi = bs.normal_increments(41, 6, grid.n_steps, 1)
         nodes = grid.nodes
@@ -40,20 +41,20 @@ class TestReduction:
             if j + 1 == grid.n_steps:
                 y = 1.0  # exact projection at the observation time
             manual.append(y)
-        assert np.allclose(path.states[:, 0], manual, atol=1e-13)
+        assert np.allclose(states[:, 0], manual, atol=1e-13)
 
     def test_free_motion_outside_window(self):
         """Before the window opens the bridge moves like the plain SDE."""
-        from bridgesim.bridge import simulate_free_batch
-
         model = bs.brownian(dim=1).spec
         obs = scalar_obs(window=0.25)
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
-        bridge = bs.simulate_bridge(model, obs, grid, np.zeros(1), 9, 2)
-        free = simulate_free_batch(model, grid, np.zeros(1), 9, [2]).states
+        bridge = bs.simulate_batch(model, obs, grid, np.zeros(1), 9,
+                                   [2]).states[0]
+        free = bs.simulate_free_batch(model, grid, np.zeros(1), 9,
+                                      [2]).states[0]
         j0 = grid.window_start_indices[0]
-        assert np.array_equal(bridge.states[:j0 + 1], free[0, :j0 + 1])
-        assert not np.allclose(bridge.states[-1], free[0, -1])
+        assert np.array_equal(bridge[:j0 + 1], free[:j0 + 1])
+        assert not np.allclose(bridge[-1], free[-1])
 
 
 class TestPinning:
@@ -168,13 +169,14 @@ class TestCutoffVariant:
         eps = 0.125
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3,
                              include_times=[1.0 - eps])
-        full = bs.simulate_bridge(model, obs, grid, np.zeros(1), 77, 5)
-        cut = bs.simulate_bridge(model, obs, grid, np.zeros(1), 77, 5,
-                                 epsilon_cutoff=eps)
+        full = bs.simulate_batch(model, obs, grid, np.zeros(1), 77,
+                                 [5]).states[0]
+        cut = bs.simulate_batch(model, obs, grid, np.zeros(1), 77, [5],
+                                epsilon_cutoff=eps).states[0]
         js = grid.index_of(1.0 - eps)
-        assert np.array_equal(full.states[:js + 1], cut.states[:js + 1])
-        assert not np.isclose(cut.states[-1, 0], 1.0, atol=1e-6)
-        assert np.isclose(full.states[-1, 0], 1.0, atol=1e-12)
+        assert np.array_equal(full[:js + 1], cut[:js + 1])
+        assert not np.isclose(cut[-1, 0], 1.0, atol=1e-6)
+        assert np.isclose(full[-1, 0], 1.0, atol=1e-12)
 
     def test_cutoff_disables_terminal_projection(self):
         model = bs.brownian(dim=1).spec
@@ -182,8 +184,8 @@ class TestCutoffVariant:
         eps = 0.25
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3,
                              include_times=[1.0 - eps])
-        cut = bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
-                                 epsilon_cutoff=eps)
+        cut = bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0],
+                                epsilon_cutoff=eps)
         assert not cut.preclamp
 
     def test_cutoff_must_fit_in_windows(self):
@@ -191,16 +193,16 @@ class TestCutoffVariant:
         obs = scalar_obs(window=0.2)
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         with pytest.raises(InvalidConfigurationError):
-            bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
-                               epsilon_cutoff=0.2)
+            bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0],
+                              epsilon_cutoff=0.2)
 
     def test_cutoff_requires_a_grid_node(self):
         model = bs.brownian(dim=1).spec
         obs = scalar_obs()
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         with pytest.raises(InvalidConfigurationError) as e:
-            bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
-                               epsilon_cutoff=0.1234)
+            bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0],
+                              epsilon_cutoff=0.1234)
         assert "node" in str(e.value)
 
 
@@ -222,10 +224,11 @@ class TestBatchBehavior:
         batch = bs.simulate_batch(model, obs, grid, np.zeros(2), 21, ids)
         assert list(batch.path_ids) == ids
         for p, pid in enumerate(ids):
-            path = bs.simulate_bridge(model, obs, grid, np.zeros(2), 21, pid)
-            assert batch.states[p].tobytes() == path.states.tobytes()
+            alone = bs.simulate_batch(model, obs, grid, np.zeros(2), 21,
+                                      [pid])
+            assert batch.states[p].tobytes() == alone.states[0].tobytes()
             assert batch.preclamp[0][p].tobytes() == \
-                path.preclamp[0].tobytes()
+                alone.preclamp[0][0].tobytes()
 
     @pytest.mark.parametrize("case", ["dense_row", "nondiagonal_sigma"])
     def test_dense_row_bits_do_not_depend_on_batch(self, case):
@@ -239,38 +242,22 @@ class TestBatchBehavior:
             obs = bs.validate([bs.Observation(1.0, [[0.6, 0.8]], [0.3])],
                               dim=2)
         batch = bs.simulate_batch(model, obs, grid, u, 4, [3, 9, 11])
-        path = bs.simulate_bridge(model, obs, grid, u, 4, 9)
-        assert batch.states[1].tobytes() == path.states.tobytes()
-        assert batch.preclamp[0][1].tobytes() == path.preclamp[0].tobytes()
-
-    def test_rows_select_every_field(self):
-        """``rows`` keeps the selected paths of every per-path field, and
-        hands back the batch itself when it keeps them all."""
-        model, obs, grid, u = state_dependent_setup(blowup_at=3.0)
-        batch = bs.simulate_batch(model, obs, grid, u, 5, np.arange(64))
-        alive = batch.failed_step < 0
-        assert 0 < alive.sum() < len(alive)
-        assert batch.rows(np.ones(len(alive), dtype=bool)) is batch
-        sub = batch.rows(alive)
-        assert sub.grid is batch.grid
-        for name in ("path_ids", "states", "failed_step", "drift"):
-            assert np.array_equal(getattr(sub, name),
-                                  getattr(batch, name)[alive]), name
-        assert sorted(sub.preclamp) == sorted(batch.preclamp)
-        for k, v in batch.preclamp.items():
-            assert np.array_equal(sub.preclamp[k], v[alive])
-        got, want = sub.channel_record, batch.channel_record
-        for x, y in zip(got.precision + got.logdet,
-                        want.precision + want.logdet):
-            assert np.array_equal(x, y[alive])
+        alone = bs.simulate_batch(model, obs, grid, u, 4, [9])
+        assert batch.states[1].tobytes() == alone.states[0].tobytes()
+        assert batch.preclamp[0][1].tobytes() == \
+            alone.preclamp[0][0].tobytes()
 
     def test_blowup_raises_for_single_bridge(self):
+        """A one-path batch reports the blow-up in ``failed_step``; a
+        one-path ensemble raises on it."""
         model = bs.ModelSpec(dim=1, drift=lambda t, x: x ** 3,
                              diffusion=lambda t, x: np.eye(1))
         obs = bs.validate([bs.Observation(5.0, [[1.0]], [0.0])], dim=1)
         grid = bs.build_grid(5.0, obs, dt_base=0.5, dt_min=0.1)
-        with pytest.raises(NumericalBlowupError):
-            bs.simulate_bridge(model, obs, grid, np.array([3.0]), 1, 0)
+        batch = bs.simulate_batch(model, obs, grid, np.array([3.0]), 1, [0])
+        assert batch.failed_step[0] >= 0
+        with pytest.raises(UnstableRunError):
+            bs.run_ensemble(model, obs, grid, np.array([3.0]), 1, seed=1)
 
     def test_validate_flag(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
@@ -279,8 +266,8 @@ class TestBatchBehavior:
         obs = scalar_obs()
         grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
         with pytest.raises(EllipticityViolationError):
-            bs.simulate_bridge(model, obs, grid, np.zeros(1), 1, 0,
-                               validate=True)
+            bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0],
+                              validate=True)
 
     def test_full_observation_of_two_dims(self):
         model = bs.brownian(dim=2).spec

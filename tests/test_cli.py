@@ -83,6 +83,13 @@ class TestParseConfig:
          "observations[0].window"),
         (lambda c: c["observations"][0].update(matrix=[[1.0, 1.0]]),
          "observations[0].matrix"),
+        (lambda c: c["model"].update(drift_split="no"), "model.drift_split"),
+        (lambda c: c["model"].update(drift_split=1), "model.drift_split"),
+        (lambda c: c.update(validate="yes"), "validate"),
+        (lambda c: c.update(validate=1), "validate"),
+        (lambda c: c.update(outputs={"report": 7}), "outputs.report"),
+        (lambda c: c.update(outputs={"ensemble_csv": ["a"]}),
+         "outputs.ensemble_csv"),
     ])
     def test_field_paths_in_errors(self, mutate, field):
         raw = base_config()
@@ -326,14 +333,21 @@ class TestErrorReporting:
         assert err["error"]["field"] == "n_paths"
         assert err["error"]["message"]
 
-    @pytest.mark.parametrize("name", ["ou", "double_well"])
-    def test_bad_model_parameter_reported(self, tmp_path, capsys, name):
-        cfg = base_config(model={"name": name, "params": {"bogus": 1}})
+    @pytest.mark.parametrize("name, params, needle", [
+        pytest.param("ou", {"bogus": 1}, "bogus", id="ou"),
+        pytest.param("double_well", {"bogus": 1}, "bogus", id="double_well"),
+        pytest.param("ou", {"dim": -1}, "dim", id="negative_dim"),
+        pytest.param("double_well", {"dim": 0}, "dim", id="zero_dim"),
+        pytest.param("ou", {"sigma": "abc"}, "abc", id="text_sigma"),
+    ])
+    def test_bad_model_parameter_reported(self, tmp_path, capsys, name,
+                                          params, needle):
+        cfg = base_config(model={"name": name, "params": params})
         status = main(["validate", write_config(tmp_path, cfg)])
         assert status == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "invalid-configuration"
-        assert "bogus" in err["error"]["message"]
+        assert needle in err["error"]["message"]
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("grid", [{"dt_base": 0.02, "dt_min": 1e-3},

@@ -8,7 +8,6 @@ import bridgesim as bs
 from bridgesim.errors import (
     EllipticityViolationError,
     InvalidConfigurationError,
-    NumericalBlowupError,
 )
 from bridgesim.bridge import simulate_batch, simulate_free_batch
 from bridgesim.sde import (
@@ -263,12 +262,12 @@ class TestIntegrator:
                                       [3, 7, 12])
         assert np.array_equal(alone.states[0], grouped.states[1])
 
-    def test_blowup_raises_for_single_path(self):
+    def test_blowup_fails_single_path(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: x ** 3,
                              diffusion=lambda t, x: np.eye(1))
         grid = bs.build_grid(5.0, None, dt_base=0.5, dt_min=0.5)
-        with pytest.raises(NumericalBlowupError):
-            bs.simulate_unconditioned(model, grid, np.array([3.0]), 1, 0)
+        batch = simulate_free_batch(model, grid, np.array([3.0]), 1, [0])
+        assert batch.failed_step[0] >= 0
 
     def test_blowup_freezes_in_batch(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: x ** 3,
@@ -345,10 +344,9 @@ class TestIntegrator:
         model = bs.brownian(dim=2).spec
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
         with pytest.raises(InvalidConfigurationError):
-            bs.simulate_unconditioned(model, grid, np.zeros(3), 1, 0)
+            simulate_free_batch(model, grid, np.zeros(3), 1, [0])
         with pytest.raises(InvalidConfigurationError):
-            bs.simulate_unconditioned(model, grid,
-                                      np.array([np.nan, 0.0]), 1, 0)
+            simulate_free_batch(model, grid, np.array([np.nan, 0.0]), 1, [0])
 
     def test_validate_flag_checks_ellipticity(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
@@ -356,7 +354,7 @@ class TestIntegrator:
                              ellipticity_bound=2.0)
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
         with pytest.raises(EllipticityViolationError):
-            bs.simulate_unconditioned(model, grid, np.zeros(1), 1, 0,
-                                      validate=True)
+            simulate_free_batch(model, grid, np.zeros(1), 1, [0],
+                                validate=True)
         # without the flag the run proceeds
-        bs.simulate_unconditioned(model, grid, np.zeros(1), 1, 0)
+        simulate_free_batch(model, grid, np.zeros(1), 1, [0])

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 import bridgesim as bs
-from bridgesim.errors import (
-    DegenerateEnsembleError,
-    InvalidConfigurationError,
-    InvalidObservationError,
-    WeightOverflowError,
-)
+from bridgesim.errors import DegenerateEnsembleError, InvalidObservationError
 from bridgesim.sde import diffusion_values, drift_values
 from bridgesim.weights import batch_breakdown, channel_record
 from conftest import state_dependent_setup
@@ -87,6 +82,33 @@ def state_dependent_planar():
     return bs.ModelSpec(dim=2, drift=drift, diffusion=diffusion)
 
 
+def one_path(grid, states, preclamp=None):
+    """A hand-built one-row batch: one path's states and, per
+    observation, its state before the terminal projection."""
+    return bs.BatchPaths(
+        grid=grid, path_ids=np.array([0]), states=states[None],
+        preclamp={k: v[None] for k, v in (preclamp or {}).items()})
+
+
+def row_terms(model, obs, batch):
+    """The weight terms of a one-row ``batch``, none of them
+    non-finite."""
+    terms, issues = batch_breakdown(model, obs, batch)
+    assert not issues
+    return {name: arr[0] for name, arr in terms.items()}
+
+
+def total(bd) -> float:
+    """A row's log-weight: the sum of its terms."""
+    return float(sum(np.sum(arr) for arr in bd.values()))
+
+
+def girsanov(model, grid, states) -> float:
+    """The Girsanov term of one path, weighted without observations."""
+    return row_terms(model, bs.validate([]), one_path(grid, states))[
+        "girsanov"]
+
+
 class TestDegenerateCases:
     def test_brownian_weights_are_constant(self):
         """Identity diffusion, zero drift, full-span window: every term
@@ -97,17 +119,18 @@ class TestDegenerateCases:
         grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
         batch = bs.simulate_batch(model, obs, grid, np.zeros(2), 5,
                                   np.arange(32))
+        terms, issues = batch_breakdown(model, obs, batch)
+        assert not issues
         for i in range(32):
-            path = bs.PathSample(grid=grid, states=batch.states[i], seed_id=i,
-                                 preclamp={0: batch.preclamp[0][i]})
-            bd = bs.log_weight(path, model, obs)
-            assert bd.log_eta[0] == 0.0
-            assert np.isclose(bd.boundary[0], -float(v @ v) / 2.0, atol=1e-14)
-            assert bd.drift_term[0] == 0.0
-            assert bd.dA_term[0] == 0.0
-            assert bd.covar_term[0] == 0.0
-            assert bd.girsanov_term == 0.0
-            assert np.isclose(bd.total, -float(v @ v) / 2.0, atol=1e-14)
+            bd = {name: arr[i] for name, arr in terms.items()}
+            assert bd["log_eta"][0] == 0.0
+            assert np.isclose(bd["boundary"][0], -float(v @ v) / 2.0,
+                              atol=1e-14)
+            assert bd["drift_term"][0] == 0.0
+            assert bd["dA_term"][0] == 0.0
+            assert bd["covar_term"][0] == 0.0
+            assert bd["girsanov"] == 0.0
+            assert np.isclose(total(bd), -float(v @ v) / 2.0, atol=1e-14)
 
     def test_constant_diffusion_kills_variation_terms(self, rng):
         """Any constant sigma: the precision never moves, so both
@@ -117,11 +140,11 @@ class TestDegenerateCases:
                              diffusion=lambda t, x: sigma)
         obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.5])], dim=2)
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
-        path = bs.simulate_bridge(model, obs, grid, np.zeros(2), 19, 3)
-        bd = bs.log_weight(path, model, obs)
-        assert bd.dA_term[0] == 0.0
-        assert bd.covar_term[0] == 0.0
-        assert bd.drift_term[0] != 0.0
+        batch = bs.simulate_batch(model, obs, grid, np.zeros(2), 19, [3])
+        bd = row_terms(model, obs, batch)
+        assert bd["dA_term"][0] == 0.0
+        assert bd["covar_term"][0] == 0.0
+        assert bd["drift_term"][0] != 0.0
 
 
 class TestReferenceAgreement:
@@ -130,18 +153,18 @@ class TestReferenceAgreement:
         obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.8],
                                           window=0.5)], dim=1)
         grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.02)
-        path = bs.simulate_bridge(model, obs, grid, np.array([0.2]), 7, 11)
-        bd = bs.log_weight(path, model, obs)
-        ref = reference_breakdown(model, obs, grid, path.states,
-                                  path.preclamp)[0]
-        assert np.isclose(bd.log_eta[0], ref["log_eta"], atol=1e-12)
-        assert np.isclose(bd.boundary[0], ref["boundary"], atol=1e-12)
-        assert np.isclose(bd.drift_term[0], ref["drift_term"], atol=1e-12)
-        assert np.isclose(bd.dA_term[0], ref["dA_term"], atol=1e-12)
-        assert np.isclose(bd.covar_term[0], ref["covar_term"], atol=1e-12)
+        batch = bs.simulate_batch(model, obs, grid, np.array([0.2]), 7, [11])
+        bd = row_terms(model, obs, batch)
+        ref = reference_breakdown(model, obs, grid, batch.states[0],
+                                  {0: batch.preclamp[0][0]})[0]
+        assert np.isclose(bd["log_eta"][0], ref["log_eta"], atol=1e-12)
+        assert np.isclose(bd["boundary"][0], ref["boundary"], atol=1e-12)
+        assert np.isclose(bd["drift_term"][0], ref["drift_term"], atol=1e-12)
+        assert np.isclose(bd["dA_term"][0], ref["dA_term"], atol=1e-12)
+        assert np.isclose(bd["covar_term"][0], ref["covar_term"], atol=1e-12)
         # the variation terms are genuinely active here
-        assert abs(bd.dA_term[0]) > 0.0
-        assert abs(bd.covar_term[0]) > 0.0
+        assert abs(bd["dA_term"][0]) > 0.0
+        assert abs(bd["covar_term"][0]) > 0.0
 
     def test_planar_two_observations(self, rng):
         model = state_dependent_planar()
@@ -150,18 +173,15 @@ class TestReferenceAgreement:
             bs.Observation(1.0, [[0.0, 1.0]], [-0.2], window=0.4),
         ], dim=2)
         grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.02)
-        path = bs.simulate_bridge(model, obs, grid, np.zeros(2), 13, 4)
-        bd = bs.log_weight(path, model, obs)
-        ref = reference_breakdown(model, obs, grid, path.states,
-                                  path.preclamp)
+        batch = bs.simulate_batch(model, obs, grid, np.zeros(2), 13, [4])
+        bd = row_terms(model, obs, batch)
+        ref = reference_breakdown(
+            model, obs, grid, batch.states[0],
+            {k: v[0] for k, v in batch.preclamp.items()})
         for k in (0, 1):
-            assert np.isclose(bd.log_eta[k], ref[k]["log_eta"], atol=1e-12)
-            assert np.isclose(bd.boundary[k], ref[k]["boundary"], atol=1e-12)
-            assert np.isclose(bd.drift_term[k], ref[k]["drift_term"],
-                              atol=1e-12)
-            assert np.isclose(bd.dA_term[k], ref[k]["dA_term"], atol=1e-12)
-            assert np.isclose(bd.covar_term[k], ref[k]["covar_term"],
-                              atol=1e-12)
+            for name in ("log_eta", "boundary", "drift_term", "dA_term",
+                         "covar_term"):
+                assert np.isclose(bd[name][k], ref[k][name], atol=1e-12)
 
     def test_hand_built_states(self, rng):
         """The weight is a pure path functional: feed synthetic states."""
@@ -172,13 +192,11 @@ class TestReferenceAgreement:
         states = rng.standard_normal((len(grid.nodes), 1))
         states[-1, 0] = 0.8
         pre = rng.standard_normal(1) * 0.1 + 0.8
-        path = bs.PathSample(grid=grid, states=states, seed_id=0,
-                             preclamp={0: pre})
-        bd = bs.log_weight(path, model, obs)
+        bd = row_terms(model, obs, one_path(grid, states, {0: pre}))
         ref = reference_breakdown(model, obs, grid, states, {0: pre})[0]
         for name in ("log_eta", "boundary", "drift_term", "dA_term",
                      "covar_term"):
-            assert np.isclose(getattr(bd, name)[0], ref[name], atol=1e-12)
+            assert np.isclose(bd[name][0], ref[name], atol=1e-12)
 
 
 def assert_same_record(got, want):
@@ -194,10 +212,8 @@ class TestChannelRecord:
     rebuild from the states, and weight the paths identically.  So must
     the guiding drift the kernel evaluated at each step."""
 
-    def check(self, model, obs, grid, u, ids, rows=None):
+    def check(self, model, obs, grid, u, ids):
         batch = bs.simulate_batch(model, obs, grid, u, 5, ids)
-        if rows is not None:
-            batch = batch.rows(rows)
         record = batch.channel_record
         assert_same_record(record, channel_record(model, obs, batch))
         kept, _ = batch_breakdown(model, obs, batch)
@@ -205,11 +221,11 @@ class TestChannelRecord:
             batch, channel_record=None, drift=None))
         for name, arr in rebuilt.items():
             assert kept[name].tobytes() == arr.tobytes(), name
-        return record
+        return batch
 
     def test_state_dependent_sigma(self):
         model, obs, grid, u = state_dependent_setup()
-        record = self.check(model, obs, grid, u, np.arange(40))
+        record = self.check(model, obs, grid, u, np.arange(40)).channel_record
         assert [p.shape[-1] for p in record.precision] == [1, 2]
 
     def test_callable_shared_sigma(self):
@@ -224,12 +240,12 @@ class TestChannelRecord:
         self.check(model, obs, grid, np.array([0.5, -0.3]), np.arange(40))
 
     def test_rows_of_blown_up_batch(self):
+        """Every row of a batch with failed paths, the failed ones
+        included."""
         model, obs, grid, u = state_dependent_setup(blowup_at=3.0)
-        ids = np.arange(64)
-        failed = bs.simulate_batch(model, obs, grid, u, 5, ids).failed_step
-        alive = failed < 0
-        assert 0 < alive.sum() < len(ids)
-        self.check(model, obs, grid, u, ids, rows=alive)
+        batch = self.check(model, obs, grid, u, np.arange(64))
+        alive = batch.failed_step < 0
+        assert 0 < alive.sum() < len(alive)
 
     def test_kept_only_for_full_bridges_under_callable_sigma(self):
         model, obs, grid, u = state_dependent_setup()
@@ -243,11 +259,12 @@ class TestChannelRecord:
 
 class TestGirsanov:
     def test_requires_split(self):
-        model = bs.brownian(dim=1).spec
+        """The Girsanov term needs a drift split: without one its column
+        is exactly 0, even along a path under a non-zero drift."""
+        model = bs.ou(dim=1).spec
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
-        path = bs.PathSample(grid=grid, states=np.zeros((11, 1)), seed_id=0)
-        with pytest.raises(InvalidConfigurationError):
-            bs.girsanov_correction(path, model)
+        assert model.drift_split is None
+        assert girsanov(model, grid, np.linspace(0, 1, 11)[:, None]) == 0.0
 
     def test_zero_remainder_gives_zero(self):
         model = bs.ModelSpec(
@@ -255,10 +272,7 @@ class TestGirsanov:
             diffusion=lambda t, x: np.eye(1),
             drift_split=(lambda t, x: -x, lambda t, x: np.zeros_like(x)))
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
-        path = bs.PathSample(grid=grid,
-                             states=np.linspace(0, 1, 11)[:, None],
-                             seed_id=0)
-        assert bs.girsanov_correction(path, model) == 0.0
+        assert girsanov(model, grid, np.linspace(0, 1, 11)[:, None]) == 0.0
 
     def test_constant_remainder_telescopes(self):
         """b_check = c constant along a straight line: the left-point sums
@@ -274,21 +288,19 @@ class TestGirsanov:
         u = np.array([0.1, 0.3])
         z = np.array([1.4, -0.9])
         line = u + np.linspace(0.0, 1.0, len(grid.nodes))[:, None] * (z - u)
-        path = bs.PathSample(grid=grid, states=line, seed_id=0)
         ainv = np.linalg.inv(sigma @ sigma.T)
         expect = c @ ainv @ (z - u) - 0.5 * c @ ainv @ c * 2.0
-        assert np.isclose(bs.girsanov_correction(path, model), expect,
-                          atol=1e-12)
+        assert np.isclose(girsanov(model, grid, line), expect, atol=1e-12)
 
     def test_double_well_weights_finite(self):
         built = bs.double_well(dim=1, bound=0.3)
         obs = bs.validate([bs.Observation(1.0, [[1.0]], [1.6])], dim=1)
         grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
-        path = bs.simulate_bridge(built.spec, obs, grid, np.array([-1.0]),
-                                  3, 8)
-        bd = bs.log_weight(path, built.spec, obs)
-        assert np.isfinite(bd.total)
-        assert bd.girsanov_term != 0.0
+        batch = bs.simulate_batch(built.spec, obs, grid, np.array([-1.0]),
+                                  3, [8])
+        bd = row_terms(built.spec, obs, batch)
+        assert np.isfinite(total(bd))
+        assert bd["girsanov"] != 0.0
 
 
 class TestOverflowDetection:
@@ -298,19 +310,17 @@ class TestOverflowDetection:
         grid = bs.build_grid(1.0, obs, dt_base=0.25, dt_min=0.05)
         states = np.zeros((len(grid.nodes), 1))
         states[len(grid.nodes) // 2, 0] = np.inf
-        path = bs.PathSample(grid=grid, states=states, seed_id=0)
-        with pytest.raises(WeightOverflowError) as e:
-            bs.log_weight(path, model, obs)
-        assert e.value.term in ("boundary", "drift_term", "dA_term",
+        _, issues = batch_breakdown(model, obs, one_path(grid, states))
+        assert issues
+        assert issues[0][1] in ("boundary", "drift_term", "dA_term",
                                 "covar_term", "log_eta")
 
     def test_unvalidated_observations_rejected(self):
         model = bs.brownian(dim=1).spec
         raw = bs.ObservationSet((bs.Observation(1.0, [[1.0]], [0.5]),))
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
-        path = bs.PathSample(grid=grid, states=np.zeros((11, 1)), seed_id=0)
         with pytest.raises(InvalidObservationError):
-            bs.log_weight(path, model, raw)
+            batch_breakdown(model, raw, one_path(grid, np.zeros((11, 1))))
 
 
 class TestNormalize:
