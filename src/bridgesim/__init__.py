@@ -24,7 +24,7 @@ from .observations import (Observation, ObservationSet, channel_precision,
 from .oracle import (GaussianLaw, LinearModel, condition, joint_law,
                      observation_selector)
 from .sde import (ModelSpec, PathSample, TimeGrid, build_grid,
-                  noise_stream, normal_increments)
+                  normal_increments)
 from .weights import batch_breakdown, normalize_log_weights
 
 __version__ = "0.1.0"
@@ -41,7 +41,7 @@ __all__ = [
     "channel_precision", "conditional_moments", "condition",
     "config_digest", "coordinate_at", "double_well", "drifted_brownian",
     "error_kind", "estimate", "guide_pull", "joint_law",
-    "noise_stream", "normal_increments", "normalize_log_weights",
+    "normal_increments", "normalize_log_weights",
     "observation_selector", "ou", "parse_config", "run_ensemble",
     "simulate_batch", "simulate_free_batch", "validate",
 ]

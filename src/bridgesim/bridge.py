@@ -13,7 +13,6 @@ from .errors import InvalidConfigurationError, InvalidObservationError
 # guide_pull and normal_increments are no longer called here; they stay
 # in this namespace for tracers that wrap bridgesim.bridge.<name>
 from .observations import (  # noqa: F401
-    ChannelRecord,
     ObservationSet,
     channel,
     guide_pull,
@@ -48,8 +47,12 @@ class BatchPaths:
     states: np.ndarray                       # (P, M+1, n)
     preclamp: dict[int, np.ndarray] = field(default_factory=dict)
     failed_step: np.ndarray = None           # (P,), -1 where clean
-    # full bridges under a callable sigma only
-    channel_record: Optional[ChannelRecord] = None
+    # full bridges only, per observation k: A = (L a L*)^-1 at the J + 1
+    # nodes of window k, (P, J + 1, m, m), the last one at the state
+    # before the terminal projection, and log det A at the projected
+    # state, (P,); under an array sigma, read-only views of one channel
+    precision: Optional[list] = None
+    logdet: Optional[list] = None
     # bridges only: the guiding drift at each step's left node, (P, M, n)
     drift: Optional[np.ndarray] = None
 
@@ -137,25 +140,29 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     sig_c = model.constant_sigma
     channels = None if sig_c is None else \
         [channel(gram(sig_c), ob.matrix) for ob in obs.items]
-    # callable sigma: the factorization behind each pull also yields the
-    # precision the weights read at that node; keep it for full bridges
-    record = None
-    if channels is None and clamp_nodes:
-        record = ChannelRecord(
-            precision=[batch_innermost(paths, (j1 - j0 + 1, ob.m, ob.m))
-                       for j0, _, j1, ob in table],
-            logdet=[np.empty(p_count) for _ in table])
+    # full bridges keep the channel algebra the weights read: under an
+    # array sigma as views of the one channel per observation, under a
+    # callable sigma filled from the factorization behind each pull
+    precision = logdet = None
+    if clamp_nodes and channels is not None:
+        precision = [np.broadcast_to(ch.A, (p_count, j1 - j0 + 1) + ch.A.shape)
+                     for ch, (j0, _, j1, _) in zip(channels, table)]
+        logdet = [np.full(p_count, ch.logdet) for ch in channels]
+    elif clamp_nodes:
+        precision = [batch_innermost(paths, (j1 - j0 + 1, ob.m, ob.m))
+                     for j0, _, j1, ob in table]
+        logdet = [np.empty(p_count) for _ in table]
 
     def chan(k, t, x, sig=None, node=None):
-        """Observation k's channel at time t and states x, kept in the
-        record at window node ``node``."""
+        """Observation k's channel at time t and states x, kept in
+        ``precision`` at window node ``node``."""
         if channels is not None:
             return channels[k]
         if sig is None:
             sig = diffusion_values(model.diffusion, t, x, n)
         ch = channel(gram(sig), obs.items[k].matrix)
-        if record is not None and node is not None:
-            record.precision[k][:, node] = ch.A
+        if precision is not None and node is not None:
+            precision[k][:, node] = ch.A
         return ch
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -188,13 +195,13 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 resid = ob.value - vecmat(cur, ob.matrix.T)
                 move = chan(k0, nodes[j + 1], cur, node=-1).pull(resid)
                 cur = np.where(keep[:, None], cur + move, cur)
-                if record is not None:
-                    record.logdet[k0][:] = chan(k0, nodes[j + 1], cur).logdet
+                if channels is None:
+                    logdet[k0][:] = chan(k0, nodes[j + 1], cur).logdet
             states[:, j + 1] = cur
 
     return BatchPaths(grid=grid, path_ids=ids, states=states,
                       preclamp=preclamp, failed_step=failed,
-                      channel_record=record, drift=drift)
+                      precision=precision, logdet=logdet, drift=drift)
 
 
 def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
@@ -205,11 +212,13 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     Each step adds the guiding pull of every window containing the left
     node (windows are closed on the left, open at the observation time).
     In full-bridge mode the state is projected onto the observed value
-    when a step lands on an observation time; the unprojected state is
-    retained per observation for the weight computation, as is, under
-    a callable sigma, the channel record of the factorizations behind
-    the pulls and projections.  Failed paths freeze at their last
-    admissible state and are reported through ``failed_step``.
+    when a step lands on an observation time.  For the weights a full
+    bridge keeps, per observation, the unprojected state, the channel
+    ``precision`` along the window and its ``logdet`` at the projected
+    state, all from the factorizations behind the pulls and
+    projections, and every bridge keeps the guiding ``drift``.  Failed
+    paths freeze at their last admissible state and are reported
+    through ``failed_step``.
 
     ``epsilon_cutoff`` stops every guiding window a distance epsilon
     before its observation time and disables the terminal projection;

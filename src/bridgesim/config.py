@@ -140,7 +140,11 @@ def parse_config(source) -> RunConfig:
                                         field="model.params")
     drift_split = _boolean(model_raw.get("drift_split", False),
                            "model.drift_split")
+    if name == "double_well" and model_raw.get("drift_split") is False:
+        raise InvalidConfigurationError(
+            "double_well always splits its drift", field="model.drift_split")
     built = build_model(name, params, drift_split)
+    drift_split = built.spec.drift_split is not None
     dim = built.spec.dim
 
     obs_raw = _require(raw, "observations", "")
@@ -202,13 +206,12 @@ def parse_config(source) -> RunConfig:
     if init_raw is None:
         initial_state = np.zeros(dim)
     else:
-        initial_state = np.asarray(init_raw, dtype=float)
-        if initial_state.shape != (dim,):
+        if not isinstance(init_raw, list) or len(init_raw) != dim:
             raise InvalidConfigurationError(
-                f"initial_state must have length {dim}", field="initial_state")
-        if not np.all(np.isfinite(initial_state)):
-            raise InvalidConfigurationError("initial_state must be finite",
-                                            field="initial_state")
+                f"initial_state must be an array of length {dim}",
+                field="initial_state")
+        initial_state = np.array([_number(x, f"initial_state[{i}]")
+                                  for i, x in enumerate(init_raw)])
 
     n_paths = _integer(_require(raw, "n_paths", ""), "n_paths")
     if n_paths < 1:

@@ -157,21 +157,6 @@ class Channel:
         return vecmat(resid, self.gain)
 
 
-@dataclass(frozen=True)
-class ChannelRecord:
-    """Channel algebra of a batch along every observation window.
-
-    ``precision[k]`` is (P, J + 1, m, m): A = (L a L*)^-1 at each of the
-    J + 1 nodes of window k, the last one at the state before the
-    terminal projection.  ``logdet[k]`` is (P,): log det A at the
-    projected state.  The bridge kernel fills it as it pulls and
-    projects; the weights read it instead of factoring again.
-    """
-
-    precision: list
-    logdet: list
-
-
 def channel(a: np.ndarray, L: np.ndarray) -> Channel:
     """The one factorization of L a L*, for a shared (n, n) or batched
     (..., n, n) ``a``; every pull, projection and precision uses it.

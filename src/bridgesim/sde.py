@@ -369,21 +369,18 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
 # ---------------------------------------------------------------------------
 # noise streams
 
-def noise_stream(seed: int, path_id: int) -> np.random.Generator:
-    """Counter-based generator for one path.
+def normal_increments(seed: int, path_id: int, n_steps: int,
+                      dim: int) -> np.ndarray:
+    """The (n_steps, dim) block of standard normals driving one path.
 
-    Streams are keyed by (seed, path_id), so any path can be regenerated
-    in isolation and results do not depend on scheduling order.
+    A counter-based generator keyed by (seed, path_id) draws it, so any
+    path can be regenerated in isolation and results do not depend on
+    scheduling order.
     """
     key = np.array([int(seed) & _MASK64, int(path_id) & _MASK64],
                    dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def normal_increments(seed: int, path_id: int, n_steps: int,
-                      dim: int) -> np.ndarray:
-    """The (n_steps, dim) block of standard normals driving one path."""
-    return noise_stream(seed, path_id).standard_normal((n_steps, dim))
+    gen = np.random.Generator(np.random.Philox(key=key))
+    return gen.standard_normal((n_steps, dim))
 
 
 def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:

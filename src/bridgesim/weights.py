@@ -13,20 +13,18 @@ self-normalization cancels them.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .bridge import BatchPaths
-from .errors import DegenerateEnsembleError, InvalidObservationError
-from .observations import (
-    ChannelRecord,
-    ObservationSet,
-    channel,
-    channel_precision,
+from .errors import (
+    DegenerateEnsembleError,
+    InvalidConfigurationError,
+    InvalidObservationError,
 )
+from .observations import ObservationSet, channel_precision
 from .sde import (
     ModelSpec,
     TimeGrid,
@@ -51,30 +49,6 @@ def _window_states(states: np.ndarray, preclamp: dict[int, np.ndarray],
         # projected state enters only through the eta factor
         sl[:, -1, :] = pre
     return sl
-
-
-def channel_record(model: ModelSpec, obs: ObservationSet,
-                   batch: BatchPaths) -> ChannelRecord:
-    """The channel record of a callable-sigma batch, rebuilt from its
-    states: the record the bridge kernel keeps while it simulates."""
-    grid, states, preclamp = batch.grid, batch.states, batch.preclamp
-
-    def factor(j, x, L):
-        return channel_precision(gram(diffusion_values(
-            model.diffusion, grid.nodes[j], x, model.dim)), L)
-
-    precision, logdet = [], []
-    for k, ob in enumerate(obs.items):
-        j0 = grid.window_start_indices[k]
-        j1 = grid.obs_indices[k]
-        sl = _window_states(states, preclamp, k, j0, j1)
-        prec = np.empty(sl.shape[:2] + (ob.m, ob.m))
-        for j in range(j1 - j0 + 1):
-            prec[:, j] = factor(j0 + j, sl[:, j], ob.matrix)[0]
-        precision.append(prec)
-        logdet.append(np.empty(states.shape[0]))
-        logdet[-1][:] = factor(j1, states[:, j1], ob.matrix)[1]
-    return ChannelRecord(precision, logdet)
 
 
 def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
@@ -116,11 +90,10 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet,
     """Weight terms for a batch of full bridges.
 
     The terms read the batch's states and, per observation, the
-    unprojected states of its terminal projection.  Under a callable
-    sigma they read the channel precision from the batch's
-    ``channel_record`` and the guiding drift from its ``drift``, the
-    ones the bridge kernel kept for these rows; without them both are
-    rebuilt from the states.  The window sums run over the grid steps
+    unprojected states of its terminal projection, and the channel
+    ``precision`` and ``logdet`` and the guiding ``drift`` the bridge
+    kernel kept for these rows; a batch without them (cut-off or built
+    by hand) cannot be weighted.  The window sums run over the grid steps
     of each correction window, left points included; the final step up
     to the observation time uses the state before terminal projection
     and keeps the left node in its denominator.  A row's terms do not
@@ -134,6 +107,10 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet,
     if obs.items and not obs.validated:
         raise InvalidObservationError(
             "observation set must be validated before weighting")
+    if obs.items and (batch.precision is None or batch.drift is None):
+        raise InvalidConfigurationError(
+            "weights need the channel precision and guiding drift that "
+            "simulate_batch keeps for full bridges")
     states = batch.states
     p_count = states.shape[0]
     n_obs = len(obs.items)
@@ -155,9 +132,6 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet,
                            None if j0 is None else int(j0 + c)))
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if batch.channel_record is None and model.constant_sigma is None:
-            batch = replace(batch,
-                            channel_record=channel_record(model, obs, batch))
         for k, ob in enumerate(obs.items):
             _observation_terms(model, batch, k, ob, put)
     put("girsanov", -1, _girsanov_batch(model, batch.grid, states))
@@ -167,37 +141,24 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet,
 def _observation_terms(model: ModelSpec, batch: BatchPaths, k: int,
                        ob, put) -> None:
     """Store the window terms of observation ``k`` through ``put``."""
-    grid, states, record = batch.grid, batch.states, batch.channel_record
-    p_count = states.shape[0]
+    grid = batch.grid
     j0 = grid.window_start_indices[k]
     j1 = grid.obs_indices[k]
-    n_steps = j1 - j0
     tt = grid.nodes[j0:j1 + 1]
-    sl = _window_states(states, batch.preclamp, k, j0, j1)
+    sl = _window_states(batch.states, batch.preclamp, k, j0, j1)
     L = ob.matrix
     denom = grid.nodes[j1] - tt[:-1]
     resid = vecmat(sl, L.T) - ob.value               # (P, J+1, m)
     r0, r = resid[:, 0], resid[:, :-1]
 
-    sig_c = model.constant_sigma
-    if sig_c is None:
-        prec = record.precision[k]
-    else:
-        ch = channel(gram(sig_c), L)
-        prec = np.broadcast_to(ch.A, (p_count, n_steps + 1) + ch.A.shape)
+    prec = batch.precision[k]
     put("boundary", k, -dot(vecmat(r0, prec[:, 0]), r0) / (2.0 * ob.window))
-
-    if batch.drift is None:
-        drift = np.empty((p_count, n_steps, model.dim))
-        for j in range(n_steps):
-            drift[:, j] = drift_values(model.effective_drift, tt[j],
-                                       states[:, j0 + j], model.dim)
-    else:
-        drift = batch.drift[:, j0:j1]
-    qd = dot(vecmat(r, prec[:, :-1]), vecmat(drift, L.T))
+    qd = dot(vecmat(r, prec[:, :-1]), vecmat(batch.drift[:, j0:j1], L.T))
     put("drift_term", k, -qd * np.diff(tt) / denom, j0)
 
-    if sig_c is None:
+    # constant sigma: the precision never moves, so dA_term and
+    # covar_term are exactly 0
+    if model.constant_sigma is None:
         dprec = prec[:, 1:] - prec[:, :-1]
         qa = dot(vecmat(r, dprec), r)
         put("dA_term", k, -qa / (2.0 * denom), j0)
@@ -206,11 +167,7 @@ def _observation_terms(model: ModelSpec, batch: BatchPaths, k: int,
         flat = dprec.shape[:2] + (ob.m ** 2,)
         qc = dot(dprec.reshape(flat), douter.reshape(flat))
         put("covar_term", k, -qc / (2.0 * denom), j0)
-        put("log_eta", k, 0.5 * record.logdet[k])
-    else:
-        # constant precision: dA_term and covar_term are exactly 0, and
-        # log det A is the same for every path
-        put("log_eta", k, np.full(p_count, 0.5 * ch.logdet))
+    put("log_eta", k, 0.5 * batch.logdet[k])
 
 
 def normalize_log_weights(logw):

@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 import bridgesim as bs
-from bridgesim.observations import channel
+from bridgesim.observations import channel, channel_precision
+from bridgesim.sde import diffusion_values, drift_values, gram
 
 
 def rand_orthonormal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -31,6 +34,44 @@ def channel_bundle(sigma: np.ndarray, L: np.ndarray):
     oblique projection onto the pulled directions."""
     ch = channel(sigma @ sigma.T, L)
     return ch, sigma.T @ L.T @ ch.A, ch.gain.T @ L
+
+
+def rebuilt_channels(model, obs, batch):
+    """``batch`` with its channel ``precision`` and ``logdet`` and its
+    guiding ``drift`` recomputed from its states, apart from the bridge
+    kernel, for an array or a callable sigma.
+
+    Per observation: A = (L a L*)^-1 at each window node, the last one
+    at the state before the terminal projection, and log det A at the
+    projected state; the guiding drift at the left node of every step.
+    """
+    grid, states = batch.grid, batch.states
+    p_count, n = states.shape[0], model.dim
+
+    def factor(j, x, L):
+        return channel_precision(gram(diffusion_values(
+            model.diffusion, grid.nodes[j], x, n)), L)
+
+    precision, logdet = [], []
+    drift = np.empty((p_count, grid.n_steps, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, ob in enumerate(obs.items):
+            j0 = grid.window_start_indices[k]
+            j1 = grid.obs_indices[k]
+            window = states[:, j0:j1 + 1].copy(order="K")
+            if k in batch.preclamp:
+                window[:, -1] = batch.preclamp[k]
+            prec = np.empty((p_count, j1 - j0 + 1, ob.m, ob.m))
+            for j in range(j1 - j0 + 1):
+                prec[:, j] = factor(j0 + j, window[:, j], ob.matrix)[0]
+            precision.append(prec)
+            logdet.append(np.empty(p_count))
+            logdet[-1][:] = factor(j1, states[:, j1], ob.matrix)[1]
+        for j in range(grid.n_steps):
+            drift[:, j] = drift_values(model.effective_drift, grid.nodes[j],
+                                       states[:, j], n)
+    return dataclasses.replace(batch, precision=precision, logdet=logdet,
+                               drift=drift)
 
 
 def single_full_obs(time: float, value, dim: int,

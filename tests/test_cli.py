@@ -98,6 +98,35 @@ class TestParseConfig:
             bs.parse_config(raw)
         assert e.value.field == field
 
+    @pytest.mark.parametrize("value,field", [
+        (["a"], "initial_state[0]"),
+        ([True], "initial_state[0]"),
+        ([[0.0]], "initial_state[0]"),
+        ([float("nan")], "initial_state[0]"),
+        ("x", "initial_state"),
+        ({"0": 0.0}, "initial_state"),
+    ])
+    def test_bad_initial_state_entries(self, value, field):
+        with pytest.raises(InvalidConfigurationError) as e:
+            bs.parse_config(base_config(initial_state=value))
+        assert e.value.field == field
+
+    def test_double_well_always_splits(self):
+        """double_well ships with a split; the parsed flag says so, and
+        an explicit ``false`` is rejected instead of ignored."""
+        raw = base_config(model={"name": "double_well",
+                                 "params": {"dim": 1}})
+        assert bs.parse_config(raw).drift_split is True
+        raw["model"]["drift_split"] = True
+        cfg = bs.parse_config(raw)
+        assert cfg.drift_split is True
+        assert cfg.build_model().spec.drift_split is not None
+        raw["model"]["drift_split"] = False
+        with pytest.raises(InvalidConfigurationError) as e:
+            bs.parse_config(raw)
+        assert e.value.field == "model.drift_split"
+        assert bs.parse_config(base_config()).drift_split is False
+
     def test_invalid_json_string(self):
         with pytest.raises(InvalidConfigurationError):
             bs.parse_config("{not json")
@@ -404,6 +433,23 @@ class TestOtherCommands:
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is True
         assert out["n_observations"] == 1
+
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda c: c.update(initial_state=["a"]), "initial_state[0]"),
+        (lambda c: c.update(initial_state="x"), "initial_state"),
+        (lambda c: c.update(model={"name": "double_well",
+                                   "drift_split": False,
+                                   "params": {"dim": 1}}),
+         "model.drift_split"),
+    ])
+    def test_validate_rejects_bad_config(self, tmp_path, capsys, mutate,
+                                         field):
+        cfg = base_config()
+        mutate(cfg)
+        assert main(["validate", write_config(tmp_path, cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "invalid-configuration"
+        assert err["field"] == field
 
     def test_oracle_command(self, tmp_path, capsys):
         status = main(["oracle", write_config(tmp_path, base_config())])

@@ -1,5 +1,4 @@
 """Ensemble runner and self-normalized estimation."""
-import dataclasses
 import os
 import pickle
 import subprocess
@@ -18,7 +17,11 @@ from bridgesim.errors import (
 )
 from bridgesim.estimator import CHUNK_SIZE, weighted_mean_se
 from bridgesim.weights import batch_breakdown
-from conftest import nondiagonal_sigma_setup, state_dependent_setup
+from conftest import (
+    nondiagonal_sigma_setup,
+    rebuilt_channels,
+    state_dependent_setup,
+)
 
 
 def brownian_setup(dt_base=0.02, dt_min=1e-3, value=1.0):
@@ -131,9 +134,9 @@ class TestRunEnsemble:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kernel_record_matches_rebuilt_weights(self, threads):
         """The ensemble's terms, weighted from the kernel's channel
-        record and drift, are the bytes of the retained rows of each
-        whole chunk, failed paths included, weighted with a record and
-        drift rebuilt from its states."""
+        precision, log-determinant and drift, are the bytes of the
+        retained rows of each whole chunk, failed paths included,
+        weighted with those arrays rebuilt from its states."""
         model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
         n_paths = CHUNK_SIZE + 100
         ens = bs.run_ensemble(model, obs, grid, u, n_paths, seed=5,
@@ -144,8 +147,8 @@ class TestRunEnsemble:
             ids = np.arange(start, min(start + CHUNK_SIZE, n_paths))
             sim = bs.simulate_batch(model, obs, grid, u, 5, ids)
             alive = sim.failed_step < 0
-            terms, issues = batch_breakdown(model, obs, dataclasses.replace(
-                sim, channel_record=None, drift=None))
+            terms, issues = batch_breakdown(
+                model, obs, rebuilt_channels(model, obs, sim))
             assert not issues
             parts.append({name: arr[alive] for name, arr in terms.items()})
         assert sorted(ens.breakdown) == sorted(parts[0])

@@ -1,12 +1,23 @@
 """Every public name, and every name the benchmark's tracer wraps,
-resolves."""
+resolves; no module keeps an import it does not use."""
+import ast
 import importlib
 import importlib.util
 import pathlib
 
 import bridgesim
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+PACKAGE = ROOT / "src" / "bridgesim"
+
+
+def traced_hooks():
+    """``HOOKS`` of ``perfbench/spans.py``: (module, name, layer)."""
+    spec = importlib.util.spec_from_file_location("_traced_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.HOOKS
 
 
 def test_every_exported_name_resolves():
@@ -20,10 +31,33 @@ def test_every_traced_name_resolves():
     """``perfbench/spans.py`` wraps module-level names by (module, name);
     a refactor that deletes or moves one would otherwise show only in
     the benchmark's slow smoke test."""
-    spec = importlib.util.spec_from_file_location("_traced_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    assert spans.HOOKS
-    missing = [(module, name) for module, name, _ in spans.HOOKS
+    hooks = traced_hooks()
+    assert hooks
+    missing = [(module, name) for module, name, _ in hooks
                if not hasattr(importlib.import_module(module), name)]
     assert not missing
+
+
+def test_every_imported_name_is_used():
+    """A module other than the package's ``__init__`` uses each name it
+    imports, unless the tracer wraps that name there; a deletion must
+    not leave dead imports behind."""
+    hooked = {(module, name) for module, name, _ in traced_hooks()}
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                imported |= {alias.asname or alias.name.split(".")[0]
+                             for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        module = f"bridgesim.{path.stem}"
+        unused += [(module, name) for name in sorted(imported - used)
+                   if (module, name) not in hooked]
+    assert not unused

@@ -43,12 +43,21 @@ class TestNoise:
         assert np.array_equal(long[:20], short)
 
     def test_moments(self):
-        draws = bs.noise_stream(123, 0).standard_normal(100_000)
+        draws = bs.normal_increments(123, 0, 100_000, 1)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
+        # the stream is Philox keyed by (seed, path_id)
+        gen = np.random.Generator(np.random.Philox(key=[123, 0]))
+        assert draws.tobytes() == gen.standard_normal((100_000, 1)).tobytes()
 
     def test_negative_and_huge_ids_accepted(self):
-        bs.noise_stream(-5, 2 ** 70)
+        """Any integer seed and id keys the stream through its low 64
+        bits."""
+        got = bs.normal_increments(-5, 2 ** 70, 4, 2)
+        key = np.array([-5 & (2 ** 64 - 1), 2 ** 70 & (2 ** 64 - 1)],
+                       dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        assert got.tobytes() == gen.standard_normal((4, 2)).tobytes()
 
     @pytest.mark.parametrize("ids", [
         [9, 2, 40, 3],                              # non-contiguous
@@ -170,7 +179,7 @@ class TestLayout:
         model, obs, grid, u = state_dependent_setup()
         batch = simulate_batch(model, obs, grid, u, 3, np.arange(16))
         arrays = [batch.states, batch.drift, *batch.preclamp.values(),
-                  *batch.channel_record.precision]
+                  *batch.precision]
         for arr in arrays:
             assert arr.shape[0] == 16
             assert arr.strides[0] == arr.itemsize

@@ -1,15 +1,21 @@
 """Path weights: degenerate cases, a loop-based reference implementation,
 the drift-remainder correction, and normalization."""
-import dataclasses
-
 import numpy as np
 import pytest
 
 import bridgesim as bs
-from bridgesim.errors import DegenerateEnsembleError, InvalidObservationError
+from bridgesim.errors import (
+    DegenerateEnsembleError,
+    InvalidConfigurationError,
+    InvalidObservationError,
+)
 from bridgesim.sde import diffusion_values, drift_values
-from bridgesim.weights import batch_breakdown, channel_record
-from conftest import state_dependent_setup
+from bridgesim.weights import batch_breakdown
+from conftest import (
+    nondiagonal_sigma_setup,
+    rebuilt_channels,
+    state_dependent_setup,
+)
 
 
 def reference_breakdown(model, obs, grid, states, preclamp):
@@ -192,41 +198,42 @@ class TestReferenceAgreement:
         states = rng.standard_normal((len(grid.nodes), 1))
         states[-1, 0] = 0.8
         pre = rng.standard_normal(1) * 0.1 + 0.8
-        bd = row_terms(model, obs, one_path(grid, states, {0: pre}))
+        batch = rebuilt_channels(model, obs, one_path(grid, states, {0: pre}))
+        bd = row_terms(model, obs, batch)
         ref = reference_breakdown(model, obs, grid, states, {0: pre})[0]
         for name in ("log_eta", "boundary", "drift_term", "dA_term",
                      "covar_term"):
             assert np.isclose(bd[name][0], ref[name], atol=1e-12)
 
 
-def assert_same_record(got, want):
-    assert len(got.precision) == len(want.precision) == len(want.logdet)
-    for x, y in zip(got.precision + got.logdet,
-                    want.precision + want.logdet):
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for x, y in zip(got, want):
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 class TestChannelRecord:
     """The kernel keeps the channel precision behind each pull and
-    projection; it must be, byte for byte, the record the weights
-    rebuild from the states, and weight the paths identically.  So must
-    the guiding drift the kernel evaluated at each step."""
+    projection, its log-determinant and the guiding drift it evaluated
+    at each step; they must be, byte for byte, the ones rebuilt from the
+    states, and weight the paths identically."""
 
     def check(self, model, obs, grid, u, ids):
         batch = bs.simulate_batch(model, obs, grid, u, 5, ids)
-        record = batch.channel_record
-        assert_same_record(record, channel_record(model, obs, batch))
+        rebuilt = rebuilt_channels(model, obs, batch)
+        assert_same_arrays(batch.precision, rebuilt.precision)
+        assert_same_arrays(batch.logdet, rebuilt.logdet)
+        assert_same_arrays([batch.drift], [rebuilt.drift])
         kept, _ = batch_breakdown(model, obs, batch)
-        rebuilt, _ = batch_breakdown(model, obs, dataclasses.replace(
-            batch, channel_record=None, drift=None))
-        for name, arr in rebuilt.items():
+        again, _ = batch_breakdown(model, obs, rebuilt)
+        for name, arr in again.items():
             assert kept[name].tobytes() == arr.tobytes(), name
         return batch
 
     def test_state_dependent_sigma(self):
         model, obs, grid, u = state_dependent_setup()
-        record = self.check(model, obs, grid, u, np.arange(40)).channel_record
-        assert [p.shape[-1] for p in record.precision] == [1, 2]
+        batch = self.check(model, obs, grid, u, np.arange(40))
+        assert [p.shape[-1] for p in batch.precision] == [1, 2]
 
     def test_callable_shared_sigma(self):
         """A callable returning one (n, n) sigma factors one shared
@@ -239,6 +246,14 @@ class TestChannelRecord:
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         self.check(model, obs, grid, np.array([0.5, -0.3]), np.arange(40))
 
+    def test_array_sigma(self):
+        """An array sigma keeps read-only views of its one channel per
+        observation, which add no memory per path."""
+        model, obs, grid, u = nondiagonal_sigma_setup()
+        batch = self.check(model, obs, grid, u, np.arange(40))
+        prec = batch.precision[0]
+        assert not prec.flags.writeable and prec.strides[:2] == (0, 0)
+
     def test_rows_of_blown_up_batch(self):
         """Every row of a batch with failed paths, the failed ones
         included."""
@@ -247,14 +262,36 @@ class TestChannelRecord:
         alive = batch.failed_step < 0
         assert 0 < alive.sum() < len(alive)
 
-    def test_kept_only_for_full_bridges_under_callable_sigma(self):
+    def test_kept_for_full_bridges_only(self):
+        """Every full bridge keeps the channel arrays, under an array
+        sigma too; cut-off and free batches keep none."""
+        model, obs, grid, u = state_dependent_setup()
+        array = bs.ou(dim=3).spec
+        shapes = [(2, grid.obs_indices[k] - grid.window_start_indices[k] + 1,
+                   ob.m, ob.m) for k, ob in enumerate(obs.items)]
+        for spec in (model, array):
+            full = bs.simulate_batch(spec, obs, grid, u, 5, [0, 1])
+            assert [p.shape for p in full.precision] == shapes
+            assert [d.shape for d in full.logdet] == [(2,), (2,)]
+            assert full.drift.shape == (2, grid.n_steps, 3)
+        cut = grid.nodes[-1] - grid.nodes[-2]
+        cutoff = bs.simulate_batch(model, obs, grid, u, 5, [0],
+                                   epsilon_cutoff=cut)
+        free = bs.simulate_free_batch(model, grid, u, 5, [0])
+        for batch in (cutoff, free):
+            assert batch.precision is None and batch.logdet is None
+
+    def test_cutoff_batch_rejected(self):
+        """The weights assume the full bridge: a cut-off batch, or one
+        built by hand, carries no channel precision and is not
+        weighted."""
         model, obs, grid, u = state_dependent_setup()
         cut = grid.nodes[-1] - grid.nodes[-2]
-        assert bs.simulate_batch(model, obs, grid, u, 5, [0],
-                                 epsilon_cutoff=cut).channel_record is None
-        array = bs.ou(dim=3).spec
-        assert bs.simulate_batch(array, obs, grid, u, 5, [0]) \
-            .channel_record is None
+        batch = bs.simulate_batch(model, obs, grid, u, 5, [0],
+                                  epsilon_cutoff=cut)
+        for unweighted in (batch, one_path(grid, batch.states[0])):
+            with pytest.raises(InvalidConfigurationError):
+                batch_breakdown(model, obs, unweighted)
 
 
 class TestGirsanov:
@@ -310,7 +347,8 @@ class TestOverflowDetection:
         grid = bs.build_grid(1.0, obs, dt_base=0.25, dt_min=0.05)
         states = np.zeros((len(grid.nodes), 1))
         states[len(grid.nodes) // 2, 0] = np.inf
-        _, issues = batch_breakdown(model, obs, one_path(grid, states))
+        batch = rebuilt_channels(model, obs, one_path(grid, states))
+        _, issues = batch_breakdown(model, obs, batch)
         assert issues
         assert issues[0][1] in ("boundary", "drift_term", "dA_term",
                                 "covar_term", "log_eta")
