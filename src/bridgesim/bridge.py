@@ -27,9 +27,9 @@ from .sde import (  # noqa: F401
     diffusion_values,
     dot,
     drift_values,
-    gram,
     matvec,
     normal_increments,
+    product,
     vecmat,
 )
 
@@ -53,7 +53,8 @@ class BatchPaths:
     # state, (P,); under an array sigma, read-only views of one channel
     precision: Optional[list] = None
     logdet: Optional[list] = None
-    # bridges only: the guiding drift at each step's left node, (P, M, n)
+    # full bridges only: the guiding drift at each step's left node,
+    # (P, M, n)
     drift: Optional[np.ndarray] = None
 
 
@@ -124,10 +125,21 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     paths = (p_count,)
     xi = batch_innermost(paths, (m_steps, n))
     xi[...] = block_normals(seed, ids, m_steps, n)
+    sig_c = model.constant_sigma
+    if sig_c is not None:
+        # constant sigma: every step's noise term sigma xi sqrt(dt) at
+        # once, each element the sum the step would form.  Both buffers
+        # keep paths innermost, so each step reads one contiguous (P, n)
+        # block; the product from block_normals' (P, M, n) layout
+        # instead strides through memory and costs three times as much
+        noise = batch_innermost(paths, (m_steps, n))
+        product(xi[..., None, :], sig_c.T, out=noise[..., None, :])
+        noise *= np.sqrt(np.diff(nodes))[:, None]
+        xi = None  # only the noise term is read from here on
     states = batch_innermost(paths, (m_steps + 1, n))
     states[:, 0] = u
     failed = np.full(p_count, -1, dtype=int)
-    drift = batch_innermost(paths, (m_steps, n)) if obs.items else None
+    drift = batch_innermost(paths, (m_steps, n)) if clamp_nodes else None
     preclamp: dict[int, np.ndarray] = {}
     cap = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(u)))
     # the check compares squares; a square that overflows fails it even
@@ -135,14 +147,13 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     cap2 = min(cap * cap, np.finfo(float).max)
     cur = batch_innermost(paths, (n,))
     cur[...] = u
-    # constant sigma: one factorization per observation serves the pull
-    # at every step and the terminal projection
-    sig_c = model.constant_sigma
+    # constant sigma: one channel per observation serves the pull at
+    # every step and the terminal projection
     channels = None if sig_c is None else \
-        [channel(gram(sig_c), ob.matrix) for ob in obs.items]
+        [channel(sig_c, ob.matrix) for ob in obs.items]
     # full bridges keep the channel algebra the weights read: under an
     # array sigma as views of the one channel per observation, under a
-    # callable sigma filled from the factorization behind each pull
+    # callable sigma filled from the channel behind each pull
     precision = logdet = None
     if clamp_nodes and channels is not None:
         precision = [np.broadcast_to(ch.A, (p_count, j1 - j0 + 1) + ch.A.shape)
@@ -160,7 +171,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             return channels[k]
         if sig is None:
             sig = diffusion_values(model.diffusion, t, x, n)
-        ch = channel(gram(sig), obs.items[k].matrix)
+        ch = channel(sig, obs.items[k].matrix)
         if precision is not None and node is not None:
             precision[k][:, node] = ch.A
         return ch
@@ -181,7 +192,10 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                     resid = vecmat(cur, ob.matrix.T) - ob.value
                     ch = chan(k, t, cur, sig, j - j0)
                     total = total - ch.pull(resid) / (nodes[j1] - t)
-            nxt = cur + total * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
+            if sig_c is None:
+                nxt = cur + total * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
+            else:
+                nxt = cur + total * dt + noise[:, j]
             # a non-finite entry fails the comparison too
             bad = (failed < 0) & ~(dot(nxt, nxt) <= cap2)
             failed[bad] = j
@@ -215,17 +229,17 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     when a step lands on an observation time.  For the weights a full
     bridge keeps, per observation, the unprojected state, the channel
     ``precision`` along the window and its ``logdet`` at the projected
-    state, all from the factorizations behind the pulls and
-    projections, and every bridge keeps the guiding ``drift``.  Failed
-    paths freeze at their last admissible state and are reported
-    through ``failed_step``.
+    state, all from the channels behind the pulls and projections, and
+    the guiding ``drift``.  Failed paths freeze at their last admissible
+    state and are reported through ``failed_step``.
 
     ``epsilon_cutoff`` stops every guiding window a distance epsilon
     before its observation time and disables the terminal projection;
     it serves the study of the cut-off approximation.  With a matching
     (seed, path_id) a cut-off path shares its driving noise with the
     full bridge, so the two coincide up to the first cut-off node.  The
-    weights assume the full bridge, so cut-off paths are never weighted.
+    weights assume the full bridge, so cut-off paths are never weighted
+    and keep no ``precision``, ``logdet`` or ``drift``.
     """
     return _euler(model, obs, grid, u, seed, path_ids, model.effective_drift,
                   epsilon_cutoff, validate)

@@ -234,7 +234,11 @@ def weighted_mean_se(weights: np.ndarray, fvals: np.ndarray):
     fvals = np.asarray(fvals, dtype=float)
     flat = fvals.reshape(len(weights), -1)
     value = weights @ flat
-    se = np.sqrt(((weights ** 2)[:, None] * (flat - value) ** 2).sum(axis=0))
+    # w^2 (f - value)^2 in one (K, d) buffer
+    dev = flat - value
+    dev *= dev
+    dev *= (weights * weights)[:, None]
+    se = np.sqrt(dev.sum(axis=0))
     return value.reshape(fvals.shape[1:]), se.reshape(fvals.shape[1:])
 
 

@@ -140,11 +140,11 @@ def validate(obs: Union[ObservationSet, Iterable[Observation]],
 @dataclass(frozen=True)
 class Channel:
     """Algebra of one observation channel under a shared (n, n) or a
-    batched (..., n, n) ``a``.
+    batched (..., n, n) diffusion matrix sigma, with a = sigma sigma*.
 
     ``A = (L a L*)^-1``, ``logdet = log det A`` and the gain
     ``gain = A L a``, (..., m, n).  Built once, a shared channel serves
-    every step and node at which ``a`` is the same.
+    every step and node at which sigma is the same.
     """
 
     A: np.ndarray
@@ -157,23 +157,19 @@ class Channel:
         return vecmat(resid, self.gain)
 
 
-def channel(a: np.ndarray, L: np.ndarray) -> Channel:
-    """The one factorization of L a L*, for a shared (n, n) or batched
-    (..., n, n) ``a``; every pull, projection and precision uses it.
+def _not_elliptic(detail: str) -> EllipticityViolationError:
+    return EllipticityViolationError(
+        f"L a L* is not positive definite: {detail}")
 
-    A comes from the inverted Cholesky factor, never from inverting an
-    unfactorized matrix.  Every product is summed in a fixed order (see
-    :func:`bridgesim.sde.product`), so a row's bits do not depend on the
-    batch it is factored in.
-    """
-    La = product(L, a)
-    mat = product(La, L.T)
-    mat = 0.5 * (mat + np.swapaxes(mat, -1, -2))
+
+def _cholesky_precision(S: np.ndarray):
+    """(S^-1, log det S^-1) from the Cholesky factor of S, m >= 3."""
+    if np.isnan(S).any():
+        raise _not_elliptic("NaN")
     try:
-        chol = np.linalg.cholesky(mat)
+        chol = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
-        raise EllipticityViolationError(
-            f"L a L* is not positive definite: {exc}") from exc
+        raise _not_elliptic(str(exc)) from exc
     # forward substitution, one row of the inverse factor at a time
     diag = np.diagonal(chol, axis1=-2, axis2=-1)
     inv = np.zeros_like(chol)
@@ -182,18 +178,69 @@ def channel(a: np.ndarray, L: np.ndarray) -> Channel:
         if i:
             inv[..., i, :i] = -vecmat(chol[..., i, :i], inv[..., :i, :i]) \
                 * inv[..., i, i, None]
-    prec = product(np.swapaxes(inv, -1, -2), inv)
     # the logs summed in a fixed order; a reduction's order varies
-    logdet = -2.0 * dot(np.log(diag), np.ones_like(diag))
-    return Channel(A=prec, logdet=logdet, gain=product(prec, La))
+    return (product(np.swapaxes(inv, -1, -2), inv),
+            -2.0 * dot(np.log(diag), np.ones_like(diag)))
+
+
+def channel(sig: np.ndarray, L: np.ndarray) -> Channel:
+    """The channel of L for a shared (n, n) or batched (..., n, n)
+    diffusion matrix ``sig``; every pull, projection and precision uses
+    it.
+
+    With ``B = L sigma``, ``S = B B* = L a L*`` is symmetric by
+    construction.  For m = 1, ``A = 1 / S``; for m = 2, A is the
+    adjugate of S over its determinant; log det A is minus the log of S
+    or of the determinant.  For m >= 3, A comes from the inverted
+    Cholesky factor of S.  Every product is summed in a fixed order (see
+    :func:`bridgesim.sde.product`) and every closed form is evaluated in
+    one fixed order, so a row's bits do not depend on the batch it is
+    computed in.  S <= 0, a determinant <= 0 or a NaN raises
+    :class:`EllipticityViolationError`.
+    """
+    B = product(L, sig)
+    La = product(B, np.swapaxes(sig, -1, -2))
+    S = product(B, np.swapaxes(B, -1, -2))
+    m = S.shape[-1]
+    if m == 1:
+        s = S[..., 0, 0]
+        if not np.all(s > 0):
+            raise _not_elliptic("L a L* <= 0 or NaN")
+        A = 1.0 / S
+        logdet = -np.log(s)
+    elif m == 2:
+        s00, s01, s11 = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+        det = s00 * s11 - s01 * s01
+        if not np.all(det > 0):
+            raise _not_elliptic("det(L a L*) <= 0 or NaN")
+        A = np.empty_like(S)
+        np.divide(s11, det, out=A[..., 0, 0])
+        np.divide(-s01, det, out=A[..., 0, 1])
+        A[..., 1, 0] = A[..., 0, 1]
+        np.divide(s00, det, out=A[..., 1, 1])
+        logdet = -np.log(det)
+    else:
+        A, logdet = _cholesky_precision(S)
+    return Channel(A=A, logdet=logdet, gain=product(A, La))
+
+
+def _factor(a: np.ndarray) -> np.ndarray:
+    """A Cholesky factor sigma of ``a``, so that a = sigma sigma*."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
+        raise EllipticityViolationError(
+            f"a is not positive definite: {exc}") from exc
 
 
 def channel_precision(a: np.ndarray, L: np.ndarray):
-    """(L a L*)^-1 and its log-determinant, for shared or batched ``a``."""
-    ch = channel(a, L)
+    """(L a L*)^-1 and its log-determinant, for shared or batched ``a``,
+    from the channel of a's Cholesky factor."""
+    ch = channel(_factor(a), L)
     return ch.A, ch.logdet
 
 
 def guide_pull(a: np.ndarray, L: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """a L* (L a L*)^-1 resid for batched residuals of shape (..., m)."""
-    return channel(a, L).pull(resid)
+    """a L* (L a L*)^-1 resid for batched residuals of shape (..., m),
+    from the channel of a's Cholesky factor."""
+    return channel(_factor(a), L).pull(resid)

@@ -20,9 +20,10 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 _MASK64 = (1 << 64) - 1
 
 # Version of the arithmetic behind a run's bits, reported by ``bridgesim
-# run``.  Scheme 2: one numpy Cholesky route, products summed in a fixed
+# run``.  Scheme 3: each channel is built from L sigma, in closed form
+# for m <= 2 and by Cholesky for m >= 3; products are summed in a fixed
 # order, so a path's bits depend on (seed, path_id) and not its batch.
-NUMERICS_SCHEME = 2
+NUMERICS_SCHEME = 3
 
 
 @dataclass(frozen=True)
@@ -168,17 +169,22 @@ def batch_innermost(batch: tuple, shape: tuple) -> np.ndarray:
     return np.empty(shape + batch).transpose(*range(ns, ns + nb), *range(ns))
 
 
-def product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def product(x: np.ndarray, y: np.ndarray,
+            out: Optional[np.ndarray] = None) -> np.ndarray:
     """x @ y for shared or batched operands, broadcast over leading axes.
 
     The inner axis is summed term by term in a fixed order, so the bits
     of a row do not depend on how many rows share the call; a BLAS
     product over a whole batch rounds differently by row count.  The
     result has the batch axes innermost in memory: each entry
-    ``out[..., r, c]`` is one contiguous run over the batch.
+    ``out[..., r, c]`` is one contiguous run over the batch.  A given
+    ``out`` of the result's shape receives the same bits in its own
+    layout.
     """
-    out = batch_innermost(np.broadcast(x[..., 0, 0], y[..., 0, 0]).shape,
-                          (x.shape[-2], y.shape[-1]))
+    if out is None:
+        out = batch_innermost(
+            np.broadcast(x[..., 0, 0], y[..., 0, 0]).shape,
+            (x.shape[-2], y.shape[-1]))
     # one entry at a time: the loops then run over the long batch axes
     for r in range(x.shape[-2]):
         for c in range(y.shape[-1]):

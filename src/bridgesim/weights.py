@@ -24,14 +24,19 @@ from .errors import (
     InvalidConfigurationError,
     InvalidObservationError,
 )
-from .observations import ObservationSet, channel_precision
+# channel_precision is no longer called here; it stays in this namespace
+# for tracers that wrap bridgesim.weights.<name>
+from .observations import (  # noqa: F401
+    ObservationSet,
+    channel,
+    channel_precision,
+)
 from .sde import (
     ModelSpec,
     TimeGrid,
     diffusion_values,
     dot,
     drift_values,
-    gram,
     vecmat,
 )
 
@@ -68,7 +73,7 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
     total = np.zeros(p_count)
     sig_c = model.constant_sigma
     # a^-1 is the channel precision of the full observation L = I
-    a_inv = None if sig_c is None else channel_precision(gram(sig_c), eye)[0]
+    a_inv = None if sig_c is None else channel(sig_c, eye).A
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(grid.n_steps):
             t = nodes[j]
@@ -77,9 +82,8 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
             dy = states[:, j + 1] - cur
             bc = drift_values(rough, t, cur, n)
             if sig_c is None:
-                a_inv = channel_precision(
-                    gram(diffusion_values(model.diffusion, t, cur, n)),
-                    eye)[0]
+                a_inv = channel(
+                    diffusion_values(model.diffusion, t, cur, n), eye).A
             x = vecmat(bc, a_inv)
             total += dot(x, dy) - 0.5 * dot(x, bc) * dt
     return total

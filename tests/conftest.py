@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import bridgesim as bs
-from bridgesim.observations import channel, channel_precision
-from bridgesim.sde import diffusion_values, drift_values, gram
+from bridgesim.observations import channel
+from bridgesim.sde import diffusion_values, drift_values
 
 
 def rand_orthonormal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -28,11 +28,11 @@ def rand_spd(rng: np.random.Generator, n: int, cond: float) -> np.ndarray:
 
 
 def channel_bundle(sigma: np.ndarray, L: np.ndarray):
-    """The kernel's channel for a = sigma sigma* with the matrices derived
-    from it: beta = sigma* L* A maps channel residuals to noise
+    """The kernel's channel for sigma, a = sigma sigma*, with the matrices
+    derived from it: beta = sigma* L* A maps channel residuals to noise
     coordinates and P = a L* A L = G* L, with the gain G = A L a, is the
     oblique projection onto the pulled directions."""
-    ch = channel(sigma @ sigma.T, L)
+    ch = channel(sigma, L)
     return ch, sigma.T @ L.T @ ch.A, ch.gain.T @ L
 
 
@@ -49,8 +49,8 @@ def rebuilt_channels(model, obs, batch):
     p_count, n = states.shape[0], model.dim
 
     def factor(j, x, L):
-        return channel_precision(gram(diffusion_values(
-            model.diffusion, grid.nodes[j], x, n)), L)
+        ch = channel(diffusion_values(model.diffusion, grid.nodes[j], x, n), L)
+        return ch.A, ch.logdet
 
     precision, logdet = [], []
     drift = np.empty((p_count, grid.n_steps, n))

@@ -10,7 +10,6 @@ from bridgesim.errors import (
     UnstableRunError,
 )
 from bridgesim.observations import channel
-from bridgesim.sde import gram
 from conftest import (nondiagonal_sigma_setup, rand_orthonormal,
                       single_full_obs)
 
@@ -145,7 +144,7 @@ class TestClamp:
         batch = bs.simulate_batch(model, obs, grid, z, 14, np.arange(16))
         y = batch.states[:, grid.obs_indices[0]]
         ob = obs.items[0]
-        ch = channel(gram(model.constant_sigma), ob.matrix)
+        ch = channel(model.constant_sigma, ob.matrix)
         again = y + ch.pull(ob.value - y @ ob.matrix.T)
         assert np.allclose(again, y, atol=1e-14)
 
@@ -187,6 +186,20 @@ class TestCutoffVariant:
         cut = bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0],
                                 epsilon_cutoff=eps)
         assert not cut.preclamp
+
+    def test_cutoff_keeps_no_guiding_drift(self):
+        """A cut-off batch is never weighted, so it keeps no drift and no
+        channel arrays; the full bridge on the same grid keeps them."""
+        model = bs.brownian(dim=1).spec
+        obs = scalar_obs()
+        grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3,
+                             include_times=[0.75])
+        cut = bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0, 1],
+                                epsilon_cutoff=0.25)
+        assert cut.drift is None
+        assert cut.precision is None and cut.logdet is None
+        full = bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0, 1])
+        assert full.drift.shape == (2, grid.n_steps, 1)
 
     def test_cutoff_must_fit_in_windows(self):
         model = bs.brownian(dim=1).spec

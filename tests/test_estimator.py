@@ -396,6 +396,24 @@ class TestEstimate:
         # sqrt(0.75^2 1^2 + 0.25^2 3^2) = sqrt(1.125)
         assert np.isclose(se[0], np.sqrt(1.125))
 
+    @pytest.mark.parametrize("shape", [(20000, 1), (8192, 3), (20000, 2),
+                                       (5, 7), (20000,)])
+    def test_weighted_mean_se_bytes(self, shape):
+        """The one-buffer SE has the bytes of the written-out formula
+        sqrt(sum(w^2 (f - value)^2)) over three temporaries."""
+        rng = np.random.default_rng(shape[0] + len(shape))
+        w, _, _ = bs.normalize_log_weights(
+            1.5 * rng.standard_normal(shape[0]))
+        f = 2.0 - 3.0 * rng.standard_normal(shape)
+        value, se = weighted_mean_se(w, f)
+        flat = f.reshape(shape[0], -1)
+        want_value = w @ flat
+        want_se = np.sqrt(
+            ((w ** 2)[:, None] * (flat - want_value) ** 2).sum(axis=0))
+        assert value.shape == se.shape == shape[1:]
+        assert value.tobytes() == want_value.tobytes()
+        assert se.tobytes() == want_se.tobytes()
+
 
 class TestConditionalMoments:
     def test_bridge_variance_matches_oracle(self):

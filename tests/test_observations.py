@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import bridgesim as bs
 from bridgesim.errors import EllipticityViolationError, InvalidObservationError
 from bridgesim.observations import channel
-from bridgesim.sde import block_normals, diffusion_values, drift_values, matvec
+from bridgesim.sde import (block_normals, diffusion_values, drift_values,
+                           matvec, product)
 from conftest import channel_bundle, rand_orthonormal, rand_spd
 
 
@@ -184,6 +185,74 @@ class TestProjectionAlgebra:
         assert np.allclose(L @ out, r, atol=1e-12)
 
 
+class TestSchemeThreeChannel:
+    """``channel(sigma, L)`` in closed form for m = 1 and m = 2 and by
+    Cholesky for m = 3, on batched non-diagonal sigma and dense L."""
+
+    @staticmethod
+    def inputs(rng, m, n=4, p_count=6):
+        sig = np.eye(n) + 0.3 * rng.standard_normal((p_count, n, n))
+        return sig, rand_orthonormal(rng, m, n)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_inverts_the_channel(self, rng, m):
+        """A (L a L*) = I, log det A = -log det(L a L*) and G = A L a."""
+        sig, L = self.inputs(rng, m)
+        ch = channel(sig, L)
+        assert ch.A.shape == (len(sig), m, m)
+        assert ch.gain.shape == (len(sig), m, L.shape[1])
+        for p, s in enumerate(sig):
+            a = s @ s.T
+            S = L @ a @ L.T
+            assert np.abs(ch.A[p] @ S - np.eye(m)).max() <= 1e-12
+            sign, ref = np.linalg.slogdet(S)
+            assert sign == 1.0 and abs(ch.logdet[p] + ref) <= 1e-12
+            assert np.abs(ch.gain[p] - ch.A[p] @ L @ a).max() <= 1e-12
+            assert ch.A[p].tobytes() == ch.A[p].T.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_row_bytes_do_not_depend_on_batch(self, rng, m):
+        """Each row of a batched call has the bytes of a one-row call and
+        of a call with that row's sigma shared."""
+        sig, L = self.inputs(rng, m)
+        ch = channel(sig, L)
+        for p in range(len(sig)):
+            for one, row in ((channel(sig[p:p + 1], L), 0),
+                             (channel(sig[p], L), ...)):
+                assert same_bytes(one.A[row], ch.A[p])
+                assert same_bytes(one.logdet[row], ch.logdet[p])
+                assert same_bytes(one.gain[row], ch.gain[p])
+
+    @pytest.mark.parametrize("L,bad", [
+        # every column of sigma orthogonal to L
+        ([[0.6, 0.8, 0.0]],
+         [[0.8, 0.0, -0.8], [-0.6, 0.0, 0.6], [0.0, 0.0, 0.0]]),
+        # rank 1 along L: the second row of L sigma vanishes
+        ([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]],
+         [[1.0, 0.2, 0.0], [0.3, 1.0, 0.0], [0.0, 0.0, 0.0]]),
+    ], ids=["m1", "m2"])
+    def test_singular_along_L_rejected(self, rng, L, bad):
+        """L sigma is rank-deficient in one row of a batch, exactly in
+        the fixed-order sums: L a L* is 0 for m = 1 and has determinant
+        0 for m = 2."""
+        L = np.array(L)
+        sig = np.eye(3) + 0.1 * rng.standard_normal((3, 3, 3))
+        sig[1] = bad
+        assert np.linalg.matrix_rank(product(L, sig[1])) < len(L)
+        with pytest.raises(EllipticityViolationError):
+            channel(sig, L)
+        with pytest.raises(EllipticityViolationError):
+            channel(sig[1], L)
+        channel(sig[[0, 2]], L)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_nan_sigma_rejected(self, rng, m):
+        sig, L = self.inputs(rng, m, n=3)
+        sig[2, 1, 1] = np.nan
+        with pytest.raises(EllipticityViolationError):
+            channel(sig, L)
+
+
 @st.composite
 def channel_inputs(draw):
     """A batch of SPD ``a`` with condition number at most 50, orthonormal
@@ -209,8 +278,8 @@ class TestProjectionProperties:
         """For a shared a and for a batch of them: the pull solves
         L pull(r) = r, the precision is symmetric and inverts L a L*, its
         log-determinant matches slogdet, the batched factorization
-        matches the per-row shared one, and the one factorization helper
-        gives the bytes of guide_pull and channel_precision."""
+        matches the per-row shared one, and the channel of a's Cholesky
+        factor gives the bytes of guide_pull and channel_precision."""
         ab, L, resid = inputs
         m = L.shape[0]
         eye = np.eye(m)
@@ -232,10 +301,10 @@ class TestProjectionProperties:
             assert np.allclose(prec_b[p], prec, rtol=1e-12, atol=1e-12)
             assert abs(logdet_b[p] - logdet) <= 1e-12
             assert np.allclose(pull_b[p], pulls[p], rtol=1e-12, atol=1e-12)
-            ch = channel(a, L)
+            ch = channel(np.linalg.cholesky(a), L)
             assert same_bytes(ch.pull(resid), pulls)
             assert same_bytes(ch.A, prec) and same_bytes(ch.logdet, logdet)
-        ch = channel(ab, L)
+        ch = channel(np.linalg.cholesky(ab), L)
         assert same_bytes(ch.pull(resid), pull_b)
         assert same_bytes(ch.A, prec_b) and same_bytes(ch.logdet, logdet_b)
 

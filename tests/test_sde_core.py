@@ -175,6 +175,16 @@ class TestLayout:
             assert out.shape == ref.shape
             assert out.tobytes() == ref.tobytes()
 
+    def test_product_into_given_out(self, rng):
+        """A given ``out`` of either layout receives the bytes of the
+        result ``product`` allocates itself."""
+        x = rng.standard_normal((64, 5, 1, 2))
+        y = rng.standard_normal((2, 2))
+        ref = product(x, y)
+        for out in (np.empty(ref.shape), paths_innermost(np.empty(ref.shape))):
+            assert product(x, y, out=out) is out
+            assert out.tobytes() == ref.tobytes()
+
     def test_kernel_arrays_keep_paths_innermost(self):
         model, obs, grid, u = state_dependent_setup()
         batch = simulate_batch(model, obs, grid, u, 3, np.arange(16))

@@ -263,8 +263,9 @@ class TestChannelRecord:
         assert 0 < alive.sum() < len(alive)
 
     def test_kept_for_full_bridges_only(self):
-        """Every full bridge keeps the channel arrays, under an array
-        sigma too; cut-off and free batches keep none."""
+        """Every full bridge keeps the channel arrays and the guiding
+        drift, under an array sigma too; cut-off and free batches keep
+        none of them."""
         model, obs, grid, u = state_dependent_setup()
         array = bs.ou(dim=3).spec
         shapes = [(2, grid.obs_indices[k] - grid.window_start_indices[k] + 1,
@@ -280,6 +281,7 @@ class TestChannelRecord:
         free = bs.simulate_free_batch(model, grid, u, 5, [0])
         for batch in (cutoff, free):
             assert batch.precision is None and batch.logdet is None
+            assert batch.drift is None
 
     def test_cutoff_batch_rejected(self):
         """The weights assume the full bridge: a cut-off batch, or one
