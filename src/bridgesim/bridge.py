@@ -164,18 +164,19 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                      for j0, _, j1, ob in table]
         logdet = [np.empty(p_count) for _ in table]
 
-    def chan(k, t, x, sig=None, node=None):
-        """Observation k's channel at time t and states x, kept in
-        ``precision`` at window node ``node``."""
+    def chan(k, sig, node=None):
+        """Observation k's channel under the diffusion values ``sig``,
+        kept in ``precision`` at window node ``node``."""
         if channels is not None:
             return channels[k]
-        if sig is None:
-            sig = diffusion_values(model.diffusion, t, x, n)
         ch = channel(sig, obs.items[k].matrix)
         if precision is not None and node is not None:
             precision[k][:, node] = ch.A
         return ch
 
+    # sigma at each node's state, evaluated once: at a projected node it
+    # serves both log det A and the next step
+    sig = diffusion_values(model.diffusion, nodes[0], cur, n)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m_steps):
             t = nodes[j]
@@ -183,14 +184,13 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             b = drift_values(drift_fn, t, cur, n)
             if drift is not None:
                 drift[:, j] = b
-            sig = diffusion_values(model.diffusion, t, cur, n)
             if validate:
                 check_coefficients(model, t, cur, sig)
             total = b
             for k, (j0, js, j1, ob) in enumerate(table):
                 if j0 <= j < js:
                     resid = vecmat(cur, ob.matrix.T) - ob.value
-                    ch = chan(k, t, cur, sig, j - j0)
+                    ch = chan(k, sig, j - j0)
                     total = total - ch.pull(resid) / (nodes[j1] - t)
             if sig_c is None:
                 nxt = cur + total * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
@@ -202,15 +202,19 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             keep = failed < 0
             cur = np.where(keep[:, None], nxt, cur)
 
+            t = nodes[j + 1]
             k0 = clamp_nodes.get(j + 1)
             if k0 is not None:
                 ob = obs.items[k0]
                 preclamp[k0] = cur.copy(order="K")
                 resid = ob.value - vecmat(cur, ob.matrix.T)
-                move = chan(k0, nodes[j + 1], cur, node=-1).pull(resid)
+                pre_sig = diffusion_values(model.diffusion, t, cur, n)
+                move = chan(k0, pre_sig, node=-1).pull(resid)
                 cur = np.where(keep[:, None], cur + move, cur)
-                if channels is None:
-                    logdet[k0][:] = chan(k0, nodes[j + 1], cur).logdet
+            if j + 1 < m_steps or k0 is not None:
+                sig = diffusion_values(model.diffusion, t, cur, n)
+            if k0 is not None and channels is None:
+                logdet[k0][:] = chan(k0, sig).logdet
             states[:, j + 1] = cur
 
     return BatchPaths(grid=grid, path_ids=ids, states=states,

@@ -74,7 +74,7 @@ def _oracle_values(config: RunConfig) -> Optional[list[float]]:
             mean = float(config.initial_state[f.coordinate])
             var = 0.0
         else:
-            block = int(np.nonzero(np.isclose(times, f.time))[0][0])
+            block = int(np.searchsorted(times, f.time))
             i = block * lm.dim + f.coordinate
             mean = float(conditioned.mean[i])
             var = float(conditioned.cov[i, i])

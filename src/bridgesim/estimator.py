@@ -230,15 +230,18 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 # estimation
 
 def weighted_mean_se(weights: np.ndarray, fvals: np.ndarray):
-    """Self-normalized mean and standard error along axis 0."""
+    """Self-normalized mean and standard error along axis 0: pairwise
+    sums along the paths of one C-order (d, K) copy, with no BLAS call,
+    so neither the layout of ``fvals`` nor BLAS threads move a bit."""
     fvals = np.asarray(fvals, dtype=float)
-    flat = fvals.reshape(len(weights), -1)
-    value = weights @ flat
-    # w^2 (f - value)^2 in one (K, d) buffer
-    dev = flat - value
-    dev *= dev
-    dev *= (weights * weights)[:, None]
-    se = np.sqrt(dev.sum(axis=0))
+    # np.array always copies, so writing in place below spares fvals
+    cols = np.array(fvals.reshape(len(weights), -1).T, order="C")
+    value = np.sum(cols * weights, axis=-1)
+    # w^2 (f - value)^2 in the one (d, K) buffer
+    cols -= value[:, None]
+    cols *= cols
+    cols *= weights * weights
+    se = np.sqrt(np.sum(cols, axis=-1))
     return value.reshape(fvals.shape[1:]), se.reshape(fvals.shape[1:])
 
 
@@ -292,8 +295,7 @@ class CoordinateAt:
         return float(path.state_at(self.time)[self.index])
 
     def array_map(self, ens: WeightedEnsemble) -> np.ndarray:
-        # a contiguous copy, so the reductions give a per-path list's bits
-        return np.ascontiguousarray(ens.state_at(self.time)[:, self.index])
+        return ens.state_at(self.time)[:, self.index]
 
 
 coordinate_at = CoordinateAt

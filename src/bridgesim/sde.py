@@ -20,10 +20,9 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 _MASK64 = (1 << 64) - 1
 
 # Version of the arithmetic behind a run's bits, reported by ``bridgesim
-# run``.  Scheme 3: each channel is built from L sigma, in closed form
-# for m <= 2 and by Cholesky for m >= 3; products are summed in a fixed
-# order, so a path's bits depend on (seed, path_id) and not its batch.
-NUMERICS_SCHEME = 3
+# run``; the README's "Numerics scheme" describes each.  Scheme 4 sums
+# every weighted mean and SE pairwise along the paths of a C-order copy.
+NUMERICS_SCHEME = 4
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bridge import BatchPaths
 from .errors import (
@@ -41,19 +40,6 @@ from .sde import (
 )
 
 TERM_NAMES = ("log_eta", "boundary", "drift_term", "dA_term", "covar_term")
-
-
-def _window_states(states: np.ndarray, preclamp: dict[int, np.ndarray],
-                   k: int, j0: int, j1: int) -> np.ndarray:
-    """States at the nodes of window ``k``, (P, J+1, n), with the state
-    before the terminal projection at the observation node when known."""
-    sl = states[:, j0:j1 + 1, :].copy(order="K")
-    pre = preclamp.get(k)
-    if pre is not None:
-        # pre-projection state feeds the final step's terms; the
-        # projected state enters only through the eta factor
-        sl[:, -1, :] = pre
-    return sl
 
 
 def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
@@ -149,10 +135,14 @@ def _observation_terms(model: ModelSpec, batch: BatchPaths, k: int,
     j0 = grid.window_start_indices[k]
     j1 = grid.obs_indices[k]
     tt = grid.nodes[j0:j1 + 1]
-    sl = _window_states(batch.states, batch.preclamp, k, j0, j1)
     L = ob.matrix
     denom = grid.nodes[j1] - tt[:-1]
-    resid = vecmat(sl, L.T) - ob.value               # (P, J+1, m)
+    resid = vecmat(batch.states[:, j0:j1 + 1], L.T) - ob.value  # (P,J+1,m)
+    pre = batch.preclamp.get(k)
+    if pre is not None:
+        # the state before the terminal projection feeds the final
+        # step's terms; the projected state enters only through log_eta
+        resid[:, -1] = vecmat(pre, L.T) - ob.value
     r0, r = resid[:, 0], resid[:, :-1]
 
     prec = batch.precision[k]
@@ -193,5 +183,5 @@ def normalize_log_weights(logw):
     total = w.sum()
     w /= total
     ess = 1.0 / float(np.sum(w * w))
-    log_norm = float(logsumexp(logw))
+    log_norm = float(top + np.log(total))
     return w, log_norm, ess

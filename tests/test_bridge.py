@@ -11,7 +11,7 @@ from bridgesim.errors import (
 )
 from bridgesim.observations import channel
 from conftest import (nondiagonal_sigma_setup, rand_orthonormal,
-                      single_full_obs)
+                      single_full_obs, state_dependent_setup)
 
 
 def scalar_obs(time=1.0, value=1.0, window=None):
@@ -259,6 +259,22 @@ class TestBatchBehavior:
         assert batch.states[1].tobytes() == alone.states[0].tobytes()
         assert batch.preclamp[0][1].tobytes() == \
             alone.preclamp[0][0].tobytes()
+
+    def test_sigma_evaluated_once_per_node_and_state(self):
+        """The kernel asks a callable sigma for each (t, states) pair
+        once: at every node it steps from, at each observation's state
+        before projection, and at the projected end state."""
+        model, obs, grid, u = state_dependent_setup()
+        calls = []
+
+        def recording(t, x):
+            calls.append((t, x.tobytes()))
+            return model.diffusion(t, x)
+
+        spec = bs.ModelSpec(dim=3, drift=model.drift, diffusion=recording)
+        bs.simulate_batch(spec, obs, grid, u, 6, np.arange(40))
+        assert len(set(calls)) == len(calls)
+        assert len(calls) == grid.n_steps + len(obs.items) + 1
 
     def test_blowup_raises_for_single_bridge(self):
         """A one-path batch reports the blow-up in ``failed_step``; a

@@ -158,7 +158,7 @@ class TestRunCommand:
         assert status == 0
         report = json.loads(report_path.read_text())
         assert report["schema_version"] == 1
-        assert report["numerics_scheme"] == 3
+        assert report["numerics_scheme"] == 4
         assert report["n_paths"] == 400
         assert report["n_failed"] == 0
         assert report["ess"] > 399.0
@@ -190,6 +190,37 @@ class TestRunCommand:
         w, _, _ = bs.normalize_log_weights(logw)
         assert np.isclose(float(w @ fv), report["estimates"][0]["value"],
                           atol=1e-12)
+
+    def test_report_equals_conditional_moments(self, tmp_path):
+        """The report's mean and variance, with their SEs, are the bytes
+        of conditional_moments on the ensemble of the same config."""
+        report_path = tmp_path / "report.json"
+        raw = base_config(
+            model={"name": "ou", "drift_split": True,
+                   "params": {"dim": 2, "f_diag": [-1.0, -0.5],
+                              "sigma": [1.0, 1.5]}},
+            observations=[{"time": 1.0, "matrix": [[1.0, 0.0]],
+                           "value": [0.7]}],
+            initial_state=[0.5, -0.3], n_paths=2100,
+            functionals=[
+                {"type": "coordinate", "time": 0.5, "coordinate": 0},
+                {"type": "marginal_var", "time": 0.5, "coordinate": 0}],
+            outputs={"report": str(report_path)})
+        assert main(["run", write_config(tmp_path, raw)]) == 0
+        report = json.loads(report_path.read_text())
+
+        cfg = bs.parse_config(raw)
+        grid = bs.build_grid(cfg.horizon, cfg.observations, cfg.grid.dt_base,
+                             cfg.grid.dt_min, cfg.grid.refine_ratio,
+                             include_times=[0.5])
+        ens = bs.run_ensemble(cfg.build_model().spec, cfg.observations,
+                              grid, cfg.initial_state, cfg.n_paths, cfg.seed)
+        mom = bs.conditional_moments(ens, bs.coordinate_at(0.5, 0))
+        mean, var = report["estimates"]
+        assert np.array([mean["value"], mean["std_error"], var["value"],
+                         var["std_error"], report["ess"]]).tobytes() == \
+            np.array([mom.mean, mom.mean_se, mom.var, mom.var_se,
+                      mom.ess]).tobytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         csv_a = tmp_path / "a.csv"
@@ -476,6 +507,28 @@ class TestOtherCommands:
         assert [o["value"] for o in oracle] == \
             [c["oracle_value"] for c in run]
         assert oracle[0]["value"] == -0.3
+
+    def test_oracle_command_tells_close_times_apart(self, tmp_path, capsys):
+        """Functionals 8e-6 apart each get the conditioning at their own
+        time, not the value at the first time within a tolerance."""
+        times = [0.9, 0.900008]
+        cfg = base_config(
+            model={"name": "ou", "params": {"dim": 1, "f_diag": -1.0}},
+            observations=[{"time": 1.0, "matrix": [[1.0]], "value": [0.4]}],
+            functionals=[{"type": "marginal_var", "time": t, "coordinate": 0}
+                         for t in times])
+        assert main(["oracle", write_config(tmp_path, cfg)]) == 0
+        got = [o["value"] for o in
+               json.loads(capsys.readouterr().out)["oracle_values"]]
+        parsed = bs.parse_config(cfg)
+        lm = parsed.build_model().linear_reference(parsed.initial_state)
+        for t, value in zip(times, got):
+            law = bs.joint_law(lm, [t, 1.0])
+            sel, val = bs.observation_selector([t, 1.0], 1,
+                                               parsed.observations)
+            want = bs.condition(law, sel, val).cov[0, 0]
+            assert np.isclose(value, want, rtol=1e-12, atol=0.0)
+        assert not np.isclose(got[0], got[1], rtol=1e-6, atol=0.0)
 
     def test_oracle_command_needs_linear_model(self, tmp_path, capsys):
         cfg = base_config(model={"name": "double_well",

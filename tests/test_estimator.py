@@ -399,20 +399,67 @@ class TestEstimate:
     @pytest.mark.parametrize("shape", [(20000, 1), (8192, 3), (20000, 2),
                                        (5, 7), (20000,)])
     def test_weighted_mean_se_bytes(self, shape):
-        """The one-buffer SE has the bytes of the written-out formula
-        sqrt(sum(w^2 (f - value)^2)) over three temporaries."""
+        """The one-buffer sums have the bytes of the written-out formulas
+        sum(w f) and sqrt(sum(w^2 (f - value)^2)), each a pairwise sum
+        along the paths of a C-order (d, K) array."""
         rng = np.random.default_rng(shape[0] + len(shape))
         w, _, _ = bs.normalize_log_weights(
             1.5 * rng.standard_normal(shape[0]))
         f = 2.0 - 3.0 * rng.standard_normal(shape)
         value, se = weighted_mean_se(w, f)
-        flat = f.reshape(shape[0], -1)
-        want_value = w @ flat
-        want_se = np.sqrt(
-            ((w ** 2)[:, None] * (flat - want_value) ** 2).sum(axis=0))
+        cols = np.array(f.reshape(shape[0], -1).T, order="C")
+        want_value = np.sum(cols * w, axis=-1)
+        want_se = np.sqrt(np.sum(
+            w ** 2 * (cols - want_value[:, None]) ** 2, axis=-1))
         assert value.shape == se.shape == shape[1:]
         assert value.tobytes() == want_value.tobytes()
         assert se.tobytes() == want_se.tobytes()
+
+    def test_weighted_mean_se_ignores_layout(self):
+        """C-order, Fortran-order, strided and per-path-list values give
+        the same bytes, and the caller's values are left as they were."""
+        rng = np.random.default_rng(8)
+        w, _, _ = bs.normalize_log_weights(rng.standard_normal(5000))
+        wide = 1.0 + 2.0 * rng.standard_normal((5000, 7))
+        f = np.ascontiguousarray(wide[:, 1::2])
+        want = [a.tobytes() for a in weighted_mean_se(w, f)]
+        for fv in (np.asfortranarray(f), wide[:, 1::2], list(f)):
+            got = [a.tobytes() for a in weighted_mean_se(w, fv)]
+            assert got == want
+        for j in range(3):
+            col = wide[:, 1 + 2 * j:2 + 2 * j]
+            want_j = [a[j:j + 1].tobytes() for a in weighted_mean_se(w, f)]
+            for fv in (col, np.ascontiguousarray(col), col[:, 0]):
+                kept = np.array(fv)
+                got = weighted_mean_se(w, fv)
+                assert [a.reshape(-1).tobytes() for a in got] == want_j
+                assert np.array(fv).tobytes() == kept.tobytes()
+
+    def test_weighted_mean_se_ignores_blas_threads(self):
+        """Two processes, one with every BLAS library at one thread and
+        one at two, give the same bytes."""
+        script = """
+import numpy as np
+from bridgesim.estimator import weighted_mean_se
+rng = np.random.default_rng(2)
+w = np.exp(rng.standard_normal(20000))
+w /= w.sum()
+f = 1.0 + 3.0 * rng.standard_normal((20000, 1))
+value, se = weighted_mean_se(w, f)
+print(value.tobytes().hex(), se.tobytes().hex())
+"""
+        src = os.path.dirname(os.path.dirname(estimator.__file__))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src)
+            for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS"):
+                env[name] = threads
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True,
+                                  timeout=120, check=True)
+            out.append(proc.stdout)
+        assert out[0] and out[0] == out[1]
 
 
 class TestConditionalMoments:
@@ -475,25 +522,33 @@ class TestArrayFunctionals:
             def array_map(self, ensemble):
                 return np.ascontiguousarray(ensemble.state_at(1.0))
 
+        class StridedEndState:
+            """The ensemble's own strided (K, 2) view of the end states."""
+
+            def array_map(self, ensemble):
+                return ensemble.state_at(1.0)
+
         model, obs, grid, u = ou_setup()
         ens = bs.run_ensemble(model, obs, grid, u, 300, seed=4)
-        rep = bs.estimate(ens, EndState())
         ref = bs.estimate(ens, lambda p: p.state_at(1.0))
-        assert rep.value.shape == (2,)
-        assert rep.value.tobytes() == ref.value.tobytes()
-        assert rep.std_error.tobytes() == ref.std_error.tobytes()
+        for f in (EndState(), StridedEndState()):
+            rep = bs.estimate(ens, f)
+            assert rep.value.shape == (2,)
+            assert rep.value.tobytes() == ref.value.tobytes()
+            assert rep.std_error.tobytes() == ref.std_error.tobytes()
         with pytest.raises(ValueError, match="size 1"):
             bs.conditional_moments(ens, EndState())
 
     def test_moments_formula_is_weighted_mean_se(self):
         """One column through weighted_mean_se gives the bytes of the
-        vector formulas w @ f and sqrt(sum(w^2 (f - mean)^2))."""
+        vector formulas sum(w f) and sqrt(sum(w^2 (f - mean)^2)), each a
+        pairwise sum along the paths."""
         rng = np.random.default_rng(11)
         for n in rng.integers(1000, 30001, size=25):
             w, _, _ = bs.normalize_log_weights(2.0 * rng.standard_normal(n))
             f = 1.0 + 3.0 * rng.standard_normal(n)
             mean, se = weighted_mean_se(w, f[:, None])
-            direct = w @ f
+            direct = np.sum(f * w)
             assert mean.tobytes() == np.array([direct]).tobytes()
             want = np.sqrt(np.sum(w ** 2 * (f - direct) ** 2))
             assert se.tobytes() == np.array([want]).tobytes()

@@ -1,5 +1,6 @@
 """Every public name, and every name the benchmark's tracer wraps,
-resolves; no module keeps an import it does not use."""
+resolves; no module keeps an import it does not use; no BLAS product
+lies on the way from the kernel to an estimate."""
 import ast
 import importlib
 import importlib.util
@@ -61,3 +62,43 @@ def test_every_imported_name_is_used():
         unused += [(module, name) for name in sorted(imported - used)
                    if (module, name) not in hooked]
     assert not unused
+
+
+BLAS_CALLS = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot"}
+
+
+def _blas_products(tree: ast.AST) -> list[int]:
+    """Lines of ``@`` operators and ``np.<BLAS_CALLS>`` calls."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) \
+                and isinstance(node.op, ast.MatMult):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id in ("np", "numpy") \
+                and node.func.attr in BLAS_CALLS:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_blas_product_on_the_result_path():
+    """A BLAS product rounds by thread count and operand layout, so the
+    package sums every product in a fixed order instead.  Exempt are the
+    Gaussian reference in ``oracle.py`` and the orthonormality check of
+    ``observations.validate``, which feed no simulated estimate."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = set()
+        if path.name == "observations.py":
+            validate = next(node for node in tree.body
+                            if isinstance(node, ast.FunctionDef)
+                            and node.name == "validate")
+            exempt = set(_blas_products(validate))
+        found += [f"{path.name}:{line}" for line in _blas_products(tree)
+                  if line not in exempt]
+    assert not found
