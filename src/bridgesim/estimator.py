@@ -1,10 +1,8 @@
 """Self-normalized importance-sampling ensembles and estimates."""
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -106,10 +104,14 @@ def _usable_cpus() -> int:
 def _worker_count(threads: int, n_chunks: int) -> int:
     """Worker processes to fork for ``n_chunks`` chunks: at most
     ``threads``, the chunk count and the usable CPUs.  1 means the chunks
-    run in the calling process, as they do where ``fork`` is missing."""
+    run in the calling process, as they do where ``fork`` is missing.
+    A one-worker run never imports ``multiprocessing``."""
+    if min(threads, n_chunks) <= 1:
+        return 1
+    import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    return max(1, min(threads, n_chunks, _usable_cpus()))
+    return min(threads, n_chunks, _usable_cpus())
 
 
 # Set by the pool initializer in each forked worker, never in the caller,
@@ -143,6 +145,8 @@ def _map_in_workers(work: Callable, n_chunks: int, n_workers: int):
     without pickling it; workers receive chunk indices and send back
     each chunk's arrays, which are yielded in chunk order.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(
             n_workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_install_work, initargs=(work,)) as pool:

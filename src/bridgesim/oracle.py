@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DegenerateConditioningError,
@@ -100,7 +99,7 @@ def joint_law(lm: LinearModel, times) -> GaussianLaw:
 def condition(law: GaussianLaw, selector, value) -> GaussianLaw:
     """Gaussian conditioning on selector @ x = value.
 
-    Solves through an SPD factorization of the innovation covariance.
+    Solves through a Cholesky factor of the innovation covariance.
     A singular innovation is admitted only when the requested value is
     already implied by the law (so conditioning is idempotent); a
     singular innovation carrying new information is an error.
@@ -114,11 +113,16 @@ def condition(law: GaussianLaw, selector, value) -> GaussianLaw:
     innov = sel @ gain_in
     innov = 0.5 * (innov + innov.T)
     resid = value - sel @ law.mean
+    rhs = np.column_stack([resid, gain_in.T])
+    if not (np.isfinite(innov).all() and np.isfinite(rhs).all()):
+        raise InvalidConfigurationError(
+            "conditioning needs a finite law and value")
     try:
-        chol = scipy.linalg.cho_factor(innov, lower=True)
-        mean = law.mean + gain_in @ scipy.linalg.cho_solve(chol, resid)
-        cov = law.cov - gain_in @ scipy.linalg.cho_solve(chol, gain_in.T)
-    except scipy.linalg.LinAlgError:
+        low = np.linalg.cholesky(innov)
+        sol = np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+        mean = law.mean + gain_in @ sol[:, 0]
+        cov = law.cov - gain_in @ sol[:, 1:]
+    except np.linalg.LinAlgError:
         lam, vec = np.linalg.eigh(innov)
         keep = lam > 1e-12 * max(float(lam.max(initial=0.0)), 1.0)
         dropped = vec[:, ~keep].T @ resid

@@ -113,10 +113,15 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet,
         per path (P,), or per step (P, J) from step ``j0``, summed over
         the steps.  Non-finite entries are reported."""
         steps = values if values.ndim == 2 else values[:, None]
+        sums = steps.sum(axis=1)
         if k < 0:
-            terms[term] = steps.sum(axis=1)
+            terms[term] = sums
         else:
-            terms[term][:, k] = steps.sum(axis=1)
+            terms[term][:, k] = sums
+        # a non-finite step makes its row's sum non-finite, so finite
+        # sums spare the scan of every step
+        if np.isfinite(sums).all():
+            return
         for r, c in zip(*np.nonzero(~np.isfinite(steps))):
             issues.append((int(r), term, k,
                            None if j0 is None else int(j0 + c)))

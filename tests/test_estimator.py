@@ -1,4 +1,5 @@
 """Ensemble runner and self-normalized estimation."""
+import concurrent.futures
 import os
 import pickle
 import subprocess
@@ -291,12 +292,14 @@ class TestWorkerPool:
 
         started = []
 
-        class Recording(estimator.ProcessPoolExecutor):
+        class Recording(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 started.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(estimator, "ProcessPoolExecutor", Recording)
+        # the estimator imports the pool only when it forks
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recording)
         model, obs, grid = brownian_setup(dt_base=0.05)
         n = CHUNK_SIZE + 10
         serial = bs.run_ensemble(model, obs, grid, np.zeros(1), n, seed=2)

@@ -1,10 +1,14 @@
 """Every public name, and every name the benchmark's tracer wraps,
 resolves; no module keeps an import it does not use; no BLAS product
-lies on the way from the kernel to an estimate."""
+lies on the way from the kernel to an estimate; importing the package
+and a one-process run load numpy and the standard library only."""
 import ast
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import bridgesim
 
@@ -102,3 +106,45 @@ def test_no_blas_product_on_the_result_path():
         found += [f"{path.name}:{line}" for line in _blas_products(tree)
                   if line not in exempt]
     assert not found
+
+
+def test_no_module_imports_scipy():
+    """numpy is the one runtime dependency."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert not found
+
+
+def test_import_and_one_process_run_stay_light():
+    """``import bridgesim, bridgesim.cli`` and a one-thread run over
+    several chunks load neither scipy nor the process-pool modules,
+    which only a run that forks workers imports."""
+    script = """
+import sys
+import numpy as np
+import bridgesim as bs
+import bridgesim.cli
+obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.5])], dim=1)
+grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
+ens = bs.run_ensemble(bs.brownian(dim=1).spec, obs, grid, np.zeros(1),
+                      2 * 1024 + 1, seed=3)
+bs.estimate(ens, bs.coordinate_at(0.5, 0))
+print(" ".join(name for name in ("scipy", "multiprocessing",
+                                 "concurrent.futures")
+               if name in sys.modules))
+"""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""

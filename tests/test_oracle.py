@@ -177,6 +177,23 @@ class TestCondition:
         with pytest.raises(DegenerateConditioningError):
             bs.condition(once, sel, [0.9])
 
+    def test_nonfinite_value_rejected(self):
+        law = bs.joint_law(brownian_lm(dim=2), [1.0])
+        with pytest.raises(InvalidConfigurationError, match="finite"):
+            bs.condition(law, [[1.0, 0.0]], [np.nan])
+
+    # inf * 0 in the law's products warns before the check raises
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+    def test_nonfinite_covariance_rejected(self, entry):
+        """An inf in the innovation, or in the gain of an unobserved
+        coordinate, is rejected rather than spread into the result."""
+        law = bs.joint_law(brownian_lm(dim=2), [1.0])
+        cov = law.cov.copy()
+        cov[entry] = cov[entry[::-1]] = np.inf
+        with pytest.raises(InvalidConfigurationError, match="finite"):
+            bs.condition(bs.GaussianLaw(law.mean, cov), [[1.0, 0.0]], [0.3])
+
     def test_dimension_mismatch(self):
         lm = brownian_lm()
         law = bs.joint_law(lm, [1.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bridgesim as bs
+from bridgesim import weights
 from bridgesim.errors import (
     DegenerateEnsembleError,
     InvalidConfigurationError,
@@ -354,6 +355,47 @@ class TestOverflowDetection:
         assert issues
         assert issues[0][1] in ("boundary", "drift_term", "dA_term",
                                 "covar_term", "log_eta")
+
+    def test_issues_match_a_scan_of_every_step(self, monkeypatch):
+        """``put`` scans only terms with a non-finite row sum, yet a
+        batch with failed paths and a few poisoned rows lists the issues
+        that a scan of every step of every term finds, in that order."""
+        model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
+        batch = bs.simulate_batch(model, obs, grid, u, 5, np.arange(1024))
+        # failed paths hold a finite state, so poison a few rows' windows
+        for row, k, value in ((3, 0, np.inf), (700, 1, np.nan),
+                              (701, 1, -np.inf)):
+            mid = (grid.window_start_indices[k] + grid.obs_indices[k]) // 2
+            batch.states[row, mid, row % 3] = value
+        batch.preclamp[1][900, 0] = np.inf
+        scanned = []
+
+        def scan(term, k, values, j0=None):
+            steps = values if values.ndim == 2 else values[:, None]
+            scanned.extend((int(r), term, k, None if j0 is None
+                            else int(j0 + c))
+                           for r, c in zip(*np.nonzero(~np.isfinite(steps))))
+
+        observation_terms = weights._observation_terms
+        girsanov_batch = weights._girsanov_batch
+
+        def scanned_terms(model, batch, k, ob, put):
+            def put_both(*args):
+                scan(*args)
+                put(*args)
+            observation_terms(model, batch, k, ob, put_both)
+
+        def scanned_girsanov(*args):
+            values = girsanov_batch(*args)
+            scan("girsanov", -1, values)
+            return values
+
+        monkeypatch.setattr(weights, "_observation_terms", scanned_terms)
+        monkeypatch.setattr(weights, "_girsanov_batch", scanned_girsanov)
+        _, issues = batch_breakdown(model, obs, batch)
+        assert (batch.failed_step >= 0).any()
+        assert {row for row, _, _, _ in issues} == {3, 700, 701, 900}
+        assert issues == scanned
 
     def test_unvalidated_observations_rejected(self):
         model = bs.brownian(dim=1).spec
