@@ -112,7 +112,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     clamp_nodes = {} if cutoff is not None else {
         grid.obs_indices[k]: k for k in range(len(obs.items))}
 
-    nodes = grid.nodes
+    nodes = grid.nodes.tolist()
     m_steps = grid.n_steps
     ids = [int(p) for p in path_ids]
     try:
@@ -134,11 +134,12 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         # instead strides through memory and costs three times as much
         noise = batch_innermost(paths, (m_steps, n))
         product(xi[..., None, :], sig_c.T, out=noise[..., None, :])
-        noise *= np.sqrt(np.diff(nodes))[:, None]
+        noise *= np.sqrt(np.diff(grid.nodes))[:, None]
         xi = None  # only the noise term is read from here on
     states = batch_innermost(paths, (m_steps + 1, n))
     states[:, 0] = u
     failed = np.full(p_count, -1, dtype=int)
+    keep = None  # the paths not failed, once some path has failed
     drift = batch_innermost(paths, (m_steps, n)) if clamp_nodes else None
     preclamp: dict[int, np.ndarray] = {}
     cap = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(u)))
@@ -197,10 +198,13 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             else:
                 nxt = cur + total * dt + noise[:, j]
             # a non-finite entry fails the comparison too
-            bad = (failed < 0) & ~(dot(nxt, nxt) <= cap2)
-            failed[bad] = j
-            keep = failed < 0
-            cur = np.where(keep[:, None], nxt, cur)
+            within = dot(nxt, nxt) <= cap2
+            if keep is None and within.all():
+                cur = nxt
+            else:
+                failed[(failed < 0) & ~within] = j
+                keep = failed < 0
+                cur = np.where(keep[:, None], nxt, cur)
 
             t = nodes[j + 1]
             k0 = clamp_nodes.get(j + 1)
@@ -210,7 +214,8 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 resid = ob.value - vecmat(cur, ob.matrix.T)
                 pre_sig = diffusion_values(model.diffusion, t, cur, n)
                 move = chan(k0, pre_sig, node=-1).pull(resid)
-                cur = np.where(keep[:, None], cur + move, cur)
+                cur = cur + move if keep is None else \
+                    np.where(keep[:, None], cur + move, cur)
             if j + 1 < m_steps or k0 is not None:
                 sig = diffusion_values(model.diffusion, t, cur, n)
             if k0 is not None and channels is None:

@@ -3,6 +3,7 @@ linear models, and validate configurations."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -13,8 +14,10 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .errors import BridgeSimError, InvalidConfigurationError, error_kind
-from .estimator import (WeightedEnsemble, coordinate_at, run_ensemble,
-                        weighted_mean_se)
+# run_ensemble is no longer called here; it stays in this namespace for
+# tracers that wrap bridgesim.cli.run_ensemble
+from .estimator import (_kept_nodes, _weighted_chunks,  # noqa: F401
+                        run_ensemble, weighted_mean_se)
 from .oracle import condition, joint_law, observation_selector
 from .sde import NUMERICS_SCHEME, build_grid
 from .weights import TERM_NAMES, normalize_log_weights
@@ -41,9 +44,9 @@ def _resolve_threads(cli_value: Optional[int],
     return 1
 
 
-def _estimates(config: RunConfig, ensemble: WeightedEnsemble,
+def _estimates(config: RunConfig, log_weights: np.ndarray,
                fvals: np.ndarray):
-    weights, log_norm, ess = normalize_log_weights(ensemble.log_weights)
+    weights, log_norm, ess = normalize_log_weights(log_weights)
     out = []
     for i, f in enumerate(config.functionals):
         col = fvals[:, i:i + 1]
@@ -94,64 +97,107 @@ def _oracle_entries(config: RunConfig, exact: list[float],
     return out
 
 
-def _write_csv(path: str, config: RunConfig, ensemble: WeightedEnsemble,
-               fvals: np.ndarray) -> None:
-    n_obs = len(config.observations.items)
+def _csv_header(config: RunConfig) -> str:
     header = ["path_id", "log_weight"]
-    for k in range(n_obs):
+    for k in range(len(config.observations.items)):
         header += [f"log_eta_{k}", f"boundary_{k}", f"drift_{k}",
                    f"dA_{k}", f"covar_{k}"]
     header.append("girsanov")
     header += [f"f_{i}" for i in range(len(config.functionals))]
-    bd = ensemble.breakdown
-    cols = [ensemble.log_weights[:, None]]
-    for k in range(n_obs):
-        cols += [bd[name][:, k:k + 1] for name in TERM_NAMES]
-    cols += [bd["girsanov"][:, None], fvals]
+    return ",".join(header) + "\n"
+
+
+def _csv_rows(rows: dict, fvals: np.ndarray) -> str:
+    """The CSV lines of a chunk's ``rows`` (path ids, log-weights and
+    weight terms) and its functional values ``fvals``."""
+    cols = [rows["log_weights"][:, None]]
+    for k in range(rows[TERM_NAMES[0]].shape[1]):
+        cols += [rows[name][:, k:k + 1] for name in TERM_NAMES]
+    cols += [rows["girsanov"][:, None], fvals]
     values = np.hstack(cols)
     # 17 significant digits: lossless for doubles and byte-stable
-    row = "%d," + ",".join(["%.17g"] * (len(header) - 1)) + "\n"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        # one row's floats at a time, so no list of every row is held
-        fh.writelines(row % (pid, *vals.tolist()) for pid, vals
-                      in zip(ensemble.path_ids.tolist(), values))
+    row = "%d," + ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return "".join([row % (pid, *vals) for pid, vals
+                    in zip(rows["path_ids"].tolist(), values.tolist())])
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A new text file beside ``path`` that replaces it when the block
+    succeeds and is removed when the block fails."""
+    head, name = os.path.split(path)
+    part = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(part, "x", newline="", encoding="utf-8")
+    try:
+        with fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
 def run(config: RunConfig, threads: Optional[int] = None):
-    """Execute a run configuration; returns (exit_status, report dict)."""
+    """Execute a run configuration; returns (exit_status, report dict).
+
+    Each chunk's CSV rows are formatted where the chunk was weighted and
+    appended, in chunk order, to a temporary file beside
+    ``outputs.ensemble_csv``, which replaces that file once the run has
+    succeeded; a failed run leaves no new CSV.
+    """
     built = config.build_model()
+    times = [f.time for f in config.functionals]
     grid = build_grid(
         config.horizon, config.observations, config.grid.dt_base,
-        config.grid.dt_min, config.grid.refine_ratio,
-        include_times=[f.time for f in config.functionals])
-    ensemble = run_ensemble(
-        built.spec, config.observations, grid, config.initial_state,
-        config.n_paths, config.seed,
-        threads=_resolve_threads(threads, config.threads),
-        validate=config.validate_coefficients,
-        keep_times=[f.time for f in config.functionals])
-    cols = [coordinate_at(f.time, f.coordinate).array_map(ensemble)
-            for f in config.functionals]
-    fvals = np.column_stack(cols) if cols else np.zeros((ensemble.size, 0))
-    estimates, log_norm, ess = _estimates(config, ensemble, fvals)
-    report = {
-        "schema_version": 1,
-        "version": __version__,
-        "config_digest": config.digest,
-        "numerics_scheme": NUMERICS_SCHEME,
-        "seed": config.seed,
-        "n_paths": ensemble.size,
-        "n_failed": ensemble.n_failed,
-        "ess": ess,
-        "log_norm": log_norm,
-        "estimates": estimates,
-    }
-    exact = _oracle_values(config)
-    report["oracle"] = None if exact is None else {
-        "comparisons": _oracle_entries(config, exact, estimates)}
-    if config.ensemble_csv:
-        _write_csv(config.ensemble_csv, config, ensemble, fvals)
+        config.grid.dt_min, config.grid.refine_ratio, include_times=times)
+    kept = _kept_nodes(grid, times)
+    # each functional's node among the kept ones, and its coordinate
+    nodes = np.searchsorted(kept, [grid.index_of(t) for t in times])
+    coords = np.array([f.coordinate for f in config.functionals],
+                      dtype=np.intp)
+    target = config.ensemble_csv
+
+    def finish(rows):
+        fvals = rows["states"][:, nodes, coords]
+        return (rows["log_weights"], fvals,
+                _csv_rows(rows, fvals) if target else None)
+
+    # opened before any chunk runs, so an unwritable path fails fast
+    staged = _replacing(target) if target else contextlib.nullcontext()
+    with staged as out:
+        if out:
+            out.write(_csv_header(config))
+        # only the log-weights and functional values are kept here
+        log_weights, fvals = [], []
+        n_failed = 0
+        for (lw, fv, text), n_bad in _weighted_chunks(
+                built.spec, config.observations, grid, config.initial_state,
+                config.n_paths, config.seed,
+                _resolve_threads(threads, config.threads),
+                config.validate_coefficients, kept, finish):
+            if out:
+                out.write(text)
+            log_weights.append(lw)
+            fvals.append(fv)
+            n_failed += n_bad
+        log_weights = np.concatenate(log_weights)
+        fvals = np.concatenate(fvals)
+        estimates, log_norm, ess = _estimates(config, log_weights, fvals)
+        report = {
+            "schema_version": 1,
+            "version": __version__,
+            "config_digest": config.digest,
+            "numerics_scheme": NUMERICS_SCHEME,
+            "seed": config.seed,
+            "n_paths": len(log_weights),
+            "n_failed": n_failed,
+            "ess": ess,
+            "log_norm": log_norm,
+            "estimates": estimates,
+        }
+        exact = _oracle_values(config)
+        report["oracle"] = None if exact is None else {
+            "comparisons": _oracle_entries(config, exact, estimates)}
     payload = json.dumps(report, indent=2)
     if config.report_path:
         with open(config.report_path, "w", encoding="utf-8") as fh:

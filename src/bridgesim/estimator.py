@@ -153,6 +153,73 @@ def _map_in_workers(work: Callable, n_chunks: int, n_workers: int):
         yield from pool.map(_run_chunk, range(n_chunks))
 
 
+def _kept_nodes(grid: TimeGrid, times: Sequence[float]) -> np.ndarray:
+    """The sorted grid nodes of ``times``, each once."""
+    return np.unique(np.array([grid.index_of(t) for t in times],
+                              dtype=np.intp))
+
+
+def _log_weights(terms: dict) -> np.ndarray:
+    """Each row's log-weight: every term summed over the observations,
+    plus the Girsanov term."""
+    return np.asarray(sum(terms[name].sum(axis=1) for name in TERM_NAMES)
+                      + terms["girsanov"], dtype=float)
+
+
+def _weighted_chunks(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
+                     u, n_paths: int, seed: int, threads: int,
+                     validate: bool, kept: Optional[np.ndarray],
+                     finish: Callable):
+    """Simulate and weight ``n_paths`` bridges chunk by chunk, yielding
+    ``(finish(rows), n_dropped)`` for each chunk in chunk order.
+
+    ``rows`` holds the chunk's retained paths: ``path_ids``, ``states``
+    (only the ``kept`` nodes unless that is None), ``log_weights``, every
+    weight term and ``("preclamp", k)``.  ``finish`` runs in the process
+    that weighted the chunk, a forked worker when there are several.
+    After the last chunk, raises ``UnstableRunError`` if more than 1% of
+    the paths failed.
+    """
+    if n_paths < 1:
+        raise InvalidConfigurationError("n_paths must be >= 1")
+    if threads < 1:
+        raise InvalidConfigurationError("threads must be >= 1")
+
+    chunks = [np.arange(s, min(s + CHUNK_SIZE, n_paths))
+              for s in range(0, n_paths, CHUNK_SIZE)]
+
+    def work(index: int):
+        ids = chunks[index]
+        sim = simulate_batch(model, obs, grid, u, seed, ids,
+                             validate=validate)
+        # a row's terms do not depend on the other rows, so the failed
+        # paths are weighted with the rest and dropped afterwards
+        terms, issues = batch_breakdown(model, obs, sim)
+        st = sim.states if kept is None else sim.states[:, kept]  # a copy
+        ok = sim.failed_step < 0
+        for row, _, _, _ in issues:
+            ok[row] = False
+        rows = {"path_ids": sim.path_ids[ok], "states": st[ok]}
+        rows.update({name: arr[ok] for name, arr in terms.items()})
+        rows["log_weights"] = _log_weights(rows)
+        rows.update({("preclamp", k): v[ok] for k, v in sim.preclamp.items()})
+        return finish(rows), int(len(ids) - ok.sum())
+
+    n_workers = _worker_count(threads, len(chunks))
+    if n_workers > 1:
+        results = _map_in_workers(work, len(chunks), n_workers)
+    else:
+        results = map(work, range(len(chunks)))
+    n_failed = 0
+    for result, n_bad in results:
+        n_failed += n_bad
+        yield result, n_bad
+    if n_failed > FAILURE_CEILING * n_paths:
+        raise UnstableRunError(
+            f"{n_failed} of {n_paths} paths failed, above the "
+            f"{FAILURE_CEILING:.0%} ceiling")
+
+
 def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                  n_paths: int, seed: int, *, threads: int = 1,
                  validate: bool = False,
@@ -170,42 +237,14 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     ``keep_times`` keeps only those grid times' states of each weighted
     chunk; only array functionals read such a thinned ensemble.
     """
-    if n_paths < 1:
-        raise InvalidConfigurationError("n_paths must be >= 1")
-    if threads < 1:
-        raise InvalidConfigurationError("threads must be >= 1")
-
-    chunks = [np.arange(s, min(s + CHUNK_SIZE, n_paths))
-              for s in range(0, n_paths, CHUNK_SIZE)]
-    kept = None if keep_times is None else np.unique(
-        np.array([grid.index_of(t) for t in keep_times], dtype=np.intp))
-
-    def work(index: int):
-        ids = chunks[index]
-        sim = simulate_batch(model, obs, grid, u, seed, ids,
-                             validate=validate)
-        # a row's terms do not depend on the other rows, so the failed
-        # paths are weighted with the rest and dropped afterwards
-        terms, issues = batch_breakdown(model, obs, sim)
-        st = sim.states if kept is None else sim.states[:, kept]  # a copy
-        ok = sim.failed_step < 0
-        for row, _, _, _ in issues:
-            ok[row] = False
-        rows = {"path_ids": sim.path_ids[ok], "states": st[ok]}
-        rows.update({name: arr[ok] for name, arr in terms.items()})
-        rows.update({("preclamp", k): v[ok] for k, v in sim.preclamp.items()})
-        return rows, int(len(ids) - ok.sum())
-
-    n_workers = _worker_count(threads, len(chunks))
-    if n_workers > 1:
-        results = _map_in_workers(work, len(chunks), n_workers)
-    else:
-        results = map(work, range(len(chunks)))
+    kept = None if keep_times is None else _kept_nodes(grid, keep_times)
     # each chunk's rows are copied into place as it arrives, so no more
     # than one chunk's result is held besides the merged arrays
     merged: dict = {}
     size = n_failed = 0
-    for rows, n_bad in results:
+    for rows, n_bad in _weighted_chunks(model, obs, grid, u, n_paths, seed,
+                                        threads, validate, kept,
+                                        lambda rows: rows):
         count = len(rows["path_ids"])
         for key, arr in rows.items():
             if key not in merged:
@@ -213,21 +252,14 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             merged[key][size:size + count] = arr
         size += count
         n_failed += n_bad
-    if n_failed > FAILURE_CEILING * n_paths:
-        raise UnstableRunError(
-            f"{n_failed} of {n_paths} paths failed, above the "
-            f"{FAILURE_CEILING:.0%} ceiling")
 
     merged = {key: arr[:size] for key, arr in merged.items()}
-    breakdown = {name: merged[name] for name in (*TERM_NAMES, "girsanov")}
-    preclamp = {k: merged["preclamp", k] for k in range(len(obs.items))}
-    log_weights = sum(breakdown[name].sum(axis=1) for name in TERM_NAMES) \
-        + breakdown["girsanov"]
     return WeightedEnsemble(
         grid=grid, states=merged["states"], path_ids=merged["path_ids"],
-        kept_nodes=kept,
-        log_weights=np.asarray(log_weights, dtype=float),
-        breakdown=breakdown, preclamp=preclamp, n_failed=n_failed)
+        kept_nodes=kept, log_weights=merged["log_weights"],
+        breakdown={name: merged[name] for name in (*TERM_NAMES, "girsanov")},
+        preclamp={k: merged["preclamp", k] for k in range(len(obs.items))},
+        n_failed=n_failed)
 
 
 # ---------------------------------------------------------------------------

@@ -181,9 +181,14 @@ def product(x: np.ndarray, y: np.ndarray,
     layout.
     """
     if out is None:
-        out = batch_innermost(
-            np.broadcast(x[..., 0, 0], y[..., 0, 0]).shape,
-            (x.shape[-2], y.shape[-1]))
+        # against a shared matrix the batch is the other operand's
+        if y.ndim == 2:
+            batch = x.shape[:-2]
+        elif x.ndim == 2:
+            batch = y.shape[:-2]
+        else:
+            batch = np.broadcast(x[..., 0, 0], y[..., 0, 0]).shape
+        out = batch_innermost(batch, (x.shape[-2], y.shape[-1]))
     # one entry at a time: the loops then run over the long batch axes
     for r in range(x.shape[-2]):
         for c in range(y.shape[-1]):
@@ -200,8 +205,12 @@ def vecmat(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inner products of the rows of x and y, summed as in :func:`product`."""
-    return product(x[..., None, :], y[..., :, None])[..., 0, 0]
+    """Inner products of the rows of x and y, summed as in :func:`product`
+    and, as there, C-ordered over the leading axes."""
+    out = np.multiply(x[..., 0], y[..., 0], order="C")
+    for i in range(1, x.shape[-1]):
+        out += x[..., i] * y[..., i]
+    return out
 
 
 def matvec(sig: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -410,5 +419,5 @@ def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
     for p, pid in enumerate(ids):
         key[1] = int(pid) & _MASK64
         bitgen.state = state
-        gen.standard_normal((n_steps, dim), out=out[p])
+        gen.standard_normal(out=out[p])
     return out

@@ -288,6 +288,31 @@ class TestBatchBehavior:
         with pytest.raises(UnstableRunError):
             bs.run_ensemble(model, obs, grid, np.array([3.0]), 1, seed=1)
 
+    def test_failure_after_a_projection_keeps_rows_alone(self):
+        """In a batch whose first failure comes after its first
+        projection, every row, failed or not, holds the bytes of its path
+        simulated alone, and a failed path stays frozen from its failed
+        step on."""
+        model, obs, grid, u = state_dependent_setup(blowup_at=3.0)
+        batch = bs.simulate_batch(model, obs, grid, u, 5, np.arange(200))
+        failed = batch.failed_step
+        bad = np.flatnonzero(failed >= 0)
+        assert grid.obs_indices[0] < failed[bad].min()
+        assert failed.max() < grid.obs_indices[1]
+        for p in [*bad, *np.flatnonzero(failed < 0)[:4]]:
+            alone = bs.simulate_batch(model, obs, grid, u, 5, [p])
+            assert alone.failed_step[0] == failed[p]
+            assert batch.states[p].tobytes() == alone.states[0].tobytes()
+            assert batch.drift[p].tobytes() == alone.drift[0].tobytes()
+            for k in range(len(obs.items)):
+                for got, want in ((batch.preclamp[k], alone.preclamp[k]),
+                                  (batch.precision[k], alone.precision[k]),
+                                  (batch.logdet[k], alone.logdet[k])):
+                    assert got[p].tobytes() == want[0].tobytes()
+        for p in bad:
+            frozen = batch.states[p, failed[p]:]
+            assert (frozen == frozen[0]).all()
+
     def test_validate_flag(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
                              diffusion=lambda t, x: np.eye(1) * 4.0,

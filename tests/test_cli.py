@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 import bridgesim as bs
-from bridgesim.cli import _estimates, _write_csv, main
+import bridgesim.estimator
+from bridgesim import models
+from bridgesim.cli import _csv_header, _csv_rows, _estimates, main
 from bridgesim.errors import InvalidConfigurationError
-from bridgesim.estimator import CHUNK_SIZE, WeightedEnsemble
+from bridgesim.estimator import CHUNK_SIZE
+from conftest import state_dependent_setup
 
 
 def base_config(**updates):
@@ -33,6 +36,27 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def blowup_config(monkeypatch, blowup_at, **updates):
+    """A config of conftest's state-dependent model, registered as
+    ``blowup``, whose paths fail once x_0 passes ``blowup_at``; forked
+    workers inherit the registry entry."""
+    def blowup(drift_split=False, blowup_at=None):
+        return models.BuiltModel(
+            spec=state_dependent_setup(blowup_at=blowup_at)[0])
+
+    monkeypatch.setitem(models.REGISTRY, "blowup", blowup)
+    _, obs, _, u = state_dependent_setup()
+    return base_config(
+        model={"name": "blowup", "params": {"blowup_at": blowup_at}},
+        observations=[{"time": ob.time, "matrix": ob.matrix.tolist(),
+                       "value": ob.value.tolist()} for ob in obs.items],
+        initial_state=u.tolist(), grid={"dt_base": 0.05, "dt_min": 1e-3},
+        functionals=[{"type": "coordinate", "time": 0.55, "coordinate": 0},
+                     {"type": "marginal_var", "time": 1.0,
+                      "coordinate": 2}],
+        **updates)
 
 
 class TestParseConfig:
@@ -244,7 +268,6 @@ class TestRunCommand:
                           "coordinate": 0},
                          {"type": "marginal_var", "time": 1.0,
                           "coordinate": 0}]))
-        grid = bs.build_grid(1.0, cfg.observations, 0.25, 0.25)
         special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
                             np.finfo(float).max, 0.1, 1.0 / 3.0, 0.0, 1e22])
         rng = np.random.default_rng(3)
@@ -257,14 +280,12 @@ class TestRunCommand:
         breakdown = {name: pick(n, 2) for name in (
             "log_eta", "boundary", "drift_term", "dA_term", "covar_term")}
         breakdown["girsanov"] = pick(n)
-        ens = WeightedEnsemble(
-            grid=grid, states=np.zeros((n, grid.n_steps + 1, 1)),
-            path_ids=ids, log_weights=pick(n), breakdown=breakdown,
-            preclamp={}, n_failed=0)
+        log_weights = pick(n)
         fvals = pick(n, 2)
         fvals[0] = [-0.0, np.nan]
         path = tmp_path / "paths.csv"
-        _write_csv(str(path), cfg, ens, fvals)
+        rows = dict(breakdown, path_ids=ids, log_weights=log_weights)
+        path.write_bytes((_csv_header(cfg) + _csv_rows(rows, fvals)).encode())
 
         def fmt(x):
             return format(float(x), ".17g")
@@ -278,7 +299,7 @@ class TestRunCommand:
                            f"dA_{k}", f"covar_{k}"]
             writer.writerow(header + ["girsanov", "f_0", "f_1"])
             for i in range(n):
-                row = [str(int(ids[i])), fmt(ens.log_weights[i])]
+                row = [str(int(ids[i])), fmt(log_weights[i])]
                 for k in range(2):
                     row += [fmt(breakdown[name][i, k]) for name in (
                         "log_eta", "boundary", "drift_term", "dA_term",
@@ -324,11 +345,47 @@ class TestRunCommand:
         fvals = np.column_stack(
             [full.states[:, grid.index_of(f.time), f.coordinate]
              for f in cfg.functionals])
-        ref = tmp_path / "ref.csv"
-        _write_csv(str(ref), cfg, full, fvals)
-        assert csv_path.read_bytes() == ref.read_bytes()
-        estimates, _, _ = _estimates(cfg, full, fvals)
+        rows = dict(full.breakdown, path_ids=full.path_ids,
+                    log_weights=full.log_weights)
+        ref = (_csv_header(cfg) + _csv_rows(rows, fvals)).encode()
+        assert csv_path.read_bytes() == ref
+        estimates, _, _ = _estimates(cfg, full.log_weights, fvals)
         assert json.loads(report_path.read_text())["estimates"] == estimates
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_paths_dropped_per_chunk(self, tmp_path, monkeypatch,
+                                            threads):
+        """With failed paths in several chunks, under the 1% ceiling,
+        each chunk's CSV rows and the report's estimates are the bytes
+        built from the ensemble of ``run_ensemble``."""
+        report_path = tmp_path / "report.json"
+        csv_path = tmp_path / "paths.csv"
+        raw = blowup_config(monkeypatch, 3.3, n_paths=2 * CHUNK_SIZE + 100,
+                            outputs={"report": str(report_path),
+                                     "ensemble_csv": str(csv_path)})
+        assert main(["run", write_config(tmp_path, raw),
+                     "--threads", threads]) == 0
+
+        cfg = bs.parse_config(raw)
+        grid = bs.build_grid(cfg.horizon, cfg.observations, cfg.grid.dt_base,
+                             cfg.grid.dt_min, cfg.grid.refine_ratio,
+                             include_times=[0.55, 1.0])
+        full = bs.run_ensemble(cfg.build_model().spec, cfg.observations,
+                               grid, cfg.initial_state, cfg.n_paths, cfg.seed)
+        failed = np.setdiff1d(np.arange(cfg.n_paths), full.path_ids)
+        assert len(np.unique(failed // CHUNK_SIZE)) >= 2
+        assert 0 < full.n_failed <= 0.01 * cfg.n_paths
+        fvals = np.column_stack([full.state_at(0.55)[:, 0],
+                                 full.state_at(1.0)[:, 2]])
+        rows = dict(full.breakdown, path_ids=full.path_ids,
+                    log_weights=full.log_weights)
+        ref = (_csv_header(cfg) + _csv_rows(rows, fvals)).encode()
+        assert csv_path.read_bytes() == ref
+        report = json.loads(report_path.read_text())
+        estimates, _, _ = _estimates(cfg, full.log_weights, fvals)
+        assert report["estimates"] == estimates
+        assert report["n_paths"] == full.size
+        assert report["n_failed"] == full.n_failed
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
@@ -455,6 +512,51 @@ class TestErrorReporting:
         assert status == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "unstable-run"
+
+    def test_unwritable_csv_fails_before_simulating(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """A CSV path in a missing directory is an io-error before any
+        chunk is simulated."""
+        calls = []
+        simulate = bridgesim.estimator.simulate_batch
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(bridgesim.estimator, "simulate_batch", counting)
+        cfg = base_config(outputs={
+            "ensemble_csv": str(tmp_path / "missing" / "paths.csv")})
+        status = main(["run", write_config(tmp_path, cfg)])
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "io-error"
+        assert calls == []
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("existing", [None, b"kept,bytes\n"])
+    def test_unstable_run_leaves_csv_untouched(self, tmp_path, monkeypatch,
+                                               capsys, threads, existing):
+        """An unstable run, whose rows were streamed chunk by chunk,
+        leaves no CSV where there was none, keeps the bytes of one that
+        was there, and leaves no temporary file."""
+        out = tmp_path / "out"
+        out.mkdir()
+        csv_path = out / "paths.csv"
+        if existing is not None:
+            csv_path.write_bytes(existing)
+        raw = blowup_config(monkeypatch, 2.5, n_paths=CHUNK_SIZE + 100,
+                            outputs={"ensemble_csv": str(csv_path)})
+        status = main(["run", write_config(tmp_path, raw),
+                       "--threads", threads])
+        assert status == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "unstable-run"
+        if existing is None:
+            assert list(out.iterdir()) == []
+        else:
+            assert list(out.iterdir()) == [csv_path]
+            assert csv_path.read_bytes() == existing
 
 
 class TestOtherCommands:

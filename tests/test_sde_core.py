@@ -175,6 +175,13 @@ class TestLayout:
             assert out.shape == ref.shape
             assert out.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("shape", [(64, 3), (64, 5, 2), (3,)])
+    def test_dot_sums_as_product(self, rng, shape):
+        """``dot`` gives the bytes of ``product`` of a row and a column."""
+        x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+        ref = product(x[..., None, :], y[..., :, None])[..., 0, 0]
+        assert np.asarray(dot(x, y)).tobytes() == ref.tobytes()
+
     def test_product_into_given_out(self, rng):
         """A given ``out`` of either layout receives the bytes of the
         result ``product`` allocates itself."""
@@ -324,6 +331,22 @@ class TestIntegrator:
             assert failed[p] == j
             assert np.array_equal(states[p, j:], np.broadcast_to(
                 states[p, j], states[p, j:].shape))
+
+    def test_failed_paths_stay_frozen_once_steps_recover(self):
+        """A drift that is NaN above x = 1 before t = 2 only: paths that
+        failed stay frozen after t = 2, when every step is finite."""
+        model = bs.ModelSpec(
+            dim=1,
+            drift=lambda t, x: np.where((x > 1.0) & (t < 2.0), np.nan, 0.0),
+            diffusion=lambda t, x: np.eye(1))
+        grid = bs.build_grid(4.0, None, dt_base=0.05, dt_min=0.05)
+        batch = simulate_free_batch(model, grid, np.zeros(1), 2,
+                                    np.arange(64))
+        states, failed = batch.states, batch.failed_step
+        assert 0 < (failed >= 0).sum() < 64
+        for p in np.flatnonzero(failed >= 0):
+            frozen = states[p, failed[p]:]
+            assert (frozen == frozen[0]).all()
 
     @pytest.mark.parametrize("start, target, step", [
         (0.0, 1e200, 3),                # finite, but its squared norm is inf
