@@ -14,10 +14,11 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .errors import BridgeSimError, InvalidConfigurationError, error_kind
-# run_ensemble is no longer called here; it stays in this namespace for
-# tracers that wrap bridgesim.cli.run_ensemble
-from .estimator import (_kept_nodes, _weighted_chunks,  # noqa: F401
-                        run_ensemble, weighted_mean_se)
+# run_ensemble and weighted_mean_se are not called here; they stay in
+# this namespace for tracers that wrap them as bridgesim.cli names
+from .estimator import (_ensemble, _kept_nodes,  # noqa: F401
+                        conditional_moments, coordinate_at, run_ensemble,
+                        weighted_mean_se)
 from .oracle import condition, joint_law, observation_selector
 from .sde import NUMERICS_SCHEME, build_grid
 from .weights import TERM_NAMES, normalize_log_weights
@@ -42,20 +43,6 @@ def _resolve_threads(cli_value: Optional[int],
             raise InvalidConfigurationError(f"{THREADS_ENV} must be >= 1")
         return value
     return 1
-
-
-def _estimates(config: RunConfig, log_weights: np.ndarray,
-               fvals: np.ndarray):
-    weights, log_norm, ess = normalize_log_weights(log_weights)
-    out = []
-    for i, f in enumerate(config.functionals):
-        col = fvals[:, i:i + 1]
-        value, se = weighted_mean_se(weights, col)
-        if f.kind == "marginal_var":
-            value, se = weighted_mean_se(weights, (col - value) ** 2)
-        out.append({"type": f.kind, "time": f.time, "coordinate": f.coordinate,
-                    "value": value.item(), "std_error": se.item()})
-    return out, log_norm, ess
 
 
 def _oracle_values(config: RunConfig) -> Optional[list[float]]:
@@ -142,8 +129,9 @@ def run(config: RunConfig, threads: Optional[int] = None):
 
     Each chunk's CSV rows are formatted where the chunk was weighted and
     appended, in chunk order, to a temporary file beside
-    ``outputs.ensemble_csv``, which replaces that file once the run has
-    succeeded; a failed run leaves no new CSV.
+    ``outputs.ensemble_csv``; the report is staged beside
+    ``outputs.report`` the same way.  Both replace their targets only
+    once the run has succeeded, so a failed run leaves neither.
     """
     built = config.build_model()
     times = [f.time for f in config.functionals]
@@ -155,42 +143,39 @@ def run(config: RunConfig, threads: Optional[int] = None):
     nodes = np.searchsorted(kept, [grid.index_of(t) for t in times])
     coords = np.array([f.coordinate for f in config.functionals],
                       dtype=np.intp)
-    target = config.ensemble_csv
 
-    def finish(rows):
-        fvals = rows["states"][:, nodes, coords]
-        return (rows["log_weights"], fvals,
-                _csv_rows(rows, fvals) if target else None)
-
-    # opened before any chunk runs, so an unwritable path fails fast
-    staged = _replacing(target) if target else contextlib.nullcontext()
-    with staged as out:
-        if out:
-            out.write(_csv_header(config))
-        # only the log-weights and functional values are kept here
-        log_weights, fvals = [], []
-        n_failed = 0
-        for (lw, fv, text), n_bad in _weighted_chunks(
-                built.spec, config.observations, grid, config.initial_state,
-                config.n_paths, config.seed,
-                _resolve_threads(threads, config.threads),
-                config.validate_coefficients, kept, finish):
-            if out:
-                out.write(text)
-            log_weights.append(lw)
-            fvals.append(fv)
-            n_failed += n_bad
-        log_weights = np.concatenate(log_weights)
-        fvals = np.concatenate(fvals)
-        estimates, log_norm, ess = _estimates(config, log_weights, fvals)
+    with contextlib.ExitStack() as stack:
+        # opened before any chunk runs, so an unwritable path fails fast
+        csv_out, report_out = [
+            stack.enter_context(_replacing(path)) if path else None
+            for path in (config.ensemble_csv, config.report_path)]
+        if csv_out:
+            csv_out.write(_csv_header(config))
+        ens = _ensemble(
+            built.spec, config.observations, grid, config.initial_state,
+            config.n_paths, config.seed,
+            _resolve_threads(threads, config.threads),
+            config.validate_coefficients, kept,
+            emit=csv_out and (lambda rows: _csv_rows(
+                rows, rows["states"][:, nodes, coords])),
+            sink=csv_out and csv_out.write)
+        _, log_norm, ess = normalize_log_weights(ens.log_weights)
+        estimates = []
+        for f in config.functionals:
+            mom = conditional_moments(ens, coordinate_at(f.time, f.coordinate))
+            var = f.kind == "marginal_var"
+            estimates.append({
+                "type": f.kind, "time": f.time, "coordinate": f.coordinate,
+                "value": mom.var if var else mom.mean,
+                "std_error": mom.var_se if var else mom.mean_se})
         report = {
             "schema_version": 1,
             "version": __version__,
             "config_digest": config.digest,
             "numerics_scheme": NUMERICS_SCHEME,
             "seed": config.seed,
-            "n_paths": len(log_weights),
-            "n_failed": n_failed,
+            "n_paths": ens.size,
+            "n_failed": ens.n_failed,
             "ess": ess,
             "log_norm": log_norm,
             "estimates": estimates,
@@ -198,11 +183,10 @@ def run(config: RunConfig, threads: Optional[int] = None):
         exact = _oracle_values(config)
         report["oracle"] = None if exact is None else {
             "comparisons": _oracle_entries(config, exact, estimates)}
-    payload = json.dumps(report, indent=2)
-    if config.report_path:
-        with open(config.report_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
+        payload = json.dumps(report, indent=2)
+        if report_out:
+            report_out.write(payload + "\n")
+    if not config.report_path:
         print(payload)
     return 0, report
 
@@ -232,7 +216,11 @@ def run_validate(config: RunConfig):
 
 def _load(path: str, overrides: argparse.Namespace) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise InvalidConfigurationError(
+                f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InvalidConfigurationError("config must be a JSON object")
     # overrides are applied before digesting so reruns agree byte for byte

@@ -113,7 +113,7 @@ def parse_config(source) -> RunConfig:
     if isinstance(source, (str, bytes)):
         try:
             raw = json.loads(source)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or undecodable bytes
             raise InvalidConfigurationError(f"config is not valid JSON: {exc}")
     else:
         raw = source

@@ -166,19 +166,20 @@ def _log_weights(terms: dict) -> np.ndarray:
                       + terms["girsanov"], dtype=float)
 
 
-def _weighted_chunks(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
-                     u, n_paths: int, seed: int, threads: int,
-                     validate: bool, kept: Optional[np.ndarray],
-                     finish: Callable):
-    """Simulate and weight ``n_paths`` bridges chunk by chunk, yielding
-    ``(finish(rows), n_dropped)`` for each chunk in chunk order.
+def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
+              n_paths: int, seed: int, threads: int, validate: bool,
+              kept: Optional[np.ndarray], emit: Optional[Callable] = None,
+              sink: Optional[Callable] = None) -> WeightedEnsemble:
+    """Simulate and weight ``n_paths`` bridges chunk by chunk and merge
+    each chunk's retained rows, in chunk order, into one ensemble.
 
-    ``rows`` holds the chunk's retained paths: ``path_ids``, ``states``
-    (only the ``kept`` nodes unless that is None), ``log_weights``, every
-    weight term and ``("preclamp", k)``.  ``finish`` runs in the process
-    that weighted the chunk, a forked worker when there are several.
-    After the last chunk, raises ``UnstableRunError`` if more than 1% of
-    the paths failed.
+    A chunk's rows are its retained paths' ``path_ids``, ``states`` (only
+    the ``kept`` nodes unless that is None), ``log_weights``, every
+    weight term and ``("preclamp", k)``.  ``emit(rows)`` runs in the
+    process that weighted the chunk, a forked worker when there are
+    several, and ``sink`` receives each result in chunk order.  After
+    the last chunk, raises ``UnstableRunError`` if more than 1% of the
+    paths failed.
     """
     if n_paths < 1:
         raise InvalidConfigurationError("n_paths must be >= 1")
@@ -203,21 +204,39 @@ def _weighted_chunks(model: ModelSpec, obs: ObservationSet, grid: TimeGrid,
         rows.update({name: arr[ok] for name, arr in terms.items()})
         rows["log_weights"] = _log_weights(rows)
         rows.update({("preclamp", k): v[ok] for k, v in sim.preclamp.items()})
-        return finish(rows), int(len(ids) - ok.sum())
+        return rows, emit(rows) if emit else None
 
     n_workers = _worker_count(threads, len(chunks))
     if n_workers > 1:
         results = _map_in_workers(work, len(chunks), n_workers)
     else:
         results = map(work, range(len(chunks)))
-    n_failed = 0
-    for result, n_bad in results:
-        n_failed += n_bad
-        yield result, n_bad
+    # each chunk's rows are copied into place as it arrives, so no more
+    # than one chunk's result is held besides the merged arrays
+    merged: dict = {}
+    size = 0
+    for rows, emitted in results:
+        if sink:
+            sink(emitted)
+        count = len(rows["path_ids"])
+        for key, arr in rows.items():
+            if key not in merged:
+                merged[key] = np.empty((n_paths,) + arr.shape[1:], arr.dtype)
+            merged[key][size:size + count] = arr
+        size += count
+    n_failed = n_paths - size
     if n_failed > FAILURE_CEILING * n_paths:
         raise UnstableRunError(
             f"{n_failed} of {n_paths} paths failed, above the "
             f"{FAILURE_CEILING:.0%} ceiling")
+
+    merged = {key: arr[:size] for key, arr in merged.items()}
+    return WeightedEnsemble(
+        grid=grid, states=merged["states"], path_ids=merged["path_ids"],
+        kept_nodes=kept, log_weights=merged["log_weights"],
+        breakdown={name: merged[name] for name in (*TERM_NAMES, "girsanov")},
+        preclamp={k: merged["preclamp", k] for k in range(len(obs.items))},
+        n_failed=n_failed)
 
 
 def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
@@ -238,28 +257,8 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     chunk; only array functionals read such a thinned ensemble.
     """
     kept = None if keep_times is None else _kept_nodes(grid, keep_times)
-    # each chunk's rows are copied into place as it arrives, so no more
-    # than one chunk's result is held besides the merged arrays
-    merged: dict = {}
-    size = n_failed = 0
-    for rows, n_bad in _weighted_chunks(model, obs, grid, u, n_paths, seed,
-                                        threads, validate, kept,
-                                        lambda rows: rows):
-        count = len(rows["path_ids"])
-        for key, arr in rows.items():
-            if key not in merged:
-                merged[key] = np.empty((n_paths,) + arr.shape[1:], arr.dtype)
-            merged[key][size:size + count] = arr
-        size += count
-        n_failed += n_bad
-
-    merged = {key: arr[:size] for key, arr in merged.items()}
-    return WeightedEnsemble(
-        grid=grid, states=merged["states"], path_ids=merged["path_ids"],
-        kept_nodes=kept, log_weights=merged["log_weights"],
-        breakdown={name: merged[name] for name in (*TERM_NAMES, "girsanov")},
-        preclamp={k: merged["preclamp", k] for k in range(len(obs.items))},
-        n_failed=n_failed)
+    return _ensemble(model, obs, grid, u, n_paths, seed, threads, validate,
+                     kept)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import bridgesim as bs
 import bridgesim.estimator
 from bridgesim import models
-from bridgesim.cli import _csv_header, _csv_rows, _estimates, main
+from bridgesim.cli import _csv_header, _csv_rows, main
 from bridgesim.errors import InvalidConfigurationError
 from bridgesim.estimator import CHUNK_SIZE
 from conftest import state_dependent_setup
@@ -36,6 +36,21 @@ def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def moment_estimates(cfg, ens):
+    """The report's estimate entries for ``cfg``, read from
+    ``conditional_moments`` on ``ens``."""
+    out = []
+    for f in cfg.functionals:
+        mom = bs.conditional_moments(ens, bs.coordinate_at(f.time,
+                                                           f.coordinate))
+        var = f.kind == "marginal_var"
+        out.append({"type": f.kind, "time": f.time,
+                    "coordinate": f.coordinate,
+                    "value": mom.var if var else mom.mean,
+                    "std_error": mom.var_se if var else mom.mean_se})
+    return out
 
 
 def blowup_config(monkeypatch, blowup_at, **updates):
@@ -155,6 +170,13 @@ class TestParseConfig:
         with pytest.raises(InvalidConfigurationError):
             bs.parse_config("{not json")
 
+    @pytest.mark.parametrize("source", [b"\xff\xfe{", b"\xc3("],
+                             ids=["utf16-bom", "bad-utf8"])
+    def test_undecodable_json_bytes(self, source):
+        with pytest.raises(InvalidConfigurationError,
+                           match="config is not valid JSON"):
+            bs.parse_config(source)
+
     def test_observation_anchor_key_is_ignored(self):
         """An observation's ``anchor``, even an inconsistent one, is an
         unknown key like any other."""
@@ -215,9 +237,13 @@ class TestRunCommand:
         assert np.isclose(float(w @ fv), report["estimates"][0]["value"],
                           atol=1e-12)
 
-    def test_report_equals_conditional_moments(self, tmp_path):
-        """The report's mean and variance, with their SEs, are the bytes
-        of conditional_moments on the ensemble of the same config."""
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("kind", ["coordinate", "marginal_mean",
+                                      "marginal_var"])
+    def test_report_equals_conditional_moments(self, tmp_path, kind,
+                                               threads):
+        """Each kind's estimate and SE, and the ESS, are the bytes of
+        conditional_moments on the ensemble of the same config."""
         report_path = tmp_path / "report.json"
         raw = base_config(
             model={"name": "ou", "drift_split": True,
@@ -226,11 +252,10 @@ class TestRunCommand:
             observations=[{"time": 1.0, "matrix": [[1.0, 0.0]],
                            "value": [0.7]}],
             initial_state=[0.5, -0.3], n_paths=2100,
-            functionals=[
-                {"type": "coordinate", "time": 0.5, "coordinate": 0},
-                {"type": "marginal_var", "time": 0.5, "coordinate": 0}],
+            functionals=[{"type": kind, "time": 0.5, "coordinate": 0}],
             outputs={"report": str(report_path)})
-        assert main(["run", write_config(tmp_path, raw)]) == 0
+        assert main(["run", write_config(tmp_path, raw),
+                     "--threads", threads]) == 0
         report = json.loads(report_path.read_text())
 
         cfg = bs.parse_config(raw)
@@ -240,11 +265,12 @@ class TestRunCommand:
         ens = bs.run_ensemble(cfg.build_model().spec, cfg.observations,
                               grid, cfg.initial_state, cfg.n_paths, cfg.seed)
         mom = bs.conditional_moments(ens, bs.coordinate_at(0.5, 0))
-        mean, var = report["estimates"]
-        assert np.array([mean["value"], mean["std_error"], var["value"],
-                         var["std_error"], report["ess"]]).tobytes() == \
-            np.array([mom.mean, mom.mean_se, mom.var, mom.var_se,
-                      mom.ess]).tobytes()
+        want = ([mom.var, mom.var_se] if kind == "marginal_var"
+                else [mom.mean, mom.mean_se])
+        (est,) = report["estimates"]
+        assert np.array([est["value"], est["std_error"],
+                         report["ess"]]).tobytes() == \
+            np.array(want + [mom.ess]).tobytes()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         csv_a = tmp_path / "a.csv"
@@ -349,8 +375,8 @@ class TestRunCommand:
                     log_weights=full.log_weights)
         ref = (_csv_header(cfg) + _csv_rows(rows, fvals)).encode()
         assert csv_path.read_bytes() == ref
-        estimates, _, _ = _estimates(cfg, full.log_weights, fvals)
-        assert json.loads(report_path.read_text())["estimates"] == estimates
+        assert json.loads(report_path.read_text())["estimates"] == \
+            moment_estimates(cfg, full)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_paths_dropped_per_chunk(self, tmp_path, monkeypatch,
@@ -382,8 +408,7 @@ class TestRunCommand:
         ref = (_csv_header(cfg) + _csv_rows(rows, fvals)).encode()
         assert csv_path.read_bytes() == ref
         report = json.loads(report_path.read_text())
-        estimates, _, _ = _estimates(cfg, full.log_weights, fvals)
-        assert report["estimates"] == estimates
+        assert report["estimates"] == moment_estimates(cfg, full)
         assert report["n_paths"] == full.size
         assert report["n_failed"] == full.n_failed
 
@@ -513,10 +538,14 @@ class TestErrorReporting:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "unstable-run"
 
+    @pytest.mark.parametrize("missing", ["csv", "report"],
+                             ids=["csv-dir-missing", "report-dir-missing"])
     def test_unwritable_csv_fails_before_simulating(self, tmp_path,
-                                                   monkeypatch, capsys):
-        """A CSV path in a missing directory is an io-error before any
-        chunk is simulated."""
+                                                   monkeypatch, capsys,
+                                                   missing):
+        """A CSV or report path in a missing directory is an io-error
+        before any chunk is simulated, and the other output's directory
+        is left without a file, temporary or not."""
         calls = []
         simulate = bridgesim.estimator.simulate_batch
 
@@ -525,13 +554,32 @@ class TestErrorReporting:
             return simulate(*args, **kwargs)
 
         monkeypatch.setattr(bridgesim.estimator, "simulate_batch", counting)
-        cfg = base_config(outputs={
-            "ensemble_csv": str(tmp_path / "missing" / "paths.csv")})
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {"csv": out / "paths.csv", "report": out / "report.json"}
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        cfg = base_config(outputs={"ensemble_csv": str(paths["csv"]),
+                                   "report": str(paths["report"])})
         status = main(["run", write_config(tmp_path, cfg)])
         assert status == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "io-error"
         assert calls == []
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("content", [b'{"schema_version": 1,',
+                                         b"\xff\xfe{}"],
+                             ids=["truncated", "not-utf8"])
+    def test_malformed_config_file_reported(self, tmp_path, capsys,
+                                            content):
+        """A config file that is not JSON, or not UTF-8, is an
+        invalid-configuration error, not a traceback."""
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "invalid-configuration"
+        assert err["message"].startswith("config is not valid JSON: ")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("existing", [None, b"kept,bytes\n"])
