@@ -123,15 +123,13 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     # every per-chunk array keeps the path axis innermost in memory; the
     # public shapes stay (P, ...)
     paths = (p_count,)
-    xi = batch_innermost(paths, (m_steps, n))
-    xi[...] = block_normals(seed, ids, m_steps, n)
+    # block_normals draws straight into a paths-innermost buffer, so
+    # each step reads one contiguous (P, n) block with no transposing copy
+    xi = block_normals(seed, ids, m_steps, n)
     sig_c = model.constant_sigma
     if sig_c is not None:
         # constant sigma: every step's noise term sigma xi sqrt(dt) at
-        # once, each element the sum the step would form.  Both buffers
-        # keep paths innermost, so each step reads one contiguous (P, n)
-        # block; the product from block_normals' (P, M, n) layout
-        # instead strides through memory and costs three times as much
+        # once, each element the sum the step would form
         noise = batch_innermost(paths, (m_steps, n))
         product(xi[..., None, :], sig_c.T, out=noise[..., None, :])
         noise *= np.sqrt(np.diff(grid.nodes))[:, None]

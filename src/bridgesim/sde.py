@@ -4,7 +4,9 @@ Simulation lives in :mod:`bridgesim.bridge`, whose one Euler-Maruyama
 kernel integrates both guided bridges and unconditioned paths."""
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -20,9 +22,13 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 _MASK64 = (1 << 64) - 1
 
 # Version of the arithmetic behind a run's bits, reported by ``bridgesim
-# run``; the README's "Numerics scheme" describes each.  Scheme 4 sums
-# every weighted mean and SE pairwise along the paths of a C-order copy.
-NUMERICS_SCHEME = 4
+# run``; the README's "Numerics scheme" describes each.  Scheme 5 draws
+# the noise of NOISE_BLOCK paths from one Philox stream.
+NUMERICS_SCHEME = 5
+
+# Paths per Philox noise stream: path p reads column p % NOISE_BLOCK of
+# the stream keyed (seed, p // NOISE_BLOCK).
+NOISE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -113,9 +119,15 @@ class TimeGrid:
     def steps(self) -> np.ndarray:
         return np.diff(self.nodes)
 
+    @cached_property
+    def _times(self) -> tuple:
+        # Python floats bisect several times faster than searchsorted
+        # on the array, which builds numpy scalars on every call
+        return tuple(self.nodes.tolist())
+
     def index_of(self, time: float, tol: float = 1e-9) -> int:
         """Index of the grid node equal to ``time`` (within ``tol``)."""
-        return _index_near(self.nodes, time, tol)
+        return _index_near(self._times, time, tol)
 
 
 @dataclass
@@ -249,7 +261,7 @@ def check_coefficients(model: ModelSpec, t: float, states: np.ndarray,
 def _index_near(values, x: float, tol: float) -> int:
     """Index of the entry of the sorted grid times ``values`` within
     ``tol`` of ``x``."""
-    i = int(np.searchsorted(values, x))
+    i = bisect.bisect_left(values, x)
     for j in (i - 1, i, i + 1):
         if 0 <= j < len(values) and abs(values[j] - x) <= tol:
             return j
@@ -373,9 +385,9 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
     if np.any(np.diff(arr) <= 0):
         raise InvalidConfigurationError("grid construction produced a non-increasing node sequence")
 
-    obs_indices = {k: _index_near(arr, windows[k][1], tol)
+    obs_indices = {k: _index_near(nodes, windows[k][1], tol)
                    for k in range(len(items))}
-    window_start_indices = {k: _index_near(arr, windows[k][0], tol)
+    window_start_indices = {k: _index_near(nodes, windows[k][0], tol)
                             for k in range(len(items))}
     return TimeGrid(arr, obs_indices, window_start_indices)
 
@@ -383,41 +395,76 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
 # ---------------------------------------------------------------------------
 # noise streams
 
-def normal_increments(seed: int, path_id: int, n_steps: int,
-                      dim: int) -> np.ndarray:
-    """The (n_steps, dim) block of standard normals driving one path.
+def _block_drawer(seed: int, n_steps: int, dim: int):
+    """A function drawing noise block ``b`` of ``seed``: the step-major
+    (n_steps, dim, NOISE_BLOCK) standard normals of the Philox stream
+    keyed (seed, b), into one buffer that the next draw overwrites.
 
-    A counter-based generator keyed by (seed, path_id) draws it, so any
-    path can be regenerated in isolation and results do not depend on
-    scheduling order.
+    One Philox generator is re-keyed at counter 0 with an empty buffer,
+    which is the state a freshly keyed generator starts in, so no
+    generator is built per block.  Each drawer owns its generator, so
+    concurrent drawers are safe.
     """
-    key = np.array([int(seed) & _MASK64, int(path_id) & _MASK64],
-                   dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.standard_normal((n_steps, dim))
-
-
-def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
-    """The (P, n_steps, dim) noise of a batch of paths.
-
-    Row p equals ``normal_increments(seed, path_ids[p], n_steps, dim)``
-    bit for bit: one Philox generator is re-keyed to (seed, path_id) at
-    counter 0 with an empty buffer, which is the state a freshly keyed
-    generator starts in, so no generator is built per path.  Each call
-    owns its generator, so concurrent calls are safe.
-    """
-    ids = list(path_ids)
-    out = np.empty((len(ids), n_steps, dim))
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    # one state dict serves every path; only the key's path half changes
+    scratch = np.empty((n_steps, dim, NOISE_BLOCK))
+    # one state dict serves every block; only the key's block half changes
     key = [int(seed) & _MASK64, 0]
     zeros = (0, 0, 0, 0)
     state = {"bit_generator": "Philox",
              "state": {"key": key, "counter": zeros},
              "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for p, pid in enumerate(ids):
-        key[1] = int(pid) & _MASK64
+
+    def draw(block: int) -> np.ndarray:
+        key[1] = block & _MASK64
         bitgen.state = state
-        gen.standard_normal(out=out[p])
-    return out
+        return gen.standard_normal(out=scratch)
+
+    return draw
+
+
+def normal_increments(seed: int, path_id: int, n_steps: int,
+                      dim: int) -> np.ndarray:
+    """The (n_steps, dim) block of standard normals driving one path.
+
+    Path p reads column ``p % NOISE_BLOCK`` of the step-major
+    (n_steps, dim, NOISE_BLOCK) standard normal draw of the Philox
+    stream keyed (seed, p // NOISE_BLOCK), both halves of the key taken
+    modulo 2^64.  The counter-based stream lets any path be regenerated
+    from (seed, path_id) alone, at the cost of its block, and results do
+    not depend on scheduling order.  A longer request extends the same
+    noise.
+    """
+    block, col = divmod(int(path_id), NOISE_BLOCK)
+    return _block_drawer(seed, n_steps, dim)(block)[:, :, col].copy()
+
+
+def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
+    """The (P, n_steps, dim) noise of a batch of paths, paths innermost
+    in memory: a transposed view of an (n_steps, dim, P) buffer.
+
+    Row p equals ``normal_increments(seed, path_ids[p], n_steps, dim)``
+    bit for bit.  Each block that the ids touch is drawn once.  A
+    contiguous id range, such as every chunk of ``run_ensemble``, finds
+    its columns by arithmetic; other ids are grouped by block.
+    """
+    ids = [int(p) for p in path_ids]
+    count = len(ids)
+    out = np.empty((n_steps, dim, count))
+    draw = _block_drawer(seed, n_steps, dim)
+    first = ids[0] if ids else 0
+    if ids == list(range(first, first + count)):
+        for block in range(first // NOISE_BLOCK,
+                           -(-(first + count) // NOISE_BLOCK)):
+            base = block * NOISE_BLOCK
+            lo, hi = max(base, first), min(base + NOISE_BLOCK, first + count)
+            out[:, :, lo - first:hi - first] = \
+                draw(block)[:, :, lo - base:hi - base]
+    else:
+        rows: dict[int, list[int]] = {}
+        for p, pid in enumerate(ids):
+            rows.setdefault(pid // NOISE_BLOCK, []).append(p)
+        for block, ps in rows.items():
+            cols = [ids[p] % NOISE_BLOCK for p in ps]
+            out[:, :, ps] = draw(block)[:, :, cols]
+    return out.transpose(2, 0, 1)

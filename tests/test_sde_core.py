@@ -10,7 +10,9 @@ from bridgesim.errors import (
     InvalidConfigurationError,
 )
 from bridgesim.bridge import simulate_batch, simulate_free_batch
+from bridgesim.estimator import CHUNK_SIZE
 from bridgesim.sde import (
+    NOISE_BLOCK,
     block_normals,
     check_coefficients,
     diffusion_values,
@@ -43,26 +45,34 @@ class TestNoise:
         assert np.array_equal(long[:20], short)
 
     def test_moments(self):
-        draws = bs.normal_increments(123, 0, 100_000, 1)
+        pid = 0
+        draws = bs.normal_increments(123, pid, 100_000, 1)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
-        # the stream is Philox keyed by (seed, path_id)
-        gen = np.random.Generator(np.random.Philox(key=[123, 0]))
-        assert draws.tobytes() == gen.standard_normal((100_000, 1)).tobytes()
+        # path p reads column p % 64 of the step-major draw of Philox
+        # keyed (seed, p // 64)
+        gen = np.random.Generator(np.random.Philox(key=[123, pid // 64]))
+        ref = gen.standard_normal((100_000, 1, 64))[:, :, pid % 64]
+        assert draws.tobytes() == ref.tobytes()
 
     def test_negative_and_huge_ids_accepted(self):
-        """Any integer seed and id keys the stream through its low 64
-        bits."""
-        got = bs.normal_increments(-5, 2 ** 70, 4, 2)
-        key = np.array([-5 & (2 ** 64 - 1), 2 ** 70 & (2 ** 64 - 1)],
+        """Any integer seed and id keys the stream through the low 64
+        bits of the seed and of the id's block."""
+        pid = 2 ** 70
+        got = bs.normal_increments(-5, pid, 4, 2)
+        key = np.array([-5 & (2 ** 64 - 1), (pid // 64) & (2 ** 64 - 1)],
                        dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
-        assert got.tobytes() == gen.standard_normal((4, 2)).tobytes()
+        ref = gen.standard_normal((4, 2, 64))[:, :, pid % 64]
+        assert got.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("ids", [
         [9, 2, 40, 3],                              # non-contiguous
         [2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5, -1],    # through the 64-bit mask
         [],                                         # empty batch
+        [62, 63, 64, 65],                           # across a block boundary
+        list(range(100, 1100)),                     # unaligned range
+        [130, 5, 129],                              # blocks out of order
     ])
     def test_block_equals_stacked_streams(self, ids):
         block = block_normals(-5, ids, 30, 2)
@@ -70,6 +80,11 @@ class TestNoise:
             if ids else np.zeros((0, 30, 2))
         assert block.shape == ref.shape
         assert block.tobytes() == ref.tobytes()
+
+    def test_chunks_hold_whole_noise_blocks(self):
+        """No run_ensemble chunk shares a noise block with another, so
+        none draws a block twice."""
+        assert CHUNK_SIZE % NOISE_BLOCK == 0
 
     def test_free_batch_noise_equals_stacked_streams(self):
         """Replaying the zero-drift Euler recursion on the per-path
@@ -246,22 +261,30 @@ class TestIntegrator:
 
     def test_weak_error_decreases_with_step(self):
         """Second moment of an endpoint of a linear SDE: the deterministic
-        part of the Euler bias shrinks as the step shrinks."""
+        part of the Euler bias shrinks as the step shrinks.
+
+        The mean of X^2 over 100k paths has an SE of about 2.07e-3, so
+        the mean is taken over 8 batches of 100k paths, where the 3e-3
+        bound is about 4 SE."""
         built = bs.ou(dim=1, f_diag=-1.0)
         exact = (1.0 - np.exp(-2.0)) / 2.0
+        batches, size = 8, 100_000
 
         def run(dt, seed):
             grid = bs.build_grid(1.0, None, dt_base=dt, dt_min=dt)
-            batch = simulate_free_batch(
-                built.spec, grid, np.zeros(1), seed, np.arange(100_000))
-            states, failed = batch.states, batch.failed_step
-            assert not (failed >= 0).any()
-            return states[:, -1, 0] ** 2
+            total = 0.0
+            for start in range(0, batches * size, size):
+                batch = simulate_free_batch(
+                    built.spec, grid, np.zeros(1), seed,
+                    np.arange(start, start + size))
+                assert not (batch.failed_step >= 0).any()
+                total += float((batch.states[:, -1, 0] ** 2).sum())
+            return total / (batches * size)
 
         coarse = run(0.1, 31)
         fine = run(0.0125, 31)
-        err_coarse = abs(coarse.mean() - exact)
-        err_fine = abs(fine.mean() - exact)
+        err_coarse = abs(coarse - exact)
+        err_fine = abs(fine - exact)
         # deterministic recursion for the Euler second moment
         def biased(dt):
             v, t = 0.0, 0.0
@@ -269,8 +292,8 @@ class TestIntegrator:
                 v = (1.0 - dt) ** 2 * v + dt
                 t += dt
             return v
-        assert abs(coarse.mean() - biased(0.1)) < 3e-3
-        assert abs(fine.mean() - biased(0.0125)) < 3e-3
+        assert abs(coarse - biased(0.1)) < 3e-3
+        assert abs(fine - biased(0.0125)) < 3e-3
         assert err_fine < err_coarse
 
     def test_determinism(self):
