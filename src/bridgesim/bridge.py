@@ -29,6 +29,7 @@ from .sde import (  # noqa: F401
     drift_values,
     matvec,
     normal_increments,
+    path_id_array,
     product,
     vecmat,
 )
@@ -114,11 +115,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     nodes = grid.nodes.tolist()
     m_steps = grid.n_steps
-    ids = [int(p) for p in path_ids]
-    try:
-        ids = np.array(ids, dtype=np.int64)
-    except OverflowError:  # the noise streams take any integer id
-        ids = np.array(ids, dtype=object)
+    ids = path_id_array(path_ids)
     p_count = len(ids)
     # every per-chunk array keeps the path axis innermost in memory; the
     # public shapes stay (P, ...)
@@ -144,8 +141,14 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     # the check compares squares; a square that overflows fails it even
     # where the squared cap overflows too
     cap2 = min(cap * cap, np.finfo(float).max)
-    cur = batch_innermost(paths, (n,))
-    cur[...] = u
+    # a state whose entries all lie within +-calm has squares of at most
+    # cap2 / 4n (1 + eps), so its squared norm cannot reach cap2
+    calm = 0.5 * np.sqrt(cap2 / n)
+    # each step's terms are formed in these, and the step itself in its
+    # row of ``states``
+    total = batch_innermost(paths, (n,))
+    term = batch_innermost(paths, (n,))  # a pull, a projection or noise
+    resids = [batch_innermost(paths, (ob.m,)) for ob in obs.items]
     # constant sigma: one channel per observation serves the pull at
     # every step and the terminal projection
     channels = None if sig_c is None else \
@@ -173,6 +176,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             precision[k][:, node] = ch.A
         return ch
 
+    cur = states[:, 0]
     # sigma at each node's state, evaluated once: at a projected node it
     # serves both log det A and the next step
     sig = diffusion_values(model.diffusion, nodes[0], cur, n)
@@ -180,45 +184,56 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         for j in range(m_steps):
             t = nodes[j]
             dt = nodes[j + 1] - nodes[j]
+            nxt = states[:, j + 1]
             b = drift_values(drift_fn, t, cur, n)
             if drift is not None:
                 drift[:, j] = b
             if validate:
                 check_coefficients(model, t, cur, sig)
-            total = b
+            # nxt = cur + (b - sum of pull / (T_k - t)) dt + noise
             for k, (j0, js, j1, ob) in enumerate(table):
                 if j0 <= j < js:
-                    resid = vecmat(cur, ob.matrix.T) - ob.value
-                    ch = chan(k, sig, j - j0)
-                    total = total - ch.pull(resid) / (nodes[j1] - t)
+                    resid = vecmat(cur, ob.matrix.T, out=resids[k])
+                    resid -= ob.value
+                    pull = chan(k, sig, j - j0).pull(resid, out=term)
+                    pull /= nodes[j1] - t
+                    b = np.subtract(b, pull, out=total)
+            np.multiply(b, dt, out=nxt)
+            nxt += cur
             if sig_c is None:
-                nxt = cur + total * dt + matvec(sig, xi[:, j]) * np.sqrt(dt)
+                step_noise = matvec(sig, xi[:, j], out=term)
+                step_noise *= np.sqrt(dt)
+                nxt += step_noise
             else:
-                nxt = cur + total * dt + noise[:, j]
-            # a non-finite entry fails the comparison too
-            within = dot(nxt, nxt) <= cap2
-            if keep is None and within.all():
-                cur = nxt
-            else:
-                failed[(failed < 0) & ~within] = j
-                keep = failed < 0
-                cur = np.where(keep[:, None], nxt, cur)
+                nxt += noise[:, j]
+            # until a path fails, a step within +-calm needs no exact
+            # check; a NaN fails both comparisons
+            if keep is not None or not (
+                    -calm <= nxt.min(initial=np.inf)
+                    and nxt.max(initial=-np.inf) <= calm):
+                # a non-finite entry fails the exact check too
+                within = dot(nxt, nxt) <= cap2
+                if keep is not None or not within.all():
+                    failed[(failed < 0) & ~within] = j
+                    keep = failed < 0
+                    np.copyto(nxt, cur, where=~keep[:, None])
+            cur = nxt
 
             t = nodes[j + 1]
             k0 = clamp_nodes.get(j + 1)
             if k0 is not None:
                 ob = obs.items[k0]
                 preclamp[k0] = cur.copy(order="K")
-                resid = ob.value - vecmat(cur, ob.matrix.T)
+                resid = vecmat(cur, ob.matrix.T, out=resids[k0])
+                np.subtract(ob.value, resid, out=resid)
                 pre_sig = diffusion_values(model.diffusion, t, cur, n)
-                move = chan(k0, pre_sig, node=-1).pull(resid)
-                cur = cur + move if keep is None else \
-                    np.where(keep[:, None], cur + move, cur)
+                move = chan(k0, pre_sig, node=-1).pull(resid, out=term)
+                np.add(cur, move, out=cur,
+                       where=True if keep is None else keep[:, None])
             if j + 1 < m_steps or k0 is not None:
                 sig = diffusion_values(model.diffusion, t, cur, n)
             if k0 is not None and channels is None:
                 logdet[k0][:] = chan(k0, sig).logdet
-            states[:, j + 1] = cur
 
     return BatchPaths(grid=grid, path_ids=ids, states=states,
                       preclamp=preclamp, failed_step=failed,

@@ -15,7 +15,7 @@ from .errors import (
     UnstableRunError,
 )
 from .observations import ObservationSet
-from .sde import ModelSpec, PathSample, TimeGrid
+from .sde import ModelSpec, PathSample, TimeGrid, batch_innermost
 from .weights import TERM_NAMES, batch_breakdown, normalize_log_weights
 
 # Paths are simulated and weighted this many at a time; a path's bits
@@ -200,10 +200,14 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         ok = sim.failed_step < 0
         for row, _, _, _ in issues:
             ok[row] = False
-        rows = {"path_ids": sim.path_ids[ok], "states": st[ok]}
-        rows.update({name: arr[ok] for name, arr in terms.items()})
+        # with no row dropped, the rows are the chunk's own arrays, so
+        # paths-innermost states merge as contiguous runs
+        pick = slice(None) if ok.all() else ok
+        rows = {"path_ids": sim.path_ids[pick], "states": st[pick]}
+        rows.update({name: arr[pick] for name, arr in terms.items()})
         rows["log_weights"] = _log_weights(rows)
-        rows.update({("preclamp", k): v[ok] for k, v in sim.preclamp.items()})
+        rows.update({("preclamp", k): v[pick]
+                     for k, v in sim.preclamp.items()})
         return rows, emit(rows) if emit else None
 
     n_workers = _worker_count(threads, len(chunks))
@@ -221,7 +225,8 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         count = len(rows["path_ids"])
         for key, arr in rows.items():
             if key not in merged:
-                merged[key] = np.empty((n_paths,) + arr.shape[1:], arr.dtype)
+                merged[key] = batch_innermost((n_paths,), arr.shape[1:],
+                                              arr.dtype)
             merged[key][size:size + count] = arr
         size += count
     n_failed = n_paths - size

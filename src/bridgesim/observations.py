@@ -151,10 +151,12 @@ class Channel:
     logdet: Union[float, np.ndarray]
     gain: np.ndarray
 
-    def pull(self, resid: np.ndarray) -> np.ndarray:
+    def pull(self, resid: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
         """a L* (L a L*)^-1 resid = resid G for residuals (..., m): the
-        guiding pull and, for resid = v - L z, the terminal projection."""
-        return vecmat(resid, self.gain)
+        guiding pull and, for resid = v - L z, the terminal projection;
+        into ``out`` if given."""
+        return vecmat(resid, self.gain, out)
 
 
 def _not_elliptic(detail: str) -> EllipticityViolationError:

@@ -22,9 +22,9 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 _MASK64 = (1 << 64) - 1
 
 # Version of the arithmetic behind a run's bits, reported by ``bridgesim
-# run``; the README's "Numerics scheme" describes each.  Scheme 5 draws
-# the noise of NOISE_BLOCK paths from one Philox stream.
-NUMERICS_SCHEME = 5
+# run``; the README's "Numerics scheme" describes each.  Scheme 6 adds
+# no product term for an exact zero of a shared matrix.
+NUMERICS_SCHEME = 6
 
 # Paths per Philox noise stream: path p reads column p % NOISE_BLOCK of
 # the stream keyed (seed, p // NOISE_BLOCK).
@@ -172,12 +172,14 @@ def diffusion_values(fn: Union[Coefficient, np.ndarray], t: float,
         f"{states.shape[:-1] + (dim, dim)} or {(dim, dim)}")
 
 
-def batch_innermost(batch: tuple, shape: tuple) -> np.ndarray:
+def batch_innermost(batch: tuple, shape: tuple,
+                    dtype=float) -> np.ndarray:
     """An empty ``batch + shape`` array whose batch axes are innermost in
     memory, so an operation on one entry per row, such as ``[..., i]``,
     runs over contiguous memory instead of striding by the row length."""
     nb, ns = len(batch), len(shape)
-    return np.empty(shape + batch).transpose(*range(ns, ns + nb), *range(ns))
+    return np.empty(shape + batch, dtype).transpose(*range(ns, ns + nb),
+                                                    *range(ns))
 
 
 def product(x: np.ndarray, y: np.ndarray,
@@ -186,8 +188,16 @@ def product(x: np.ndarray, y: np.ndarray,
 
     The inner axis is summed term by term in a fixed order, so the bits
     of a row do not depend on how many rows share the call; a BLAS
-    product over a whole batch rounds differently by row count.  The
-    result has the batch axes innermost in memory: each entry
+    product over a whole batch rounds differently by row count.
+
+    A shared (2-D) operand is read once, and a term whose factor from it
+    is an exact zero is not added; an entry with no other term is +0.0.
+    Against the sum of every term, an entry can differ only in the sign
+    of a zero result (a -0.0 partial sum no longer meets a skipped +0.0
+    term, and an all-zero entry is +0.0) or where a skipped term's other
+    factor is not finite (numerics scheme 6).
+
+    The result has the batch axes innermost in memory: each entry
     ``out[..., r, c]`` is one contiguous run over the batch.  A given
     ``out`` of the result's shape receives the same bits in its own
     layout.
@@ -201,33 +211,51 @@ def product(x: np.ndarray, y: np.ndarray,
         else:
             batch = np.broadcast(x[..., 0, 0], y[..., 0, 0]).shape
         out = batch_innermost(batch, (x.shape[-2], y.shape[-1]))
+    xs = x.tolist() if x.ndim == 2 else None
+    ys = y.tolist() if y.ndim == 2 else None
     # one entry at a time: the loops then run over the long batch axes
     for r in range(x.shape[-2]):
         for c in range(y.shape[-1]):
             acc = out[..., r, c]
-            np.multiply(x[..., r, 0], y[..., 0, c], out=acc)
-            for i in range(1, x.shape[-1]):
-                acc += x[..., r, i] * y[..., i, c]
+            empty = True
+            for i in range(x.shape[-1]):
+                # an exact zero of a shared operand adds no term
+                if (xs is not None and xs[r][i] == 0.0) or \
+                        (ys is not None and ys[i][c] == 0.0):
+                    continue
+                if empty:
+                    np.multiply(x[..., r, i], y[..., i, c], out=acc)
+                    empty = False
+                else:
+                    acc += x[..., r, i] * y[..., i, c]
+            if empty:
+                acc.fill(0.0)
     return out
 
 
-def vecmat(x: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """x @ mat for row vectors x (..., k), summed as in :func:`product`."""
-    return product(x[..., None, :], mat)[..., 0, :]
+def vecmat(x: np.ndarray, mat: np.ndarray,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """x @ mat for row vectors x (..., k), summed as in :func:`product`,
+    into ``out`` if given."""
+    return product(x[..., None, :], mat,
+                   None if out is None else out[..., None, :])[..., 0, :]
 
 
-def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def dot(x: np.ndarray, y: np.ndarray,
+        out: Optional[np.ndarray] = None) -> np.ndarray:
     """Inner products of the rows of x and y, summed as in :func:`product`
-    and, as there, C-ordered over the leading axes."""
-    out = np.multiply(x[..., 0], y[..., 0], order="C")
+    and, as there, C-ordered over the leading axes, into ``out`` if
+    given."""
+    out = np.multiply(x[..., 0], y[..., 0], out=out, order="C")
     for i in range(1, x.shape[-1]):
         out += x[..., i] * y[..., i]
     return out
 
 
-def matvec(sig: np.ndarray, vec: np.ndarray) -> np.ndarray:
+def matvec(sig: np.ndarray, vec: np.ndarray,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """sigma @ v for a shared (n, n) or batched (..., n, n) matrix."""
-    return vecmat(vec, np.swapaxes(sig, -1, -2))
+    return vecmat(vec, np.swapaxes(sig, -1, -2), out)
 
 
 def gram(sig: np.ndarray) -> np.ndarray:
@@ -439,6 +467,21 @@ def normal_increments(seed: int, path_id: int, n_steps: int,
     return _block_drawer(seed, n_steps, dim)(block)[:, :, col].copy()
 
 
+def path_id_array(path_ids) -> np.ndarray:
+    """A copy of ``path_ids`` as an int64 array, or as an object array
+    of Python ints when an id lies past int64.  A 1-D signed-integer
+    array is cast by numpy; other ids are read one by one as Python
+    ints."""
+    if isinstance(path_ids, np.ndarray) and path_ids.ndim == 1 \
+            and path_ids.dtype.kind == "i":
+        return path_ids.astype(np.int64)
+    ids = [int(p) for p in path_ids]
+    try:
+        return np.array(ids, dtype=np.int64)
+    except OverflowError:  # the noise streams take any integer id
+        return np.array(ids, dtype=object)
+
+
 def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
     """The (P, n_steps, dim) noise of a batch of paths, paths innermost
     in memory: a transposed view of an (n_steps, dim, P) buffer.
@@ -448,12 +491,14 @@ def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
     contiguous id range, such as every chunk of ``run_ensemble``, finds
     its columns by arithmetic; other ids are grouped by block.
     """
-    ids = [int(p) for p in path_ids]
+    ids = path_id_array(path_ids)
     count = len(ids)
     out = np.empty((n_steps, dim, count))
     draw = _block_drawer(seed, n_steps, dim)
-    first = ids[0] if ids else 0
-    if ids == list(range(first, first + count)):
+    first = int(ids[0]) if count else 0
+    # the end points in Python ints: a step of 1 in int64 can wrap
+    if not count or (int(ids[-1]) - first == count - 1
+                     and (np.diff(ids) == 1).all()):
         for block in range(first // NOISE_BLOCK,
                            -(-(first + count) // NOISE_BLOCK)):
             base = block * NOISE_BLOCK
@@ -461,6 +506,7 @@ def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
             out[:, :, lo - first:hi - first] = \
                 draw(block)[:, :, lo - base:hi - base]
     else:
+        ids = ids.tolist()
         rows: dict[int, list[int]] = {}
         for p, pid in enumerate(ids):
             rows.setdefault(pid // NOISE_BLOCK, []).append(p)

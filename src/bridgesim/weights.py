@@ -33,6 +33,7 @@ from .observations import (  # noqa: F401
 from .sde import (
     ModelSpec,
     TimeGrid,
+    batch_innermost,
     diffusion_values,
     dot,
     drift_values,
@@ -55,23 +56,34 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
     rough = model.rough_drift
     n = model.dim
     eye = np.eye(n)
-    nodes = grid.nodes
+    nodes = grid.nodes.tolist()
     total = np.zeros(p_count)
     sig_c = model.constant_sigma
     # a^-1 is the channel precision of the full observation L = I
     a_inv = None if sig_c is None else channel(sig_c, eye).A
+    # each step's terms are formed in these
+    dy = batch_innermost((p_count,), (n,))
+    x = batch_innermost((p_count,), (n,))
+    step = np.empty(p_count)
+    half = np.empty(p_count)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(grid.n_steps):
             t = nodes[j]
             dt = nodes[j + 1] - nodes[j]
             cur = states[:, j]
-            dy = states[:, j + 1] - cur
+            np.subtract(states[:, j + 1], cur, out=dy)
             bc = drift_values(rough, t, cur, n)
             if sig_c is None:
                 a_inv = channel(
                     diffusion_values(model.diffusion, t, cur, n), eye).A
-            x = vecmat(bc, a_inv)
-            total += dot(x, dy) - 0.5 * dot(x, bc) * dt
+            vecmat(bc, a_inv, out=x)
+            # total += x . dy - 0.5 (x . bc) dt
+            dot(x, dy, out=step)
+            dot(x, bc, out=half)
+            half *= 0.5
+            half *= dt
+            step -= half
+            total += step
     return total
 
 

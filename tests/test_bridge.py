@@ -9,6 +9,7 @@ from bridgesim.errors import (
     InvalidObservationError,
     UnstableRunError,
 )
+from bridgesim.bridge import BLOWUP_FACTOR
 from bridgesim.observations import channel
 from conftest import (nondiagonal_sigma_setup, rand_orthonormal,
                       single_full_obs, state_dependent_setup)
@@ -312,6 +313,63 @@ class TestBatchBehavior:
         for p in bad:
             frozen = batch.states[p, failed[p]:]
             assert (frozen == frozen[0]).all()
+
+    def test_blowup_check_rows_alone(self):
+        """One batch holds paths that step beyond the short-circuit bound
+        of the blow-up check but stay within the cap, paths whose norm
+        crosses the cap with every entry inside it, paths with an entry
+        beyond the cap, and paths that meet a NaN drift.  Every row,
+        failed or not, holds the bytes of its path simulated alone."""
+        obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0, 0.0]], [0.0])],
+                          dim=3)
+        grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=1e-3)
+        cap = BLOWUP_FACTOR  # the initial state is 0
+        calm = 0.5 * cap / np.sqrt(3.0)
+        t_near, t_far = grid.nodes[1], grid.nodes[3]
+        dt_near, dt_far = grid.steps[1], grid.steps[3]
+
+        def drift(t, x):
+            out = np.zeros_like(x)
+            s = x[..., 2]
+            if t == t_near:
+                # near: to 0.5 cap, past the bound, inside the cap
+                out[..., 1] = np.where(s > 0.2, 0.5 * cap / dt_near, 0.0)
+            elif t == t_far:
+                quiet = np.abs(x[..., 1]) < 1e3
+                # entry: one entry to 2 cap
+                out[..., 1] = np.where(quiet & (s < -0.25),
+                                       2.0 * cap / dt_far, 0.0)
+                # norm: two entries to 0.8 cap, a norm of 1.13 cap
+                norm = quiet & (s >= -0.25) & (s < 0.0)
+                out[..., 1] += np.where(norm, 0.8 * cap / dt_far, 0.0)
+                out[..., 2] = np.where(norm, 0.8 * cap / dt_far, 0.0)
+                out[quiet & (s >= 0.0) & (s < 0.05)] = np.nan
+            return out
+
+        model = bs.ModelSpec(dim=3, drift=drift, diffusion=np.eye(3))
+        u = np.zeros(3)
+        batch = bs.simulate_batch(model, obs, grid, u, 8, np.arange(96))
+        failed, states = batch.failed_step, batch.states
+        near = np.abs(states[:, 2, 1]) > calm
+        assert near.any()
+        assert (np.linalg.norm(states[near, 2:], axis=-1) < cap).all()
+        assert (failed[near] == -1).all()
+        at_far = states[:, 3]
+        kinds = [
+            (at_far[:, 2] < -0.25),                        # an entry
+            (at_far[:, 2] >= -0.25) & (at_far[:, 2] < 0),  # only the norm
+            (at_far[:, 2] >= 0) & (at_far[:, 2] < 0.05),   # a NaN drift
+        ]
+        for kind in kinds:
+            kind &= ~near
+            assert kind.any() and (failed[kind] == 3).all()
+        assert (failed[~near & ~np.any(kinds, axis=0)] == -1).all()
+        for p in range(96):
+            alone = bs.simulate_batch(model, obs, grid, u, 8, [p])
+            assert alone.failed_step[0] == failed[p]
+            assert batch.states[p].tobytes() == alone.states[0].tobytes()
+            assert batch.preclamp[0][p].tobytes() == \
+                alone.preclamp[0][0].tobytes()
 
     def test_validate_flag(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: np.zeros_like(x),

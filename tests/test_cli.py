@@ -204,7 +204,7 @@ class TestRunCommand:
         assert status == 0
         report = json.loads(report_path.read_text())
         assert report["schema_version"] == 1
-        assert report["numerics_scheme"] == 5
+        assert report["numerics_scheme"] == 6
         assert report["n_paths"] == 400
         assert report["n_failed"] == 0
         assert report["ess"] > 399.0

@@ -571,7 +571,7 @@ class TestThinnedEnsemble:
         nodes = [grid.index_of(0.55), grid.index_of(1.0)]
         assert thin.kept_nodes.tolist() == nodes
         assert thin.states.shape == (full.size, 2, 3)
-        assert thin.states.flags.c_contiguous
+        assert thin.states.strides[0] == 8  # paths innermost
         assert thin.states.tobytes() == full.states[:, nodes].tobytes()
         assert 0 < thin.n_failed == full.n_failed
         want = ensemble_bytes(full)

@@ -73,11 +73,14 @@ class TestNoise:
         [62, 63, 64, 65],                           # across a block boundary
         list(range(100, 1100)),                     # unaligned range
         [130, 5, 129],                              # blocks out of order
+        np.arange(100, 1100),                       # an integer array
+        np.array([62, 63, 64, 65], dtype=np.int32),
+        np.array([2 ** 63 - 1, -2 ** 63]),          # steps 1 in int64
     ])
     def test_block_equals_stacked_streams(self, ids):
         block = block_normals(-5, ids, 30, 2)
         ref = np.stack([bs.normal_increments(-5, pid, 30, 2) for pid in ids]) \
-            if ids else np.zeros((0, 30, 2))
+            if len(ids) else np.zeros((0, 30, 2))
         assert block.shape == ref.shape
         assert block.tobytes() == ref.tobytes()
 
@@ -215,6 +218,79 @@ class TestLayout:
         for arr in arrays:
             assert arr.shape[0] == 16
             assert arr.strides[0] == arr.itemsize
+
+
+def dense_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y summed term by term in order over every term, exact zeros
+    included, as numerics schemes up to 5 summed it."""
+    xb, yb = np.broadcast_arrays(x[..., :, :, None], y[..., None, :, :])
+    out = xb[..., 0, :] * yb[..., 0, :]
+    for i in range(1, x.shape[-1]):
+        out = out + xb[..., i, :] * yb[..., i, :]
+    return out
+
+
+def _zero_column(rng):
+    mat = rng.standard_normal((3, 3))
+    mat[:, 1] = 0.0
+    return mat
+
+
+SHARED_WITH_ZEROS = {
+    "coordinate_rows": lambda rng: np.array([[1.0, 0.0, 0.0],
+                                             [0.0, 0.0, 1.0]]).T,
+    "diagonal": lambda rng: np.diag([1.0, 1.5, 0.5]),
+    "lower_triangular": lambda rng: np.linalg.cholesky(
+        np.eye(3) + 0.3 * np.ones((3, 3))),
+    "zero_column": _zero_column,
+}
+
+
+class TestZeroTerms:
+    """A shared matrix's exact zeros add no term (numerics scheme 6)."""
+
+    @pytest.mark.parametrize("name", sorted(SHARED_WITH_ZEROS))
+    def test_shared_zeros_match_dense_sum(self, rng, name):
+        """Against shared matrices with exact zeros, on either side, the
+        products of random finite rows have the bytes of the sum over
+        every term; an entry with no non-zero term is +0.0."""
+        mat = SHARED_WITH_ZEROS[name](rng)                 # (3, c)
+        live = mat.any(axis=0)
+        x = rng.standard_normal((64, 2, 3))
+        cases = [
+            (product(x, mat), dense_product(x, mat), (..., live)),
+            (vecmat(x[:, 0], mat), dense_product(x[:, :1], mat)[:, 0],
+             (..., live)),
+            # the transpose on the left: a dead column is a dead row
+            (product(mat.T, x.swapaxes(-1, -2)),
+             dense_product(mat.T, x.swapaxes(-1, -2)),
+             (..., live, slice(None))),
+        ]
+        for got, want, keep in cases:
+            assert got.shape == want.shape
+            assert got[keep].tobytes() == want[keep].tobytes()
+            dead = np.ones(got.shape, dtype=bool)
+            dead[keep] = False
+            assert (got[dead] == 0.0).all()
+            assert not np.signbit(got[dead]).any()
+            assert (want[dead] == 0.0).all()
+        if not live.all():
+            # the full sum of zero terms is -0.0 somewhere: the rule moved
+            # the sign of that zero, and nothing else
+            assert np.signbit(cases[0][1][..., ~live]).any()
+
+    def test_only_zero_signs_and_non_finite_factors_differ(self):
+        """A -0.0 partial sum no longer meets the skipped +0.0 term, so
+        it stays -0.0; and a skipped zero times a non-finite factor no
+        longer adds a NaN."""
+        mat = np.array([[3.0], [0.0]])
+        x = np.array([[[-0.0, 1.0]], [[2.0, np.inf]]])
+        with np.errstate(invalid="ignore"):
+            want = dense_product(x, mat)[:, 0, 0]
+        got = product(x, mat)[:, 0, 0]
+        assert got[0] == want[0] == 0.0
+        assert np.signbit(got[0]) and not np.signbit(want[0])
+        assert got[1] == 6.0 and np.isnan(want[1])
 
 
 class TestModelSpec:
