@@ -19,12 +19,10 @@ from .estimator import (EstimateReport, MomentEstimate, WeightedEnsemble,
                         run_ensemble)
 from .models import (BuiltModel, brownian, build_model, double_well,
                      drifted_brownian, ou)
-from .observations import (Observation, ObservationSet, channel_precision,
-                           guide_pull, validate)
+from .observations import Observation, ObservationSet, validate
 from .oracle import (GaussianLaw, LinearModel, condition, joint_law,
                      observation_selector)
-from .sde import (ModelSpec, PathSample, TimeGrid, build_grid,
-                  normal_increments)
+from .sde import ModelSpec, TimeGrid, build_grid
 from .weights import batch_breakdown, normalize_log_weights
 
 __version__ = "0.1.0"
@@ -35,13 +33,11 @@ __all__ = [
     "EllipticityViolationError", "EstimateReport", "FunctionalSpec",
     "GaussianLaw", "GridSettings", "InvalidConfigurationError",
     "InvalidObservationError", "LinearModel", "ModelSpec",
-    "MomentEstimate", "Observation", "ObservationSet", "PathSample",
-    "RunConfig", "TimeGrid", "UnstableRunError", "WeightedEnsemble",
-    "batch_breakdown", "brownian", "build_grid", "build_model",
-    "channel_precision", "conditional_moments", "condition",
-    "config_digest", "coordinate_at", "double_well", "drifted_brownian",
-    "error_kind", "estimate", "guide_pull", "joint_law",
-    "normal_increments", "normalize_log_weights",
-    "observation_selector", "ou", "parse_config", "run_ensemble",
-    "simulate_batch", "simulate_free_batch", "validate",
+    "MomentEstimate", "Observation", "ObservationSet", "RunConfig",
+    "TimeGrid", "UnstableRunError", "WeightedEnsemble", "batch_breakdown",
+    "brownian", "build_grid", "build_model", "conditional_moments",
+    "condition", "config_digest", "coordinate_at", "double_well",
+    "drifted_brownian", "error_kind", "estimate", "joint_law",
+    "normalize_log_weights", "observation_selector", "ou", "parse_config",
+    "run_ensemble", "simulate_batch", "simulate_free_batch", "validate",
 ]

@@ -14,13 +14,13 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, parse_config
 from .errors import BridgeSimError, InvalidConfigurationError, error_kind
-# run_ensemble and weighted_mean_se are not called here; they stay in
-# this namespace for tracers that wrap them as bridgesim.cli names
+# build_grid, run_ensemble and weighted_mean_se go uncalled here; they
+# stay for tracers that wrap them as bridgesim.cli names
 from .estimator import (_ensemble, _kept_nodes,  # noqa: F401
                         conditional_moments, coordinate_at, run_ensemble,
                         weighted_mean_se)
 from .oracle import condition, joint_law, observation_selector
-from .sde import NUMERICS_SCHEME, build_grid
+from .sde import NUMERICS_SCHEME, build_grid  # noqa: F401
 from .weights import TERM_NAMES, normalize_log_weights
 
 THREADS_ENV = "BRIDGESIM_THREADS"
@@ -46,41 +46,23 @@ def _resolve_threads(cli_value: Optional[int],
 
 
 def _oracle_values(config: RunConfig) -> Optional[list[float]]:
-    """Exact value of each functional under the conditioned Gaussian law,
-    or None when the model has no closed-form reference."""
-    lm = config.build_model().linear_reference(config.initial_state)
+    """Exact value of each functional under the conditioned Gaussian law
+    at the grid node that its estimate reads, or None when the model has
+    no closed-form reference."""
+    lm = config.model.linear_reference(config.initial_state)
     if lm is None:
         return None
-    times = {f.time for f in config.functionals if f.time > 0.0}
-    times.update(float(ob.time) for ob in config.observations.items)
-    times = np.array(sorted(times))
-    law = joint_law(lm, times)
-    sel, val = observation_selector(times, lm.dim, config.observations)
-    conditioned = condition(law, sel, val)
+    grid = config.time_grid
+    reads = [grid.index_of(f.time) for f in config.functionals]
+    nodes = sorted({*reads, *grid.obs_indices.values()})
+    times = grid.nodes[nodes]
+    conditioned = condition(joint_law(lm, times), *observation_selector(
+        times, lm.dim, config.observations))
     out = []
-    for f in config.functionals:
-        if f.time <= 0.0:
-            # time zero is deterministic
-            mean = float(config.initial_state[f.coordinate])
-            var = 0.0
-        else:
-            block = int(np.searchsorted(times, f.time))
-            i = block * lm.dim + f.coordinate
-            mean = float(conditioned.mean[i])
-            var = float(conditioned.cov[i, i])
-        out.append(var if f.kind == "marginal_var" else mean)
-    return out
-
-
-def _oracle_entries(config: RunConfig, exact: list[float],
-                    estimates) -> list[dict]:
-    out = []
-    for f, est, value in zip(config.functionals, estimates, exact):
-        dev = abs(est["value"] - value)
-        se = est["std_error"]
-        out.append({"type": f.kind, "time": f.time, "coordinate": f.coordinate,
-                    "oracle_value": value, "abs_deviation": dev,
-                    "deviation_over_se": dev / se if se > 0 else float("inf")})
+    for f, node in zip(config.functionals, reads):
+        i = nodes.index(node) * lm.dim + f.coordinate
+        out.append(float(conditioned.cov[i, i] if f.kind == "marginal_var"
+                         else conditioned.mean[i]))
     return out
 
 
@@ -137,12 +119,10 @@ def run(config: RunConfig, threads: Optional[int] = None):
     ``outputs.report`` the same way.  Both replace their targets only
     once the run has succeeded, so a failed run leaves neither.
     """
-    built = config.build_model()
+    grid = config.time_grid
     times = [f.time for f in config.functionals]
-    grid = build_grid(
-        config.horizon, config.observations, config.grid.dt_base,
-        config.grid.dt_min, config.grid.refine_ratio, include_times=times)
     kept = _kept_nodes(grid, times)
+    exact = _oracle_values(config)
     # each functional's node among the kept ones, and its coordinate
     nodes = np.searchsorted(kept, [grid.index_of(t) for t in times])
     coords = np.array([f.coordinate for f in config.functionals],
@@ -156,22 +136,26 @@ def run(config: RunConfig, threads: Optional[int] = None):
         if csv_out:
             csv_out.write(_csv_header(config))
         ens = _ensemble(
-            built.spec, config.observations, grid, config.initial_state,
-            config.n_paths, config.seed,
+            config.model.spec, config.observations, grid,
+            config.initial_state, config.n_paths, config.seed,
             _resolve_threads(threads, config.threads),
             config.validate_coefficients, kept,
             emit=csv_out and (lambda rows: _csv_rows(
                 rows, rows["states"][:, nodes, coords])),
             sink=csv_out and csv_out.write)
         _, log_norm, ess = normalize_log_weights(ens.log_weights)
-        estimates = []
-        for f in config.functionals:
+        estimates, comparisons = [], []
+        for i, f in enumerate(config.functionals):
             mom = conditional_moments(ens, coordinate_at(f.time, f.coordinate))
-            var = f.kind == "marginal_var"
-            estimates.append({
-                "type": f.kind, "time": f.time, "coordinate": f.coordinate,
-                "value": mom.var if var else mom.mean,
-                "std_error": mom.var_se if var else mom.mean_se})
+            value, se = ((mom.var, mom.var_se) if f.kind == "marginal_var"
+                         else (mom.mean, mom.mean_se))
+            entry = dict(type=f.kind, time=f.time, coordinate=f.coordinate)
+            estimates.append(dict(entry, value=value, std_error=se))
+            if exact is not None:
+                dev = abs(value - exact[i])
+                comparisons.append(dict(
+                    entry, oracle_value=exact[i], abs_deviation=dev,
+                    deviation_over_se=dev / se if se > 0 else None))
         report = {
             "schema_version": 1,
             "version": __version__,
@@ -183,11 +167,9 @@ def run(config: RunConfig, threads: Optional[int] = None):
             "ess": ess,
             "log_norm": log_norm,
             "estimates": estimates,
+            "oracle": None if exact is None else {"comparisons": comparisons},
         }
-        exact = _oracle_values(config)
-        report["oracle"] = None if exact is None else {
-            "comparisons": _oracle_entries(config, exact, estimates)}
-        payload = json.dumps(report, indent=2)
+        payload = json.dumps(report, indent=2, allow_nan=False)
         if report_out:
             report_out.write(payload + "\n")
     if not config.report_path:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -11,6 +12,7 @@ import numpy as np
 from .errors import InvalidConfigurationError, InvalidObservationError
 from .models import REGISTRY, BuiltModel, build_model
 from .observations import Observation, ObservationSet, validate
+from .sde import TimeGrid, build_grid
 
 SCHEMA_VERSION = 1
 
@@ -37,11 +39,14 @@ class GridSettings:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed run; every command reads its ``model`` and ``time_grid``."""
+
     model_name: str
-    model_params: dict
+    model: BuiltModel
     drift_split: bool
     observations: ObservationSet
     grid: GridSettings
+    time_grid: TimeGrid
     initial_state: np.ndarray
     horizon: float
     n_paths: int
@@ -52,10 +57,6 @@ class RunConfig:
     report_path: Optional[str]
     ensemble_csv: Optional[str]
     digest: str
-
-    def build_model(self) -> BuiltModel:
-        return build_model(self.model_name, self.model_params,
-                           self.drift_split)
 
 
 def _require(d: dict, key: str, path: str) -> Any:
@@ -178,12 +179,8 @@ def parse_config(source) -> RunConfig:
             str(exc), field=f"observations[{index}]{suffix}") from exc
 
     horizon = raw.get("horizon")
-    last_obs = float(observations.times.max())
-    horizon = last_obs if horizon is None else _number(horizon, "horizon")
-    if horizon < last_obs - 1e-12 * max(1.0, last_obs):
-        raise InvalidConfigurationError(
-            f"horizon {horizon} is below the last observation time {last_obs}",
-            field="horizon")
+    horizon = float(observations.times.max()) if horizon is None \
+        else _number(horizon, "horizon")
 
     grid_raw = _require(raw, "grid", "")
     if not isinstance(grid_raw, dict):
@@ -195,12 +192,6 @@ def parse_config(source) -> RunConfig:
     ratio = grid_raw.get("refine_ratio")
     ratio = DEFAULT_REFINE_RATIO if ratio is None \
         else _number(ratio, "grid.refine_ratio")
-    if not (0.0 < dt_min <= dt_base):
-        raise InvalidConfigurationError("require 0 < dt_min <= dt_base",
-                                        field="grid.dt_min")
-    if not (0.0 < ratio < 1.0):
-        raise InvalidConfigurationError("refine_ratio must lie in (0, 1)",
-                                        field="grid.refine_ratio")
 
     init_raw = raw.get("initial_state")
     if init_raw is None:
@@ -258,12 +249,26 @@ def parse_config(source) -> RunConfig:
     report_path = _file_path(outputs.get("report"), "outputs.report")
     ensemble_csv = _file_path(outputs.get("ensemble_csv"),
                               "outputs.ensemble_csv")
+    if report_path and ensemble_csv and \
+            os.path.realpath(report_path) == os.path.realpath(ensemble_csv):
+        raise InvalidConfigurationError(
+            "the CSV would replace the report at the same path",
+            field="outputs.ensemble_csv")
+
+    try:
+        time_grid = build_grid(horizon, observations, dt_base, dt_min, ratio,
+                               include_times=[f.time for f in functionals])
+    except InvalidConfigurationError as exc:
+        field = {"horizon": "horizon", "dt_min": "grid.dt_min",
+                 "refine_ratio": "grid.refine_ratio"}.get(exc.field, "grid")
+        raise InvalidConfigurationError(str(exc), field=field) from exc
 
     return RunConfig(
-        model_name=name, model_params=params, drift_split=drift_split,
+        model_name=name, model=built, drift_split=drift_split,
         observations=observations,
         grid=GridSettings(dt_base=dt_base, dt_min=dt_min, refine_ratio=ratio),
-        initial_state=initial_state, horizon=horizon, n_paths=n_paths,
-        seed=seed, threads=threads, validate_coefficients=validate_flag,
+        time_grid=time_grid, initial_state=initial_state, horizon=horizon,
+        n_paths=n_paths, seed=seed, threads=threads,
+        validate_coefficients=validate_flag,
         functionals=tuple(functionals), report_path=report_path,
         ensemble_csv=ensemble_csv, digest=config_digest(raw))

@@ -325,14 +325,11 @@ def conditional_moments(ensemble: WeightedEnsemble, f) -> MomentEstimate:
 
 @dataclass(frozen=True)
 class CoordinateAt:
-    """Coordinate ``index`` at grid time ``time``, of one ``PathSample``
-    or, through ``array_map``, of every path of an ensemble."""
+    """Coordinate ``index`` at grid time ``time`` of every path of an
+    ensemble, an array functional."""
 
     time: float
     index: int
-
-    def __call__(self, path: PathSample) -> float:
-        return float(path.state_at(self.time)[self.index])
 
     def array_map(self, ens: WeightedEnsemble) -> np.ndarray:
         return ens.state_at(self.time)[:, self.index]

@@ -11,6 +11,7 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .observations import ObservationSet
+from .sde import TimeGrid
 
 
 @dataclass(frozen=True)
@@ -141,17 +142,21 @@ def condition(law: GaussianLaw, selector, value) -> GaussianLaw:
 
 def observation_selector(times, dim: int, obs: ObservationSet):
     """Selector matrix and stacked values picking the observed
-    combinations out of the joint law over ``times``."""
+    combinations out of the joint law over the increasing ``times``;
+    each observation reads its nearest time, as ``TimeGrid.index_of``."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
+    law_times = TimeGrid(times)
     rows = []
     vals = []
     for ob in obs.items:
-        idx = np.nonzero(np.isclose(times, ob.time, rtol=0.0, atol=1e-9))[0]
-        if idx.size != 1:
+        try:
+            j = law_times.index_of(ob.time)
+        except InvalidConfigurationError:
             raise InvalidConfigurationError(
-                f"observation time {ob.time} is not among the law's times")
+                f"observation time {ob.time} is not among the law's "
+                "times") from None
         block = np.zeros((ob.m, times.size * dim))
-        block[:, idx[0] * dim:(idx[0] + 1) * dim] = ob.matrix
+        block[:, j * dim:(j + 1) * dim] = ob.matrix
         rows.append(block)
         vals.append(ob.value)
     if not rows:

@@ -22,8 +22,8 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 _MASK64 = (1 << 64) - 1
 
 # Version of the arithmetic behind a run's bits, reported by ``bridgesim
-# run``; the README's "Numerics scheme" describes each.  Scheme 6 adds
-# no product term for an exact zero of a shared matrix.
+# run`` and described under the README's "Numerics scheme".  Scheme 6
+# adds no product term for an exact zero of a shared matrix.
 NUMERICS_SCHEME = 6
 
 # Paths per Philox noise stream: path p reads column p % NOISE_BLOCK of
@@ -125,9 +125,9 @@ class TimeGrid:
         # on the array, which builds numpy scalars on every call
         return tuple(self.nodes.tolist())
 
-    def index_of(self, time: float, tol: float = 1e-9) -> int:
-        """Index of the grid node equal to ``time`` (within ``tol``)."""
-        return _index_near(self._times, time, tol)
+    def index_of(self, time: float) -> int:
+        """Index of the grid node nearest ``time``, within 1e-9 of it."""
+        return _index_near(self._times, time, 1e-9)
 
 
 @dataclass
@@ -287,13 +287,15 @@ def check_coefficients(model: ModelSpec, t: float, states: np.ndarray,
 # grid construction
 
 def _index_near(values, x: float, tol: float) -> int:
-    """Index of the entry of the sorted grid times ``values`` within
-    ``tol`` of ``x``."""
+    """Index of the sorted grid time in ``values`` nearest ``x``, the
+    earlier of two as near; it must lie within ``tol`` of ``x``."""
     i = bisect.bisect_left(values, x)
-    for j in (i - 1, i, i + 1):
-        if 0 <= j < len(values) and abs(values[j] - x) <= tol:
-            return j
-    raise InvalidConfigurationError(f"time {x!r} is not a grid node")
+    # values[i - 1] < x <= values[i]: the nearest is one of the two
+    if i == len(values) or (i and x - values[i - 1] <= values[i] - x):
+        i -= 1
+    if i < 0 or abs(values[i] - x) > tol:
+        raise InvalidConfigurationError(f"time {x!r} is not a grid node")
+    return i
 
 
 def _fill_uniform(s: float, e: float, dt_base: float) -> list[float]:
@@ -345,16 +347,19 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
     ``dt <= max(refine_ratio * (T_k - t), dt_min)`` so that steps shrink
     geometrically toward the observation time, down to ``dt_min``.
     Every observation time and window opening is a grid node, as is each
-    entry of ``include_times``.
+    entry of ``include_times``.  Errors name a bad ``horizon``,
+    ``dt_min`` or ``refine_ratio`` in ``field``.
     """
     horizon = float(horizon)
     if not 0 < horizon < np.inf:
-        raise InvalidConfigurationError("horizon must be positive and finite")
+        raise InvalidConfigurationError("horizon must be positive and finite",
+                                        field="horizon")
     if not (0 < dt_min <= dt_base < np.inf):
         raise InvalidConfigurationError(
-            "require 0 < dt_min <= dt_base, both finite")
+            "require 0 < dt_min <= dt_base, both finite", field="dt_min")
     if not (0 < refine_ratio < 1):
-        raise InvalidConfigurationError("refine_ratio must lie in (0, 1)")
+        raise InvalidConfigurationError("refine_ratio must lie in (0, 1)",
+                                        field="refine_ratio")
 
     items = () if obs is None else obs.items
     if items:
@@ -364,10 +369,12 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
         last = max(ob.time for ob in items)
         if horizon < last - 1e-12 * max(1.0, last):
             raise InvalidConfigurationError(
-                f"horizon {horizon} is below the last observation time {last}")
+                f"horizon {horizon} is below the last observation time {last}",
+                field="horizon")
         if dt_min >= obs.min_window:
             raise InvalidConfigurationError(
-                "dt_min must be smaller than every observation window")
+                "dt_min must be smaller than every observation window",
+                field="dt_min")
 
     tol = 1e-12 * max(1.0, horizon)
     # rank 0: observation time, 1: window opening, 2: other anchor

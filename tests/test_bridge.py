@@ -11,6 +11,7 @@ from bridgesim.errors import (
 )
 from bridgesim.bridge import BLOWUP_FACTOR
 from bridgesim.observations import channel
+from bridgesim.sde import normal_increments
 from conftest import (nondiagonal_sigma_setup, rand_orthonormal,
                       single_full_obs, state_dependent_setup)
 
@@ -31,7 +32,7 @@ class TestReduction:
         states = bs.simulate_batch(model, obs, grid, np.zeros(1), 41,
                                    [6]).states[0]
 
-        xi = bs.normal_increments(41, 6, grid.n_steps, 1)
+        xi = normal_increments(41, 6, grid.n_steps, 1)
         nodes = grid.nodes
         y = 0.0
         manual = [y]

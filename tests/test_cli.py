@@ -129,6 +129,11 @@ class TestParseConfig:
         (lambda c: c.update(outputs={"report": 7}), "outputs.report"),
         (lambda c: c.update(outputs={"ensemble_csv": ["a"]}),
          "outputs.ensemble_csv"),
+        pytest.param(lambda c: c.update(outputs={
+            "report": "out.json", "ensemble_csv": "./out.json"}),
+            "outputs.ensemble_csv", id="outputs-collide"),
+        pytest.param(lambda c: c["observations"][0].update(window=5e-4),
+                     "grid.dt_min", id="window-not-above-dt_min"),
     ])
     def test_field_paths_in_errors(self, mutate, field):
         raw = base_config()
@@ -159,7 +164,7 @@ class TestParseConfig:
         raw["model"]["drift_split"] = True
         cfg = bs.parse_config(raw)
         assert cfg.drift_split is True
-        assert cfg.build_model().spec.drift_split is not None
+        assert cfg.model.spec.drift_split is not None
         raw["model"]["drift_split"] = False
         with pytest.raises(InvalidConfigurationError) as e:
             bs.parse_config(raw)
@@ -189,7 +194,7 @@ class TestParseConfig:
         raw = base_config(model={"name": "ou",
                                  "params": {"dim": 1, "f_diag": -2.0}})
         cfg = bs.parse_config(raw)
-        built = cfg.build_model()
+        built = cfg.model
         assert built.linear is not None
         assert np.allclose(built.linear[0], [-2.0])
 
@@ -262,7 +267,7 @@ class TestRunCommand:
         grid = bs.build_grid(cfg.horizon, cfg.observations, cfg.grid.dt_base,
                              cfg.grid.dt_min, cfg.grid.refine_ratio,
                              include_times=[0.5])
-        ens = bs.run_ensemble(cfg.build_model().spec, cfg.observations,
+        ens = bs.run_ensemble(cfg.model.spec, cfg.observations,
                               grid, cfg.initial_state, cfg.n_paths, cfg.seed)
         mom = bs.conditional_moments(ens, bs.coordinate_at(0.5, 0))
         want = ([mom.var, mom.var_se] if kind == "marginal_var"
@@ -365,7 +370,7 @@ class TestRunCommand:
         grid = bs.build_grid(cfg.horizon, cfg.observations, cfg.grid.dt_base,
                              cfg.grid.dt_min, cfg.grid.refine_ratio,
                              include_times=times)
-        full = bs.run_ensemble(cfg.build_model().spec, cfg.observations,
+        full = bs.run_ensemble(cfg.model.spec, cfg.observations,
                                grid, cfg.initial_state, cfg.n_paths, cfg.seed)
         assert full.states.shape[1] == grid.n_steps + 1
         fvals = np.column_stack(
@@ -396,7 +401,7 @@ class TestRunCommand:
         grid = bs.build_grid(cfg.horizon, cfg.observations, cfg.grid.dt_base,
                              cfg.grid.dt_min, cfg.grid.refine_ratio,
                              include_times=[0.55, 1.0])
-        full = bs.run_ensemble(cfg.build_model().spec, cfg.observations,
+        full = bs.run_ensemble(cfg.model.spec, cfg.observations,
                                grid, cfg.initial_state, cfg.n_paths, cfg.seed)
         failed = np.setdiff1d(np.arange(cfg.n_paths), full.path_ids)
         assert len(np.unique(failed // CHUNK_SIZE)) >= 2
@@ -445,6 +450,50 @@ class TestRunCommand:
         assert status == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["type"] == "invalid-configuration"
+
+    def test_report_is_strict_json(self, tmp_path):
+        """The state at time 0 is the initial state on every path, so
+        its SE is 0; its deviation ratio is null, not a non-standard
+        Infinity token."""
+        report_path = tmp_path / "report.json"
+        cfg = base_config(
+            functionals=[{"type": "coordinate", "time": 0.0,
+                          "coordinate": 0}],
+            outputs={"report": str(report_path)})
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(report_path.read_text(), parse_constant=reject)
+        (comp,) = report["oracle"]["comparisons"]
+        assert report["estimates"][0]["std_error"] == 0.0
+        assert comp["deviation_over_se"] is None
+
+    def test_functionals_a_hair_before_an_observation(self, tmp_path,
+                                                      capsys):
+        """Functionals at T - 5e-10 and T each read their own node: the
+        run reports v at T, and the oracle conditions the law at exactly
+        those two times."""
+        times = [0.9999999995, 1.0]
+        cfg = base_config(
+            model={"name": "ou", "params": {"dim": 1, "f_diag": -1.0}},
+            observations=[{"time": 1.0, "matrix": [[1.0]], "value": [0.4]}],
+            grid={"dt_base": 0.01, "dt_min": 1e-4},
+            functionals=[{"type": "coordinate", "time": t, "coordinate": 0}
+                         for t in times])
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        near, at = report["estimates"]
+        assert abs(at["value"] - 0.4) <= 1e-15
+        assert at["std_error"] <= 1e-15
+        assert near["std_error"] > 1e-6
+        parsed = bs.parse_config(cfg)
+        lm = parsed.model.linear_reference(parsed.initial_state)
+        law = bs.condition(bs.joint_law(lm, times), *bs.observation_selector(
+            times, 1, parsed.observations))
+        assert [c["oracle_value"] for c in
+                report["oracle"]["comparisons"]] == law.mean.tolist()
 
     def test_nonlinear_model_reports_no_oracle(self, tmp_path, capsys):
         cfg = base_config(model={"name": "double_well",
@@ -567,6 +616,19 @@ class TestErrorReporting:
         assert calls == []
         assert list(out.iterdir()) == []
 
+    def test_colliding_outputs_write_nothing(self, tmp_path, capsys):
+        """A report and CSV on one path would leave only the CSV; the run
+        is rejected before it writes either."""
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = base_config(outputs={"report": str(out / "both"),
+                                   "ensemble_csv": str(out / "both")})
+        assert main(["run", write_config(tmp_path, cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "invalid-configuration"
+        assert err["field"] == "outputs.ensemble_csv"
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("content", [b'{"schema_version": 1,',
                                          b"\xff\xfe{}"],
                              ids=["truncated", "not-utf8"])
@@ -622,6 +684,8 @@ class TestOtherCommands:
                                    "drift_split": False,
                                    "params": {"dim": 1}}),
          "model.drift_split"),
+        pytest.param(lambda c: c["observations"][0].update(window=5e-4),
+                     "grid.dt_min", id="window-not-above-dt_min"),
     ])
     def test_validate_rejects_bad_config(self, tmp_path, capsys, mutate,
                                          field):
@@ -671,7 +735,7 @@ class TestOtherCommands:
         got = [o["value"] for o in
                json.loads(capsys.readouterr().out)["oracle_values"]]
         parsed = bs.parse_config(cfg)
-        lm = parsed.build_model().linear_reference(parsed.initial_state)
+        lm = parsed.model.linear_reference(parsed.initial_state)
         for t, value in zip(times, got):
             law = bs.joint_law(lm, [t, 1.0])
             sel, val = bs.observation_selector([t, 1.0], 1,

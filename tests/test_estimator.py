@@ -179,6 +179,17 @@ class TestRunEnsemble:
         assert 0 in ens.preclamp
         assert len(ens.preclamp[0]) == 8
 
+    def test_state_at_observation_time_is_the_observed_value(self):
+        """A node 5e-10 before the observation time does not shadow it:
+        ``state_at(T)`` reads the projected node, ``v`` on every path."""
+        obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.4])], dim=1)
+        grid = bs.build_grid(1.0, obs, dt_base=0.01, dt_min=1e-4,
+                             include_times=[1.0 - 5e-10])
+        ens = bs.run_ensemble(bs.ou(dim=1).spec, obs, grid, np.zeros(1),
+                              500, seed=1)
+        assert (ens.state_at(1.0) == 0.4).all()
+        assert np.ptp(ens.state_at(1.0 - 5e-10)) > 1e-3
+
 
 def ensemble_bytes(ens) -> dict:
     """Every array of an ensemble as bytes, plus its failure count."""
@@ -517,7 +528,7 @@ class TestArrayFunctionals:
         assert rep.ess == ref.ess
         assert moment_bytes(bs.conditional_moments(ens, f)) == \
             moment_bytes(bs.conditional_moments(ens, per_path))
-        assert f(next(ens.paths)) == ens.states[0, grid.index_of(time), index]
+        assert f.array_map(ens)[0] == ens.states[0, grid.index_of(time), index]
 
     def test_vector_array_map(self):
         """Any object with an ``array_map`` is evaluated through it."""

@@ -110,8 +110,34 @@ class TestRefined:
         with pytest.raises(InvalidConfigurationError):
             grid.index_of(0.123456)
 
+    def test_index_of_picks_the_nearest_node(self):
+        """Nodes 5e-10 apart, both within index_of's tolerance of either
+        time, each map to themselves."""
+        obs = one_obs()
+        grid = bs.build_grid(1.0, obs, dt_base=0.01, dt_min=1e-4,
+                             include_times=[1.0 - 5e-10, 0.5, 0.5 + 5e-10])
+        for time in (1.0 - 5e-10, 1.0, 0.5, 0.5 + 5e-10):
+            assert grid.nodes[grid.index_of(time)] == time
+        assert grid.index_of(1.0) == grid.obs_indices[0] == grid.n_steps
+
 
 class TestValidation:
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"horizon": 0.0}, "horizon"),
+        ({"horizon": 0.5}, "horizon"),
+        ({"dt_min": 0.2}, "dt_min"),
+        ({"dt_min": 0.0}, "dt_min"),
+        ({"dt_min": 0.05}, "dt_min"),    # not below the 0.05 window
+        ({"refine_ratio": 1.0}, "refine_ratio"),
+    ])
+    def test_errors_name_their_argument(self, kwargs, field):
+        args = dict(horizon=1.0, obs=one_obs(window=0.05), dt_base=0.1,
+                    dt_min=0.01, refine_ratio=0.5)
+        args.update(kwargs)
+        with pytest.raises(InvalidConfigurationError) as e:
+            bs.build_grid(**args)
+        assert e.value.field == field
+
     def test_bad_horizon(self):
         # an infinite horizon would give a one-node grid
         for horizon in (0.0, -1.0, np.inf, np.nan):

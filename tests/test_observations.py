@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import bridgesim as bs
 from bridgesim.errors import EllipticityViolationError, InvalidObservationError
-from bridgesim.observations import channel
+from bridgesim.observations import channel, channel_precision, guide_pull
 from bridgesim.sde import (block_normals, diffusion_values, drift_values,
                            matvec, product)
 from conftest import channel_bundle, rand_orthonormal, rand_spd
@@ -143,9 +143,9 @@ class TestProjectionAlgebra:
         n, m, P = 4, 2, 6
         L = rand_orthonormal(rng, m, n)
         a = np.stack([rand_spd(rng, n, 50.0) for _ in range(P)])
-        prec_b, logdet_b = bs.channel_precision(a, L)
+        prec_b, logdet_b = channel_precision(a, L)
         for p in range(P):
-            prec_s, logdet_s = bs.channel_precision(a[p], L)
+            prec_s, logdet_s = channel_precision(a[p], L)
             assert np.allclose(prec_b[p], prec_s, atol=1e-12)
             assert np.isclose(logdet_b[p], logdet_s, atol=1e-12)
 
@@ -153,14 +153,14 @@ class TestProjectionAlgebra:
         n, m = 5, 3
         a = rand_spd(rng, n, 100.0)
         L = rand_orthonormal(rng, m, n)
-        prec, logdet = bs.channel_precision(a, L)
+        prec, logdet = channel_precision(a, L)
         assert np.allclose(prec, np.linalg.inv(L @ a @ L.T), atol=1e-10)
         assert np.isclose(logdet, np.log(np.linalg.det(prec)), atol=1e-10)
 
     def test_channel_precision_rejects_indefinite(self):
         a = np.diag([1.0, -1.0])
         with pytest.raises(EllipticityViolationError):
-            bs.channel_precision(a, np.eye(2))
+            channel_precision(a, np.eye(2))
 
     def test_guide_pull_matches_direct_formula(self, rng):
         n, m = 4, 2
@@ -168,10 +168,10 @@ class TestProjectionAlgebra:
         L = rand_orthonormal(rng, m, n)
         resid = rng.standard_normal((7, m))
         direct = resid @ np.linalg.inv(L @ a @ L.T).T @ (L @ a)
-        assert np.allclose(bs.guide_pull(a, L, resid), direct, atol=1e-12)
+        assert np.allclose(guide_pull(a, L, resid), direct, atol=1e-12)
         # batched metric, one residual per slice
         ab = np.stack([rand_spd(rng, n, 30.0) for _ in range(7)])
-        out = bs.guide_pull(ab, L, resid)
+        out = guide_pull(ab, L, resid)
         for p in range(7):
             d = ab[p] @ L.T @ np.linalg.solve(L @ ab[p] @ L.T, resid[p])
             assert np.allclose(out[p], d, atol=1e-12)
@@ -180,7 +180,7 @@ class TestProjectionAlgebra:
         a = rand_spd(rng, 3, 10.0)
         L = rand_orthonormal(rng, 1, 3)
         r = np.array([0.8])
-        out = bs.guide_pull(a, L, r)
+        out = guide_pull(a, L, r)
         assert out.shape == (3,)
         assert np.allclose(L @ out, r, atol=1e-12)
 
@@ -283,11 +283,11 @@ class TestProjectionProperties:
         ab, L, resid = inputs
         m = L.shape[0]
         eye = np.eye(m)
-        prec_b, logdet_b = bs.channel_precision(ab, L)
-        pull_b = bs.guide_pull(ab, L, resid)
+        prec_b, logdet_b = channel_precision(ab, L)
+        pull_b = guide_pull(ab, L, resid)
         for p, a in enumerate(ab):
-            prec, logdet = bs.channel_precision(a, L)
-            pulls = bs.guide_pull(a, L, resid)
+            prec, logdet = channel_precision(a, L)
+            pulls = guide_pull(a, L, resid)
             for A, ld, pull, r in ((prec, logdet, pulls[p], resid[p]),
                                    (prec_b[p], logdet_b[p], pull_b[p],
                                     resid[p])):

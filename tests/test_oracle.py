@@ -213,6 +213,14 @@ class TestObservationSelector:
         assert np.allclose(sel[1], [0.0, 0.0, 0.0, 1.0])
         assert np.allclose(val, [0.3, -0.2])
 
+    def test_picks_the_nearest_time(self):
+        """Of two law times within 1e-9 of the observation, the exact one
+        is selected, as ``TimeGrid.index_of`` picks a node."""
+        obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.4])], dim=1)
+        sel, val = bs.observation_selector([1.0 - 5e-10, 1.0], 1, obs)
+        assert sel.tolist() == [[0.0, 1.0]]
+        assert val.tolist() == [0.4]
+
     def test_missing_time_is_an_error(self):
         obs = bs.validate(bs.ObservationSet((
             bs.Observation(0.75, [[1.0]], [0.3]),)), dim=1)

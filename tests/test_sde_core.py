@@ -20,6 +20,7 @@ from bridgesim.sde import (
     drift_values,
     gram,
     matvec,
+    normal_increments,
     product,
     vecmat,
 )
@@ -28,25 +29,25 @@ from conftest import state_dependent_setup
 
 class TestNoise:
     def test_streams_are_reproducible(self):
-        a = bs.normal_increments(7, 3, 50, 2)
-        b = bs.normal_increments(7, 3, 50, 2)
+        a = normal_increments(7, 3, 50, 2)
+        b = normal_increments(7, 3, 50, 2)
         assert a.shape == (50, 2)
         assert np.array_equal(a, b)
 
     def test_streams_separate_by_path_and_seed(self):
-        base = bs.normal_increments(7, 3, 50, 2)
-        assert not np.array_equal(base, bs.normal_increments(7, 4, 50, 2))
-        assert not np.array_equal(base, bs.normal_increments(8, 3, 50, 2))
+        base = normal_increments(7, 3, 50, 2)
+        assert not np.array_equal(base, normal_increments(7, 4, 50, 2))
+        assert not np.array_equal(base, normal_increments(8, 3, 50, 2))
 
     def test_prefix_property(self):
         """A longer request extends the same stream."""
-        short = bs.normal_increments(11, 0, 20, 3)
-        long = bs.normal_increments(11, 0, 40, 3)
+        short = normal_increments(11, 0, 20, 3)
+        long = normal_increments(11, 0, 40, 3)
         assert np.array_equal(long[:20], short)
 
     def test_moments(self):
         pid = 0
-        draws = bs.normal_increments(123, pid, 100_000, 1)
+        draws = normal_increments(123, pid, 100_000, 1)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
         # path p reads column p % 64 of the step-major draw of Philox
@@ -59,7 +60,7 @@ class TestNoise:
         """Any integer seed and id keys the stream through the low 64
         bits of the seed and of the id's block."""
         pid = 2 ** 70
-        got = bs.normal_increments(-5, pid, 4, 2)
+        got = normal_increments(-5, pid, 4, 2)
         key = np.array([-5 & (2 ** 64 - 1), (pid // 64) & (2 ** 64 - 1)],
                        dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
@@ -79,7 +80,7 @@ class TestNoise:
     ])
     def test_block_equals_stacked_streams(self, ids):
         block = block_normals(-5, ids, 30, 2)
-        ref = np.stack([bs.normal_increments(-5, pid, 30, 2) for pid in ids]) \
+        ref = np.stack([normal_increments(-5, pid, 30, 2) for pid in ids]) \
             if len(ids) else np.zeros((0, 30, 2))
         assert block.shape == ref.shape
         assert block.tobytes() == ref.tobytes()
@@ -96,7 +97,7 @@ class TestNoise:
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
         ids = [12, 0, 2 ** 63 + 1]
         batch = simulate_free_batch(model, grid, np.zeros(2), 4, ids)
-        ref = np.stack([bs.normal_increments(4, pid, grid.n_steps, 2)
+        ref = np.stack([normal_increments(4, pid, grid.n_steps, 2)
                         for pid in ids])
         x = np.zeros((len(ids), 2))
         for j, dt in enumerate(grid.steps):
