@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidConfigurationError, InvalidObservationError
+from .errors import InvalidConfigurationError
 # guide_pull and normal_increments are no longer called here; they stay
 # in this namespace for tracers that wrap bridgesim.bridge.<name>
 from .observations import (  # noqa: F401
@@ -75,8 +75,8 @@ def _window_step_table(grid: TimeGrid, obs: ObservationSet,
     observation node index, observation)."""
     table = []
     for k, ob in enumerate(obs.items):
-        j0 = grid.window_start_indices[k]
-        j1 = grid.obs_indices[k]
+        j0 = grid.index_of(ob.time - ob.window)
+        j1 = grid.index_of(ob.time)
         if cutoff is None:
             js = j1
         else:
@@ -101,9 +101,9 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     ``cutoff`` selects the epsilon cut-off variant."""
     n = model.dim
     u = _prepare_initial(u, n)
-    if obs.items and not obs.validated:
-        raise InvalidObservationError(
-            "observation set must be validated before simulation")
+    if any(ob.matrix.shape[1] != n for ob in obs.items):
+        raise InvalidConfigurationError(
+            f"observation matrices must have {n} columns, the model dimension")
     if cutoff is not None and obs.items:
         if not (0.0 < cutoff < obs.min_window):
             raise InvalidConfigurationError(
@@ -111,7 +111,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 "smallest window length")
     table = _window_step_table(grid, obs, cutoff)
     clamp_nodes = {} if cutoff is not None else {
-        grid.obs_indices[k]: k for k in range(len(obs.items))}
+        j1: k for k, (_, _, j1, _) in enumerate(table)}
 
     nodes = grid.nodes.tolist()
     m_steps = grid.n_steps
@@ -189,7 +189,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             if drift is not None:
                 drift[:, j] = b
             if validate:
-                check_coefficients(model, t, cur, sig)
+                check_coefficients(model, t, sig)
             # nxt = cur + (b - sum of pull / (T_k - t)) dt + noise
             for k, (j0, js, j1, ob) in enumerate(table):
                 if j0 <= j < js:

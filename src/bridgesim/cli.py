@@ -54,7 +54,8 @@ def _oracle_values(config: RunConfig) -> Optional[list[float]]:
         return None
     grid = config.time_grid
     reads = [grid.index_of(f.time) for f in config.functionals]
-    nodes = sorted({*reads, *grid.obs_indices.values()})
+    nodes = sorted({*reads, *(grid.index_of(ob.time)
+                              for ob in config.observations)})
     times = grid.nodes[nodes]
     conditioned = condition(joint_law(lm, times), *observation_selector(
         times, lm.dim, config.observations))

@@ -43,7 +43,6 @@ class RunConfig:
 
     model_name: str
     model: BuiltModel
-    drift_split: bool
     observations: ObservationSet
     grid: GridSettings
     time_grid: TimeGrid
@@ -145,7 +144,6 @@ def parse_config(source) -> RunConfig:
         raise InvalidConfigurationError(
             "double_well always splits its drift", field="model.drift_split")
     built = build_model(name, params, drift_split)
-    drift_split = built.spec.drift_split is not None
     dim = built.spec.dim
 
     obs_raw = _require(raw, "observations", "")
@@ -264,8 +262,7 @@ def parse_config(source) -> RunConfig:
         raise InvalidConfigurationError(str(exc), field=field) from exc
 
     return RunConfig(
-        model_name=name, model=built, drift_split=drift_split,
-        observations=observations,
+        model_name=name, model=built, observations=observations,
         grid=GridSettings(dt_base=dt_base, dt_min=dt_min, refine_ratio=ratio),
         time_grid=time_grid, initial_state=initial_state, horizon=horizon,
         n_paths=n_paths, seed=seed, threads=threads,

@@ -67,52 +67,42 @@ def _vector(dim: int, value, name: str) -> np.ndarray:
     return arr
 
 
-def _linear_spec(dim: int, f_diag: np.ndarray, c: np.ndarray,
-                 sigma: np.ndarray, split: bool) -> ModelSpec:
-    def drift(t, x):
-        return x * f_diag + c
-
-    def zero(t, x):
-        return np.zeros_like(x)
-
-    return ModelSpec(
-        dim=dim, drift=drift,
-        diffusion=sigma,
-        drift_split=(zero, drift) if split else None,
-        ellipticity_bound=_ellipticity_of(sigma))
-
-
 def brownian(dim: int = 1, sigma=1.0, drift_split: bool = False) -> BuiltModel:
-    sig = _sigma_matrix(dim, sigma)
-    z = np.zeros(dim)
-    return BuiltModel(spec=_linear_spec(dim, z, z, sig, drift_split),
-                      linear=(z, z, sig))
+    return ou(dim, f_diag=0.0, sigma=sigma, drift_split=drift_split)
 
 
 def drifted_brownian(dim: int = 1, drift=0.0, sigma=1.0,
                      drift_split: bool = False) -> BuiltModel:
-    sig = _sigma_matrix(dim, sigma)
-    c = _vector(dim, drift, "drift")
-    z = np.zeros(dim)
-    return BuiltModel(spec=_linear_spec(dim, z, c, sig, drift_split),
-                      linear=(z, c, sig))
+    return ou(dim, f_diag=0.0, offset=drift, sigma=sigma,
+              drift_split=drift_split)
 
 
 def ou(dim: int = 1, f_diag=-1.0, offset=0.0, sigma=1.0,
        drift_split: bool = False) -> BuiltModel:
+    """Linear drift x * f_diag + offset; its split simulates bridges
+    under a zero drift and corrects for all of it."""
     sig = _sigma_matrix(dim, sigma)
     f = _vector(dim, f_diag, "f_diag")
     c = _vector(dim, offset, "offset")
-    return BuiltModel(spec=_linear_spec(dim, f, c, sig, drift_split),
-                      linear=(f, c, sig))
+
+    def drift(t, x):
+        return x * f + c
+
+    def zero(t, x):
+        return np.zeros_like(x)
+
+    return BuiltModel(spec=ModelSpec(
+        dim=dim, drift=drift, diffusion=sig,
+        guided_drift=zero if drift_split else None,
+        ellipticity_bound=_ellipticity_of(sig)), linear=(f, c, sig))
 
 
 def double_well(dim: int = 1, sigma=1.0, bound: float = 10.0) -> BuiltModel:
     """Gradient flow of a double-well potential, b(x) = x - x^3.
 
     The drift is unbounded, so the model always ships with a split:
-    the simulated part clamps b to [-bound, bound] and the remainder is
-    handled by the path correction.
+    bridges are simulated under b clamped to [-bound, bound], and the
+    path correction handles the remainder.
     """
     if not bound > 0:
         raise InvalidConfigurationError("bound must be positive")
@@ -124,13 +114,8 @@ def double_well(dim: int = 1, sigma=1.0, bound: float = 10.0) -> BuiltModel:
     def bounded(t, x):
         return np.clip(x - x ** 3, -bound, bound)
 
-    def remainder(t, x):
-        b = x - x ** 3
-        return b - np.clip(b, -bound, bound)
-
     return BuiltModel(spec=ModelSpec(
-        dim=dim, drift=drift, diffusion=sig,
-        drift_split=(bounded, remainder),
+        dim=dim, drift=drift, diffusion=sig, guided_drift=bounded,
         ellipticity_bound=_ellipticity_of(sig)))
 
 

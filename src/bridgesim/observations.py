@@ -2,7 +2,7 @@
 bridge construction."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -22,8 +22,8 @@ class Observation:
 
     ``matrix`` is (m, n) with orthonormal rows, ``value`` is (m,).
     ``window`` is the length of the correction interval before ``time``
-    during which the guiding pull acts; validation defaults it to the
-    gap since the previous observation.
+    during which the guiding pull acts; an :class:`ObservationSet`
+    defaults it to the gap since the previous observation.
     """
 
     time: float
@@ -47,14 +47,65 @@ class Observation:
 
 @dataclass(frozen=True)
 class ObservationSet:
-    """Ordered collection of observations.
+    """Ordered collection of observations, checked when it is built.
 
-    Validation (see :func:`validate`) fills defaults and checks the
-    invariants; simulation entry points require a validated set.
+    Requires strictly increasing positive times, orthonormal rows of
+    each matrix, ``dim`` columns (when given, else as many as the first
+    matrix has) and windows that stay within the gap to the previous
+    observation; an unset window becomes that gap.
     """
 
     items: tuple[Observation, ...] = ()
-    validated: bool = False
+    dim: InitVar[Optional[int]] = None
+
+    def __post_init__(self, dim: Optional[int]):
+        n = dim
+        checked = []
+        prev_time = 0.0
+        for k, ob in enumerate(self.items):
+            mat = ob.matrix
+            if mat.ndim != 2:
+                raise InvalidObservationError(
+                    "observation matrix must be two-dimensional", index=k,
+                    field="matrix")
+            m, cols = mat.shape
+            if n is None:
+                n = cols
+            if cols != n:
+                raise InvalidObservationError(
+                    f"observation matrix has {cols} columns, expected {n}",
+                    index=k, field="matrix")
+            if not 1 <= m <= n:
+                raise InvalidObservationError(
+                    f"observation matrix must have between 1 and {n} rows",
+                    index=k, field="matrix")
+            if not np.all(np.isfinite(mat)):
+                raise InvalidObservationError(
+                    "observation matrix must be finite", index=k,
+                    field="matrix")
+            if ob.value.shape != (m,) or not np.all(np.isfinite(ob.value)):
+                raise InvalidObservationError(
+                    f"observed value must be a finite vector of length {m}",
+                    index=k, field="value")
+            dev = float(np.abs(product(mat, mat.T) - np.eye(m)).max())
+            if dev > ORTHONORMAL_TOL:
+                raise InvalidObservationError(
+                    f"rows of the observation matrix are not orthonormal "
+                    f"(Gram deviation {dev:.3e})", index=k, field="matrix")
+            if not np.isfinite(ob.time) or ob.time <= prev_time:
+                raise InvalidObservationError(
+                    "observation times must be strictly increasing and "
+                    "positive", index=k, field="time")
+            gap = ob.time - prev_time
+            window = gap if ob.window is None else ob.window
+            if not (0.0 < window <= gap * (1.0 + 1e-12) + 1e-15):
+                raise InvalidObservationError(
+                    f"correction window {window} must lie in (0, {gap}]; it "
+                    "may not reach past the previous observation time",
+                    index=k, field="window")
+            checked.append(replace(ob, window=window))
+            prev_time = ob.time
+        object.__setattr__(self, "items", tuple(checked))
 
     def __len__(self) -> int:
         return len(self.items)
@@ -69,9 +120,6 @@ class ObservationSet:
     @property
     def min_window(self) -> float:
         """Smallest window length, infinity for an empty set."""
-        if not self.validated:
-            raise InvalidObservationError(
-                "min_window requires a validated observation set")
         if not self.items:
             return np.inf
         return min(ob.window for ob in self.items)
@@ -79,59 +127,10 @@ class ObservationSet:
 
 def validate(obs: Union[ObservationSet, Iterable[Observation]],
              dim: Optional[int] = None) -> ObservationSet:
-    """Check observation invariants and fill defaults.
-
-    Requires strictly increasing positive times, orthonormal rows of
-    each matrix and windows that stay within the gap to the previous
-    observation.  Returns a new validated set.
-    """
-    items = tuple(obs.items if isinstance(obs, ObservationSet) else obs)
-    n = dim
-    checked = []
-    prev_time = 0.0
-    for k, ob in enumerate(items):
-        mat = ob.matrix
-        if mat.ndim != 2:
-            raise InvalidObservationError(
-                "observation matrix must be two-dimensional", index=k,
-                field="matrix")
-        m, cols = mat.shape
-        if n is None:
-            n = cols
-        if cols != n:
-            raise InvalidObservationError(
-                f"observation matrix has {cols} columns, expected {n}",
-                index=k, field="matrix")
-        if not 1 <= m <= n:
-            raise InvalidObservationError(
-                f"observation matrix must have between 1 and {n} rows",
-                index=k, field="matrix")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidObservationError("observation matrix must be finite",
-                                          index=k, field="matrix")
-        if ob.value.shape != (m,) or not np.all(np.isfinite(ob.value)):
-            raise InvalidObservationError(
-                f"observed value must be a finite vector of length {m}",
-                index=k, field="value")
-        dev = float(np.abs(mat @ mat.T - np.eye(m)).max())
-        if dev > ORTHONORMAL_TOL:
-            raise InvalidObservationError(
-                f"rows of the observation matrix are not orthonormal "
-                f"(Gram deviation {dev:.3e})", index=k, field="matrix")
-        if not np.isfinite(ob.time) or ob.time <= prev_time:
-            raise InvalidObservationError(
-                "observation times must be strictly increasing and positive",
-                index=k, field="time")
-        gap = ob.time - prev_time
-        window = gap if ob.window is None else ob.window
-        if not (0.0 < window <= gap * (1.0 + 1e-12) + 1e-15):
-            raise InvalidObservationError(
-                f"correction window {window} must lie in (0, {gap}]; it may "
-                "not reach past the previous observation time", index=k,
-                field="window")
-        checked.append(replace(ob, window=window))
-        prev_time = ob.time
-    return ObservationSet(items=tuple(checked), validated=True)
+    """The checked set of ``obs``, its matrices ``dim`` columns wide when
+    ``dim`` is given (see :class:`ObservationSet`)."""
+    return ObservationSet(
+        tuple(obs.items if isinstance(obs, ObservationSet) else obs), dim)
 
 
 # ---------------------------------------------------------------------------

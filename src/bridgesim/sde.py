@@ -5,7 +5,7 @@ kernel integrates both guided bridges and unconditioned paths."""
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
@@ -14,7 +14,6 @@ import numpy as np
 from .errors import (
     EllipticityViolationError,
     InvalidConfigurationError,
-    InvalidObservationError,
 )
 
 Coefficient = Callable[[float, np.ndarray], np.ndarray]
@@ -49,10 +48,10 @@ class ModelSpec:
     observation channels once per chunk instead of at every step.  The
     array is stored as a read-only copy.
 
-    ``drift_split`` optionally decomposes the drift into a bounded part,
-    used when simulating guided bridges, and a remainder that is
-    accounted for by a separate path correction; the two parts must sum
-    to ``drift``.  ``ellipticity_bound`` is the constant rho with
+    ``guided_drift`` optionally replaces ``drift`` when simulating guided
+    bridges, for example by a bounded part of it; the remainder
+    ``drift - guided_drift`` is accounted for by a path correction.
+    ``ellipticity_bound`` is the constant rho with
     rho^-1 I <= sigma sigma* <= rho I; it is only checked when a
     simulation runs with validation enabled.  Smoothness of the
     coefficients is the caller's obligation and is not checked.
@@ -61,7 +60,7 @@ class ModelSpec:
     dim: int
     drift: Coefficient
     diffusion: Union[Coefficient, np.ndarray]
-    drift_split: Optional[tuple[Coefficient, Coefficient]] = None
+    guided_drift: Optional[Coefficient] = None
     ellipticity_bound: float = 100.0
 
     def __post_init__(self):
@@ -85,27 +84,19 @@ class ModelSpec:
 
     @property
     def effective_drift(self) -> Coefficient:
-        """Drift used for bridge simulation: the bounded part if split."""
-        return self.drift_split[0] if self.drift_split is not None else self.drift
-
-    @property
-    def rough_drift(self) -> Optional[Coefficient]:
-        """Drift remainder handled by the path correction, if any."""
-        return self.drift_split[1] if self.drift_split is not None else None
+        """Drift used for bridge simulation: ``guided_drift`` if given."""
+        return self.drift if self.guided_drift is None else self.guided_drift
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Integration grid with bookkeeping for observation nodes.
+    """Integration grid: its increasing times ``nodes`` and nothing else.
 
-    ``obs_indices[k]`` is the node index of the k-th observation time and
-    ``window_start_indices[k]`` the node index where its correction
-    window opens.  Both times are grid nodes by construction.
+    An observation's time and window opening are found with
+    :meth:`index_of`, which rejects a grid that lacks either.
     """
 
     nodes: np.ndarray
-    obs_indices: dict[int, int] = field(default_factory=dict)
-    window_start_indices: dict[int, int] = field(default_factory=dict)
 
     @property
     def horizon(self) -> float:
@@ -126,8 +117,11 @@ class TimeGrid:
         return tuple(self.nodes.tolist())
 
     def index_of(self, time: float) -> int:
-        """Index of the grid node nearest ``time``, within 1e-9 of it."""
-        return _index_near(self._times, time, 1e-9)
+        """Index of the grid node nearest ``time``, within 1e-9 of it or,
+        past horizon 1000, within the 1e-12 horizon by which
+        :func:`build_grid` merges anchors into one node."""
+        horizon = self._times[-1] if self._times else 0.0
+        return _index_near(self._times, time, max(1e-9, 1e-12 * horizon))
 
 
 @dataclass
@@ -263,9 +257,8 @@ def gram(sig: np.ndarray) -> np.ndarray:
     return product(sig, np.swapaxes(sig, -1, -2))
 
 
-def check_coefficients(model: ModelSpec, t: float, states: np.ndarray,
-                       sig: np.ndarray) -> None:
-    """Validation-mode checks at the sampled points of one step."""
+def check_coefficients(model: ModelSpec, t: float, sig: np.ndarray) -> None:
+    """Validation-mode check of one step's diffusion values ``sig``."""
     rho = model.ellipticity_bound
     ev = np.linalg.eigvalsh(gram(sig))
     tol = 1e-9 * max(rho, 1.0)
@@ -273,14 +266,6 @@ def check_coefficients(model: ModelSpec, t: float, states: np.ndarray,
         raise EllipticityViolationError(
             f"diffusion eigenvalues escape [1/rho, rho] at t={t:.6g} "
             f"(range [{ev.min():.6g}, {ev.max():.6g}], rho={rho:.6g})")
-    if model.drift_split is not None:
-        total = drift_values(model.drift, t, states, model.dim)
-        parts = (drift_values(model.drift_split[0], t, states, model.dim)
-                 + drift_values(model.drift_split[1], t, states, model.dim))
-        scale = 1.0 + float(np.abs(total).max(initial=0.0))
-        if float(np.abs(parts - total).max(initial=0.0)) > 1e-12 * scale:
-            raise InvalidConfigurationError(
-                f"drift_split parts do not sum to the drift at t={t:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +332,9 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
     ``dt <= max(refine_ratio * (T_k - t), dt_min)`` so that steps shrink
     geometrically toward the observation time, down to ``dt_min``.
     Every observation time and window opening is a grid node, as is each
-    entry of ``include_times``.  Errors name a bad ``horizon``,
+    entry of ``include_times``; such anchors within 1e-12 horizon of each
+    other share one node at the time of an observation among them, else
+    of a window opening.  Errors name a bad ``horizon``,
     ``dt_min`` or ``refine_ratio`` in ``field``.
     """
     horizon = float(horizon)
@@ -363,9 +350,6 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
 
     items = () if obs is None else obs.items
     if items:
-        if not obs.validated:
-            raise InvalidObservationError(
-                "observation set must be validated before grid construction")
         last = max(ob.time for ob in items)
         if horizon < last - 1e-12 * max(1.0, last):
             raise InvalidConfigurationError(
@@ -390,13 +374,17 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
         pts.append((min(max(t, 0.0), horizon), 2))
     pts.sort(key=lambda p: (p[0], p[1]))
 
+    # anchors within tol merge into one node at the time of the most
+    # binding of them, so index_of finds every observation's two nodes
     keys: list[float] = []
+    ranks: list[int] = []
     for time, rank in pts:
         if keys and abs(time - keys[-1]) <= tol:
-            if rank == 0:
-                keys[-1] = time  # snap merged anchors onto exact obs times
+            if rank < ranks[-1]:
+                keys[-1], ranks[-1] = time, rank
             continue
         keys.append(time)
+        ranks.append(rank)
 
     def key_at(x: float) -> float:
         return keys[_index_near(keys, x, tol)]
@@ -419,12 +407,7 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
     arr = np.asarray(nodes, dtype=float)
     if np.any(np.diff(arr) <= 0):
         raise InvalidConfigurationError("grid construction produced a non-increasing node sequence")
-
-    obs_indices = {k: _index_near(nodes, windows[k][1], tol)
-                   for k in range(len(items))}
-    window_start_indices = {k: _index_near(nodes, windows[k][0], tol)
-                            for k in range(len(items))}
-    return TimeGrid(arr, obs_indices, window_start_indices)
+    return TimeGrid(arr)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ penalizing the residual at the window opening, a time integral coupling
 the residual to the drift through the channel precision, and two
 correction sums picking up the variation of the precision along the path
 (both vanish identically for constant diffusion).  A Girsanov term
-accounts for a drift component excluded from simulation when the model
-carries a drift split.  All arithmetic stays in the log domain, and
-additive constants shared by every path are dropped since
-self-normalization cancels them.
+accounts for the remainder ``drift - guided_drift`` when the model
+simulates bridges under a ``guided_drift``.  All arithmetic stays in
+the log domain, and additive constants shared by every path are dropped
+since self-normalization cancels them.
 """
 from __future__ import annotations
 
@@ -18,11 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .bridge import BatchPaths
-from .errors import (
-    DegenerateEnsembleError,
-    InvalidConfigurationError,
-    InvalidObservationError,
-)
+from .errors import DegenerateEnsembleError, InvalidConfigurationError
 # channel_precision is no longer called here; it stays in this namespace
 # for tracers that wrap bridgesim.weights.<name>
 from .observations import (  # noqa: F401
@@ -45,15 +41,15 @@ TERM_NAMES = ("log_eta", "boundary", "drift_term", "dA_term", "covar_term")
 
 def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
                     states: np.ndarray) -> np.ndarray:
-    """Correction for the drift part excluded from simulation.
+    """Correction for the drift part excluded from simulation,
+    b_check = drift - guided_drift.
 
     Left-point discretization of  int b_check* a^-1 dy
     - 0.5 int b_check* a^-1 b_check dt  over the whole horizon.
     """
     p_count = states.shape[0]
-    if model.drift_split is None:
+    if model.guided_drift is None:
         return np.zeros(p_count)
-    rough = model.rough_drift
     n = model.dim
     eye = np.eye(n)
     nodes = grid.nodes.tolist()
@@ -63,6 +59,7 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
     a_inv = None if sig_c is None else channel(sig_c, eye).A
     # each step's terms are formed in these
     dy = batch_innermost((p_count,), (n,))
+    bc = batch_innermost((p_count,), (n,))
     x = batch_innermost((p_count,), (n,))
     step = np.empty(p_count)
     half = np.empty(p_count)
@@ -72,7 +69,8 @@ def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
             dt = nodes[j + 1] - nodes[j]
             cur = states[:, j]
             np.subtract(states[:, j + 1], cur, out=dy)
-            bc = drift_values(rough, t, cur, n)
+            np.subtract(drift_values(model.drift, t, cur, n),
+                        drift_values(model.guided_drift, t, cur, n), out=bc)
             if sig_c is None:
                 a_inv = channel(
                     diffusion_values(model.diffusion, t, cur, n), eye).A
@@ -106,9 +104,6 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet,
     ``(path_row, term, observation, step)`` tuples for non-finite
     contributions.
     """
-    if obs.items and not obs.validated:
-        raise InvalidObservationError(
-            "observation set must be validated before weighting")
     if obs.items and (batch.precision is None or batch.drift is None):
         raise InvalidConfigurationError(
             "weights need the channel precision and guiding drift that "
@@ -149,8 +144,8 @@ def _observation_terms(model: ModelSpec, batch: BatchPaths, k: int,
                        ob, put) -> None:
     """Store the window terms of observation ``k`` through ``put``."""
     grid = batch.grid
-    j0 = grid.window_start_indices[k]
-    j1 = grid.obs_indices[k]
+    j0 = grid.index_of(ob.time - ob.window)
+    j1 = grid.index_of(ob.time)
     tt = grid.nodes[j0:j1 + 1]
     L = ob.matrix
     denom = grid.nodes[j1] - tt[:-1]

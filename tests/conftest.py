@@ -56,8 +56,8 @@ def rebuilt_channels(model, obs, batch):
     drift = np.empty((p_count, grid.n_steps, n))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, ob in enumerate(obs.items):
-            j0 = grid.window_start_indices[k]
-            j1 = grid.obs_indices[k]
+            j0 = grid.index_of(ob.time - ob.window)
+            j1 = grid.index_of(ob.time)
             window = states[:, j0:j1 + 1].copy(order="K")
             if k in batch.preclamp:
                 window[:, -1] = batch.preclamp[k]

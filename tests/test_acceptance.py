@@ -56,7 +56,7 @@ def test_criterion_02_exact_pinning():
     assert not (batch.failed_step >= 0).any()
     worst = 0.0
     for k, ob in enumerate(obs.items):
-        j = grid.obs_indices[k]
+        j = grid.index_of(ob.time)
         resid = batch.states[:, j] @ ob.matrix.T - ob.value
         worst = max(worst, float(np.abs(resid).max()))
     report(2, worst <= 1e-12,

@@ -53,7 +53,7 @@ class TestReduction:
                                    [2]).states[0]
         free = bs.simulate_free_batch(model, grid, np.zeros(1), 9,
                                       [2]).states[0]
-        j0 = grid.window_start_indices[0]
+        j0 = grid.index_of(1.0 - 0.25)
         assert np.array_equal(bridge[:j0 + 1], free[:j0 + 1])
         assert not np.allclose(bridge[-1], free[-1])
 
@@ -94,7 +94,7 @@ class TestPinning:
         batch = bs.simulate_batch(model, obs, grid, np.zeros(2), 3,
                                   np.arange(64))
         for k, ob in enumerate(obs.items):
-            j = grid.obs_indices[k]
+            j = grid.index_of(ob.time)
             resid = batch.states[:, j] @ ob.matrix.T - ob.value
             assert np.abs(resid).max() <= 1e-12
 
@@ -128,7 +128,7 @@ class TestClamp:
         z = rng.standard_normal(n)
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         batch = bs.simulate_batch(model, obs, grid, z, 13, np.arange(16))
-        out = batch.states[:, grid.obs_indices[0]]
+        out = batch.states[:, grid.index_of(1.0)]
         assert np.abs(out @ L.T - v).max() <= 1e-12
         # the projected state is the preclamp state moved by the
         # explicit oblique-projection formula
@@ -144,7 +144,7 @@ class TestClamp:
         z = np.array([0.4, 1.7])
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         batch = bs.simulate_batch(model, obs, grid, z, 14, np.arange(16))
-        y = batch.states[:, grid.obs_indices[0]]
+        y = batch.states[:, grid.index_of(1.0)]
         ob = obs.items[0]
         ch = channel(model.constant_sigma, ob.matrix)
         again = y + ch.pull(ob.value - y @ ob.matrix.T)
@@ -223,11 +223,12 @@ class TestCutoffVariant:
 
 class TestBatchBehavior:
     def test_unvalidated_observations_rejected(self):
-        model = bs.brownian(dim=1).spec
-        raw = bs.ObservationSet((bs.Observation(1.0, [[1.0]], [1.0]),))
-        grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.01)
-        with pytest.raises(InvalidObservationError):
-            bs.simulate_batch(model, raw, grid, np.zeros(1), 1, [0])
+        """No set reaches the kernel unchecked: a window past the gap is
+        rejected when the set is built."""
+        with pytest.raises(InvalidObservationError) as e:
+            bs.ObservationSet((bs.Observation(1.0, [[1.0]], [1.0],
+                                              window=1.5),))
+        assert e.value.field == "window"
 
     def test_path_ids_beyond_int64(self):
         """Ids the noise streams accept, including ones past int64, run
@@ -299,8 +300,9 @@ class TestBatchBehavior:
         batch = bs.simulate_batch(model, obs, grid, u, 5, np.arange(200))
         failed = batch.failed_step
         bad = np.flatnonzero(failed >= 0)
-        assert grid.obs_indices[0] < failed[bad].min()
-        assert failed.max() < grid.obs_indices[1]
+        first, second = (grid.index_of(ob.time) for ob in obs)
+        assert first < failed[bad].min()
+        assert failed.max() < second
         for p in [*bad, *np.flatnonzero(failed < 0)[:4]]:
             alone = bs.simulate_batch(model, obs, grid, u, 5, [p])
             assert alone.failed_step[0] == failed[p]

@@ -156,20 +156,19 @@ class TestParseConfig:
         assert e.value.field == field
 
     def test_double_well_always_splits(self):
-        """double_well ships with a split; the parsed flag says so, and
+        """double_well ships with a split; the parsed model says so, and
         an explicit ``false`` is rejected instead of ignored."""
         raw = base_config(model={"name": "double_well",
                                  "params": {"dim": 1}})
-        assert bs.parse_config(raw).drift_split is True
+        assert bs.parse_config(raw).model.spec.guided_drift is not None
         raw["model"]["drift_split"] = True
         cfg = bs.parse_config(raw)
-        assert cfg.drift_split is True
-        assert cfg.model.spec.drift_split is not None
+        assert cfg.model.spec.guided_drift is not None
         raw["model"]["drift_split"] = False
         with pytest.raises(InvalidConfigurationError) as e:
             bs.parse_config(raw)
         assert e.value.field == "model.drift_split"
-        assert bs.parse_config(base_config()).drift_split is False
+        assert bs.parse_config(base_config()).model.spec.guided_drift is None
 
     def test_invalid_json_string(self):
         with pytest.raises(InvalidConfigurationError):

@@ -106,12 +106,9 @@ class TestRunEnsemble:
         def bounded(t, x):
             return np.tanh(x * f_diag)
 
-        def remainder(t, x):
-            return x * f_diag - np.tanh(x * f_diag)
-
         def spec(diffusion):
             return bs.ModelSpec(dim=2, drift=drift, diffusion=diffusion,
-                                drift_split=(bounded, remainder))
+                                guided_drift=bounded)
 
         obs = bs.validate([bs.Observation(0.5, [[0.6, 0.8]], [0.3]),
                            bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
@@ -191,6 +188,52 @@ class TestRunEnsemble:
         assert np.ptp(ens.state_at(1.0 - 5e-10)) > 1e-3
 
 
+class TestGridAgreement:
+    """A run conditions on the observations it is given: their nodes are
+    looked up on the grid, and a grid without them is rejected."""
+
+    model = bs.ou(dim=2, f_diag=[-1.0, -0.5], sigma=[1.0, 1.5]).spec
+    u = np.array([0.5, -0.3])
+
+    @staticmethod
+    def grid(include_times):
+        """The grid of x1(1) = 0.7, whose uniform part has no node at 0.5
+        or 0.6, plus ``include_times``."""
+        built_for = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.7])],
+                                dim=2)
+        return bs.build_grid(1.0, built_for, dt_base=0.07, dt_min=1e-4,
+                             include_times=include_times)
+
+    def test_run_pins_the_observation_it_is_given(self):
+        """A grid built for x1(1) = 0.7 with a node at 0.6 serves the
+        observation x1(0.6) = 0.7: every path is pinned at 0.6."""
+        obs = bs.validate([bs.Observation(0.6, [[1.0, 0.0]], [0.7])], dim=2)
+        ens = bs.run_ensemble(self.model, obs, self.grid([0.6]), self.u, 300,
+                              seed=3)
+        assert np.abs(ens.state_at(0.6)[:, 0] - 0.7).max() <= 1e-12
+        assert np.ptp(ens.state_at(1.0)[:, 0]) > 0.1
+
+    @pytest.mark.parametrize("times", [[0.6], [0.5, 1.0]])
+    def test_grid_without_the_nodes_rejected(self, times):
+        obs = bs.validate([bs.Observation(t, [[1.0, 0.0]], [0.7])
+                           for t in times], dim=2)
+        with pytest.raises(InvalidConfigurationError):
+            bs.run_ensemble(self.model, obs, self.grid([]), self.u, 10,
+                            seed=3)
+
+    @pytest.mark.parametrize("matrix", [[[1.0]], [[1.0, 0.0, 0.0]],
+                                        [[0.0, 0.0, 1.0]]])
+    def test_observation_width_must_match_the_model(self, matrix):
+        """simulate_batch and run_ensemble reject an observation that is
+        not ``model.dim`` columns wide, zero columns included."""
+        obs = bs.validate([bs.Observation(1.0, matrix, [0.7])])
+        grid = self.grid([])
+        with pytest.raises(InvalidConfigurationError):
+            bs.simulate_batch(self.model, obs, grid, self.u, 3, [0])
+        with pytest.raises(InvalidConfigurationError):
+            bs.run_ensemble(self.model, obs, grid, self.u, 10, seed=3)
+
+
 def ensemble_bytes(ens) -> dict:
     """Every array of an ensemble as bytes, plus its failure count."""
     out = {"states": ens.states.tobytes(), "path_ids": ens.path_ids.tobytes(),
@@ -220,8 +263,7 @@ class TestChunkLayout:
 
         model = bs.ModelSpec(
             dim=2, drift=lambda t, x: -x, diffusion=diffusion,
-            drift_split=(lambda t, x: -np.tanh(x),
-                         lambda t, x: np.tanh(x) - x))
+            guided_drift=lambda t, x: -np.tanh(x))
         obs = bs.validate([bs.Observation(0.5, [[0.6, 0.8]], [0.2]),
                            bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
         grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)

@@ -21,8 +21,8 @@ def check_invariants(grid, obs, dt_base, dt_min, ratio):
     steps = np.diff(nodes)
     assert steps.max() <= dt_base * (1.0 + 1e-9)
     for k, ob in enumerate(obs.items):
-        j1 = grid.obs_indices[k]
-        j0 = grid.window_start_indices[k]
+        j1 = grid.index_of(ob.time)
+        j0 = grid.index_of(ob.time - ob.window)
         assert nodes[j1] == ob.time
         assert abs(nodes[j0] - (ob.time - ob.window)) <= 1e-12
         for j in range(j0, j1):
@@ -62,7 +62,7 @@ class TestRefined:
                              refine_ratio=0.3)
         check_invariants(grid, obs, 0.05, 1e-3, 0.3)
         # outside the window the grid is uniform in dt_base
-        j0 = grid.window_start_indices[0]
+        j0 = grid.index_of(1.0 - 0.25)
         outside = np.diff(grid.nodes[:j0 + 1])
         assert np.allclose(outside, 0.05)
 
@@ -73,17 +73,18 @@ class TestRefined:
         )), dim=2)
         grid = bs.build_grid(1.0, obs, dt_base=0.01, dt_min=1e-4)
         check_invariants(grid, obs, 0.01, 1e-4, 0.5)
-        assert grid.nodes[grid.obs_indices[0]] == 0.5
-        assert grid.nodes[grid.obs_indices[1]] == 1.0
+        assert grid.nodes[grid.index_of(0.5)] == 0.5
+        assert grid.nodes[grid.index_of(1.0)] == 1.0
         # the second window opens exactly at the first observation time
-        assert grid.window_start_indices[1] == grid.obs_indices[0]
+        second = obs.items[1]
+        assert grid.nodes[grid.index_of(second.time - second.window)] == 0.5
 
     def test_horizon_past_last_observation(self):
         obs = one_obs(time=0.5)
         grid = bs.build_grid(2.0, obs, dt_base=0.1, dt_min=1e-3)
         check_invariants(grid, obs, 0.1, 1e-3, 0.5)
         assert grid.horizon == 2.0
-        j1 = grid.obs_indices[0]
+        j1 = grid.index_of(0.5)
         after = np.diff(grid.nodes[j1:])
         assert np.allclose(after, 0.1)
 
@@ -99,7 +100,7 @@ class TestRefined:
         obs = one_obs()
         grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=1e-3,
                              include_times=[1.0 - 1e-15])
-        assert grid.nodes[grid.obs_indices[0]] == 1.0
+        assert grid.nodes[grid.index_of(1.0)] == 1.0
         assert np.count_nonzero(np.abs(grid.nodes - 1.0) < 1e-6) == 1
 
     def test_index_of(self):
@@ -118,7 +119,38 @@ class TestRefined:
                              include_times=[1.0 - 5e-10, 0.5, 0.5 + 5e-10])
         for time in (1.0 - 5e-10, 1.0, 0.5, 0.5 + 5e-10):
             assert grid.nodes[grid.index_of(time)] == time
-        assert grid.index_of(1.0) == grid.obs_indices[0] == grid.n_steps
+        assert grid.index_of(1.0) == grid.n_steps
+
+    def test_window_opening_keeps_its_exact_time(self):
+        """An include time 3e-9 before a window opening merges into it at
+        horizon 5000 (tolerance 5e-9): the node keeps the opening's exact
+        time, not the include time's, and the run goes through."""
+        obs = bs.validate([bs.Observation(5000.0, [[1.0]], [0.4],
+                                          window=1000.0)], dim=1)
+        grid = bs.build_grid(5000.0, obs, dt_base=100.0, dt_min=1.0,
+                             include_times=[4000.0 - 3e-9])
+        assert grid.nodes[grid.index_of(4000.0)] == 4000.0
+        ens = bs.run_ensemble(bs.brownian(dim=1, sigma=0.01).spec, obs,
+                              grid, np.zeros(1), 20, seed=1)
+        assert ens.size == 20
+        assert (ens.state_at(5000.0) == 0.4).all()
+
+    @pytest.mark.parametrize("window", [2000.0 * (1.0 + 1e-12),
+                                        2000.0 - 3e-9])
+    def test_window_opening_merged_into_an_observation(self, window):
+        """At horizon 6000 build_grid merges anchors within 6e-9: an
+        opening 2e-9 before or 3e-9 after the previous observation
+        shares its node, index_of finds that node from the opening's
+        time, and the run goes through."""
+        obs = bs.validate([
+            bs.Observation(4000.0, [[1.0]], [0.1]),
+            bs.Observation(6000.0, [[1.0]], [0.4], window=window)], dim=1)
+        grid = bs.build_grid(6000.0, obs, dt_base=200.0, dt_min=1.0)
+        assert grid.nodes[grid.index_of(6000.0 - window)] == 4000.0
+        ens = bs.run_ensemble(bs.brownian(dim=1, sigma=0.01).spec, obs,
+                              grid, np.zeros(1), 20, seed=1)
+        assert np.abs(ens.state_at(4000.0) - 0.1).max() <= 1e-12
+        assert np.abs(ens.state_at(6000.0) - 0.4).max() <= 1e-12
 
 
 class TestValidation:
@@ -160,9 +192,12 @@ class TestValidation:
                           refine_ratio=0.0)
 
     def test_unvalidated_observations_rejected(self):
-        raw = bs.ObservationSet((bs.Observation(1.0, [[1.0]], [1.0]),))
-        with pytest.raises(InvalidObservationError):
-            bs.build_grid(1.0, raw, dt_base=0.1, dt_min=0.01)
+        """No set reaches the grid unchecked: a window past the gap is
+        rejected when the set is built."""
+        with pytest.raises(InvalidObservationError) as e:
+            bs.ObservationSet((bs.Observation(1.0, [[1.0]], [1.0],
+                                              window=1.5),))
+        assert e.value.field == "window"
 
     def test_horizon_below_last_observation(self):
         obs = one_obs(time=1.0)
@@ -215,8 +250,8 @@ class TestGridProperties:
         assert np.all(steps > 0)
         assert steps.max() <= dt_base * (1.0 + 1e-9)
         for k, ob in enumerate(obs.items):
-            j1 = grid.obs_indices[k]
+            j1 = grid.index_of(ob.time)
             assert nodes[j1] == ob.time
-            assert abs(nodes[grid.window_start_indices[k]]
+            assert abs(nodes[grid.index_of(ob.time - ob.window)]
                        - (ob.time - ob.window)) <= 1e-12
             assert steps[j1 - 1] <= dt_min * (1.0 + 1e-9)

@@ -39,20 +39,24 @@ class TestValidate:
             bs.Observation(0.5, [[1.0, 0.0]], [0.3]),
             bs.Observation(1.0, [[0.0, 1.0]], [-0.2]),
         )), dim=2)
-        assert obs.validated
         assert obs.items[0].window == 0.5
         assert obs.items[1].window == 0.5
         assert obs.min_window == 0.5
 
     def test_accepts_plain_iterable(self):
         obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.5])])
-        assert obs.validated
+        assert obs.items[0].window == 1.0
         assert len(obs) == 1
 
     def test_min_window_requires_validation(self):
-        raw = bs.ObservationSet((bs.Observation(1.0, [[1.0]], [0.5]),))
-        with pytest.raises(InvalidObservationError):
-            raw.min_window
+        """min_window reads only checked windows: a set whose window
+        reaches past the gap is rejected when it is built."""
+        with pytest.raises(InvalidObservationError) as e:
+            bs.ObservationSet((bs.Observation(1.0, [[1.0]], [0.5],
+                                              window=1.5),))
+        assert e.value.field == "window"
+        assert bs.ObservationSet((bs.Observation(
+            1.0, [[1.0]], [0.5]),)).min_window == 1.0
 
     def test_empty_set_min_window_is_infinite(self):
         assert bs.validate([]).min_window == np.inf
@@ -322,8 +326,8 @@ class TestGuidingDrift:
                              include_times=[0.5])
         batch, pulls = step_pulls(model, obs, grid, np.zeros(1), 4,
                                   np.arange(8))
-        j_open = grid.window_start_indices[0]
-        j_obs = grid.obs_indices[0]
+        j_open = grid.index_of(0.75)
+        j_obs = grid.index_of(1.0)
         assert np.allclose(pulls[:, :j_open], 0.0)
         # the window is closed on the left ...
         at_open = (1.0 - batch.states[:, j_open]) / 0.25
@@ -353,22 +357,19 @@ class TestGuidingDrift:
             assert np.allclose(pull, manual, atol=1e-12)
 
     def test_overlapping_windows_sum(self):
-        """Two active windows contribute additively; sets constructed
-        directly may carry windows past the previous observation."""
-        model = bs.brownian(dim=2).spec
+        """Windows never overlap: a set whose second window reaches past
+        the first observation is rejected when it is built, so it never
+        reaches the kernel."""
         items = (
             bs.Observation(0.5, np.array([[1.0, 0.0]]), np.array([0.3]),
                            window=0.5),
             bs.Observation(1.0, np.array([[0.0, 1.0]]), np.array([-0.2]),
                            window=1.0),
         )
-        obs = bs.ObservationSet(items=items, validated=True)
-        # both windows open at t = 0, where the state is the start z
-        z = np.array([0.1, 0.2])
-        grid = bs.build_grid(1.0, obs, dt_base=0.25, dt_min=1e-3)
-        _, pulls = step_pulls(model, obs, grid, z, 2, [0])
-        expect = np.array([-(0.1 - 0.3) / 0.5, -(0.2 - (-0.2)) / 1.0])
-        assert np.allclose(pulls[0, 0], expect, atol=1e-14)
+        with pytest.raises(InvalidObservationError) as e:
+            bs.ObservationSet(items=items)
+        assert e.value.field == "window"
+        assert e.value.index == 1
 
     def test_pull_strengthens_near_observation(self):
         """Brownian motion is autonomous, so the pull at time t depends

@@ -145,16 +145,7 @@ class TestCoefficientHelpers:
                              diffusion=lambda t, x: np.eye(1) * 3.0,
                              ellipticity_bound=2.0)
         with pytest.raises(EllipticityViolationError):
-            check_coefficients(model, 0.0, np.zeros((1, 1)),
-                               np.eye(1) * 3.0)
-
-    def test_check_coefficients_split_sum(self):
-        model = bs.ModelSpec(
-            dim=1, drift=lambda t, x: x,
-            diffusion=lambda t, x: np.eye(1),
-            drift_split=(lambda t, x: 0.4 * x, lambda t, x: 0.7 * x))
-        with pytest.raises(InvalidConfigurationError):
-            check_coefficients(model, 0.0, np.ones((1, 1)), np.eye(1))
+            check_coefficients(model, 0.0, np.eye(1) * 3.0)
 
 
 def paths_innermost(a: np.ndarray) -> np.ndarray:
@@ -295,18 +286,16 @@ class TestZeroTerms:
 
 
 class TestModelSpec:
-    def test_effective_and_rough_drift(self):
+    def test_effective_and_guided_drift(self):
         bounded = lambda t, x: np.tanh(x)
-        rest = lambda t, x: x - np.tanh(x)
         model = bs.ModelSpec(dim=1, drift=lambda t, x: x,
                              diffusion=lambda t, x: np.eye(1),
-                             drift_split=(bounded, rest))
+                             guided_drift=bounded)
         assert model.effective_drift is bounded
-        assert model.rough_drift is rest
         plain = bs.ModelSpec(dim=1, drift=lambda t, x: x,
                              diffusion=lambda t, x: np.eye(1))
         assert plain.effective_drift is plain.drift
-        assert plain.rough_drift is None
+        assert plain.guided_drift is None
 
     def test_bad_dimension(self):
         with pytest.raises(InvalidConfigurationError):

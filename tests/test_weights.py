@@ -25,8 +25,8 @@ def reference_breakdown(model, obs, grid, states, preclamp):
     out = {}
     for k, ob in enumerate(obs.items):
         L = ob.matrix
-        j0 = grid.window_start_indices[k]
-        j1 = grid.obs_indices[k]
+        j0 = grid.index_of(ob.time - ob.window)
+        j1 = grid.index_of(ob.time)
         t_obs = grid.nodes[j1]
 
         def precision(t, state):
@@ -269,8 +269,9 @@ class TestChannelRecord:
         none of them."""
         model, obs, grid, u = state_dependent_setup()
         array = bs.ou(dim=3).spec
-        shapes = [(2, grid.obs_indices[k] - grid.window_start_indices[k] + 1,
-                   ob.m, ob.m) for k, ob in enumerate(obs.items)]
+        shapes = [(2, grid.index_of(ob.time)
+                   - grid.index_of(ob.time - ob.window) + 1, ob.m, ob.m)
+                  for ob in obs.items]
         for spec in (model, array):
             full = bs.simulate_batch(spec, obs, grid, u, 5, [0, 1])
             assert [p.shape for p in full.precision] == shapes
@@ -303,14 +304,14 @@ class TestGirsanov:
         is exactly 0, even along a path under a non-zero drift."""
         model = bs.ou(dim=1).spec
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
-        assert model.drift_split is None
+        assert model.guided_drift is None
         assert girsanov(model, grid, np.linspace(0, 1, 11)[:, None]) == 0.0
 
     def test_zero_remainder_gives_zero(self):
         model = bs.ModelSpec(
             dim=1, drift=lambda t, x: -x,
             diffusion=lambda t, x: np.eye(1),
-            drift_split=(lambda t, x: -x, lambda t, x: np.zeros_like(x)))
+            guided_drift=lambda t, x: -x)
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
         assert girsanov(model, grid, np.linspace(0, 1, 11)[:, None]) == 0.0
 
@@ -322,8 +323,7 @@ class TestGirsanov:
         model = bs.ModelSpec(
             dim=2, drift=lambda t, x: np.broadcast_to(c, x.shape),
             diffusion=lambda t, x: sigma,
-            drift_split=(lambda t, x: np.zeros_like(x),
-                         lambda t, x: np.broadcast_to(c, x.shape)))
+            guided_drift=lambda t, x: np.zeros_like(x))
         grid = bs.build_grid(2.0, None, dt_base=0.1, dt_min=0.1)
         u = np.array([0.1, 0.3])
         z = np.array([1.4, -0.9])
@@ -365,7 +365,9 @@ class TestOverflowDetection:
         # failed paths hold a finite state, so poison a few rows' windows
         for row, k, value in ((3, 0, np.inf), (700, 1, np.nan),
                               (701, 1, -np.inf)):
-            mid = (grid.window_start_indices[k] + grid.obs_indices[k]) // 2
+            ob = obs.items[k]
+            mid = (grid.index_of(ob.time - ob.window)
+                   + grid.index_of(ob.time)) // 2
             batch.states[row, mid, row % 3] = value
         batch.preclamp[1][900, 0] = np.inf
         scanned = []
@@ -398,11 +400,12 @@ class TestOverflowDetection:
         assert issues == scanned
 
     def test_unvalidated_observations_rejected(self):
-        model = bs.brownian(dim=1).spec
-        raw = bs.ObservationSet((bs.Observation(1.0, [[1.0]], [0.5]),))
-        grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
-        with pytest.raises(InvalidObservationError):
-            batch_breakdown(model, raw, one_path(grid, np.zeros((11, 1))))
+        """No set reaches the weights unchecked: a window past the gap
+        is rejected when the set is built."""
+        with pytest.raises(InvalidObservationError) as e:
+            bs.ObservationSet((bs.Observation(1.0, [[1.0]], [0.5],
+                                              window=1.5),))
+        assert e.value.field == "window"
 
 
 class TestNormalize:
