@@ -30,7 +30,6 @@ from .sde import (  # noqa: F401
     matvec,
     normal_increments,
     path_id_array,
-    product,
     vecmat,
 )
 
@@ -54,9 +53,10 @@ class BatchPaths:
     # state, (P,); under an array sigma, read-only views of one channel
     precision: Optional[list] = None
     logdet: Optional[list] = None
-    # full bridges only: the guiding drift at each step's left node,
-    # (P, M, n)
-    drift: Optional[np.ndarray] = None
+    # full bridges only, per observation k: L b, the guiding drift b at
+    # the left node of each of the J steps of window k seen through L,
+    # (P, J, m)
+    observed_drift: Optional[list] = None
 
 
 def _prepare_initial(u, dim: int) -> np.ndarray:
@@ -120,22 +120,13 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     # every per-chunk array keeps the path axis innermost in memory; the
     # public shapes stay (P, ...)
     paths = (p_count,)
-    # block_normals draws straight into a paths-innermost buffer, so
-    # each step reads one contiguous (P, n) block with no transposing copy
-    xi = block_normals(seed, ids, m_steps, n)
-    sig_c = model.constant_sigma
-    if sig_c is not None:
-        # constant sigma: every step's noise term sigma xi sqrt(dt) at
-        # once, each element the sum the step would form
-        noise = batch_innermost(paths, (m_steps, n))
-        product(xi[..., None, :], sig_c.T, out=noise[..., None, :])
-        noise *= np.sqrt(np.diff(grid.nodes))[:, None]
-        xi = None  # only the noise term is read from here on
     states = batch_innermost(paths, (m_steps + 1, n))
     states[:, 0] = u
+    # each step's noise is drawn into the row that the step then writes,
+    # one contiguous (P, n) block read before it is overwritten
+    block_normals(seed, ids, m_steps, n, out=states[:, 1:])
     failed = np.full(p_count, -1, dtype=int)
     keep = None  # the paths not failed, once some path has failed
-    drift = batch_innermost(paths, (m_steps, n)) if clamp_nodes else None
     preclamp: dict[int, np.ndarray] = {}
     cap = BLOWUP_FACTOR * (1.0 + float(np.linalg.norm(u)))
     # the check compares squares; a square that overflows fails it even
@@ -151,12 +142,16 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     resids = [batch_innermost(paths, (ob.m,)) for ob in obs.items]
     # constant sigma: one channel per observation serves the pull at
     # every step and the terminal projection
+    sig_c = model.constant_sigma
     channels = None if sig_c is None else \
         [channel(sig_c, ob.matrix) for ob in obs.items]
-    # full bridges keep the channel algebra the weights read: under an
-    # array sigma as views of the one channel per observation, under a
-    # callable sigma filled from the channel behind each pull
-    precision = logdet = None
+    # full bridges keep L b and the channel algebra the weights read:
+    # under an array sigma as views of the one channel per observation,
+    # under a callable sigma filled from the channel behind each pull
+    precision = logdet = observed = None
+    if clamp_nodes:
+        observed = [batch_innermost(paths, (j1 - j0, ob.m))
+                    for j0, _, j1, ob in table]
     if clamp_nodes and channels is not None:
         precision = [np.broadcast_to(ch.A, (p_count, j1 - j0 + 1) + ch.A.shape)
                      for ch, (j0, _, j1, _) in zip(channels, table)]
@@ -185,27 +180,25 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             t = nodes[j]
             dt = nodes[j + 1] - nodes[j]
             nxt = states[:, j + 1]
-            b = drift_values(drift_fn, t, cur, n)
-            if drift is not None:
-                drift[:, j] = b
+            b = drift = drift_values(drift_fn, t, cur, n)
             if validate:
                 check_coefficients(model, t, sig)
             # nxt = cur + (b - sum of pull / (T_k - t)) dt + noise
             for k, (j0, js, j1, ob) in enumerate(table):
                 if j0 <= j < js:
+                    if observed is not None:
+                        vecmat(b, ob.matrix.T, out=observed[k][:, j - j0])
                     resid = vecmat(cur, ob.matrix.T, out=resids[k])
                     resid -= ob.value
                     pull = chan(k, sig, j - j0).pull(resid, out=term)
                     pull /= nodes[j1] - t
-                    b = np.subtract(b, pull, out=total)
-            np.multiply(b, dt, out=nxt)
+                    drift = np.subtract(drift, pull, out=total)
+            # the noise drawn into nxt is read before nxt is written
+            noise = matvec(sig, nxt, out=term)
+            noise *= np.sqrt(dt)
+            np.multiply(drift, dt, out=nxt)
             nxt += cur
-            if sig_c is None:
-                step_noise = matvec(sig, xi[:, j], out=term)
-                step_noise *= np.sqrt(dt)
-                nxt += step_noise
-            else:
-                nxt += noise[:, j]
+            nxt += noise
             # until a path fails, a step within +-calm needs no exact
             # check; a NaN fails both comparisons
             if keep is not None or not (
@@ -237,7 +230,8 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     return BatchPaths(grid=grid, path_ids=ids, states=states,
                       preclamp=preclamp, failed_step=failed,
-                      precision=precision, logdet=logdet, drift=drift)
+                      precision=precision, logdet=logdet,
+                      observed_drift=observed)
 
 
 def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
@@ -252,8 +246,9 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     bridge keeps, per observation, the unprojected state, the channel
     ``precision`` along the window and its ``logdet`` at the projected
     state, all from the channels behind the pulls and projections, and
-    the guiding ``drift``.  Failed paths freeze at their last admissible
-    state and are reported through ``failed_step``.
+    the guiding drift through L along the window, ``observed_drift``.
+    Failed paths freeze at their last admissible state and are reported
+    through ``failed_step``.
 
     ``epsilon_cutoff`` stops every guiding window a distance epsilon
     before its observation time and disables the terminal projection;
@@ -261,7 +256,7 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     (seed, path_id) a cut-off path shares its driving noise with the
     full bridge, so the two coincide up to the first cut-off node.  The
     weights assume the full bridge, so cut-off paths are never weighted
-    and keep no ``precision``, ``logdet`` or ``drift``.
+    and keep no ``precision``, ``logdet`` or ``observed_drift``.
     """
     return _euler(model, obs, grid, u, seed, path_ids, model.effective_drift,
                   epsilon_cutoff, validate)

@@ -20,7 +20,7 @@ from .weights import TERM_NAMES, batch_breakdown, normalize_log_weights
 
 # Paths are simulated and weighted this many at a time; a path's bits
 # depend on neither the chunk size nor the worker count.
-CHUNK_SIZE = 1024
+CHUNK_SIZE = 2048
 
 FAILURE_CEILING = 0.01
 

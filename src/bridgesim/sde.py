@@ -472,9 +472,11 @@ def path_id_array(path_ids) -> np.ndarray:
         return np.array(ids, dtype=object)
 
 
-def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
+def block_normals(seed: int, path_ids, n_steps: int, dim: int,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """The (P, n_steps, dim) noise of a batch of paths, paths innermost
-    in memory: a transposed view of an (n_steps, dim, P) buffer.
+    in memory: a transposed view of an (n_steps, dim, P) buffer, which
+    is ``out``'s memory if one of that shape is given.
 
     Row p equals ``normal_increments(seed, path_ids[p], n_steps, dim)``
     bit for bit.  Each block that the ids touch is drawn once.  A
@@ -483,7 +485,8 @@ def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
     """
     ids = path_id_array(path_ids)
     count = len(ids)
-    out = np.empty((n_steps, dim, count))
+    buf = np.empty((n_steps, dim, count)) if out is None \
+        else out.transpose(1, 2, 0)
     draw = _block_drawer(seed, n_steps, dim)
     first = int(ids[0]) if count else 0
     # the end points in Python ints: a step of 1 in int64 can wrap
@@ -493,7 +496,7 @@ def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
                            -(-(first + count) // NOISE_BLOCK)):
             base = block * NOISE_BLOCK
             lo, hi = max(base, first), min(base + NOISE_BLOCK, first + count)
-            out[:, :, lo - first:hi - first] = \
+            buf[:, :, lo - first:hi - first] = \
                 draw(block)[:, :, lo - base:hi - base]
     else:
         ids = ids.tolist()
@@ -502,5 +505,5 @@ def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
             rows.setdefault(pid // NOISE_BLOCK, []).append(p)
         for block, ps in rows.items():
             cols = [ids[p] % NOISE_BLOCK for p in ps]
-            out[:, :, ps] = draw(block)[:, :, cols]
-    return out.transpose(2, 0, 1)
+            buf[:, :, ps] = draw(block)[:, :, cols]
+    return buf.transpose(2, 0, 1)

@@ -13,8 +13,6 @@ since self-normalization cancels them.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .bridge import BatchPaths
@@ -37,6 +35,11 @@ from .sde import (
 )
 
 TERM_NAMES = ("log_eta", "boundary", "drift_term", "dA_term", "covar_term")
+
+# Window terms are formed for this many rows of a chunk at a time, so
+# their per-step temporaries stay small; a row's terms do not depend on
+# the other rows, so the block size moves no bit.
+ROW_BLOCK = 256
 
 
 def _girsanov_batch(model: ModelSpec, grid: TimeGrid,
@@ -91,20 +94,21 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet,
 
     The terms read the batch's states and, per observation, the
     unprojected states of its terminal projection, and the channel
-    ``precision`` and ``logdet`` and the guiding ``drift`` the bridge
-    kernel kept for these rows; a batch without them (cut-off or built
-    by hand) cannot be weighted.  The window sums run over the grid steps
-    of each correction window, left points included; the final step up
-    to the observation time uses the state before terminal projection
-    and keeps the left node in its denominator.  A row's terms do not
-    depend on the other rows of the batch.
+    ``precision`` and ``logdet`` and the ``observed_drift`` L b the
+    bridge kernel kept for these rows; a batch without them (cut-off or
+    built by hand) cannot be weighted.  The window sums run over the
+    grid steps of each correction window, left points included; the
+    final step up to the observation time uses the state before terminal
+    projection and keeps the left node in its denominator.  A row's
+    terms do not depend on the other rows of the batch, so the window
+    terms are formed ``ROW_BLOCK`` rows at a time.
 
     Returns a dict of term arrays, each (P, K) with K the number of
     observations (``girsanov`` is (P,)), and a list of
     ``(path_row, term, observation, step)`` tuples for non-finite
-    contributions.
+    contributions, by observation, then term, then row and step.
     """
-    if obs.items and (batch.precision is None or batch.drift is None):
+    if obs.items and None in (batch.precision, batch.observed_drift):
         raise InvalidConfigurationError(
             "weights need the channel precision and guiding drift that "
             "simulate_batch keeps for full bridges")
@@ -114,66 +118,70 @@ def batch_breakdown(model: ModelSpec, obs: ObservationSet,
     terms = {name: np.zeros((p_count, n_obs)) for name in TERM_NAMES}
     issues: list[tuple[int, str, int, int | None]] = []
 
-    def put(term: str, k: int, values: np.ndarray,
-            j0: Optional[int] = None):
-        """Store ``term`` of observation ``k`` (-1: of the whole path):
-        per path (P,), or per step (P, J) from step ``j0``, summed over
-        the steps.  Non-finite entries are reported."""
-        steps = values if values.ndim == 2 else values[:, None]
-        sums = steps.sum(axis=1)
-        if k < 0:
-            terms[term] = sums
-        else:
-            terms[term][:, k] = sums
-        # a non-finite step makes its row's sum non-finite, so finite
-        # sums spare the scan of every step
-        if np.isfinite(sums).all():
-            return
-        for r, c in zip(*np.nonzero(~np.isfinite(steps))):
-            issues.append((int(r), term, k,
-                           None if j0 is None else int(j0 + c)))
-
     with np.errstate(over="ignore", invalid="ignore"):
         for k, ob in enumerate(obs.items):
-            _observation_terms(model, batch, k, ob, put)
-    put("girsanov", -1, _girsanov_batch(model, batch.grid, states))
+            found: dict[str, list] = {}  # issues by term, then by row
+            for start in range(0, p_count, ROW_BLOCK):
+                for term, steps, j0 in _observation_terms(
+                        model, batch, k, ob, slice(start, start + ROW_BLOCK)):
+                    sums = steps.sum(axis=1)
+                    terms[term][start:start + len(sums), k] = sums
+                    # a non-finite step makes its row's sum non-finite,
+                    # so finite sums spare the scan of every step
+                    bad = () if np.isfinite(sums).all() else \
+                        zip(*np.nonzero(~np.isfinite(steps)))
+                    found.setdefault(term, []).extend(
+                        (start + int(r), term, k,
+                         None if j0 is None else int(j0 + c))
+                        for r, c in bad)
+            issues += sum(found.values(), [])
+    terms["girsanov"] = g = _girsanov_batch(model, batch.grid, states)
+    issues += [(int(r), "girsanov", -1, None)
+               for r in np.flatnonzero(~np.isfinite(g))]
     return terms, issues
 
 
 def _observation_terms(model: ModelSpec, batch: BatchPaths, k: int,
-                       ob, put) -> None:
-    """Store the window terms of observation ``k`` through ``put``."""
+                       ob, rows: slice):
+    """Yield ``(term, steps, j0)`` for the window terms of observation
+    ``k`` on ``rows``: (R, 1) per path, or (R, J) per step from step
+    ``j0``."""
     grid = batch.grid
     j0 = grid.index_of(ob.time - ob.window)
     j1 = grid.index_of(ob.time)
     tt = grid.nodes[j0:j1 + 1]
     L = ob.matrix
     denom = grid.nodes[j1] - tt[:-1]
-    resid = vecmat(batch.states[:, j0:j1 + 1], L.T) - ob.value  # (P,J+1,m)
+    resid = vecmat(batch.states[rows, j0:j1 + 1], L.T) - ob.value
     pre = batch.preclamp.get(k)
     if pre is not None:
         # the state before the terminal projection feeds the final
         # step's terms; the projected state enters only through log_eta
-        resid[:, -1] = vecmat(pre, L.T) - ob.value
-    r0, r = resid[:, 0], resid[:, :-1]
+        resid[:, -1] = vecmat(pre[rows], L.T) - ob.value
+    r0, r = resid[:, 0], resid[:, :-1]  # (R, J+1, m) residuals
 
-    prec = batch.precision[k]
-    put("boundary", k, -dot(vecmat(r0, prec[:, 0]), r0) / (2.0 * ob.window))
-    qd = dot(vecmat(r, prec[:, :-1]), vecmat(batch.drift[:, j0:j1], L.T))
-    put("drift_term", k, -qd * np.diff(tt) / denom, j0)
+    prec = batch.precision[k][rows]
+    q0 = dot(vecmat(r0, prec[:, 0]), r0)
+    yield "boundary", (-q0 / (2.0 * ob.window))[:, None], None
+    qd = dot(vecmat(r, prec[:, :-1]), batch.observed_drift[k][rows])
+    yield "drift_term", -qd * np.diff(tt) / denom, j0
 
     # constant sigma: the precision never moves, so dA_term and
     # covar_term are exactly 0
     if model.constant_sigma is None:
-        dprec = prec[:, 1:] - prec[:, :-1]
+        dprec = np.diff(prec, axis=1)
         qa = dot(vecmat(r, dprec), r)
-        put("dA_term", k, -qa / (2.0 * denom), j0)
-        outer = resid[..., :, None] * resid[..., None, :]
-        douter = outer[:, 1:] - outer[:, :-1]
-        flat = dprec.shape[:2] + (ob.m ** 2,)
-        qc = dot(dprec.reshape(flat), douter.reshape(flat))
-        put("covar_term", k, -qc / (2.0 * denom), j0)
-    put("log_eta", k, 0.5 * batch.logdet[k])
+        yield "dA_term", -qa / (2.0 * denom), j0
+        # dA : d(r r*) summed as dot sums the flattened entries, one entry
+        # at a time, so no (R, J, m, m) outer product is formed
+        qc = None
+        for a, c in np.ndindex(ob.m, ob.m):
+            dr = np.multiply(resid[:, 1:, a], resid[:, 1:, c], order="C")
+            dr -= r[..., a] * r[..., c]
+            dr *= dprec[..., a, c]
+            qc = dr if qc is None else np.add(qc, dr, out=qc)
+        yield "covar_term", -qc / (2.0 * denom), j0
+    yield "log_eta", 0.5 * batch.logdet[k][rows, None], None
 
 
 def normalize_log_weights(logw):

@@ -6,7 +6,7 @@ import pytest
 
 import bridgesim as bs
 from bridgesim.observations import channel
-from bridgesim.sde import diffusion_values, drift_values
+from bridgesim.sde import diffusion_values, drift_values, vecmat
 
 
 def rand_orthonormal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -38,12 +38,13 @@ def channel_bundle(sigma: np.ndarray, L: np.ndarray):
 
 def rebuilt_channels(model, obs, batch):
     """``batch`` with its channel ``precision`` and ``logdet`` and its
-    guiding ``drift`` recomputed from its states, apart from the bridge
+    ``observed_drift`` recomputed from its states, apart from the bridge
     kernel, for an array or a callable sigma.
 
     Per observation: A = (L a L*)^-1 at each window node, the last one
-    at the state before the terminal projection, and log det A at the
-    projected state; the guiding drift at the left node of every step.
+    at the state before the terminal projection, log det A at the
+    projected state, and L b, the guiding drift b at the left node of
+    every window step seen through L.
     """
     grid, states = batch.grid, batch.states
     p_count, n = states.shape[0], model.dim
@@ -52,8 +53,7 @@ def rebuilt_channels(model, obs, batch):
         ch = channel(diffusion_values(model.diffusion, grid.nodes[j], x, n), L)
         return ch.A, ch.logdet
 
-    precision, logdet = [], []
-    drift = np.empty((p_count, grid.n_steps, n))
+    precision, logdet, observed = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for k, ob in enumerate(obs.items):
             j0 = grid.index_of(ob.time - ob.window)
@@ -67,11 +67,14 @@ def rebuilt_channels(model, obs, batch):
             precision.append(prec)
             logdet.append(np.empty(p_count))
             logdet[-1][:] = factor(j1, states[:, j1], ob.matrix)[1]
-        for j in range(grid.n_steps):
-            drift[:, j] = drift_values(model.effective_drift, grid.nodes[j],
-                                       states[:, j], n)
+            lb = np.empty((p_count, j1 - j0, ob.m))
+            for j in range(j0, j1):
+                b = drift_values(model.effective_drift, grid.nodes[j],
+                                 states[:, j], n)
+                vecmat(b, ob.matrix.T, out=lb[:, j - j0])
+            observed.append(lb)
     return dataclasses.replace(batch, precision=precision, logdet=logdet,
-                               drift=drift)
+                               observed_drift=observed)
 
 
 def single_full_obs(time: float, value, dim: int,

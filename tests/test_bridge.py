@@ -198,10 +198,11 @@ class TestCutoffVariant:
                              include_times=[0.75])
         cut = bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0, 1],
                                 epsilon_cutoff=0.25)
-        assert cut.drift is None
+        assert cut.observed_drift is None
         assert cut.precision is None and cut.logdet is None
         full = bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0, 1])
-        assert full.drift.shape == (2, grid.n_steps, 1)
+        steps = grid.index_of(1.0) - grid.index_of(1.0 - obs.items[0].window)
+        assert [d.shape for d in full.observed_drift] == [(2, steps, 1)]
 
     def test_cutoff_must_fit_in_windows(self):
         model = bs.brownian(dim=1).spec
@@ -307,11 +308,12 @@ class TestBatchBehavior:
             alone = bs.simulate_batch(model, obs, grid, u, 5, [p])
             assert alone.failed_step[0] == failed[p]
             assert batch.states[p].tobytes() == alone.states[0].tobytes()
-            assert batch.drift[p].tobytes() == alone.drift[0].tobytes()
             for k in range(len(obs.items)):
                 for got, want in ((batch.preclamp[k], alone.preclamp[k]),
                                   (batch.precision[k], alone.precision[k]),
-                                  (batch.logdet[k], alone.logdet[k])):
+                                  (batch.logdet[k], alone.logdet[k]),
+                                  (batch.observed_drift[k],
+                                   alone.observed_drift[k])):
                     assert got[p].tobytes() == want[0].tobytes()
         for p in bad:
             frozen = batch.states[p, failed[p]:]

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -302,6 +303,61 @@ class TestChunkLayout:
         assert len(calls) == 2 * grid.n_steps
 
 
+def owned_bytes(arrays) -> int:
+    """Bytes of the memory behind ``arrays``, each buffer counted once
+    as the span its strides reach, so a broadcast view counts only the
+    entries it repeats."""
+    spans = {}
+    for arr in arrays:
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        spans[id(arr)] = arr.itemsize + sum(
+            (n - 1) * abs(s) for n, s in zip(arr.shape, arr.strides))
+    return sum(spans.values())
+
+
+class TestChunkWorkingSet:
+    """A chunk holds no second state-sized buffer: the noise is drawn
+    into the state rows, the weights read L b, not the drift, and the
+    window terms are formed a block of rows at a time."""
+
+    @staticmethod
+    def ou2d():
+        model = bs.ou(dim=2, f_diag=[-1.0, -0.5], sigma=[1.0, 1.5]).spec
+        obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
+        grid = bs.build_grid(1.0, obs, dt_base=0.01, dt_min=1e-4,
+                             include_times=[0.5])
+        return model, obs, grid, np.array([0.5, -0.3])
+
+    @pytest.mark.parametrize("setup", ["ou2d", "state_dependent"])
+    def test_simulate_and_breakdown_transients(self, setup):
+        model, obs, grid, u = {
+            "ou2d": self.ou2d,
+            "state_dependent": lambda: state_dependent_setup(
+                dt_base=0.01, dt_min=1e-4)}[setup]()
+        ids = np.arange(CHUNK_SIZE)
+        # the first run fills any one-off caches before memory is traced
+        batch_breakdown(model, obs, bs.simulate_batch(model, obs, grid, u,
+                                                      3, ids))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch = bs.simulate_batch(model, obs, grid, u, 3, ids)
+            held, sim_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            batch_breakdown(model, obs, batch)
+            weigh_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = owned_bytes([batch.states, batch.failed_step, batch.path_ids,
+                            *batch.preclamp.values(), *batch.precision,
+                            *batch.logdet, *batch.observed_drift])
+        assert held - base >= kept
+        budget = batch.states.nbytes / 2
+        assert sim_peak - base - kept < budget
+        assert weigh_peak - held < budget
+
+
 @pytest.mark.filterwarnings("error")
 class TestWorkerPool:
     """Chunks in forked worker processes: bits, worker count, errors.
@@ -385,6 +441,7 @@ class TestWorkerPool:
         script = """
 import numpy as np
 import bridgesim as bs
+from bridgesim.estimator import CHUNK_SIZE
 
 class Unrebuildable(Exception):
     def __init__(self, a, b):
@@ -396,7 +453,8 @@ def drift(t, x):
 model = bs.ModelSpec(dim=1, drift=drift, diffusion=np.eye(1))
 obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.0])], dim=1)
 grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
-bs.run_ensemble(model, obs, grid, np.zeros(1), 2 * 1024, seed=1, threads=2)
+bs.run_ensemble(model, obs, grid, np.zeros(1), 2 * CHUNK_SIZE, seed=1,
+                threads=2)
 """
         src = os.path.dirname(os.path.dirname(estimator.__file__))
         env = dict(os.environ, PYTHONPATH=src)

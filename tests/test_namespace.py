@@ -134,10 +134,11 @@ import sys
 import numpy as np
 import bridgesim as bs
 import bridgesim.cli
+from bridgesim.estimator import CHUNK_SIZE
 obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.5])], dim=1)
 grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
 ens = bs.run_ensemble(bs.brownian(dim=1).spec, obs, grid, np.zeros(1),
-                      2 * 1024 + 1, seed=3)
+                      2 * CHUNK_SIZE + 1, seed=3)
 bs.estimate(ens, bs.coordinate_at(0.5, 0))
 print(" ".join(name for name in ("scipy", "multiprocessing",
                                  "concurrent.futures")

@@ -13,6 +13,7 @@ from bridgesim.bridge import simulate_batch, simulate_free_batch
 from bridgesim.estimator import CHUNK_SIZE
 from bridgesim.sde import (
     NOISE_BLOCK,
+    batch_innermost,
     block_normals,
     check_coefficients,
     diffusion_values,
@@ -79,11 +80,16 @@ class TestNoise:
         np.array([2 ** 63 - 1, -2 ** 63]),          # steps 1 in int64
     ])
     def test_block_equals_stacked_streams(self, ids):
+        """Also when drawn into a given paths-innermost buffer, as the
+        kernel draws into its state rows."""
         block = block_normals(-5, ids, 30, 2)
         ref = np.stack([normal_increments(-5, pid, 30, 2) for pid in ids]) \
             if len(ids) else np.zeros((0, 30, 2))
         assert block.shape == ref.shape
         assert block.tobytes() == ref.tobytes()
+        into = batch_innermost((len(ids),), (30, 2))
+        block_normals(-5, ids, 30, 2, out=into)
+        assert into.tobytes() == ref.tobytes()
 
     def test_chunks_hold_whole_noise_blocks(self):
         """No run_ensemble chunk shares a noise block with another, so
@@ -205,8 +211,8 @@ class TestLayout:
     def test_kernel_arrays_keep_paths_innermost(self):
         model, obs, grid, u = state_dependent_setup()
         batch = simulate_batch(model, obs, grid, u, 3, np.arange(16))
-        arrays = [batch.states, batch.drift, *batch.preclamp.values(),
-                  *batch.precision]
+        arrays = [batch.states, *batch.observed_drift,
+                  *batch.preclamp.values(), *batch.precision]
         for arr in arrays:
             assert arr.shape[0] == 16
             assert arr.strides[0] == arr.itemsize

@@ -215,16 +215,17 @@ def assert_same_arrays(got, want):
 
 class TestChannelRecord:
     """The kernel keeps the channel precision behind each pull and
-    projection, its log-determinant and the guiding drift it evaluated
-    at each step; they must be, byte for byte, the ones rebuilt from the
-    states, and weight the paths identically."""
+    projection, its log-determinant and, through each observation's L,
+    the guiding drift it evaluated at each window step; they must be,
+    byte for byte, the ones rebuilt from the states, and weight the
+    paths identically."""
 
     def check(self, model, obs, grid, u, ids):
         batch = bs.simulate_batch(model, obs, grid, u, 5, ids)
         rebuilt = rebuilt_channels(model, obs, batch)
         assert_same_arrays(batch.precision, rebuilt.precision)
         assert_same_arrays(batch.logdet, rebuilt.logdet)
-        assert_same_arrays([batch.drift], [rebuilt.drift])
+        assert_same_arrays(batch.observed_drift, rebuilt.observed_drift)
         kept, _ = batch_breakdown(model, obs, batch)
         again, _ = batch_breakdown(model, obs, rebuilt)
         for name, arr in again.items():
@@ -265,25 +266,26 @@ class TestChannelRecord:
 
     def test_kept_for_full_bridges_only(self):
         """Every full bridge keeps the channel arrays and the guiding
-        drift, under an array sigma too; cut-off and free batches keep
-        none of them."""
+        drift through L per window, under an array sigma too; cut-off and
+        free batches keep none of them."""
         model, obs, grid, u = state_dependent_setup()
         array = bs.ou(dim=3).spec
-        shapes = [(2, grid.index_of(ob.time)
-                   - grid.index_of(ob.time - ob.window) + 1, ob.m, ob.m)
-                  for ob in obs.items]
+        steps = [grid.index_of(ob.time) - grid.index_of(ob.time - ob.window)
+                 for ob in obs.items]
+        shapes = [(2, j + 1, ob.m, ob.m) for j, ob in zip(steps, obs.items)]
         for spec in (model, array):
             full = bs.simulate_batch(spec, obs, grid, u, 5, [0, 1])
             assert [p.shape for p in full.precision] == shapes
             assert [d.shape for d in full.logdet] == [(2,), (2,)]
-            assert full.drift.shape == (2, grid.n_steps, 3)
+            assert [d.shape for d in full.observed_drift] == \
+                [(2, j, ob.m) for j, ob in zip(steps, obs.items)]
         cut = grid.nodes[-1] - grid.nodes[-2]
         cutoff = bs.simulate_batch(model, obs, grid, u, 5, [0],
                                    epsilon_cutoff=cut)
         free = bs.simulate_free_batch(model, grid, u, 5, [0])
         for batch in (cutoff, free):
             assert batch.precision is None and batch.logdet is None
-            assert batch.drift is None
+            assert batch.observed_drift is None
 
     def test_cutoff_batch_rejected(self):
         """The weights assume the full bridge: a cut-off batch, or one
@@ -381,11 +383,13 @@ class TestOverflowDetection:
         observation_terms = weights._observation_terms
         girsanov_batch = weights._girsanov_batch
 
-        def scanned_terms(model, batch, k, ob, put):
-            def put_both(*args):
-                scan(*args)
-                put(*args)
-            observation_terms(model, batch, k, ob, put_both)
+        def scanned_terms(model, batch, k, ob, rows):
+            # the whole batch once, so the scan sees every row in order
+            if rows.start == 0:
+                for term, values, j0 in observation_terms(
+                        model, batch, k, ob, slice(0, len(batch.states))):
+                    scan(term, k, values, j0)
+            yield from observation_terms(model, batch, k, ob, rows)
 
         def scanned_girsanov(*args):
             values = girsanov_batch(*args)
@@ -398,6 +402,31 @@ class TestOverflowDetection:
         assert (batch.failed_step >= 0).any()
         assert {row for row, _, _, _ in issues} == {3, 700, 701, 900}
         assert issues == scanned
+
+    def test_row_blocks_move_no_bit(self, monkeypatch):
+        """Window terms formed a few rows at a time give the bytes and
+        the issues, in order and with chunk rows, of one pass over every
+        row, for non-finite rows in two blocks of both windows."""
+        model, obs, grid, u = state_dependent_setup()
+        p_count = 2 * weights.ROW_BLOCK + 37
+        batch = bs.simulate_batch(model, obs, grid, u, 5, np.arange(p_count))
+        poisoned = (5, 2 * weights.ROW_BLOCK + 10)
+        for row in poisoned:
+            for ob in obs.items:
+                mid = (grid.index_of(ob.time - ob.window)
+                       + grid.index_of(ob.time)) // 2
+                batch.states[row, mid, 0] = np.inf
+        runs = []
+        for size in (p_count + 1, 1, 3, weights.ROW_BLOCK):
+            monkeypatch.setattr(weights, "ROW_BLOCK", size)
+            terms, issues = batch_breakdown(model, obs, batch)
+            runs.append(({name: arr.tobytes() for name, arr in terms.items()},
+                         issues))
+        whole = runs[0][1]
+        assert {row for row, _, _, _ in whole} == set(poisoned)
+        assert {k for _, _, k, _ in whole} == {0, 1}
+        for run in runs[1:]:
+            assert run == runs[0]
 
     def test_unvalidated_observations_rejected(self):
         """No set reaches the weights unchecked: a window past the gap
