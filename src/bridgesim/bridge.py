@@ -86,9 +86,6 @@ def _window_step_table(grid: TimeGrid, obs: ObservationSet,
                 raise InvalidConfigurationError(
                     f"grid has no node at T_k - epsilon = {ob.time - cutoff!r} "
                     f"for observation {k}") from exc
-            if not j0 <= js <= j1:
-                raise InvalidConfigurationError(
-                    f"epsilon cutoff leaves the window of observation {k}")
         table.append((j0, js, j1, ob))
     return table
 

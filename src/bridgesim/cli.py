@@ -96,12 +96,17 @@ def _csv_rows(rows: dict, fvals: np.ndarray) -> str:
 
 
 @contextlib.contextmanager
-def _replacing(path: str):
+def _replacing(path: str, field: str):
     """A new text file beside ``path`` that replaces it when the block
-    succeeds and is removed when the block fails."""
+    succeeds and is removed when the block fails.  An error creating it
+    names ``path``, not the file beside it, and carries ``field``."""
     head, name = os.path.split(path)
     part = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
-    fh = open(part, "x", newline="", encoding="utf-8")
+    try:
+        fh = open(part, "x", newline="", encoding="utf-8")
+    except OSError as exc:
+        exc.filename, exc.field = path, field
+        raise
     try:
         with fh:
             yield fh
@@ -112,7 +117,7 @@ def _replacing(path: str):
 
 
 def run(config: RunConfig, threads: Optional[int] = None):
-    """Execute a run configuration; returns (exit_status, report dict).
+    """Execute a run configuration; returns the report dict.
 
     Each chunk's CSV rows are formatted where the chunk was weighted and
     appended, in chunk order, to a temporary file beside
@@ -132,8 +137,9 @@ def run(config: RunConfig, threads: Optional[int] = None):
     with contextlib.ExitStack() as stack:
         # opened before any chunk runs, so an unwritable path fails fast
         csv_out, report_out = [
-            stack.enter_context(_replacing(path)) if path else None
-            for path in (config.ensemble_csv, config.report_path)]
+            stack.enter_context(_replacing(path, field)) if path else None
+            for path, field in ((config.ensemble_csv, "outputs.ensemble_csv"),
+                                (config.report_path, "outputs.report"))]
         if csv_out:
             csv_out.write(_csv_header(config))
         ens = _ensemble(
@@ -175,7 +181,7 @@ def run(config: RunConfig, threads: Optional[int] = None):
             report_out.write(payload + "\n")
     if not config.report_path:
         print(payload)
-    return 0, report
+    return report
 
 
 def run_oracle(config: RunConfig):
@@ -190,7 +196,7 @@ def run_oracle(config: RunConfig):
     report = {"schema_version": 1, "config_digest": config.digest,
               "oracle_values": values}
     print(json.dumps(report, indent=2))
-    return 0, report
+    return report
 
 
 def run_validate(config: RunConfig):
@@ -198,7 +204,7 @@ def run_validate(config: RunConfig):
               "n_observations": len(config.observations.items),
               "n_functionals": len(config.functionals)}
     print(json.dumps(report, indent=2))
-    return 0, report
+    return report
 
 
 def _load(path: str, overrides: argparse.Namespace) -> RunConfig:
@@ -249,22 +255,19 @@ def main(argv=None) -> int:
     try:
         config = _load(args.config, args)
         if args.command == "run":
-            status, _ = run(config, threads=args.threads)
+            run(config, threads=args.threads)
         elif args.command == "oracle":
-            status, _ = run_oracle(config)
+            run_oracle(config)
         else:
-            status, _ = run_validate(config)
-        return status
-    except BridgeSimError as exc:
-        payload = {"error": {"type": error_kind(exc), "message": str(exc)}}
+            run_validate(config)
+        return 0
+    except (BridgeSimError, OSError) as exc:
+        kind = "io-error" if isinstance(exc, OSError) else error_kind(exc)
+        payload = {"error": {"type": kind, "message": str(exc)}}
         field = getattr(exc, "field", None)
         if field:
             payload["error"]["field"] = field
         print(json.dumps(payload), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(json.dumps({"error": {"type": "io-error", "message": str(exc)}}),
-              file=sys.stderr)
         return 1
 
 

@@ -9,11 +9,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bridge import simulate_batch
-from .errors import (
-    DegenerateEnsembleError,
-    InvalidConfigurationError,
-    UnstableRunError,
-)
+from .errors import InvalidConfigurationError, UnstableRunError
 from .observations import ObservationSet
 from .sde import ModelSpec, PathSample, TimeGrid, batch_innermost
 from .weights import TERM_NAMES, batch_breakdown, normalize_log_weights
@@ -63,9 +59,10 @@ class WeightedEnsemble:
 
     @property
     def paths(self) -> Iterator[PathSample]:
-        """The retained paths, built as ``PathSample``s while iterated."""
+        """The retained paths as ``PathSample``s, built while iterated;
+        no estimate reads them, only ``perfbench/make_reference.py``."""
         if self.kept_nodes is not None:
-            raise self._thinned("a per-path functional needs every node")
+            raise self._thinned("a PathSample needs every node")
         return (PathSample(self.grid, self.states[i], int(self.path_ids[i]))
                 for i in range(self.size))
 
@@ -259,7 +256,7 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     chunks in this process.  Failed paths are dropped and counted, and
     the run aborts once more than 1% of paths fail.
     ``keep_times`` keeps only those grid times' states of each weighted
-    chunk; only array functionals read such a thinned ensemble.
+    chunk; functionals of such a thinned ensemble read only those times.
     """
     kept = None if keep_times is None else _kept_nodes(grid, keep_times)
     return _ensemble(model, obs, grid, u, n_paths, seed, threads, validate,
@@ -285,38 +282,40 @@ def weighted_mean_se(weights: np.ndarray, fvals: np.ndarray):
     return value.reshape(fvals.shape[1:]), se.reshape(fvals.shape[1:])
 
 
-def _values(ensemble: WeightedEnsemble, f) -> np.ndarray:
-    """(K, ...) values of ``f``: its array map, else one call a path."""
-    if ensemble.size == 0:
-        raise DegenerateEnsembleError("ensemble retained no paths")
-    array_map = getattr(f, "array_map", None)
-    if array_map is not None:
-        return array_map(ensemble).reshape(ensemble.size, -1)
-    return np.asarray([np.atleast_1d(np.asarray(f(p), dtype=float))
-                       for p in ensemble.paths])
+def _values(ensemble: WeightedEnsemble, f, scalar=False) -> np.ndarray:
+    """``f(ensemble)`` as (K, q), one row per path; q = 1 if ``scalar``."""
+    k = ensemble.size
+    values = np.asarray(f(ensemble), dtype=float)
+    if values.ndim not in (1, 2) or len(values) != k or (
+            scalar and values.size != k):
+        raise InvalidConfigurationError(
+            f"a functional f(ensemble) returns one row per retained path, "
+            f"({k},) or ({k}, {1 if scalar else 'q'}), not {values.shape}")
+    return values.reshape(k, -1)
 
 
 def estimate(ensemble: WeightedEnsemble, f) -> EstimateReport:
     """Estimate E[f | observations] from a weighted ensemble.
 
-    ``f``, an array functional or a per-path callable, may return a
-    scalar or a vector; the report has a value and SE per component.
+    ``f(ensemble)`` returns one row per retained path, ``(K,)`` or
+    ``(K, q)``; the report has a value and SE per column.
     """
-    fvals = _values(ensemble, f)
+    # an empty ensemble fails here, before f is called
     weights, _, ess = normalize_log_weights(ensemble.log_weights)
+    fvals = _values(ensemble, f)
     value, se = weighted_mean_se(weights, fvals)
     return EstimateReport(value=value, std_error=se, ess=ess,
                           n_paths=ensemble.size, n_failed=ensemble.n_failed)
 
 
 def conditional_moments(ensemble: WeightedEnsemble, f) -> MomentEstimate:
-    """Conditional mean and variance of a scalar functional.
+    """Conditional mean and variance of a one-value-per-path functional.
 
     The variance estimate is the weighted second moment about the
     estimated mean; its standard error treats the mean as fixed.
     """
-    fv = _values(ensemble, f)
     weights, _, ess = normalize_log_weights(ensemble.log_weights)
+    fv = _values(ensemble, f, scalar=True)
     mean, mean_se = weighted_mean_se(weights, fv)
     var, var_se = weighted_mean_se(weights, (fv - mean) ** 2)
     return MomentEstimate(mean=mean.item(), mean_se=mean_se.item(),
@@ -326,12 +325,12 @@ def conditional_moments(ensemble: WeightedEnsemble, f) -> MomentEstimate:
 @dataclass(frozen=True)
 class CoordinateAt:
     """Coordinate ``index`` at grid time ``time`` of every path of an
-    ensemble, an array functional."""
+    ensemble, a view of its states."""
 
     time: float
     index: int
 
-    def array_map(self, ens: WeightedEnsemble) -> np.ndarray:
+    def __call__(self, ens: WeightedEnsemble) -> np.ndarray:
         return ens.state_at(self.time)[:, self.index]
 
 

@@ -126,8 +126,8 @@ class TimeGrid:
 
 @dataclass
 class PathSample:
-    """A single simulated trajectory on a grid, for per-path
-    functionals."""
+    """One path's grid, states and id, as ``WeightedEnsemble.paths``
+    yields it for ``perfbench/make_reference.py``; no estimate reads it."""
 
     grid: TimeGrid
     states: np.ndarray

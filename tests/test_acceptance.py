@@ -108,8 +108,8 @@ def test_criterion_05_partial_observation_example():
     grid = bs.build_grid(1.0, obs, dt_base=0.01, dt_min=1e-4,
                          include_times=[0.25])
     ens = bs.run_ensemble(model, obs, grid, np.zeros(2), 10_000, seed=2005)
-    rep = bs.estimate(ens, lambda p: np.array(
-        [p.state_at(0.25)[0], p.state_at(0.5)[1]]))
+    rep = bs.estimate(ens, lambda e: np.column_stack(
+        [e.state_at(0.25)[:, 0], e.state_at(0.5)[:, 1]]))
     dev1 = abs(float(rep.value[0]) - 0.15)
     dev2 = abs(float(rep.value[1]) - (-0.1))
     inc = np.diff(ens.states, axis=1)

@@ -615,6 +615,21 @@ class TestErrorReporting:
         assert calls == []
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("key", ["report", "ensemble_csv"])
+    def test_missing_directory_error_names_the_output(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      key):
+        """The io-error names the output path the config gave, not the
+        file staged beside it, and carries that output's field."""
+        monkeypatch.chdir(tmp_path)
+        cfg = base_config(outputs={key: "missing/out.file"})
+        assert main(["run", write_config(tmp_path, cfg)]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {
+            "type": "io-error", "field": f"outputs.{key}",
+            "message": "[Errno 2] No such file or directory: "
+                       "'missing/out.file'"}
+
     def test_colliding_outputs_write_nothing(self, tmp_path, capsys):
         """A report and CSV on one path would leave only the CSV; the run
         is rejected before it writes either."""

@@ -170,7 +170,7 @@ class TestRunEnsemble:
         ens = bs.run_ensemble(model, obs, grid, np.zeros(1), 8, seed=5)
         at_end = ens.state_at(1.0)
         assert np.shares_memory(at_end, ens.states)
-        values = bs.coordinate_at(1.0, 0).array_map(ens)
+        values = bs.coordinate_at(1.0, 0)(ens)
         assert len(values) == 8
         assert values[3] == ens.states[3, -1, 0]
         assert at_end[3, 0] == ens.states[3, -1, 0]
@@ -301,6 +301,38 @@ class TestChunkLayout:
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
         bs.run_ensemble(model, obs, grid, np.zeros(2), CHUNK_SIZE + 1, seed=2)
         assert len(calls) == 2 * grid.n_steps
+
+
+class TestNonFiniteWeights:
+    def test_path_with_a_non_finite_weight_is_dropped(self):
+        """A 1-D Brownian bridge simulated under a zero ``guided_drift``
+        whose full drift is NaN beyond |x| = 1.7: every path simulates
+        cleanly, and the paths that pass 1.7 before the last step (11 of
+        ``CHUNK_SIZE + 100``, in both chunks) get a NaN Girsanov term.
+        Those, and only those, are dropped and counted, with the same
+        bytes in one process and over two workers."""
+        bound = 1.7
+        model = bs.ModelSpec(
+            dim=1, diffusion=np.eye(1),
+            drift=lambda t, x: np.where(np.abs(x) > bound, np.nan, 0.0),
+            guided_drift=lambda t, x: np.zeros_like(x))
+        _, obs, grid = brownian_setup(value=0.0)
+        n_paths = CHUNK_SIZE + 100
+        sim = bs.simulate_batch(model, obs, grid, np.zeros(1), 9,
+                                np.arange(n_paths))
+        assert (sim.failed_step < 0).all()
+        past = (np.abs(sim.states[:, :-1, 0]) > bound).any(axis=1)
+        assert 0 < past[:CHUNK_SIZE].sum() and 0 < past[CHUNK_SIZE:].sum()
+        assert past.sum() <= 0.01 * n_paths
+        runs = [bs.run_ensemble(model, obs, grid, np.zeros(1), n_paths,
+                                seed=9, threads=threads)
+                for threads in (1, 2)]
+        for ens in runs:
+            assert ens.n_failed == past.sum()
+            assert ens.path_ids.tolist() == np.flatnonzero(~past).tolist()
+            assert np.isfinite(ens.log_weights).all()
+            assert np.isfinite(ens.breakdown["girsanov"]).all()
+        assert ensemble_bytes(runs[1]) == ensemble_bytes(runs[0])
 
 
 def owned_bytes(arrays) -> int:
@@ -471,7 +503,7 @@ class TestEstimate:
     def test_constant_functional(self):
         model, obs, grid = brownian_setup()
         ens = bs.run_ensemble(model, obs, grid, np.zeros(1), 128, seed=8)
-        rep = bs.estimate(ens, lambda p: 1.0)
+        rep = bs.estimate(ens, lambda e: np.ones(e.size))
         assert np.isclose(rep.value[0], 1.0)
         assert np.isclose(rep.std_error[0], 0.0, atol=1e-12)
         assert rep.n_paths == 128
@@ -487,8 +519,8 @@ class TestEstimate:
     def test_vector_functional(self):
         model, obs, grid = brownian_setup()
         ens = bs.run_ensemble(model, obs, grid, np.zeros(1), 256, seed=13)
-        rep = bs.estimate(ens, lambda p: np.array([p.state_at(0.5)[0],
-                                                   p.state_at(1.0)[0]]))
+        rep = bs.estimate(ens, lambda e: np.column_stack(
+            [e.state_at(0.5)[:, 0], e.state_at(1.0)[:, 0]]))
         assert rep.value.shape == (2,)
         assert np.isclose(rep.value[1], 1.0, atol=1e-12)
         assert rep.std_error[1] < 1e-12
@@ -607,18 +639,24 @@ def moment_bytes(mom) -> bytes:
                      mom.ess]).tobytes()
 
 
+def per_path_gather(node, index=slice(None)):
+    """A functional that copies each path's state at grid node ``node``
+    one path at a time into a new contiguous array."""
+    return lambda e: np.array([e.states[i, node, index]
+                               for i in range(e.size)])
+
+
 class TestArrayFunctionals:
     """``coordinate_at`` maps the ensemble's state array in one slice; a
-    plain callable runs once per path.  Both give the same bytes."""
+    functional that gathers the same values one path at a time gives the
+    same bytes."""
 
     @pytest.mark.parametrize("time,index", [(0.5, 0), (1.0, 1), (0.0, 1)])
     def test_array_map_matches_per_path_callable(self, time, index):
         model, obs, grid, u = ou_setup()
         ens = bs.run_ensemble(model, obs, grid, u, 1500, seed=17)
         f = bs.coordinate_at(time, index)
-
-        def per_path(path):
-            return path.state_at(time)[index]
+        per_path = per_path_gather(grid.index_of(time), index)
 
         rep, ref = bs.estimate(ens, f), bs.estimate(ens, per_path)
         assert rep.value.shape == rep.std_error.shape == (1,)
@@ -628,29 +666,31 @@ class TestArrayFunctionals:
         assert rep.ess == ref.ess
         assert moment_bytes(bs.conditional_moments(ens, f)) == \
             moment_bytes(bs.conditional_moments(ens, per_path))
-        assert f.array_map(ens)[0] == ens.states[0, grid.index_of(time), index]
+        assert f(ens)[0] == ens.states[0, grid.index_of(time), index]
 
     def test_vector_array_map(self):
-        """Any object with an ``array_map`` is evaluated through it."""
+        """Any callable of the ensemble is evaluated through one call."""
         class EndState:
-            def array_map(self, ensemble):
+            def __call__(self, ensemble):
                 return np.ascontiguousarray(ensemble.state_at(1.0))
 
         class StridedEndState:
             """The ensemble's own strided (K, 2) view of the end states."""
 
-            def array_map(self, ensemble):
+            def __call__(self, ensemble):
                 return ensemble.state_at(1.0)
 
         model, obs, grid, u = ou_setup()
         ens = bs.run_ensemble(model, obs, grid, u, 300, seed=4)
-        ref = bs.estimate(ens, lambda p: p.state_at(1.0))
+        ref = bs.estimate(ens, per_path_gather(grid.index_of(1.0)))
         for f in (EndState(), StridedEndState()):
             rep = bs.estimate(ens, f)
             assert rep.value.shape == (2,)
             assert rep.value.tobytes() == ref.value.tobytes()
             assert rep.std_error.tobytes() == ref.std_error.tobytes()
-        with pytest.raises(ValueError, match="size 1"):
+        with pytest.raises(InvalidConfigurationError,
+                           match=r"one row per retained path, \(300,\) or "
+                                 r"\(300, 1\), not \(300, 2\)"):
             bs.conditional_moments(ens, EndState())
 
     def test_moments_formula_is_weighted_mean_se(self):
@@ -666,6 +706,44 @@ class TestArrayFunctionals:
             assert mean.tobytes() == np.array([direct]).tobytes()
             want = np.sqrt(np.sum(w ** 2 * (f - direct) ** 2))
             assert se.tobytes() == np.array([want]).tobytes()
+
+
+class TestFunctionalContract:
+    """A functional is a callable ``f(ensemble)`` returning one row per
+    retained path, called once per estimate."""
+
+    def test_each_estimate_calls_the_functional_once(self):
+        model, obs, grid, u = ou_setup()
+        ens = bs.run_ensemble(model, obs, grid, u, 200, seed=6)
+        calls = []
+
+        def f(e):
+            calls.append(e)
+            return e.state_at(0.5)[:, 0]
+
+        bs.estimate(ens, f)
+        bs.conditional_moments(ens, f)
+        assert len(calls) == 2 and all(e is ens for e in calls)
+
+    def test_per_path_callables_are_rejected(self):
+        """Criterion 05's former per-path functional reads row 0 of the
+        ensemble's states, two values in all, not one row per path."""
+        model = bs.brownian(dim=2).spec
+        obs = bs.validate([
+            bs.Observation(0.5, [[1.0, 0.0]], [0.3]),
+            bs.Observation(1.0, [[0.0, 1.0]], [-0.2]),
+        ], dim=2)
+        grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3,
+                             include_times=[0.25])
+        ens = bs.run_ensemble(model, obs, grid, np.zeros(2), 100, seed=5)
+        for f in (lambda p: np.array([p.state_at(0.25)[0],
+                                      p.state_at(0.5)[1]]),
+                  lambda p: 1.0):
+            for call in (bs.estimate, bs.conditional_moments):
+                with pytest.raises(InvalidConfigurationError,
+                                   match=r"f\(ensemble\) returns one row "
+                                         r"per retained path"):
+                    call(ens, f)
 
 
 class TestThinnedEnsemble:
@@ -705,11 +783,15 @@ class TestThinnedEnsemble:
                               keep_times=[0.5])
         assert ens.states.shape == (16, 1, 1)
         with pytest.raises(InvalidConfigurationError,
-                           match="per-path functional.*kept only times"):
+                           match="PathSample needs every node.*kept only "
+                                 "times"):
+            next(ens.paths)
+        with pytest.raises(InvalidConfigurationError,
+                           match="one row per retained path"):
             bs.estimate(ens, lambda p: p.state_at(0.5)[0])
         with pytest.raises(InvalidConfigurationError,
                            match="kept only times"):
-            bs.conditional_moments(ens, lambda p: p.state_at(0.5)[0])
+            bs.conditional_moments(ens, lambda e: e.state_at(1.0)[:, 0])
         with pytest.raises(InvalidConfigurationError,
                            match="time 1.0 was not kept"):
             bs.estimate(ens, bs.coordinate_at(1.0, 0))
@@ -773,7 +855,7 @@ class TestStateDependentSigmaDiscretization:
             model, obs, grid, u = state_dependent_setup(dt_base=dt_base,
                                                         dt_min=dt_min)
             ens = bs.run_ensemble(model, obs, grid, u, 4000, seed=seed)
-            estimates.append(bs.estimate(ens, lambda p: p.state_at(0.55)))
+            estimates.append(bs.estimate(ens, lambda e: e.state_at(0.55)))
         coarse, fine = estimates
         combined = np.hypot(coarse.std_error, fine.std_error)
         assert np.all(np.abs(coarse.value - fine.value) < 3.0 * combined)
