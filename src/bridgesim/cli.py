@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -16,8 +17,7 @@ from .config import RunConfig, parse_config
 from .errors import BridgeSimError, InvalidConfigurationError, error_kind
 # build_grid, run_ensemble and weighted_mean_se go uncalled here; they
 # stay for tracers that wrap them as bridgesim.cli names
-from .estimator import (_ensemble, _kept_nodes,  # noqa: F401
-                        conditional_moments, coordinate_at, run_ensemble,
+from .estimator import (_ensemble, _moments, run_ensemble,  # noqa: F401
                         weighted_mean_se)
 from .oracle import condition, joint_law, observation_selector
 from .sde import NUMERICS_SCHEME, build_grid  # noqa: F401
@@ -98,11 +98,14 @@ def _csv_rows(rows: dict, fvals: np.ndarray) -> str:
 @contextlib.contextmanager
 def _replacing(path: str, field: str):
     """A new text file beside ``path`` that replaces it when the block
-    succeeds and is removed when the block fails.  An error creating it
-    names ``path``, not the file beside it, and carries ``field``."""
+    succeeds and is removed when the block fails.  An error creating it,
+    or ``path`` being a directory that the file could not replace, names
+    ``path``, not the file beside it, and carries ``field``."""
     head, name = os.path.split(path)
     part = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fh = open(part, "x", newline="", encoding="utf-8")
     except OSError as exc:
         exc.filename, exc.field = path, field
@@ -126,13 +129,9 @@ def run(config: RunConfig, threads: Optional[int] = None):
     once the run has succeeded, so a failed run leaves neither.
     """
     grid = config.time_grid
-    times = [f.time for f in config.functionals]
-    kept = _kept_nodes(grid, times)
     exact = _oracle_values(config)
-    # each functional's node among the kept ones, and its coordinate
-    nodes = np.searchsorted(kept, [grid.index_of(t) for t in times])
-    coords = np.array([f.coordinate for f in config.functionals],
-                      dtype=np.intp)
+    nodes = [grid.index_of(f.time) for f in config.functionals]
+    coords = [f.coordinate for f in config.functionals]
 
     with contextlib.ExitStack() as stack:
         # opened before any chunk runs, so an unwritable path fails fast
@@ -142,18 +141,23 @@ def run(config: RunConfig, threads: Optional[int] = None):
                                 (config.report_path, "outputs.report"))]
         if csv_out:
             csv_out.write(_csv_header(config))
-        ens = _ensemble(
+
+        def emit(rows):
+            # only the log-weights and functional values reach the parent
+            fvals = rows["states"][:, nodes, coords]
+            return ({"log_weights": rows["log_weights"], "fvals": fvals},
+                    csv_out and _csv_rows(rows, fvals))
+
+        merged, n_failed = _ensemble(
             config.model.spec, config.observations, grid,
             config.initial_state, config.n_paths, config.seed,
             _resolve_threads(threads, config.threads),
-            config.validate_coefficients, kept,
-            emit=csv_out and (lambda rows: _csv_rows(
-                rows, rows["states"][:, nodes, coords])),
+            config.validate_coefficients, emit=emit,
             sink=csv_out and csv_out.write)
-        _, log_norm, ess = normalize_log_weights(ens.log_weights)
+        weights, log_norm, ess = normalize_log_weights(merged["log_weights"])
         estimates, comparisons = [], []
         for i, f in enumerate(config.functionals):
-            mom = conditional_moments(ens, coordinate_at(f.time, f.coordinate))
+            mom = _moments(weights, merged["fvals"][:, i], ess)
             value, se = ((mom.var, mom.var_se) if f.kind == "marginal_var"
                          else (mom.mean, mom.mean_se))
             entry = dict(type=f.kind, time=f.time, coordinate=f.coordinate)
@@ -169,8 +173,8 @@ def run(config: RunConfig, threads: Optional[int] = None):
             "config_digest": config.digest,
             "numerics_scheme": NUMERICS_SCHEME,
             "seed": config.seed,
-            "n_paths": ens.size,
-            "n_failed": ens.n_failed,
+            "n_paths": len(weights),
+            "n_failed": n_failed,
             "ess": ess,
             "log_norm": log_norm,
             "estimates": estimates,

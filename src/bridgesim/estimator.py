@@ -4,7 +4,7 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ class WeightedEnsemble:
 
     ``states`` stacks the retained (non-failed) paths; ``breakdown``
     maps each weight term to a (K, N_obs) array plus ``girsanov`` (K,).
-    ``kept_nodes`` lists a thinned ensemble's grid nodes, else None.
     """
 
     grid: TimeGrid
@@ -37,32 +36,19 @@ class WeightedEnsemble:
     breakdown: dict[str, np.ndarray]
     preclamp: dict[int, np.ndarray]
     n_failed: int
-    kept_nodes: Optional[np.ndarray] = None
 
     @property
     def size(self) -> int:
         return len(self.path_ids)
 
-    def _thinned(self, need: str) -> InvalidConfigurationError:
-        kept = self.grid.nodes[self.kept_nodes].tolist()
-        return InvalidConfigurationError(
-            f"{need}, but the ensemble kept only times {kept}")
-
     def state_at(self, time: float) -> np.ndarray:
         """Every retained path's state at grid time ``time``, (K, n)."""
-        node = self.grid.index_of(time)
-        if self.kept_nodes is not None:
-            if node not in self.kept_nodes:
-                raise self._thinned(f"time {time!r} was not kept")
-            node = int(np.searchsorted(self.kept_nodes, node))
-        return self.states[:, node]
+        return self.states[:, self.grid.index_of(time)]
 
     @property
     def paths(self) -> Iterator[PathSample]:
         """The retained paths as ``PathSample``s, built while iterated;
         no estimate reads them, only ``perfbench/make_reference.py``."""
-        if self.kept_nodes is not None:
-            raise self._thinned("a PathSample needs every node")
         return (PathSample(self.grid, self.states[i], int(self.path_ids[i]))
                 for i in range(self.size))
 
@@ -150,33 +136,21 @@ def _map_in_workers(work: Callable, n_chunks: int, n_workers: int):
         yield from pool.map(_run_chunk, range(n_chunks))
 
 
-def _kept_nodes(grid: TimeGrid, times: Sequence[float]) -> np.ndarray:
-    """The sorted grid nodes of ``times``, each once."""
-    return np.unique(np.array([grid.index_of(t) for t in times],
-                              dtype=np.intp))
-
-
-def _log_weights(terms: dict) -> np.ndarray:
-    """Each row's log-weight: every term summed over the observations,
-    plus the Girsanov term."""
-    return np.asarray(sum(terms[name].sum(axis=1) for name in TERM_NAMES)
-                      + terms["girsanov"], dtype=float)
-
-
 def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
               n_paths: int, seed: int, threads: int, validate: bool,
-              kept: Optional[np.ndarray], emit: Optional[Callable] = None,
-              sink: Optional[Callable] = None) -> WeightedEnsemble:
+              emit: Optional[Callable] = None,
+              sink: Optional[Callable] = None) -> tuple[dict, int]:
     """Simulate and weight ``n_paths`` bridges chunk by chunk and merge
-    each chunk's retained rows, in chunk order, into one ensemble.
+    each chunk's retained rows, in chunk order, into one array per key;
+    returns those arrays and the count of failed paths.
 
-    A chunk's rows are its retained paths' ``path_ids``, ``states`` (only
-    the ``kept`` nodes unless that is None), ``log_weights``, every
-    weight term and ``("preclamp", k)``.  ``emit(rows)`` runs in the
-    process that weighted the chunk, a forked worker when there are
-    several, and ``sink`` receives each result in chunk order.  After
-    the last chunk, raises ``UnstableRunError`` if more than 1% of the
-    paths failed.
+    A chunk's rows are its retained paths' ``path_ids``, ``states``,
+    ``log_weights``, every weight term and ``("preclamp", k)``.
+    ``emit(rows)`` runs in the process that weighted the chunk, a forked
+    worker when there are several, and returns the rows to merge and a
+    payload that ``sink`` receives in chunk order; without ``emit`` the
+    rows merge as they are.  After the last chunk, raises
+    ``UnstableRunError`` if more than 1% of the paths failed.
     """
     if n_paths < 1:
         raise InvalidConfigurationError("n_paths must be >= 1")
@@ -193,19 +167,20 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         # a row's terms do not depend on the other rows, so the failed
         # paths are weighted with the rest and dropped afterwards
         terms, issues = batch_breakdown(model, obs, sim)
-        st = sim.states if kept is None else sim.states[:, kept]  # a copy
         ok = sim.failed_step < 0
         for row, _, _, _ in issues:
             ok[row] = False
         # with no row dropped, the rows are the chunk's own arrays, so
         # paths-innermost states merge as contiguous runs
         pick = slice(None) if ok.all() else ok
-        rows = {"path_ids": sim.path_ids[pick], "states": st[pick]}
+        rows = {"path_ids": sim.path_ids[pick], "states": sim.states[pick]}
         rows.update({name: arr[pick] for name, arr in terms.items()})
-        rows["log_weights"] = _log_weights(rows)
+        rows["log_weights"] = np.asarray(
+            sum(rows[name].sum(axis=1) for name in TERM_NAMES)
+            + rows["girsanov"], dtype=float)
         rows.update({("preclamp", k): v[pick]
                      for k, v in sim.preclamp.items()})
-        return rows, emit(rows) if emit else None
+        return emit(rows) if emit else (rows, None)
 
     n_workers = _worker_count(threads, len(chunks))
     if n_workers > 1:
@@ -219,7 +194,7 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     for rows, emitted in results:
         if sink:
             sink(emitted)
-        count = len(rows["path_ids"])
+        count = len(rows["log_weights"])
         for key, arr in rows.items():
             if key not in merged:
                 merged[key] = batch_innermost((n_paths,), arr.shape[1:],
@@ -232,20 +207,12 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             f"{n_failed} of {n_paths} paths failed, above the "
             f"{FAILURE_CEILING:.0%} ceiling")
 
-    merged = {key: arr[:size] for key, arr in merged.items()}
-    return WeightedEnsemble(
-        grid=grid, states=merged["states"], path_ids=merged["path_ids"],
-        kept_nodes=kept, log_weights=merged["log_weights"],
-        breakdown={name: merged[name] for name in (*TERM_NAMES, "girsanov")},
-        preclamp={k: merged["preclamp", k] for k in range(len(obs.items))},
-        n_failed=n_failed)
+    return {key: arr[:size] for key, arr in merged.items()}, n_failed
 
 
 def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                  n_paths: int, seed: int, *, threads: int = 1,
-                 validate: bool = False,
-                 keep_times: Optional[Sequence[float]] = None
-                 ) -> WeightedEnsemble:
+                 validate: bool = False) -> WeightedEnsemble:
     """Simulate and weight ``n_paths`` independent bridges.
 
     Work proceeds in fixed-size chunks of path indices.  With
@@ -255,12 +222,15 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     chunk, or a platform without the ``fork`` start method runs the
     chunks in this process.  Failed paths are dropped and counted, and
     the run aborts once more than 1% of paths fail.
-    ``keep_times`` keeps only those grid times' states of each weighted
-    chunk; functionals of such a thinned ensemble read only those times.
     """
-    kept = None if keep_times is None else _kept_nodes(grid, keep_times)
-    return _ensemble(model, obs, grid, u, n_paths, seed, threads, validate,
-                     kept)
+    rows, n_failed = _ensemble(model, obs, grid, u, n_paths, seed, threads,
+                               validate)
+    return WeightedEnsemble(
+        grid=grid, states=rows["states"], path_ids=rows["path_ids"],
+        log_weights=rows["log_weights"],
+        breakdown={name: rows[name] for name in (*TERM_NAMES, "girsanov")},
+        preclamp={k: rows["preclamp", k] for k in range(len(obs.items))},
+        n_failed=n_failed)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +285,14 @@ def conditional_moments(ensemble: WeightedEnsemble, f) -> MomentEstimate:
     estimated mean; its standard error treats the mean as fixed.
     """
     weights, _, ess = normalize_log_weights(ensemble.log_weights)
-    fv = _values(ensemble, f, scalar=True)
+    return _moments(weights, _values(ensemble, f, scalar=True), ess)
+
+
+def _moments(weights: np.ndarray, fv: np.ndarray,
+             ess: float) -> MomentEstimate:
+    """Mean and variance of the one-column values ``fv`` under the
+    normalized ``weights``: the one formula behind
+    ``conditional_moments`` and ``bridgesim run``'s estimates."""
     mean, mean_se = weighted_mean_se(weights, fv)
     var, var_se = weighted_mean_se(weights, (fv - mean) ** 2)
     return MomentEstimate(mean=mean.item(), mean_se=mean_se.item(),

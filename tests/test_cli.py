@@ -343,9 +343,9 @@ class TestRunCommand:
         assert str(2 ** 62 + 3) in text
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_thinned_run_matches_full_state_run(self, tmp_path, threads):
-        """The run keeps only its functionals' nodes; its CSV and report
-        estimates are the bytes of a run that keeps every state."""
+    def test_run_matches_full_ensemble(self, tmp_path, threads):
+        """The run's CSV and report estimates are the bytes built from
+        the ensemble of ``run_ensemble``, which keeps every state."""
         report_path = tmp_path / "report.json"
         csv_path = tmp_path / "paths.csv"
         raw = base_config(
@@ -386,8 +386,9 @@ class TestRunCommand:
     def test_failed_paths_dropped_per_chunk(self, tmp_path, monkeypatch,
                                             threads):
         """With failed paths in several chunks, under the 1% ceiling,
-        each chunk's CSV rows and the report's estimates are the bytes
-        built from the ensemble of ``run_ensemble``."""
+        each chunk's CSV rows and the report's estimates, ESS and
+        ``log_norm`` are the bytes built from the ensemble of
+        ``run_ensemble`` at the same worker count."""
         report_path = tmp_path / "report.json"
         csv_path = tmp_path / "paths.csv"
         raw = blowup_config(monkeypatch, 3.3, n_paths=2 * CHUNK_SIZE + 100,
@@ -401,7 +402,8 @@ class TestRunCommand:
                              cfg.grid.dt_min, cfg.grid.refine_ratio,
                              include_times=[0.55, 1.0])
         full = bs.run_ensemble(cfg.model.spec, cfg.observations,
-                               grid, cfg.initial_state, cfg.n_paths, cfg.seed)
+                               grid, cfg.initial_state, cfg.n_paths, cfg.seed,
+                               threads=int(threads))
         failed = np.setdiff1d(np.arange(cfg.n_paths), full.path_ids)
         assert len(np.unique(failed // CHUNK_SIZE)) >= 2
         assert 0 < full.n_failed <= 0.01 * cfg.n_paths
@@ -415,6 +417,43 @@ class TestRunCommand:
         assert report["estimates"] == moment_estimates(cfg, full)
         assert report["n_paths"] == full.size
         assert report["n_failed"] == full.n_failed
+        _, log_norm, ess = bs.normalize_log_weights(full.log_weights)
+        assert np.array([report["ess"], report["log_norm"]]).tobytes() == \
+            np.array([ess, log_norm]).tobytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_parent_merges_only_weights_and_values(self, tmp_path,
+                                                   monkeypatch, threads):
+        """Each chunk reaches the parent as its log-weights (K,) and its
+        functional values (K, q) alone, no states, ids or weight terms,
+        and those arrays hold the bytes of the CSV's ``log_weight`` and
+        ``f_*`` columns."""
+        merged = []
+        ensemble = bridgesim.cli._ensemble
+
+        def recording(*args, **kwargs):
+            merged.append(ensemble(*args, **kwargs))
+            return merged[-1]
+
+        monkeypatch.setattr(bridgesim.cli, "_ensemble", recording)
+        csv_path = tmp_path / "paths.csv"
+        raw = blowup_config(monkeypatch, 3.3, n_paths=CHUNK_SIZE + 100,
+                            outputs={"ensemble_csv": str(csv_path)})
+        q = len(raw["functionals"])
+        assert main(["run", write_config(tmp_path, raw),
+                     "--threads", threads]) == 0
+
+        ((arrays, n_failed),) = merged
+        assert sorted(arrays) == ["fvals", "log_weights"]
+        k = raw["n_paths"] - n_failed
+        assert 0 < n_failed and arrays["log_weights"].shape == (k,)
+        assert arrays["fvals"].shape == (k, q)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert arrays["log_weights"].tobytes() == np.array(
+            [float(r["log_weight"]) for r in rows]).tobytes()
+        assert np.ascontiguousarray(arrays["fvals"]).tobytes() == np.array(
+            [[float(r[f"f_{i}"]) for i in range(q)] for r in rows]).tobytes()
 
     def test_seed_override_changes_output(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config())
@@ -629,6 +668,31 @@ class TestErrorReporting:
             "type": "io-error", "field": f"outputs.{key}",
             "message": "[Errno 2] No such file or directory: "
                        "'missing/out.file'"}
+
+    @pytest.mark.parametrize("key", ["report", "ensemble_csv"])
+    def test_directory_output_fails_before_simulating(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      key):
+        """An output path that is an existing directory is an io-error
+        naming that path and its field before any chunk runs; no staging
+        file is left and the directory keeps its contents."""
+        calls = []
+        monkeypatch.setattr(bridgesim.cli, "_ensemble",
+                            lambda *a, **k: calls.append(1))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        (tmp_path / "outdir" / "kept.txt").write_text("kept")
+        path = write_config(tmp_path, base_config(outputs={key: "outdir"}))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["run", path]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "io-error", "field": f"outputs.{key}",
+                       "message": "[Errno 21] Is a directory: 'outdir'"}
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert [p.name for p in (tmp_path / "outdir").iterdir()] == \
+            ["kept.txt"]
+        assert (tmp_path / "outdir" / "kept.txt").read_text() == "kept"
 
     def test_colliding_outputs_write_nothing(self, tmp_path, capsys):
         """A report and CSV on one path would leave only the CSV; the run

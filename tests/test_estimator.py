@@ -746,61 +746,6 @@ class TestFunctionalContract:
                     call(ens, f)
 
 
-class TestThinnedEnsemble:
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_keep_times_matches_full_ensemble(self, threads):
-        """Two chunks with failed paths: a thinned run holds the full
-        run's bytes in every array, and in its kept state columns."""
-        model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
-        n_paths = CHUNK_SIZE + 100
-        full = bs.run_ensemble(model, obs, grid, u, n_paths, seed=5,
-                               threads=threads)
-        thin = bs.run_ensemble(model, obs, grid, u, n_paths, seed=5,
-                               threads=threads, keep_times=[1.0, 0.55, 1.0])
-        nodes = [grid.index_of(0.55), grid.index_of(1.0)]
-        assert thin.kept_nodes.tolist() == nodes
-        assert thin.states.shape == (full.size, 2, 3)
-        assert thin.states.strides[0] == 8  # paths innermost
-        assert thin.states.tobytes() == full.states[:, nodes].tobytes()
-        assert 0 < thin.n_failed == full.n_failed
-        want = ensemble_bytes(full)
-        got = ensemble_bytes(thin)
-        del want["states"], got["states"]
-        assert got == want
-        for time in (0.55, 1.0):
-            assert thin.state_at(time).tobytes() == \
-                full.state_at(time).tobytes()
-            f = bs.coordinate_at(time, 2)
-            a, b = bs.estimate(thin, f), bs.estimate(full, f)
-            assert a.value.tobytes() == b.value.tobytes()
-            assert a.std_error.tobytes() == b.std_error.tobytes()
-            assert moment_bytes(bs.conditional_moments(thin, f)) == \
-                moment_bytes(bs.conditional_moments(full, f))
-
-    def test_rejects_what_it_did_not_keep(self):
-        model, obs, grid = brownian_setup()
-        ens = bs.run_ensemble(model, obs, grid, np.zeros(1), 16, seed=3,
-                              keep_times=[0.5])
-        assert ens.states.shape == (16, 1, 1)
-        with pytest.raises(InvalidConfigurationError,
-                           match="PathSample needs every node.*kept only "
-                                 "times"):
-            next(ens.paths)
-        with pytest.raises(InvalidConfigurationError,
-                           match="one row per retained path"):
-            bs.estimate(ens, lambda p: p.state_at(0.5)[0])
-        with pytest.raises(InvalidConfigurationError,
-                           match="kept only times"):
-            bs.conditional_moments(ens, lambda e: e.state_at(1.0)[:, 0])
-        with pytest.raises(InvalidConfigurationError,
-                           match="time 1.0 was not kept"):
-            bs.estimate(ens, bs.coordinate_at(1.0, 0))
-        with pytest.raises(InvalidConfigurationError,
-                           match="not a grid node"):
-            bs.run_ensemble(model, obs, grid, np.zeros(1), 16, seed=3,
-                            keep_times=[0.123])
-
-
 class TestStateDependentSigmaCrossRoute:
     def test_agrees_with_conditioning_by_rejection(self):
         """For a state-dependent diffusion no closed form exists, so
