@@ -92,7 +92,8 @@ def _window_step_table(grid: TimeGrid, obs: ObservationSet,
 
 def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
            seed: int, path_ids, drift_fn: Coefficient,
-           cutoff: Optional[float], validate: bool) -> BatchPaths:
+           cutoff: Optional[float], validate: bool,
+           out: Optional[np.ndarray] = None) -> BatchPaths:
     """Euler-Maruyama with drift ``drift_fn`` plus the pull and terminal
     projection of every observation in ``obs`` (none for free paths);
     ``cutoff`` selects the epsilon cut-off variant."""
@@ -117,10 +118,15 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     # every per-chunk array keeps the path axis innermost in memory; the
     # public shapes stay (P, ...)
     paths = (p_count,)
-    states = batch_innermost(paths, (m_steps + 1, n))
-    states[:, 0] = u
-    # each step's noise is drawn into the row that the step then writes,
-    # one contiguous (P, n) block read before it is overwritten
+    states = batch_innermost(paths, (m_steps + 1, n)) if out is None else out
+    if states.shape != (p_count, m_steps + 1, n) or states.dtype != float:
+        raise InvalidConfigurationError("out must be float (P, M+1, n)")
+    # each step is formed in one of two compact rows, then stored in its
+    # row of ``states``, which may be a strided slice of a larger array
+    cur, nxt = batch_innermost(paths, (n,)), batch_innermost(paths, (n,))
+    cur[...] = states[:, 0] = u
+    # each step's noise is drawn into the row that the step then stores,
+    # one (P, n) block read before it is overwritten
     block_normals(seed, ids, m_steps, n, out=states[:, 1:])
     failed = np.full(p_count, -1, dtype=int)
     keep = None  # the paths not failed, once some path has failed
@@ -132,9 +138,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     # a state whose entries all lie within +-calm has squares of at most
     # cap2 / 4n (1 + eps), so its squared norm cannot reach cap2
     calm = 0.5 * np.sqrt(cap2 / n)
-    # each step's terms are formed in these, and the step itself in its
-    # row of ``states``
-    total = batch_innermost(paths, (n,))
+    # each step's terms are formed in these
     term = batch_innermost(paths, (n,))  # a pull, a projection or noise
     resids = [batch_innermost(paths, (ob.m,)) for ob in obs.items]
     # constant sigma: one channel per observation serves the pull at
@@ -168,7 +172,6 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             precision[k][:, node] = ch.A
         return ch
 
-    cur = states[:, 0]
     # sigma at each node's state, evaluated once: at a projected node it
     # serves both log det A and the next step
     sig = diffusion_values(model.diffusion, nodes[0], cur, n)
@@ -176,7 +179,6 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         for j in range(m_steps):
             t = nodes[j]
             dt = nodes[j + 1] - nodes[j]
-            nxt = states[:, j + 1]
             b = drift = drift_values(drift_fn, t, cur, n)
             if validate:
                 check_coefficients(model, t, sig)
@@ -189,9 +191,9 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                     resid -= ob.value
                     pull = chan(k, sig, j - j0).pull(resid, out=term)
                     pull /= nodes[j1] - t
-                    drift = np.subtract(drift, pull, out=total)
-            # the noise drawn into nxt is read before nxt is written
-            noise = matvec(sig, nxt, out=term)
+                    drift = np.subtract(drift, pull, out=nxt)
+            # the noise drawn into row j + 1 is read before it is stored
+            noise = matvec(sig, states[:, j + 1], out=term)
             noise *= np.sqrt(dt)
             np.multiply(drift, dt, out=nxt)
             nxt += cur
@@ -207,7 +209,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                     failed[(failed < 0) & ~within] = j
                     keep = failed < 0
                     np.copyto(nxt, cur, where=~keep[:, None])
-            cur = nxt
+            cur, nxt = nxt, cur
 
             t = nodes[j + 1]
             k0 = clamp_nodes.get(j + 1)
@@ -220,6 +222,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 move = chan(k0, pre_sig, node=-1).pull(resid, out=term)
                 np.add(cur, move, out=cur,
                        where=True if keep is None else keep[:, None])
+            states[:, j + 1] = cur
             if j + 1 < m_steps or k0 is not None:
                 sig = diffusion_values(model.diffusion, t, cur, n)
             if k0 is not None and channels is None:
@@ -233,7 +236,8 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
 def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                    seed: int, path_ids, epsilon_cutoff: Optional[float] = None,
-                   validate: bool = False) -> BatchPaths:
+                   validate: bool = False,
+                   out: Optional[np.ndarray] = None) -> BatchPaths:
     """Euler-Maruyama for a batch of guided bridges.
 
     Each step adds the guiding pull of every window containing the left
@@ -245,7 +249,9 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     state, all from the channels behind the pulls and projections, and
     the guiding drift through L along the window, ``observed_drift``.
     Failed paths freeze at their last admissible state and are reported
-    through ``failed_step``.
+    through ``failed_step``.  ``out``, a float (P, M+1, n) array of any
+    strides, such as a slice of an ensemble's states, becomes the batch's
+    ``states`` if given.
 
     ``epsilon_cutoff`` stops every guiding window a distance epsilon
     before its observation time and disables the terminal projection;
@@ -256,7 +262,7 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     and keep no ``precision``, ``logdet`` or ``observed_drift``.
     """
     return _euler(model, obs, grid, u, seed, path_ids, model.effective_drift,
-                  epsilon_cutoff, validate)
+                  epsilon_cutoff, validate, out)
 
 
 def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,

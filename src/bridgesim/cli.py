@@ -95,17 +95,27 @@ def _csv_rows(rows: dict, fvals: np.ndarray) -> str:
     return (row * len(values)) % tuple(table.ravel().tolist())
 
 
+def _check_output(path: str, field: str) -> None:
+    """Raise the ``OSError`` that writing ``path`` meets in a missing
+    directory or on a directory, naming ``path`` and carrying ``field``."""
+    missing = not os.path.isdir(os.path.dirname(path) or ".")
+    if missing or os.path.isdir(path):
+        code = errno.ENOENT if missing else errno.EISDIR
+        exc = OSError(code, os.strerror(code), path)
+        exc.field = field
+        raise exc
+
+
 @contextlib.contextmanager
 def _replacing(path: str, field: str):
     """A new text file beside ``path`` that replaces it when the block
-    succeeds and is removed when the block fails.  An error creating it,
-    or ``path`` being a directory that the file could not replace, names
+    succeeds and is removed when the block fails.  ``path`` is first
+    checked as ``validate`` checks it; an error creating the file names
     ``path``, not the file beside it, and carries ``field``."""
+    _check_output(path, field)
     head, name = os.path.split(path)
     part = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         fh = open(part, "x", newline="", encoding="utf-8")
     except OSError as exc:
         exc.filename, exc.field = path, field
@@ -117,6 +127,12 @@ def _replacing(path: str, field: str):
     except BaseException:
         os.unlink(part)
         raise
+
+
+def _outputs(config: RunConfig) -> tuple:
+    """(path, field) of each output, in the order that run opens them."""
+    return ((config.ensemble_csv, "outputs.ensemble_csv"),
+            (config.report_path, "outputs.report"))
 
 
 def run(config: RunConfig, threads: Optional[int] = None):
@@ -137,8 +153,7 @@ def run(config: RunConfig, threads: Optional[int] = None):
         # opened before any chunk runs, so an unwritable path fails fast
         csv_out, report_out = [
             stack.enter_context(_replacing(path, field)) if path else None
-            for path, field in ((config.ensemble_csv, "outputs.ensemble_csv"),
-                                (config.report_path, "outputs.report"))]
+            for path, field in _outputs(config)]
         if csv_out:
             csv_out.write(_csv_header(config))
 
@@ -204,6 +219,9 @@ def run_oracle(config: RunConfig):
 
 
 def run_validate(config: RunConfig):
+    for path, field in _outputs(config):
+        if path:
+            _check_output(path, field)
     report = {"ok": True, "config_digest": config.digest,
               "n_observations": len(config.observations.items),
               "n_functionals": len(config.functionals)}

@@ -144,13 +144,14 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     each chunk's retained rows, in chunk order, into one array per key;
     returns those arrays and the count of failed paths.
 
-    A chunk's rows are its retained paths' ``path_ids``, ``states``,
-    ``log_weights``, every weight term and ``("preclamp", k)``.
-    ``emit(rows)`` runs in the process that weighted the chunk, a forked
-    worker when there are several, and returns the rows to merge and a
-    payload that ``sink`` receives in chunk order; without ``emit`` the
-    rows merge as they are.  After the last chunk, raises
-    ``UnstableRunError`` if more than 1% of the paths failed.
+    A chunk's rows are its retained paths' ``path_ids``, ``log_weights``,
+    every weight term and ``("preclamp", k)``; each chunk simulates into
+    its rows of the one ``states`` array, which sheds failed rows as the
+    chunks merge.  ``emit(rows)``, given the chunk's own ``states`` too,
+    runs in the process that weighted the chunk, a forked worker when
+    there are several, and returns the rows to merge and a payload that
+    ``sink`` receives in chunk order; it replaces ``states``.  After the
+    last chunk, raises ``UnstableRunError`` if over 1% of paths failed.
     """
     if n_paths < 1:
         raise InvalidConfigurationError("n_paths must be >= 1")
@@ -159,21 +160,31 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     chunks = [np.arange(s, min(s + CHUNK_SIZE, n_paths))
               for s in range(0, n_paths, CHUNK_SIZE)]
+    n_workers = _worker_count(threads, len(chunks))
+    shape = (grid.n_steps + 1, model.dim, n_paths)
+    if emit:
+        states = None
+    elif n_workers > 1:  # forked workers write into a shared mapping
+        import mmap
+        states = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(shape)))
+                               ).reshape(shape).transpose(2, 0, 1)
+    else:
+        states = batch_innermost((n_paths,), shape[:2])
 
     def work(index: int):
         ids = chunks[index]
-        sim = simulate_batch(model, obs, grid, u, seed, ids,
-                             validate=validate)
+        sim = simulate_batch(model, obs, grid, u, seed, ids, validate=validate,
+                             out=None if emit else states[ids[0]:ids[-1] + 1])
         # a row's terms do not depend on the other rows, so the failed
         # paths are weighted with the rest and dropped afterwards
         terms, issues = batch_breakdown(model, obs, sim)
         ok = sim.failed_step < 0
         for row, _, _, _ in issues:
             ok[row] = False
-        # with no row dropped, the rows are the chunk's own arrays, so
-        # paths-innermost states merge as contiguous runs
         pick = slice(None) if ok.all() else ok
-        rows = {"path_ids": sim.path_ids[pick], "states": sim.states[pick]}
+        rows = {"path_ids": sim.path_ids[pick]}
+        if emit:
+            rows["states"] = sim.states[pick]
         rows.update({name: arr[pick] for name, arr in terms.items()})
         rows["log_weights"] = np.asarray(
             sum(rows[name].sum(axis=1) for name in TERM_NAMES)
@@ -182,16 +193,15 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                      for k, v in sim.preclamp.items()})
         return emit(rows) if emit else (rows, None)
 
-    n_workers = _worker_count(threads, len(chunks))
     if n_workers > 1:
         results = _map_in_workers(work, len(chunks), n_workers)
     else:
         results = map(work, range(len(chunks)))
-    # each chunk's rows are copied into place as it arrives, so no more
-    # than one chunk's result is held besides the merged arrays
-    merged: dict = {}
+    # each chunk's rows are copied into place as it arrives and dropped
+    # before the next chunk runs, so one chunk's result at most is held
+    merged: dict = {} if emit else {"states": states}
     size = 0
-    for rows, emitted in results:
+    for index, (rows, emitted) in enumerate(results):
         if sink:
             sink(emitted)
         count = len(rows["log_weights"])
@@ -200,7 +210,12 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 merged[key] = batch_innermost((n_paths,), arr.shape[1:],
                                               arr.dtype)
             merged[key][size:size + count] = arr
+        if states is not None and size + count <= chunks[index][-1]:
+            # a path's row is its id; one node at a time keeps copies small
+            for j in range(states.shape[1]):
+                states[size:size + count, j] = states[rows["path_ids"], j]
         size += count
+        del rows, emitted
     n_failed = n_paths - size
     if n_failed > FAILURE_CEILING * n_paths:
         raise UnstableRunError(

@@ -376,6 +376,36 @@ class TestBatchBehavior:
             assert batch.preclamp[0][p].tobytes() == \
                 alone.preclamp[0][0].tobytes()
 
+    def test_out_receives_the_states(self):
+        """``out``, here a strided slice of a paths-innermost ensemble
+        with failed rows, receives the bytes of the default states and
+        becomes the batch's ``states``; the other arrays are unchanged,
+        and an ``out`` of the wrong shape or dtype is rejected before
+        anything is written."""
+        model, obs, grid, u = state_dependent_setup(blowup_at=3.0)
+        ids = np.arange(40, 240)
+        own = bs.simulate_batch(model, obs, grid, u, 5, ids)
+        assert (own.failed_step >= 0).any()
+        ens = bs.sde.batch_innermost((500,), (grid.n_steps + 1, 3))
+        ens[...] = 7.0
+        out = ens[40:240]
+        got = bs.simulate_batch(model, obs, grid, u, 5, ids, out=out)
+        assert got.states is out
+        assert out.tobytes() == own.states.tobytes()
+        assert (ens[:40] == 7.0).all() and (ens[240:] == 7.0).all()
+        for k in range(len(obs.items)):
+            for a, b in ((got.preclamp[k], own.preclamp[k]),
+                         (got.precision[k], own.precision[k]),
+                         (got.logdet[k], own.logdet[k]),
+                         (got.observed_drift[k], own.observed_drift[k])):
+                assert a.tobytes() == b.tobytes()
+        assert got.failed_step.tobytes() == own.failed_step.tobytes()
+        for bad in (ens[40:239], ens[40:240, :, :2],
+                    np.zeros((200, grid.n_steps + 1, 3), dtype=np.float32)):
+            with pytest.raises(InvalidConfigurationError, match="out must be"):
+                bs.simulate_batch(model, obs, grid, u, 5, ids, out=bad)
+        assert (ens[:40] == 7.0).all()
+
     def test_validate_flag(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
                              diffusion=lambda t, x: np.eye(1) * 4.0,

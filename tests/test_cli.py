@@ -694,6 +694,35 @@ class TestErrorReporting:
             ["kept.txt"]
         assert (tmp_path / "outdir" / "kept.txt").read_text() == "kept"
 
+    @pytest.mark.parametrize("outputs", [
+        {"report": "outdir"},
+        {"ensemble_csv": "missing/paths.csv"},
+        {"report": "outdir", "ensemble_csv": "missing/paths.csv"}],
+        ids=["report-is-directory", "csv-directory-missing", "both"])
+    def test_validate_rejects_what_run_rejects(self, tmp_path, monkeypatch,
+                                               capsys, outputs):
+        """validate fails an output path that run fails, with the same
+        io-error naming the first path that run opens and its field, and
+        creates no file."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "outdir").mkdir()
+        path = write_config(tmp_path, base_config(outputs=outputs))
+        before = sorted(map(str, tmp_path.rglob("*")))
+        errors = []
+        for command in ("validate", "run"):
+            assert main([command, path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(json.loads(captured.err)["error"])
+            assert sorted(map(str, tmp_path.rglob("*"))) == before
+        assert errors[0] == errors[1] == (
+            {"type": "io-error", "field": "outputs.ensemble_csv",
+             "message": "[Errno 2] No such file or directory: "
+                        "'missing/paths.csv'"}
+            if "ensemble_csv" in outputs else
+            {"type": "io-error", "field": "outputs.report",
+             "message": "[Errno 21] Is a directory: 'outdir'"})
+
     def test_colliding_outputs_write_nothing(self, tmp_path, capsys):
         """A report and CSV on one path would leave only the CSV; the run
         is rejected before it writes either."""

@@ -390,6 +390,89 @@ class TestChunkWorkingSet:
         assert weigh_peak - held < budget
 
 
+def weight_inputs(batch) -> int:
+    """Bytes of what a chunk keeps besides its states for the weights."""
+    return owned_bytes([batch.failed_step, batch.path_ids,
+                        *batch.preclamp.values(), *batch.precision,
+                        *batch.logdet, *batch.observed_drift])
+
+
+class TestEnsembleBuffer:
+    """Chunks are simulated straight into the ensemble's states."""
+
+    def test_run_holds_each_state_once(self):
+        """A one-process run of three chunks under a callable sigma peaks
+        no more than one chunk's weight inputs and scratch (a chunk's
+        state bytes, which bound simulating and weighting it) above the
+        ensemble it returns: no chunk's states are held besides it."""
+        model, obs, grid, u = state_dependent_setup(dt_base=0.01,
+                                                    dt_min=1e-4)
+        n_paths = 3 * CHUNK_SIZE - 100
+        batch = bs.simulate_batch(model, obs, grid, u, 3,
+                                  np.arange(CHUNK_SIZE))
+        budget = weight_inputs(batch) + batch.states.nbytes
+        del batch
+        # the first run fills any one-off caches before memory is traced
+        bs.run_ensemble(model, obs, grid, u, 10, seed=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ens = bs.run_ensemble(model, obs, grid, u, n_paths, seed=3)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ens.size == n_paths
+        assert held - base >= ens.states.nbytes
+        assert peak - held < budget
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_rows_squeezed_out_in_chunk_order(self, threads,
+                                                     monkeypatch):
+        """With failed paths in the first, a middle and a partial tail
+        chunk, the states, ids and unprojected states are the surviving
+        rows of each chunk's own ``simulate_batch``, in chunk order, and
+        no chunk result that a worker sends carries states."""
+        monkeypatch.setattr(estimator, "CHUNK_SIZE", 400)
+        model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
+        n_paths, seed = 1100, 4
+        sent = []
+        mapped = estimator._map_in_workers
+
+        def recording(work, n_chunks, n_workers):
+            for rows, emitted in mapped(work, n_chunks, n_workers):
+                sent.append({key: np.shape(arr) for key, arr in rows.items()})
+                yield rows, emitted
+
+        monkeypatch.setattr(estimator, "_map_in_workers", recording)
+        ens = bs.run_ensemble(model, obs, grid, u, n_paths, seed=seed,
+                              threads=threads)
+        states, ids, pre = [], [], {k: [] for k in range(len(obs.items))}
+        for start in range(0, n_paths, 400):
+            chunk = np.arange(start, min(start + 400, n_paths))
+            sim = bs.simulate_batch(model, obs, grid, u, seed, chunk)
+            _, issues = batch_breakdown(model, obs, sim)
+            ok = sim.failed_step < 0
+            ok[[row for row, _, _, _ in issues]] = False
+            assert not ok.all()
+            states.append(sim.states[ok])
+            ids.append(sim.path_ids[ok])
+            for k in pre:
+                pre[k].append(sim.preclamp[k][ok])
+        assert ens.n_failed == n_paths - ens.size
+        assert ens.states.tobytes() == np.concatenate(states).tobytes()
+        assert ens.path_ids.tobytes() == np.concatenate(ids).tobytes()
+        for k in pre:
+            assert ens.preclamp[k].tobytes() == \
+                np.concatenate(pre[k]).tobytes()
+        if estimator._worker_count(threads, 3) > 1:
+            assert len(sent) == 3
+        else:
+            assert sent == []
+        for shapes in sent:
+            assert "states" not in shapes
+            assert all(len(shape) < 3 for shape in shapes.values())
+
+
 @pytest.mark.filterwarnings("error")
 class TestWorkerPool:
     """Chunks in forked worker processes: bits, worker count, errors.
