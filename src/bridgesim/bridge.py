@@ -1,9 +1,10 @@
 """Euler-Maruyama simulation: the one integration kernel, used for guided
 bridges (observation pull and terminal projection onto each observed
-value) and, with no observations and the full drift, for unconditioned
-paths."""
+value), whose weight terms it sums as it steps, and, with no
+observations and the full drift, for unconditioned paths."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,6 +38,10 @@ from .sde import (  # noqa: F401
 # initial scale, or any entry stops being finite.
 BLOWUP_FACTOR = 1e8
 
+TERM_NAMES = ("log_eta", "boundary", "drift_term", "dA_term", "covar_term")
+# the order of a row's issues within one observation
+_ISSUE_ORDER = ("boundary", "drift_term", "dA_term", "covar_term", "log_eta")
+
 
 @dataclass
 class BatchPaths:
@@ -47,26 +52,47 @@ class BatchPaths:
     states: np.ndarray                       # (P, M+1, n)
     preclamp: dict[int, np.ndarray] = field(default_factory=dict)
     failed_step: np.ndarray = None           # (P,), -1 where clean
-    # full bridges only, per observation k: A = (L a L*)^-1 at the J + 1
-    # nodes of window k, (P, J + 1, m, m), the last one at the state
-    # before the terminal projection, and log det A at the projected
-    # state, (P,); under an array sigma, read-only views of one channel
-    precision: Optional[list] = None
-    logdet: Optional[list] = None
-    # full bridges only, per observation k: L b, the guiding drift b at
-    # the left node of each of the J steps of window k seen through L,
-    # (P, J, m)
-    observed_drift: Optional[list] = None
+    # full bridges only: each term of TERM_NAMES, (P, K), and girsanov,
+    # (P,), and the (row, term, observation, step) of non-finite terms
+    terms: Optional[dict] = None
+    issues: Optional[list] = None
 
 
-def _prepare_initial(u, dim: int) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    if u.shape != (dim,):
-        raise InvalidConfigurationError(
-            f"initial state has shape {u.shape}, expected {(dim,)}")
-    if not np.all(np.isfinite(u)):
-        raise InvalidConfigurationError("initial state must be finite")
-    return u
+class _Terms:
+    """A chunk's weight terms, summed piece by piece as the kernel steps,
+    with the step at which each row's sum of a term first turned
+    non-finite."""
+
+    def __init__(self, p_count: int, n_obs: int):
+        # column k of each (P, K) array is one contiguous run
+        self.arrays = {name: np.zeros((n_obs, p_count)).T
+                       for name in TERM_NAMES}
+        self.arrays["girsanov"] = np.zeros(p_count)
+        self.first: dict[tuple, np.ndarray] = {}
+
+    def add(self, name: str, k: int, piece, step: Optional[int]) -> None:
+        """Add the pieces of grid step ``step`` (None for a per-path
+        term) to observation ``k``'s term ``name`` (-1: girsanov)."""
+        acc = self.arrays[name] if k < 0 else self.arrays[name][:, k]
+        acc += piece
+        # a non-finite sum never turns finite again, and makes the
+        # column's sum non-finite
+        if not math.isfinite(acc.sum()):
+            # -2 where the sum is finite, -1 for a per-path term
+            first = self.first.setdefault((name, k), np.full(len(acc), -2))
+            first[(first == -2) & ~np.isfinite(acc)] = \
+                -1 if step is None else step
+
+    def issues(self) -> list:
+        """``(row, term, observation, step)`` of each non-finite sum."""
+        keys = [(name, k) for k in range(self.arrays["log_eta"].shape[1])
+                for name in _ISSUE_ORDER] + [("girsanov", -1)]
+        found = []
+        for key in filter(self.first.__contains__, keys):
+            first = self.first[key]
+            found += [(int(r), *key, None if first[r] < 0 else int(first[r]))
+                      for r in np.flatnonzero(first > -2)]
+        return found
 
 
 def _window_step_table(grid: TimeGrid, obs: ObservationSet,
@@ -92,13 +118,17 @@ def _window_step_table(grid: TimeGrid, obs: ObservationSet,
 
 def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
            seed: int, path_ids, drift_fn: Coefficient,
-           cutoff: Optional[float], validate: bool,
+           cutoff: Optional[float], validate: bool, weigh: bool,
            out: Optional[np.ndarray] = None) -> BatchPaths:
     """Euler-Maruyama with drift ``drift_fn`` plus the pull and terminal
     projection of every observation in ``obs`` (none for free paths);
-    ``cutoff`` selects the epsilon cut-off variant."""
+    ``cutoff`` selects the epsilon cut-off variant, and ``weigh`` sums
+    the weight terms of full bridges."""
     n = model.dim
-    u = _prepare_initial(u, n)
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,) or not np.all(np.isfinite(u)):
+        raise InvalidConfigurationError(
+            f"initial state must be {n} finite numbers, got shape {u.shape}")
     if any(ob.matrix.shape[1] != n for ob in obs.items):
         raise InvalidConfigurationError(
             f"observation matrices must have {n} columns, the model dimension")
@@ -146,31 +176,44 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     sig_c = model.constant_sigma
     channels = None if sig_c is None else \
         [channel(sig_c, ob.matrix) for ob in obs.items]
-    # full bridges keep L b and the channel algebra the weights read:
-    # under an array sigma as views of the one channel per observation,
-    # under a callable sigma filled from the channel behind each pull
-    precision = logdet = observed = None
-    if clamp_nodes:
-        observed = [batch_innermost(paths, (j1 - j0, ob.m))
-                    for j0, _, j1, ob in table]
-    if clamp_nodes and channels is not None:
-        precision = [np.broadcast_to(ch.A, (p_count, j1 - j0 + 1) + ch.A.shape)
-                     for ch, (j0, _, j1, _) in zip(channels, table)]
-        logdet = [np.full(p_count, ch.logdet) for ch in channels]
-    elif clamp_nodes:
-        precision = [batch_innermost(paths, (j1 - j0 + 1, ob.m, ob.m))
-                     for j0, _, j1, ob in table]
-        logdet = [np.empty(p_count) for _ in table]
 
-    def chan(k, sig, node=None):
-        """Observation k's channel under the diffusion values ``sig``,
-        kept in ``precision`` at window node ``node``."""
+    def chan(k, sig):
+        return channel(sig, obs.items[k].matrix) if channels is None \
+            else channels[k]
+
+    terms = _Terms(p_count, len(table)) if weigh else None
+    # per observation: the residual L z - v and the precision A at the
+    # previous window node
+    kept = [batch_innermost(paths, (ob.m,)) for ob in obs.items]
+    prec = [None] * len(table)
+
+    def variation(k, i, r, A):
+        """Add the dA and covar pieces of step ``i``, from window node i
+        (kept) to i + 1 (residual ``r``, precision ``A``); under a
+        constant sigma they are exactly 0."""
         if channels is not None:
-            return channels[k]
-        ch = channel(sig, obs.items[k].matrix)
-        if precision is not None and node is not None:
-            precision[k][:, node] = ch.A
-        return ch
+            return
+        r0, dA = kept[k], A - prec[k]
+        denom = -2.0 * (nodes[table[k][2]] - nodes[i])
+        qa = dot(vecmat(r0, dA), r0)
+        qa /= denom
+        terms.add("dA_term", k, qa, i)
+        # dA : d(r r*), one entry at a time
+        qc = np.zeros(p_count)
+        for a, c in np.ndindex(dA.shape[-2:]):
+            dr = r[:, a] * r[:, c]
+            dr -= r0[:, a] * r0[:, c]
+            dr *= dA[..., a, c]
+            qc += dr
+        qc /= denom
+        terms.add("covar_term", k, qc, i)
+
+    # the Girsanov term of b_check = drift - guided_drift: each step adds
+    # x . dy - 0.5 (x . b_check) dt with x = b_check a^-1, where a^-1 is
+    # the channel precision of the full observation L = I
+    split = weigh and model.guided_drift is not None
+    eye = np.eye(n)
+    a_inv = None if sig_c is None or not split else channel(sig_c, eye).A
 
     # sigma at each node's state, evaluated once: at a projected node it
     # serves both log det A and the next step
@@ -182,16 +225,35 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             b = drift = drift_values(drift_fn, t, cur, n)
             if validate:
                 check_coefficients(model, t, sig)
+            if split:
+                bc = drift_values(model.drift, t, cur, n) - b
+                x = vecmat(bc, channel(sig, eye).A if a_inv is None else a_inv)
+                half = dot(x, bc)
+                half *= 0.5
+                half *= dt
             # nxt = cur + (b - sum of pull / (T_k - t)) dt + noise
             for k, (j0, js, j1, ob) in enumerate(table):
                 if j0 <= j < js:
-                    if observed is not None:
-                        vecmat(b, ob.matrix.T, out=observed[k][:, j - j0])
                     resid = vecmat(cur, ob.matrix.T, out=resids[k])
                     resid -= ob.value
-                    pull = chan(k, sig, j - j0).pull(resid, out=term)
+                    ch = chan(k, sig)
+                    pull = ch.pull(resid, out=term)
                     pull /= nodes[j1] - t
                     drift = np.subtract(drift, pull, out=nxt)
+                    if not weigh:
+                        continue
+                    rA = vecmat(resid, ch.A)
+                    if j == j0:
+                        q = dot(rA, resid)
+                        q /= -2.0 * ob.window
+                        terms.add("boundary", k, q, None)
+                    else:
+                        variation(k, j - 1, resid, ch.A)
+                    q = dot(rA, vecmat(b, ob.matrix.T))
+                    q *= -dt
+                    q /= nodes[j1] - t
+                    terms.add("drift_term", k, q, j)
+                    resids[k], kept[k], prec[k] = kept[k], resid, ch.A
             # the noise drawn into row j + 1 is read before it is stored
             noise = matvec(sig, states[:, j + 1], out=term)
             noise *= np.sqrt(dt)
@@ -214,24 +276,32 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             t = nodes[j + 1]
             k0 = clamp_nodes.get(j + 1)
             if k0 is not None:
+                # the state before the projection ends the window's terms
                 ob = obs.items[k0]
                 preclamp[k0] = cur.copy(order="K")
-                resid = vecmat(cur, ob.matrix.T, out=resids[k0])
-                np.subtract(ob.value, resid, out=resid)
-                pre_sig = diffusion_values(model.diffusion, t, cur, n)
-                move = chan(k0, pre_sig, node=-1).pull(resid, out=term)
+                lz = vecmat(cur, ob.matrix.T, out=resids[k0])
+                to_value = ob.value - lz
+                lz -= ob.value
+                ch = chan(k0, diffusion_values(model.diffusion, t, cur, n))
+                variation(k0, j, lz, ch.A)
+                move = ch.pull(to_value, out=term)
                 np.add(cur, move, out=cur,
                        where=True if keep is None else keep[:, None])
             states[:, j + 1] = cur
+            if split:
+                # nxt still holds the state of node j
+                g = dot(x, np.subtract(cur, nxt, out=term))
+                g -= half
+                terms.add("girsanov", -1, g, j)
             if j + 1 < m_steps or k0 is not None:
                 sig = diffusion_values(model.diffusion, t, cur, n)
-            if k0 is not None and channels is None:
-                logdet[k0][:] = chan(k0, sig).logdet
+            if k0 is not None:
+                terms.add("log_eta", k0, 0.5 * chan(k0, sig).logdet, None)
 
     return BatchPaths(grid=grid, path_ids=ids, states=states,
                       preclamp=preclamp, failed_step=failed,
-                      precision=precision, logdet=logdet,
-                      observed_drift=observed)
+                      terms=None if terms is None else terms.arrays,
+                      issues=None if terms is None else terms.issues())
 
 
 def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
@@ -243,11 +313,11 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     Each step adds the guiding pull of every window containing the left
     node (windows are closed on the left, open at the observation time).
     In full-bridge mode the state is projected onto the observed value
-    when a step lands on an observation time.  For the weights a full
-    bridge keeps, per observation, the unprojected state, the channel
-    ``precision`` along the window and its ``logdet`` at the projected
-    state, all from the channels behind the pulls and projections, and
-    the guiding drift through L along the window, ``observed_drift``.
+    when a step lands on an observation time, and the batch carries,
+    per observation, the state before that projection (``preclamp``)
+    and its weight ``terms`` and ``issues`` (see
+    :func:`bridgesim.weights.batch_breakdown`), summed as it steps from
+    the drift, sigma and channels that the steps evaluate.
     Failed paths freeze at their last admissible state and are reported
     through ``failed_step``.  ``out``, a float (P, M+1, n) array of any
     strides, such as a slice of an ensemble's states, becomes the batch's
@@ -259,10 +329,10 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     (seed, path_id) a cut-off path shares its driving noise with the
     full bridge, so the two coincide up to the first cut-off node.  The
     weights assume the full bridge, so cut-off paths are never weighted
-    and keep no ``precision``, ``logdet`` or ``observed_drift``.
+    and carry no ``terms``.
     """
     return _euler(model, obs, grid, u, seed, path_ids, model.effective_drift,
-                  epsilon_cutoff, validate, out)
+                  epsilon_cutoff, validate, epsilon_cutoff is None, out)
 
 
 def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
@@ -272,4 +342,4 @@ def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
     index at which the path blew up; a failed path holds its last
     admissible state from there on."""
     return _euler(model, ObservationSet(), grid, u, seed, path_ids,
-                  model.drift, None, validate)
+                  model.drift, None, validate, False)

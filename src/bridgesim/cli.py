@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from .bridge import TERM_NAMES
 from .config import RunConfig, parse_config
 from .errors import BridgeSimError, InvalidConfigurationError, error_kind
 # build_grid, run_ensemble and weighted_mean_se go uncalled here; they
@@ -21,7 +22,7 @@ from .estimator import (_ensemble, _moments, run_ensemble,  # noqa: F401
                         weighted_mean_se)
 from .oracle import condition, joint_law, observation_selector
 from .sde import NUMERICS_SCHEME, build_grid  # noqa: F401
-from .weights import TERM_NAMES, normalize_log_weights
+from .weights import normalize_log_weights
 
 THREADS_ENV = "BRIDGESIM_THREADS"
 

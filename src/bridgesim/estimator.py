@@ -8,11 +8,11 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .bridge import simulate_batch
+from .bridge import TERM_NAMES, simulate_batch
 from .errors import InvalidConfigurationError, UnstableRunError
 from .observations import ObservationSet
 from .sde import ModelSpec, PathSample, TimeGrid, batch_innermost
-from .weights import TERM_NAMES, batch_breakdown, normalize_log_weights
+from .weights import batch_breakdown, normalize_log_weights
 
 # Paths are simulated and weighted this many at a time; a path's bits
 # depend on neither the chunk size nor the worker count.
@@ -254,16 +254,21 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 def weighted_mean_se(weights: np.ndarray, fvals: np.ndarray):
     """Self-normalized mean and standard error along axis 0: pairwise
     sums along the paths of one C-order (d, K) copy, with no BLAS call,
-    so neither the layout of ``fvals`` nor BLAS threads move a bit."""
+    so neither the layout of ``fvals`` nor BLAS threads move a bit.
+    Each column is summed about its first value, so a column that is
+    the same on every path reads that value with SE 0."""
     fvals = np.asarray(fvals, dtype=float)
     # np.array always copies, so writing in place below spares fvals
     cols = np.array(fvals.reshape(len(weights), -1).T, order="C")
+    first = cols[:, :1].copy()
+    cols -= first
     value = np.sum(cols * weights, axis=-1)
     # w^2 (f - value)^2 in the one (d, K) buffer
     cols -= value[:, None]
     cols *= cols
     cols *= weights * weights
     se = np.sqrt(np.sum(cols, axis=-1))
+    value += first[:, 0]
     return value.reshape(fvals.shape[1:]), se.reshape(fvals.shape[1:])
 
 

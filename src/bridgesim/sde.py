@@ -21,9 +21,10 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 _MASK64 = (1 << 64) - 1
 
 # Version of the arithmetic behind a run's bits, reported by ``bridgesim
-# run`` and described under the README's "Numerics scheme".  Scheme 6
-# adds no product term for an exact zero of a shared matrix.
-NUMERICS_SCHEME = 6
+# run`` and described under the README's "Numerics scheme".  Scheme 7
+# sums every weight term step by step in the kernel and every weighted
+# mean about each column's first value.
+NUMERICS_SCHEME = 7
 
 # Paths per Philox noise stream: path p reads column p % NOISE_BLOCK of
 # the stream keyed (seed, p // NOISE_BLOCK).

@@ -1,12 +1,11 @@
 """Shared helpers for the test suite."""
-import dataclasses
-
 import numpy as np
 import pytest
 
 import bridgesim as bs
 from bridgesim.observations import channel
-from bridgesim.sde import diffusion_values, drift_values, vecmat
+from bridgesim.sde import diffusion_values, dot, drift_values, vecmat
+from bridgesim.bridge import TERM_NAMES
 
 
 def rand_orthonormal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
@@ -36,45 +35,80 @@ def channel_bundle(sigma: np.ndarray, L: np.ndarray):
     return ch, sigma.T @ L.T @ ch.A, ch.gain.T @ L
 
 
-def rebuilt_channels(model, obs, batch):
-    """``batch`` with its channel ``precision`` and ``logdet`` and its
-    ``observed_drift`` recomputed from its states, apart from the bridge
-    kernel, for an array or a callable sigma.
+def two_pass_breakdown(model, obs, batch):
+    """The weight terms of a kernel ``batch`` formed apart from the
+    kernel, in a second pass over its states and pre-projection states
+    that evaluates every drift, sigma and channel again, with every
+    row's per-step pieces.
 
-    Per observation: A = (L a L*)^-1 at each window node, the last one
-    at the state before the terminal projection, log det A at the
-    projected state, and L b, the guiding drift b at the left node of
-    every window step seen through L.
+    Per observation: the residuals ``r = L z - v`` over the window, the
+    last one at the state before the terminal projection; the precision
+    ``A = (L a L*)^-1`` at each of those states and ``log det A`` at the
+    projected state; and ``L b``, the guiding drift at each window step's
+    left node seen through L.  The Girsanov term of ``drift -
+    guided_drift`` runs over every step between stored nodes.  Returns
+    ``(terms, steps)``: ``terms`` as ``batch_breakdown`` returns them,
+    each step sum summed along its steps by numpy, and ``steps[term, k]
+    = (j0, pieces)``, the (P, J) pieces of a step sum from grid step
+    ``j0`` on, or (P, 1) with ``j0`` None for a per-path term; the
+    Girsanov term is under observation -1.
     """
     grid, states = batch.grid, batch.states
+    nodes = grid.nodes
     p_count, n = states.shape[0], model.dim
 
-    def factor(j, x, L):
-        ch = channel(diffusion_values(model.diffusion, grid.nodes[j], x, n), L)
-        return ch.A, ch.logdet
+    def chan(j, x, L):
+        return channel(diffusion_values(model.diffusion, nodes[j], x, n), L)
 
-    precision, logdet, observed = [], [], []
+    steps = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for k, ob in enumerate(obs.items):
+            L = ob.matrix
             j0 = grid.index_of(ob.time - ob.window)
             j1 = grid.index_of(ob.time)
-            window = states[:, j0:j1 + 1].copy(order="K")
-            if k in batch.preclamp:
-                window[:, -1] = batch.preclamp[k]
-            prec = np.empty((p_count, j1 - j0 + 1, ob.m, ob.m))
-            for j in range(j1 - j0 + 1):
-                prec[:, j] = factor(j0 + j, window[:, j], ob.matrix)[0]
-            precision.append(prec)
-            logdet.append(np.empty(p_count))
-            logdet[-1][:] = factor(j1, states[:, j1], ob.matrix)[1]
-            lb = np.empty((p_count, j1 - j0, ob.m))
-            for j in range(j0, j1):
-                b = drift_values(model.effective_drift, grid.nodes[j],
-                                 states[:, j], n)
-                vecmat(b, ob.matrix.T, out=lb[:, j - j0])
-            observed.append(lb)
-    return dataclasses.replace(batch, precision=precision, logdet=logdet,
-                               observed_drift=observed)
+            window = states[:, j0:j1 + 1].copy()
+            window[:, -1] = batch.preclamp[k]
+            prec = np.stack([chan(j0 + i, window[:, i], L).A
+                             * np.ones((p_count, 1, 1))
+                             for i in range(j1 - j0 + 1)], axis=1)
+            lb = np.stack([vecmat(drift_values(model.effective_drift,
+                                               nodes[j], states[:, j], n),
+                                  L.T) for j in range(j0, j1)], axis=1)
+            resid = vecmat(window, L.T) - ob.value
+            r = resid[:, :-1]
+            tt = nodes[j0:j1 + 1]
+            denom = nodes[j1] - tt[:-1]
+            q0 = dot(vecmat(resid[:, 0], prec[:, 0]), resid[:, 0])
+            steps["boundary", k] = (None, (-q0 / (2.0 * ob.window))[:, None])
+            qd = dot(vecmat(r, prec[:, :-1]), lb)
+            steps["drift_term", k] = (j0, -qd * np.diff(tt) / denom)
+            dprec = np.diff(prec, axis=1)
+            qa = dot(vecmat(r, dprec), r)
+            steps["dA_term", k] = (j0, -qa / (2.0 * denom))
+            qc = np.zeros_like(qa)
+            for a, c in np.ndindex(ob.m, ob.m):
+                qc += (resid[:, 1:, a] * resid[:, 1:, c]
+                       - r[..., a] * r[..., c]) * dprec[..., a, c]
+            steps["covar_term", k] = (j0, -qc / (2.0 * denom))
+            logdet = chan(j1, states[:, j1], L).logdet * np.ones(p_count)
+            steps["log_eta", k] = (None, 0.5 * logdet[:, None])
+        girsanov = np.zeros((p_count, grid.n_steps))
+        if model.guided_drift is not None:
+            for j in range(grid.n_steps):
+                x, t = states[:, j], nodes[j]
+                bc = drift_values(model.drift, t, x, n) \
+                    - drift_values(model.guided_drift, t, x, n)
+                ainv = chan(j, x, np.eye(n)).A
+                xa = vecmat(bc, ainv)
+                girsanov[:, j] = dot(xa, states[:, j + 1] - x) \
+                    - 0.5 * dot(xa, bc) * (nodes[j + 1] - t)
+        steps["girsanov", -1] = (0, girsanov)
+    terms = {name: np.zeros((p_count, len(obs.items))) for name in TERM_NAMES}
+    for (name, k), (_, pieces) in steps.items():
+        if k >= 0:
+            terms[name][:, k] = pieces.sum(axis=1)
+    terms["girsanov"] = girsanov.sum(axis=1)
+    return terms, steps
 
 
 def single_full_obs(time: float, value, dim: int,

@@ -190,19 +190,18 @@ class TestCutoffVariant:
         assert not cut.preclamp
 
     def test_cutoff_keeps_no_guiding_drift(self):
-        """A cut-off batch is never weighted, so it keeps no drift and no
-        channel arrays; the full bridge on the same grid keeps them."""
+        """A cut-off batch is never weighted, so it carries no weight
+        terms; the full bridge on the same grid carries them."""
         model = bs.brownian(dim=1).spec
         obs = scalar_obs()
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3,
                              include_times=[0.75])
         cut = bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0, 1],
                                 epsilon_cutoff=0.25)
-        assert cut.observed_drift is None
-        assert cut.precision is None and cut.logdet is None
+        assert cut.terms is None and cut.issues is None
         full = bs.simulate_batch(model, obs, grid, np.zeros(1), 1, [0, 1])
-        steps = grid.index_of(1.0) - grid.index_of(1.0 - obs.items[0].window)
-        assert [d.shape for d in full.observed_drift] == [(2, steps, 1)]
+        assert full.terms["drift_term"].shape == (2, 1)
+        assert full.issues == []
 
     def test_cutoff_must_fit_in_windows(self):
         model = bs.brownian(dim=1).spec
@@ -309,12 +308,10 @@ class TestBatchBehavior:
             assert alone.failed_step[0] == failed[p]
             assert batch.states[p].tobytes() == alone.states[0].tobytes()
             for k in range(len(obs.items)):
-                for got, want in ((batch.preclamp[k], alone.preclamp[k]),
-                                  (batch.precision[k], alone.precision[k]),
-                                  (batch.logdet[k], alone.logdet[k]),
-                                  (batch.observed_drift[k],
-                                   alone.observed_drift[k])):
-                    assert got[p].tobytes() == want[0].tobytes()
+                assert batch.preclamp[k][p].tobytes() == \
+                    alone.preclamp[k][0].tobytes()
+            for name, arr in batch.terms.items():
+                assert arr[p].tobytes() == alone.terms[name][0].tobytes()
         for p in bad:
             frozen = batch.states[p, failed[p]:]
             assert (frozen == frozen[0]).all()
@@ -394,11 +391,10 @@ class TestBatchBehavior:
         assert out.tobytes() == own.states.tobytes()
         assert (ens[:40] == 7.0).all() and (ens[240:] == 7.0).all()
         for k in range(len(obs.items)):
-            for a, b in ((got.preclamp[k], own.preclamp[k]),
-                         (got.precision[k], own.precision[k]),
-                         (got.logdet[k], own.logdet[k]),
-                         (got.observed_drift[k], own.observed_drift[k])):
-                assert a.tobytes() == b.tobytes()
+            assert got.preclamp[k].tobytes() == own.preclamp[k].tobytes()
+        for name, arr in own.terms.items():
+            assert got.terms[name].tobytes() == arr.tobytes()
+        assert got.issues == own.issues
         assert got.failed_step.tobytes() == own.failed_step.tobytes()
         for bad in (ens[40:239], ens[40:240, :, :2],
                     np.zeros((200, grid.n_steps + 1, 3), dtype=np.float32)):

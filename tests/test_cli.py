@@ -208,7 +208,7 @@ class TestRunCommand:
         assert status == 0
         report = json.loads(report_path.read_text())
         assert report["schema_version"] == 1
-        assert report["numerics_scheme"] == 6
+        assert report["numerics_scheme"] == 7
         assert report["n_paths"] == 400
         assert report["n_failed"] == 0
         assert report["ess"] > 399.0
@@ -506,6 +506,29 @@ class TestRunCommand:
         report = json.loads(report_path.read_text(), parse_constant=reject)
         (comp,) = report["oracle"]["comparisons"]
         assert report["estimates"][0]["std_error"] == 0.0
+        assert comp["deviation_over_se"] is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_exact_answer_reports_se_zero(self, tmp_path, seed):
+        """A functional that is the same on every path, the state at time
+        0 under the drift split, reads that value exactly with SE 0, not
+        a rounding residue of the normalized weights' sum."""
+        report_path = tmp_path / "report.json"
+        cfg = base_config(
+            model={"name": "ou", "drift_split": True,
+                   "params": {"dim": 2, "f_diag": [-1.0, -0.5],
+                              "sigma": [1.0, 1.5]}},
+            observations=[{"time": 1.0, "matrix": [[1.0, 0.0]],
+                           "value": [0.7]}],
+            initial_state=[0.5, -0.3], n_paths=2000, seed=seed,
+            functionals=[{"type": "coordinate", "time": 0.0,
+                          "coordinate": 1}],
+            outputs={"report": str(report_path)})
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        report = json.loads(report_path.read_text())
+        (est,), (comp,) = report["estimates"], report["oracle"]["comparisons"]
+        assert est["value"] == -0.3 and est["std_error"] == 0.0
+        assert comp["oracle_value"] == -0.3
         assert comp["deviation_over_se"] is None
 
     def test_functionals_a_hair_before_an_observation(self, tmp_path,

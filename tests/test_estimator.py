@@ -21,8 +21,8 @@ from bridgesim.estimator import CHUNK_SIZE, weighted_mean_se
 from bridgesim.weights import batch_breakdown
 from conftest import (
     nondiagonal_sigma_setup,
-    rebuilt_channels,
     state_dependent_setup,
+    two_pass_breakdown,
 )
 
 
@@ -132,10 +132,10 @@ class TestRunEnsemble:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kernel_record_matches_rebuilt_weights(self, threads):
-        """The ensemble's terms, weighted from the kernel's channel
-        precision, log-determinant and drift, are the bytes of the
-        retained rows of each whole chunk, failed paths included,
-        weighted with those arrays rebuilt from its states."""
+        """The ensemble's terms are the bytes of the retained rows of each
+        whole chunk's own batch, failed paths included, whose terms agree
+        with the two-pass reference rebuilt from its states to 1e-12
+        relative to max(|value|, 1)."""
         model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
         n_paths = CHUNK_SIZE + 100
         ens = bs.run_ensemble(model, obs, grid, u, n_paths, seed=5,
@@ -146,9 +146,12 @@ class TestRunEnsemble:
             ids = np.arange(start, min(start + CHUNK_SIZE, n_paths))
             sim = bs.simulate_batch(model, obs, grid, u, 5, ids)
             alive = sim.failed_step < 0
-            terms, issues = batch_breakdown(
-                model, obs, rebuilt_channels(model, obs, sim))
+            terms, issues = batch_breakdown(model, obs, sim)
             assert not issues
+            rebuilt, _ = two_pass_breakdown(model, obs, sim)
+            for name, arr in rebuilt.items():
+                assert (np.abs(terms[name] - arr)
+                        <= 1e-12 * np.maximum(np.abs(arr), 1.0)).all(), name
             parts.append({name: arr[alive] for name, arr in terms.items()})
         assert sorted(ens.breakdown) == sorted(parts[0])
         for name, arr in ens.breakdown.items():
@@ -348,10 +351,15 @@ def owned_bytes(arrays) -> int:
     return sum(spans.values())
 
 
+# the one-pass working set of a 2048-row chunk above its states: the
+# kernel's per-step rows and its terms, never an array per window step
+CHUNK_BUDGET_MB = {"ou2d": 1.0, "state_dependent": 2.5}
+
+
 class TestChunkWorkingSet:
-    """A chunk holds no second state-sized buffer: the noise is drawn
-    into the state rows, the weights read L b, not the drift, and the
-    window terms are formed a block of rows at a time."""
+    """A chunk holds no second state-sized buffer and nothing per window
+    step: the noise is drawn into the state rows, and the kernel adds
+    the weight terms as it steps."""
 
     @staticmethod
     def ou2d():
@@ -363,11 +371,15 @@ class TestChunkWorkingSet:
 
     @pytest.mark.parametrize("setup", ["ou2d", "state_dependent"])
     def test_simulate_and_breakdown_transients(self, setup):
+        """The kernel peaks under the chunk budget above its states (for a
+        state-dependent sigma, 2.5 MB at 2048 rows), and handing back its
+        terms allocates nothing."""
         model, obs, grid, u = {
             "ou2d": self.ou2d,
             "state_dependent": lambda: state_dependent_setup(
                 dt_base=0.01, dt_min=1e-4)}[setup]()
         ids = np.arange(CHUNK_SIZE)
+        assert CHUNK_SIZE == 2048
         # the first run fills any one-off caches before memory is traced
         batch_breakdown(model, obs, bs.simulate_batch(model, obs, grid, u,
                                                       3, ids))
@@ -382,19 +394,12 @@ class TestChunkWorkingSet:
         finally:
             tracemalloc.stop()
         kept = owned_bytes([batch.states, batch.failed_step, batch.path_ids,
-                            *batch.preclamp.values(), *batch.precision,
-                            *batch.logdet, *batch.observed_drift])
+                            *batch.preclamp.values(),
+                            *batch.terms.values()])
         assert held - base >= kept
-        budget = batch.states.nbytes / 2
-        assert sim_peak - base - kept < budget
-        assert weigh_peak - held < budget
-
-
-def weight_inputs(batch) -> int:
-    """Bytes of what a chunk keeps besides its states for the weights."""
-    return owned_bytes([batch.failed_step, batch.path_ids,
-                        *batch.preclamp.values(), *batch.precision,
-                        *batch.logdet, *batch.observed_drift])
+        assert sim_peak - base - batch.states.nbytes \
+            < CHUNK_BUDGET_MB[setup] * 2 ** 20
+        assert weigh_peak - held < 4096
 
 
 class TestEnsembleBuffer:
@@ -402,16 +407,12 @@ class TestEnsembleBuffer:
 
     def test_run_holds_each_state_once(self):
         """A one-process run of three chunks under a callable sigma peaks
-        no more than one chunk's weight inputs and scratch (a chunk's
-        state bytes, which bound simulating and weighting it) above the
-        ensemble it returns: no chunk's states are held besides it."""
+        no more than one chunk's working set and the rows it hands back
+        above the ensemble it returns: no chunk's states are held
+        besides it."""
         model, obs, grid, u = state_dependent_setup(dt_base=0.01,
                                                     dt_min=1e-4)
         n_paths = 3 * CHUNK_SIZE - 100
-        batch = bs.simulate_batch(model, obs, grid, u, 3,
-                                  np.arange(CHUNK_SIZE))
-        budget = weight_inputs(batch) + batch.states.nbytes
-        del batch
         # the first run fills any one-off caches before memory is traced
         bs.run_ensemble(model, obs, grid, u, 10, seed=3)
         tracemalloc.start()
@@ -423,7 +424,11 @@ class TestEnsembleBuffer:
             tracemalloc.stop()
         assert ens.size == n_paths
         assert held - base >= ens.states.nbytes
-        assert peak - held < budget
+        rows = sum(arr.nbytes for arr in (
+            ens.path_ids, ens.log_weights, *ens.breakdown.values(),
+            *ens.preclamp.values())) * CHUNK_SIZE // n_paths
+        assert peak - held < CHUNK_BUDGET_MB["state_dependent"] * 2 ** 20 \
+            + rows
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_rows_squeezed_out_in_chunk_order(self, threads,
@@ -629,17 +634,20 @@ class TestEstimate:
                                        (5, 7), (20000,)])
     def test_weighted_mean_se_bytes(self, shape):
         """The one-buffer sums have the bytes of the written-out formulas
-        sum(w f) and sqrt(sum(w^2 (f - value)^2)), each a pairwise sum
-        along the paths of a C-order (d, K) array."""
+        f0 + c and sqrt(sum(w^2 (f - f0 - c)^2)) with c = sum(w (f - f0))
+        and f0 each column's first value, each a pairwise sum along the
+        paths of a C-order (d, K) array."""
         rng = np.random.default_rng(shape[0] + len(shape))
         w, _, _ = bs.normalize_log_weights(
             1.5 * rng.standard_normal(shape[0]))
         f = 2.0 - 3.0 * rng.standard_normal(shape)
         value, se = weighted_mean_se(w, f)
         cols = np.array(f.reshape(shape[0], -1).T, order="C")
-        want_value = np.sum(cols * w, axis=-1)
+        cols = cols - cols[:, :1]
+        centre = np.sum(cols * w, axis=-1)
+        want_value = centre + f.reshape(shape[0], -1)[0]
         want_se = np.sqrt(np.sum(
-            w ** 2 * (cols - want_value[:, None]) ** 2, axis=-1))
+            w ** 2 * (cols - centre[:, None]) ** 2, axis=-1))
         assert value.shape == se.shape == shape[1:]
         assert value.tobytes() == want_value.tobytes()
         assert se.tobytes() == want_se.tobytes()
@@ -778,16 +786,17 @@ class TestArrayFunctionals:
 
     def test_moments_formula_is_weighted_mean_se(self):
         """One column through weighted_mean_se gives the bytes of the
-        vector formulas sum(w f) and sqrt(sum(w^2 (f - mean)^2)), each a
-        pairwise sum along the paths."""
+        vector formulas f0 + c and sqrt(sum(w^2 (f - f0 - c)^2)), with
+        c = sum(w (f - f0)) and f0 the first value, each a pairwise sum
+        along the paths."""
         rng = np.random.default_rng(11)
         for n in rng.integers(1000, 30001, size=25):
             w, _, _ = bs.normalize_log_weights(2.0 * rng.standard_normal(n))
             f = 1.0 + 3.0 * rng.standard_normal(n)
             mean, se = weighted_mean_se(w, f[:, None])
-            direct = np.sum(f * w)
-            assert mean.tobytes() == np.array([direct]).tobytes()
-            want = np.sqrt(np.sum(w ** 2 * (f - direct) ** 2))
+            centre = np.sum((f - f[0]) * w)
+            assert mean.tobytes() == np.array([centre + f[0]]).tobytes()
+            want = np.sqrt(np.sum(w ** 2 * (f - f[0] - centre) ** 2))
             assert se.tobytes() == np.array([want]).tobytes()
 
 

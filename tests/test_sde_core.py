@@ -211,8 +211,8 @@ class TestLayout:
     def test_kernel_arrays_keep_paths_innermost(self):
         model, obs, grid, u = state_dependent_setup()
         batch = simulate_batch(model, obs, grid, u, 3, np.arange(16))
-        arrays = [batch.states, *batch.observed_drift,
-                  *batch.preclamp.values(), *batch.precision]
+        arrays = [batch.states, *batch.preclamp.values(),
+                  *batch.terms.values()]
         for arr in arrays:
             assert arr.shape[0] == 16
             assert arr.strides[0] == arr.itemsize

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 import bridgesim as bs
-from bridgesim import weights
+from bridgesim.bridge import TERM_NAMES
 from bridgesim.errors import (
     DegenerateEnsembleError,
     InvalidConfigurationError,
     InvalidObservationError,
 )
+from bridgesim.estimator import CHUNK_SIZE
 from bridgesim.sde import diffusion_values, drift_values
 from bridgesim.weights import batch_breakdown
 from conftest import (
     nondiagonal_sigma_setup,
-    rebuilt_channels,
     state_dependent_setup,
+    two_pass_breakdown,
 )
 
 
@@ -89,12 +90,10 @@ def state_dependent_planar():
     return bs.ModelSpec(dim=2, drift=drift, diffusion=diffusion)
 
 
-def one_path(grid, states, preclamp=None):
-    """A hand-built one-row batch: one path's states and, per
-    observation, its state before the terminal projection."""
-    return bs.BatchPaths(
-        grid=grid, path_ids=np.array([0]), states=states[None],
-        preclamp={k: v[None] for k, v in (preclamp or {}).items()})
+def one_path(grid, states):
+    """A hand-built one-row batch of one path's states."""
+    return bs.BatchPaths(grid=grid, path_ids=np.array([0]),
+                         states=states[None])
 
 
 def row_terms(model, obs, batch):
@@ -110,10 +109,26 @@ def total(bd) -> float:
     return float(sum(np.sum(arr) for arr in bd.values()))
 
 
-def girsanov(model, grid, states) -> float:
-    """The Girsanov term of one path, weighted without observations."""
-    return row_terms(model, bs.validate([]), one_path(grid, states))[
-        "girsanov"]
+def girsanov_terms(model, grid, u, ids):
+    """The Girsanov terms of bridges conditioned on no observation."""
+    batch = bs.simulate_batch(model, bs.validate([]), grid, u, 3, ids)
+    terms, issues = batch_breakdown(model, bs.validate([]), batch)
+    assert not issues
+    return terms["girsanov"], batch.states
+
+
+def assert_close_terms(got, want, tol=1e-12):
+    """Every term within ``tol`` relative to max(|value|, 1)."""
+    assert sorted(got) == sorted(want)
+    for name, arr in want.items():
+        assert got[name].shape == arr.shape, name
+        scale = np.maximum(np.abs(arr), 1.0)
+        assert (np.abs(got[name] - arr) <= tol * scale).all(), name
+
+
+def log_weights(terms):
+    return sum(terms[name].sum(axis=1) for name in TERM_NAMES) \
+        + terms["girsanov"]
 
 
 class TestDegenerateCases:
@@ -190,52 +205,30 @@ class TestReferenceAgreement:
                          "covar_term"):
                 assert np.isclose(bd[name][k], ref[k][name], atol=1e-12)
 
-    def test_hand_built_states(self, rng):
-        """The weight is a pure path functional: feed synthetic states."""
-        model = state_dependent_scalar()
-        obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.8],
-                                          window=0.5)], dim=1)
-        grid = bs.build_grid(1.0, obs, dt_base=0.25, dt_min=0.05)
-        states = rng.standard_normal((len(grid.nodes), 1))
-        states[-1, 0] = 0.8
-        pre = rng.standard_normal(1) * 0.1 + 0.8
-        batch = rebuilt_channels(model, obs, one_path(grid, states, {0: pre}))
-        bd = row_terms(model, obs, batch)
-        ref = reference_breakdown(model, obs, grid, states, {0: pre})[0]
-        for name in ("log_eta", "boundary", "drift_term", "dA_term",
-                     "covar_term"):
-            assert np.isclose(bd[name][0], ref[name], atol=1e-12)
-
-
-def assert_same_arrays(got, want):
-    assert len(got) == len(want)
-    for x, y in zip(got, want):
-        assert x.shape == y.shape and x.tobytes() == y.tobytes()
-
 
 class TestChannelRecord:
-    """The kernel keeps the channel precision behind each pull and
-    projection, its log-determinant and, through each observation's L,
-    the guiding drift it evaluated at each window step; they must be,
-    byte for byte, the ones rebuilt from the states, and weight the
-    paths identically."""
+    """The kernel adds each weight term as it steps, from the channel
+    behind each pull and projection and the drift it evaluated; its
+    terms and log-weights must be those of the two-pass reference, which
+    rebuilds every channel and drift from the states, to 1e-12 relative
+    to max(|value|, 1)."""
 
     def check(self, model, obs, grid, u, ids):
         batch = bs.simulate_batch(model, obs, grid, u, 5, ids)
-        rebuilt = rebuilt_channels(model, obs, batch)
-        assert_same_arrays(batch.precision, rebuilt.precision)
-        assert_same_arrays(batch.logdet, rebuilt.logdet)
-        assert_same_arrays(batch.observed_drift, rebuilt.observed_drift)
-        kept, _ = batch_breakdown(model, obs, batch)
-        again, _ = batch_breakdown(model, obs, rebuilt)
-        for name, arr in again.items():
-            assert kept[name].tobytes() == arr.tobytes(), name
+        kept, issues = batch_breakdown(model, obs, batch)
+        assert not issues
+        again, _ = two_pass_breakdown(model, obs, batch)
+        assert_close_terms(kept, again)
+        assert_close_terms({"log_w": log_weights(kept)},
+                           {"log_w": log_weights(again)})
         return batch
 
     def test_state_dependent_sigma(self):
         model, obs, grid, u = state_dependent_setup()
         batch = self.check(model, obs, grid, u, np.arange(40))
-        assert [p.shape[-1] for p in batch.precision] == [1, 2]
+        assert [arr.shape for arr in batch.terms.values()] == \
+            [(40, 2)] * len(TERM_NAMES) + [(40,)]
+        assert (batch.terms["dA_term"] != 0.0).all()
 
     def test_callable_shared_sigma(self):
         """A callable returning one (n, n) sigma factors one shared
@@ -249,12 +242,12 @@ class TestChannelRecord:
         self.check(model, obs, grid, np.array([0.5, -0.3]), np.arange(40))
 
     def test_array_sigma(self):
-        """An array sigma keeps read-only views of its one channel per
-        observation, which add no memory per path."""
+        """An array sigma's one channel per observation never moves, so
+        the variation terms are exactly 0."""
         model, obs, grid, u = nondiagonal_sigma_setup()
         batch = self.check(model, obs, grid, u, np.arange(40))
-        prec = batch.precision[0]
-        assert not prec.flags.writeable and prec.strides[:2] == (0, 0)
+        assert not batch.terms["dA_term"].any()
+        assert not batch.terms["covar_term"].any()
 
     def test_rows_of_blown_up_batch(self):
         """Every row of a batch with failed paths, the failed ones
@@ -264,50 +257,72 @@ class TestChannelRecord:
         alive = batch.failed_step < 0
         assert 0 < alive.sum() < len(alive)
 
+    @pytest.mark.parametrize("setup", ["ou2d", "ou2d_split",
+                                       "state_dependent"])
+    def test_whole_chunk(self, setup):
+        """A whole chunk of the criterion-06 model, plain and split, and
+        of a state-dependent sigma."""
+        def ou2d(split):
+            built = bs.ou(dim=2, f_diag=[-1.0, -0.5], sigma=[1.0, 1.5],
+                          drift_split=split)
+            obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.7])],
+                              dim=2)
+            grid = bs.build_grid(1.0, obs, dt_base=0.01, dt_min=1e-4,
+                                 include_times=[0.5])
+            return built.spec, obs, grid, np.array([0.5, -0.3])
+
+        model, obs, grid, u = {
+            "ou2d": lambda: ou2d(False), "ou2d_split": lambda: ou2d(True),
+            "state_dependent": state_dependent_setup}[setup]()
+        batch = self.check(model, obs, grid, u, np.arange(CHUNK_SIZE))
+        assert (batch.terms["girsanov"] != 0.0).any() == \
+            (setup == "ou2d_split")
+
     def test_kept_for_full_bridges_only(self):
-        """Every full bridge keeps the channel arrays and the guiding
-        drift through L per window, under an array sigma too; cut-off and
-        free batches keep none of them."""
+        """Every full bridge carries its terms, under an array sigma too;
+        cut-off and free batches carry none."""
         model, obs, grid, u = state_dependent_setup()
         array = bs.ou(dim=3).spec
-        steps = [grid.index_of(ob.time) - grid.index_of(ob.time - ob.window)
-                 for ob in obs.items]
-        shapes = [(2, j + 1, ob.m, ob.m) for j, ob in zip(steps, obs.items)]
         for spec in (model, array):
             full = bs.simulate_batch(spec, obs, grid, u, 5, [0, 1])
-            assert [p.shape for p in full.precision] == shapes
-            assert [d.shape for d in full.logdet] == [(2,), (2,)]
-            assert [d.shape for d in full.observed_drift] == \
-                [(2, j, ob.m) for j, ob in zip(steps, obs.items)]
+            assert sorted(full.terms) == sorted([*TERM_NAMES, "girsanov"])
+            assert full.terms["girsanov"].shape == (2,)
+            assert all(full.terms[name].shape == (2, 2)
+                       for name in TERM_NAMES)
+            assert full.issues == []
         cut = grid.nodes[-1] - grid.nodes[-2]
         cutoff = bs.simulate_batch(model, obs, grid, u, 5, [0],
                                    epsilon_cutoff=cut)
         free = bs.simulate_free_batch(model, grid, u, 5, [0])
         for batch in (cutoff, free):
-            assert batch.precision is None and batch.logdet is None
-            assert batch.observed_drift is None
+            assert batch.terms is None and batch.issues is None
 
     def test_cutoff_batch_rejected(self):
-        """The weights assume the full bridge: a cut-off batch, or one
-        built by hand, carries no channel precision and is not
-        weighted."""
+        """The weights assume the full bridge: a cut-off batch, a free
+        one, one built by hand, or a full bridge read against other
+        observations, carries no terms and is not weighted."""
         model, obs, grid, u = state_dependent_setup()
         cut = grid.nodes[-1] - grid.nodes[-2]
         batch = bs.simulate_batch(model, obs, grid, u, 5, [0],
                                   epsilon_cutoff=cut)
-        for unweighted in (batch, one_path(grid, batch.states[0])):
+        free = bs.simulate_free_batch(model, grid, u, 5, [0])
+        full = bs.simulate_batch(model, obs, grid, u, 5, [0])
+        for unweighted, against in ((batch, obs), (free, obs),
+                                    (one_path(grid, batch.states[0]), obs),
+                                    (full, bs.validate(obs.items[:1]))):
             with pytest.raises(InvalidConfigurationError):
-                batch_breakdown(model, obs, unweighted)
+                batch_breakdown(model, against, unweighted)
 
 
 class TestGirsanov:
     def test_requires_split(self):
         """The Girsanov term needs a drift split: without one its column
-        is exactly 0, even along a path under a non-zero drift."""
+        is exactly 0, even along paths under a non-zero drift."""
         model = bs.ou(dim=1).spec
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
         assert model.guided_drift is None
-        assert girsanov(model, grid, np.linspace(0, 1, 11)[:, None]) == 0.0
+        g, _ = girsanov_terms(model, grid, np.array([0.5]), np.arange(8))
+        assert (g == 0.0).all()
 
     def test_zero_remainder_gives_zero(self):
         model = bs.ModelSpec(
@@ -315,24 +330,27 @@ class TestGirsanov:
             diffusion=lambda t, x: np.eye(1),
             guided_drift=lambda t, x: -x)
         grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
-        assert girsanov(model, grid, np.linspace(0, 1, 11)[:, None]) == 0.0
+        g, _ = girsanov_terms(model, grid, np.array([0.5]), np.arange(8))
+        assert (g == 0.0).all()
 
     def test_constant_remainder_telescopes(self):
-        """b_check = c constant along a straight line: the left-point sums
-        collapse to c* a^-1 (z - u) - T c* a^-1 c / 2 exactly."""
+        """b_check = c constant: along any path the left-point sums
+        collapse to c* a^-1 (z - u) - T c* a^-1 c / 2, with z the end
+        state, under an array sigma and a callable one."""
         sigma = np.diag([0.5, 2.0])
         c = np.array([0.7, -0.4])
-        model = bs.ModelSpec(
-            dim=2, drift=lambda t, x: np.broadcast_to(c, x.shape),
-            diffusion=lambda t, x: sigma,
-            guided_drift=lambda t, x: np.zeros_like(x))
-        grid = bs.build_grid(2.0, None, dt_base=0.1, dt_min=0.1)
         u = np.array([0.1, 0.3])
-        z = np.array([1.4, -0.9])
-        line = u + np.linspace(0.0, 1.0, len(grid.nodes))[:, None] * (z - u)
+        grid = bs.build_grid(2.0, None, dt_base=0.1, dt_min=0.1)
         ainv = np.linalg.inv(sigma @ sigma.T)
-        expect = c @ ainv @ (z - u) - 0.5 * c @ ainv @ c * 2.0
-        assert np.isclose(girsanov(model, grid, line), expect, atol=1e-12)
+        for diffusion in (sigma, lambda t, x: sigma):
+            model = bs.ModelSpec(
+                dim=2, drift=lambda t, x: np.broadcast_to(c, x.shape),
+                diffusion=diffusion,
+                guided_drift=lambda t, x: np.zeros_like(x))
+            g, states = girsanov_terms(model, grid, u, np.arange(16))
+            expect = (states[:, -1] - u) @ ainv @ c \
+                - 0.5 * c @ ainv @ c * 2.0
+            assert np.allclose(g, expect, rtol=0.0, atol=1e-12)
 
     def test_double_well_weights_finite(self):
         built = bs.double_well(dim=1, bound=0.3)
@@ -345,88 +363,75 @@ class TestGirsanov:
         assert bd["girsanov"] != 0.0
 
 
+def first_nonfinite_steps(steps, n_obs):
+    """The issues that a scan of every step piece of ``steps`` (as
+    ``two_pass_breakdown`` returns them) finds: the first non-finite step
+    per row, term and observation, by observation, then term, then
+    row, with the Girsanov term last."""
+    found = []
+    order = [(name, k) for k in range(n_obs) for name in (
+        "boundary", "drift_term", "dA_term", "covar_term", "log_eta")]
+    for name, k in order + [("girsanov", -1)]:
+        j0, pieces = steps[name, k]
+        bad = ~np.isfinite(pieces)
+        found += [(int(r), name, k, None if j0 is None
+                   else j0 + int(np.argmax(bad[r])))
+                  for r in np.flatnonzero(bad.any(axis=1))]
+    return found
+
+
 class TestOverflowDetection:
     def test_nonfinite_state_in_window(self):
-        model = bs.brownian(dim=1).spec
+        """A drift that turns infinite inside the window makes the path's
+        drift term non-finite from that step on; the issue names the
+        step."""
         obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.5])], dim=1)
         grid = bs.build_grid(1.0, obs, dt_base=0.25, dt_min=0.05)
-        states = np.zeros((len(grid.nodes), 1))
-        states[len(grid.nodes) // 2, 0] = np.inf
-        batch = rebuilt_channels(model, obs, one_path(grid, states))
+        mid = grid.n_steps // 2
+        model = bs.ModelSpec(
+            dim=1, diffusion=np.eye(1),
+            drift=lambda t, x: np.full_like(
+                x, np.inf if t == grid.nodes[mid] else 0.0))
+        batch = bs.simulate_batch(model, obs, grid, np.zeros(1), 5, [0])
         _, issues = batch_breakdown(model, obs, batch)
-        assert issues
-        assert issues[0][1] in ("boundary", "drift_term", "dA_term",
-                                "covar_term", "log_eta")
+        assert issues == [(0, "drift_term", 0, mid)]
+        assert batch.failed_step[0] == mid
 
-    def test_issues_match_a_scan_of_every_step(self, monkeypatch):
-        """``put`` scans only terms with a non-finite row sum, yet a
-        batch with failed paths and a few poisoned rows lists the issues
-        that a scan of every step of every term finds, in that order."""
-        model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
-        batch = bs.simulate_batch(model, obs, grid, u, 5, np.arange(1024))
-        # failed paths hold a finite state, so poison a few rows' windows
-        for row, k, value in ((3, 0, np.inf), (700, 1, np.nan),
-                              (701, 1, -np.inf)):
-            ob = obs.items[k]
-            mid = (grid.index_of(ob.time - ob.window)
-                   + grid.index_of(ob.time)) // 2
-            batch.states[row, mid, row % 3] = value
-        batch.preclamp[1][900, 0] = np.inf
-        scanned = []
+    def test_issues_match_a_scan_of_every_step(self):
+        """A batch whose guided drift turns infinite or NaN for some rows
+        inside each window, and whose full drift turns infinite for
+        others, lists the issues that a scan of every step of every term
+        of the two-pass reference finds, in that order."""
+        base, obs, grid, u = state_dependent_setup()
+        t_a = grid.nodes[grid.index_of(0.4) // 2]
+        t_b = grid.nodes[(grid.index_of(0.4) + grid.index_of(1.0)) // 2]
+        t_c = grid.nodes[grid.index_of(0.55)]
 
-        def scan(term, k, values, j0=None):
-            steps = values if values.ndim == 2 else values[:, None]
-            scanned.extend((int(r), term, k, None if j0 is None
-                            else int(j0 + c))
-                           for r, c in zip(*np.nonzero(~np.isfinite(steps))))
+        def guided(t, x):
+            out = np.sin(x)
+            if t == t_a:
+                out = np.where(x[..., :1] > 0.5, np.inf, out)
+            if t == t_b:
+                out = np.where(x[..., 1:2] < -0.9, np.nan, out)
+            return out
 
-        observation_terms = weights._observation_terms
-        girsanov_batch = weights._girsanov_batch
+        def drift(t, x):
+            out = guided(t, x)
+            if t == t_c:
+                out = np.where(x[..., 2:] > 0.8, np.inf, out)
+            return out
 
-        def scanned_terms(model, batch, k, ob, rows):
-            # the whole batch once, so the scan sees every row in order
-            if rows.start == 0:
-                for term, values, j0 in observation_terms(
-                        model, batch, k, ob, slice(0, len(batch.states))):
-                    scan(term, k, values, j0)
-            yield from observation_terms(model, batch, k, ob, rows)
-
-        def scanned_girsanov(*args):
-            values = girsanov_batch(*args)
-            scan("girsanov", -1, values)
-            return values
-
-        monkeypatch.setattr(weights, "_observation_terms", scanned_terms)
-        monkeypatch.setattr(weights, "_girsanov_batch", scanned_girsanov)
+        model = bs.ModelSpec(dim=3, drift=drift, diffusion=base.diffusion,
+                             guided_drift=guided)
+        batch = bs.simulate_batch(model, obs, grid, u, 5, np.arange(512))
         _, issues = batch_breakdown(model, obs, batch)
-        assert (batch.failed_step >= 0).any()
-        assert {row for row, _, _, _ in issues} == {3, 700, 701, 900}
-        assert issues == scanned
-
-    def test_row_blocks_move_no_bit(self, monkeypatch):
-        """Window terms formed a few rows at a time give the bytes and
-        the issues, in order and with chunk rows, of one pass over every
-        row, for non-finite rows in two blocks of both windows."""
-        model, obs, grid, u = state_dependent_setup()
-        p_count = 2 * weights.ROW_BLOCK + 37
-        batch = bs.simulate_batch(model, obs, grid, u, 5, np.arange(p_count))
-        poisoned = (5, 2 * weights.ROW_BLOCK + 10)
-        for row in poisoned:
-            for ob in obs.items:
-                mid = (grid.index_of(ob.time - ob.window)
-                       + grid.index_of(ob.time)) // 2
-                batch.states[row, mid, 0] = np.inf
-        runs = []
-        for size in (p_count + 1, 1, 3, weights.ROW_BLOCK):
-            monkeypatch.setattr(weights, "ROW_BLOCK", size)
-            terms, issues = batch_breakdown(model, obs, batch)
-            runs.append(({name: arr.tobytes() for name, arr in terms.items()},
-                         issues))
-        whole = runs[0][1]
-        assert {row for row, _, _, _ in whole} == set(poisoned)
-        assert {k for _, _, k, _ in whole} == {0, 1}
-        for run in runs[1:]:
-            assert run == runs[0]
+        _, steps = two_pass_breakdown(model, obs, batch)
+        assert issues == first_nonfinite_steps(steps, len(obs.items))
+        assert {k for _, _, k, _ in issues} == {0, 1, -1}
+        assert {term for _, term, _, _ in issues} == {"drift_term",
+                                                      "girsanov"}
+        failed = set(np.flatnonzero(batch.failed_step >= 0).tolist())
+        assert failed and failed < {row for row, _, _, _ in issues}
 
     def test_unvalidated_observations_rejected(self):
         """No set reaches the weights unchecked: a window past the gap
