@@ -168,6 +168,23 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     # a state whose entries all lie within +-calm has squares of at most
     # cap2 / 4n (1 + eps), so its squared norm cannot reach cap2
     calm = 0.5 * np.sqrt(cap2 / n)
+
+    def check(new, old, j):
+        """Fail at step ``j`` the rows of ``new`` that blew up, and
+        freeze every failed row at its state in ``old``."""
+        nonlocal keep
+        # until a path fails, a state within +-calm needs no exact
+        # check; a NaN fails both comparisons
+        if keep is None and -calm <= new.min(initial=np.inf) \
+                and new.max(initial=-np.inf) <= calm:
+            return
+        # a non-finite entry fails the exact check too
+        within = dot(new, new) <= cap2
+        if keep is not None or not within.all():
+            failed[(failed < 0) & ~within] = j
+            keep = failed < 0
+            np.copyto(new, old, where=~keep[:, None])
+
     # each step's terms are formed in these
     term = batch_innermost(paths, (n,))  # a pull, a projection or noise
     resids = [batch_innermost(paths, (ob.m,)) for ob in obs.items]
@@ -260,17 +277,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             np.multiply(drift, dt, out=nxt)
             nxt += cur
             nxt += noise
-            # until a path fails, a step within +-calm needs no exact
-            # check; a NaN fails both comparisons
-            if keep is not None or not (
-                    -calm <= nxt.min(initial=np.inf)
-                    and nxt.max(initial=-np.inf) <= calm):
-                # a non-finite entry fails the exact check too
-                within = dot(nxt, nxt) <= cap2
-                if keep is not None or not within.all():
-                    failed[(failed < 0) & ~within] = j
-                    keep = failed < 0
-                    np.copyto(nxt, cur, where=~keep[:, None])
+            check(nxt, cur, j)
             cur, nxt = nxt, cur
 
             t = nodes[j + 1]
@@ -284,9 +291,10 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 lz -= ob.value
                 ch = chan(k0, diffusion_values(model.diffusion, t, cur, n))
                 variation(k0, j, lz, ch.A)
-                move = ch.pull(to_value, out=term)
-                np.add(cur, move, out=cur,
-                       where=True if keep is None else keep[:, None])
+                cur += ch.pull(to_value, out=term)
+                # an overflowing L a L* makes a projected state NaN; the
+                # check also puts back every row failed before
+                check(cur, nxt, j)
             states[:, j + 1] = cur
             if split:
                 # nxt still holds the state of node j

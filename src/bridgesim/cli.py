@@ -14,7 +14,7 @@ import numpy as np
 
 from . import __version__
 from .bridge import TERM_NAMES
-from .config import RunConfig, parse_config
+from .config import RunConfig, _json_object, parse_config
 from .errors import BridgeSimError, InvalidConfigurationError, error_kind
 # build_grid, run_ensemble and weighted_mean_se go uncalled here; they
 # stay for tracers that wrap them as bridgesim.cli names
@@ -23,28 +23,6 @@ from .estimator import (_ensemble, _moments, run_ensemble,  # noqa: F401
 from .oracle import condition, joint_law, observation_selector
 from .sde import NUMERICS_SCHEME, build_grid  # noqa: F401
 from .weights import normalize_log_weights
-
-THREADS_ENV = "BRIDGESIM_THREADS"
-
-
-def _resolve_threads(cli_value: Optional[int],
-                     config_value: Optional[int]) -> int:
-    if cli_value is not None:
-        return cli_value
-    if config_value is not None:
-        return config_value
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise InvalidConfigurationError(
-                f"{THREADS_ENV} must be an integer, got {env!r}")
-        if value < 1:
-            raise InvalidConfigurationError(f"{THREADS_ENV} must be >= 1")
-        return value
-    return 1
-
 
 def _oracle_values(config: RunConfig) -> Optional[list[float]]:
     """Exact value of each functional under the conditioned Gaussian law
@@ -71,8 +49,7 @@ def _oracle_values(config: RunConfig) -> Optional[list[float]]:
 def _csv_header(config: RunConfig) -> str:
     header = ["path_id", "log_weight"]
     for k in range(len(config.observations.items)):
-        header += [f"log_eta_{k}", f"boundary_{k}", f"drift_{k}",
-                   f"dA_{k}", f"covar_{k}"]
+        header += [f"{name.removesuffix('_term')}_{k}" for name in TERM_NAMES]
     header.append("girsanov")
     header += [f"f_{i}" for i in range(len(config.functionals))]
     return ",".join(header) + "\n"
@@ -136,7 +113,7 @@ def _outputs(config: RunConfig) -> tuple:
             (config.report_path, "outputs.report"))
 
 
-def run(config: RunConfig, threads: Optional[int] = None):
+def run(config: RunConfig, threads: int = 1):
     """Execute a run configuration; returns the report dict.
 
     Each chunk's CSV rows are formatted where the chunk was weighted and
@@ -166,8 +143,7 @@ def run(config: RunConfig, threads: Optional[int] = None):
 
         merged, n_failed = _ensemble(
             config.model.spec, config.observations, grid,
-            config.initial_state, config.n_paths, config.seed,
-            _resolve_threads(threads, config.threads),
+            config.initial_state, config.n_paths, config.seed, threads,
             config.validate_coefficients, emit=emit,
             sink=csv_out and csv_out.write)
         weights, log_norm, ess = normalize_log_weights(merged["log_weights"])
@@ -231,14 +207,8 @@ def run_validate(config: RunConfig):
 
 
 def _load(path: str, overrides: argparse.Namespace) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
-            raise InvalidConfigurationError(
-                f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise InvalidConfigurationError("config must be a JSON object")
+    with open(path, "rb") as fh:
+        raw = _json_object(fh.read())
     # overrides are applied before digesting so reruns agree byte for byte
     if getattr(overrides, "seed", None) is not None:
         raw["seed"] = overrides.seed
@@ -260,12 +230,11 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--paths", type=int, default=None)
-    p_run.add_argument("--threads", type=int, default=None,
+    p_run.add_argument("--threads", type=int, default=1,
                        help="forked worker processes that run the path "
-                            "chunks (default: the config's threads, then "
-                            "$BRIDGESIM_THREADS, then 1, which runs them in "
-                            "this process); results are bit-identical for "
-                            "any count")
+                            "chunks (default 1, which runs them in this "
+                            "process); results are bit-identical for any "
+                            "count")
 
     p_oracle = sub.add_parser("oracle", help="print exact conditional "
                                              "marginals for linear models")

@@ -10,7 +10,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import InvalidConfigurationError, InvalidObservationError
-from .models import REGISTRY, BuiltModel, build_model
+from .models import BuiltModel, build_model
 from .observations import Observation, ObservationSet, validate
 from .sde import TimeGrid, build_grid
 
@@ -50,7 +50,6 @@ class RunConfig:
     horizon: float
     n_paths: int
     seed: int
-    threads: Optional[int]
     validate_coefficients: bool
     functionals: tuple[FunctionalSpec, ...]
     report_path: Optional[str]
@@ -104,21 +103,28 @@ def config_digest(raw: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def _json_object(source) -> dict:
+    """``source``, JSON text (bytes are UTF-8) or an already-decoded
+    value, as a JSON object."""
+    if isinstance(source, (str, bytes)):
+        try:
+            source = json.loads(source.decode() if isinstance(source, bytes)
+                                else source)
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise InvalidConfigurationError(
+                f"config is not valid JSON: {exc}") from None
+    if not isinstance(source, dict):
+        raise InvalidConfigurationError("config must be a JSON object")
+    return source
+
+
 def parse_config(source) -> RunConfig:
     """Parse and validate a run configuration.
 
     ``source`` is a JSON string or an already-decoded dict.  Errors
     carry a dotted ``field`` path into the offending entry.
     """
-    if isinstance(source, (str, bytes)):
-        try:
-            raw = json.loads(source)
-        except ValueError as exc:  # bad JSON or undecodable bytes
-            raise InvalidConfigurationError(f"config is not valid JSON: {exc}")
-    else:
-        raw = source
-    if not isinstance(raw, dict):
-        raise InvalidConfigurationError("config must be a JSON object")
+    raw = _json_object(source)
 
     version = _require(raw, "schema_version", "")
     if version != SCHEMA_VERSION:
@@ -130,20 +136,15 @@ def parse_config(source) -> RunConfig:
     if not isinstance(model_raw, dict):
         raise InvalidConfigurationError("model must be an object", field="model")
     name = _require(model_raw, "name", "model.")
-    if name not in REGISTRY:
-        raise InvalidConfigurationError(
-            f"unknown model '{name}'; available: {sorted(REGISTRY)}",
-            field="model.name")
-    params = model_raw.get("params", {})
-    if not isinstance(params, dict):
-        raise InvalidConfigurationError("model params must be an object",
-                                        field="model.params")
-    drift_split = _boolean(model_raw.get("drift_split", False),
-                           "model.drift_split")
-    if name == "double_well" and model_raw.get("drift_split") is False:
-        raise InvalidConfigurationError(
-            "double_well always splits its drift", field="model.drift_split")
-    built = build_model(name, params, drift_split)
+    drift_split = model_raw.get("drift_split")
+    try:  # build_model's fields, like _boolean's here, lie under model.
+        built = build_model(name, model_raw.get("params"),
+                            None if drift_split is None
+                            else _boolean(drift_split, "drift_split"))
+    except InvalidConfigurationError as exc:
+        if exc.field:
+            exc.field = f"model.{exc.field}"
+        raise
     dim = built.spec.dim
 
     obs_raw = _require(raw, "observations", "")
@@ -159,22 +160,18 @@ def parse_config(source) -> RunConfig:
         matrix = _require(entry, "matrix", path + ".")
         value = _require(entry, "value", path + ".")
         window = entry.get("window")
+        window = None if window is None else _number(window, path + ".window")
         try:
-            items.append(Observation(
-                time=time, matrix=np.asarray(matrix, dtype=float),
-                value=np.asarray(value, dtype=float),
-                window=None if window is None else _number(window,
-                                                           path + ".window")))
+            items.append(Observation(time=time, matrix=matrix, value=value,
+                                     window=window))
         except (TypeError, ValueError) as exc:
             raise InvalidConfigurationError(f"malformed observation: {exc}",
                                             field=path)
     try:
         observations = validate(items, dim=dim)
-    except InvalidObservationError as exc:
-        suffix = f".{exc.field}" if exc.field else ""
-        index = exc.index if exc.index is not None else 0
+    except InvalidObservationError as exc:  # each names its entry
         raise InvalidConfigurationError(
-            str(exc), field=f"observations[{index}]{suffix}") from exc
+            str(exc), field=f"observations[{exc.index}].{exc.field}") from exc
 
     horizon = raw.get("horizon")
     horizon = float(observations.times.max()) if horizon is None \
@@ -206,12 +203,6 @@ def parse_config(source) -> RunConfig:
     if n_paths < 1:
         raise InvalidConfigurationError("n_paths must be >= 1", field="n_paths")
     seed = _integer(_require(raw, "seed", ""), "seed")
-    threads = raw.get("threads")
-    if threads is not None:
-        threads = _integer(threads, "threads")
-        if threads < 1:
-            raise InvalidConfigurationError("threads must be >= 1",
-                                            field="threads")
     validate_flag = _boolean(raw.get("validate", False), "validate")
 
     fun_raw = _require(raw, "functionals", "")
@@ -265,7 +256,7 @@ def parse_config(source) -> RunConfig:
         model_name=name, model=built, observations=observations,
         grid=GridSettings(dt_base=dt_base, dt_min=dt_min, refine_ratio=ratio),
         time_grid=time_grid, initial_state=initial_state, horizon=horizon,
-        n_paths=n_paths, seed=seed, threads=threads,
+        n_paths=n_paths, seed=seed,
         validate_coefficients=validate_flag,
         functionals=tuple(functionals), report_path=report_path,
         ensemble_csv=ensemble_csv, digest=config_digest(raw))

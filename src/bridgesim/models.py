@@ -7,7 +7,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidConfigurationError
-from .oracle import LinearModel
+from .oracle import LinearModel, _sigma_matrix, _vector
 from .sde import ModelSpec
 
 
@@ -26,45 +26,9 @@ class BuiltModel:
         return LinearModel(F_diag=f_diag, c=c, sigma=sigma, u=u)
 
 
-def _sigma_matrix(dim: int, sigma) -> np.ndarray:
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) \
-            or dim < 1:
-        raise InvalidConfigurationError("dim must be a positive integer")
-    arr = np.asarray(sigma, dtype=float)
-    if arr.ndim == 0:
-        out = float(arr) * np.eye(dim)
-    elif arr.ndim == 1:
-        if arr.shape != (dim,):
-            raise InvalidConfigurationError(
-                f"sigma vector must have length {dim}")
-        out = np.diag(arr)
-    elif arr.shape == (dim, dim):
-        out = arr.copy()
-    else:
-        raise InvalidConfigurationError(
-            f"sigma must be a scalar, a length-{dim} vector, or "
-            f"a {dim}x{dim} matrix")
-    if not np.all(np.isfinite(out)):
-        raise InvalidConfigurationError("sigma must be finite")
-    if np.linalg.svd(out, compute_uv=False).min() <= 0:
-        raise InvalidConfigurationError("sigma must be nonsingular")
-    return out
-
-
 def _ellipticity_of(sigma: np.ndarray) -> float:
     sv = np.linalg.svd(sigma, compute_uv=False)
     return float(max(sv.max() ** 2, 1.0 / sv.min() ** 2) * (1.0 + 1e-9))
-
-
-def _vector(dim: int, value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(dim, float(arr))
-    if arr.shape != (dim,):
-        raise InvalidConfigurationError(f"{name} must have length {dim}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidConfigurationError(f"{name} must be finite")
-    return arr
 
 
 def brownian(dim: int = 1, sigma=1.0, drift_split: bool = False) -> BuiltModel:
@@ -128,17 +92,25 @@ REGISTRY = {
 
 
 def build_model(name: str, params: dict | None = None,
-                drift_split: bool = False) -> BuiltModel:
-    """Instantiate a built-in model by name."""
-    if name not in REGISTRY:
+                drift_split: Optional[bool] = None) -> BuiltModel:
+    """Instantiate a built-in model by name.  ``drift_split`` None takes
+    the model's default: no split, except for double_well, which always
+    splits and so rejects ``False``.  An error in the name, the params
+    or the split names it in ``field``."""
+    if not isinstance(name, str) or name not in REGISTRY:
         raise InvalidConfigurationError(
-            f"unknown model '{name}'; available: {sorted(REGISTRY)}")
-    params = dict(params or {})
+            f"unknown model '{name}'; available: {sorted(REGISTRY)}",
+            field="name")
+    if not isinstance(params, (dict, type(None))):
+        raise InvalidConfigurationError("model params must be an object",
+                                        field="params")
+    if name == "double_well" and drift_split is False:
+        raise InvalidConfigurationError(
+            "double_well always splits its drift", field="drift_split")
+    split = {} if name == "double_well" else {
+        "drift_split": bool(drift_split)}
     try:
-        if name == "double_well":
-            # always split; the drift_split flag is redundant here
-            return double_well(**params)
-        return REGISTRY[name](drift_split=drift_split, **params)
+        return REGISTRY[name](**split, **(params or {}))
     except InvalidConfigurationError:
         raise
     except (TypeError, ValueError) as exc:

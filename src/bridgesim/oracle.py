@@ -14,6 +14,43 @@ from .observations import ObservationSet
 from .sde import TimeGrid
 
 
+def _vector(dim: int, value, name: str) -> np.ndarray:
+    """``value``, a scalar or a length-``dim`` vector, as a finite
+    length-``dim`` vector."""
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(dim, float(arr))
+    if arr.shape != (dim,):
+        raise InvalidConfigurationError(f"{name} must have length {dim}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidConfigurationError(f"{name} must be finite")
+    return arr
+
+
+def _sigma_matrix(dim: int, sigma) -> np.ndarray:
+    """``sigma``, a scalar, a length-``dim`` vector (the diagonal) or a
+    (dim, dim) matrix, as a finite nonsingular (dim, dim) matrix."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) \
+            or dim < 1:
+        raise InvalidConfigurationError("dim must be a positive integer")
+    arr = np.asarray(sigma, dtype=float)
+    if arr.ndim == 0:
+        out = float(arr) * np.eye(dim)
+    elif arr.ndim == 1:
+        out = np.diag(_vector(dim, arr, "sigma"))
+    elif arr.shape == (dim, dim):
+        out = arr.copy()
+    else:
+        raise InvalidConfigurationError(
+            f"sigma must be a scalar, a length-{dim} vector, or "
+            f"a {dim}x{dim} matrix")
+    if not np.all(np.isfinite(out)):
+        raise InvalidConfigurationError("sigma must be finite")
+    if np.linalg.svd(out, compute_uv=False).min() <= 0:
+        raise InvalidConfigurationError("sigma must be nonsingular")
+    return out
+
+
 @dataclass(frozen=True)
 class LinearModel:
     """dx = (F x + c) dt + Sigma dW with diagonal F, constant Sigma,
@@ -25,26 +62,11 @@ class LinearModel:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "F_diag",
-                           np.atleast_1d(np.asarray(self.F_diag, dtype=float)))
-        object.__setattr__(self, "c",
-                           np.atleast_1d(np.asarray(self.c, dtype=float)))
-        sig = np.asarray(self.sigma, dtype=float)
-        n = self.F_diag.shape[0]
-        if sig.ndim == 0:
-            sig = float(sig) * np.eye(n)
-        elif sig.ndim == 1:
-            sig = np.diag(sig)
-        object.__setattr__(self, "sigma", sig)
-        object.__setattr__(self, "u",
-                           np.atleast_1d(np.asarray(self.u, dtype=float)))
-        if self.c.shape != (n,) or self.u.shape != (n,) \
-                or self.sigma.shape != (n, n):
-            raise InvalidConfigurationError(
-                "linear model fields have inconsistent dimensions")
-        if np.linalg.svd(self.sigma, compute_uv=False).min() <= 0:
-            raise InvalidConfigurationError(
-                "linear model noise matrix must be nonsingular")
+        n = np.size(self.F_diag)
+        for name in ("F_diag", "c", "u"):
+            object.__setattr__(self, name, _vector(n, getattr(self, name),
+                                                   name))
+        object.__setattr__(self, "sigma", _sigma_matrix(n, self.sigma))
 
     @property
     def dim(self) -> int:

@@ -158,9 +158,7 @@ def diffusion_values(fn: Union[Coefficient, np.ndarray], t: float,
     if not callable(fn):
         return fn
     out = np.asarray(fn(t, states), dtype=float)
-    if out.shape == (dim, dim):
-        return out
-    if out.shape == states.shape[:-1] + (dim, dim):
+    if out.shape in ((dim, dim), states.shape[:-1] + (dim, dim)):
         return out
     raise InvalidConfigurationError(
         f"diffusion returned shape {out.shape}, expected "

@@ -316,6 +316,37 @@ class TestBatchBehavior:
             frozen = batch.states[p, failed[p]:]
             assert (frozen == frozen[0]).all()
 
+    def test_projection_that_blows_up_fails_the_row(self):
+        """Where sigma is 1e200 at the observation, L a L* overflows and
+        the projection would leave a NaN state.  Such a row fails at the
+        step that landed on the observation and keeps its state of the
+        node before; every other row is pinned, and a run with that many
+        failures raises."""
+        def sigma(t, x):
+            big = (t >= 1.0) & (x[..., 0] > 0.3)
+            return np.where(big, 1e200, 1.0)[..., None, None] * np.eye(1)
+
+        model = bs.ModelSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
+                             diffusion=sigma)
+        obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.3])], dim=1)
+        grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
+        u = np.zeros(1)
+        batch = bs.simulate_batch(model, obs, grid, u, 3, np.arange(64))
+        bad = batch.preclamp[0][:, 0] > 0.3
+        assert bad.sum() == 34
+        assert not np.isnan(batch.states).any()
+        assert (batch.failed_step[bad] == grid.n_steps - 1).all()
+        assert (batch.failed_step[~bad] == -1).all()
+        assert (batch.states[bad, -1] == batch.states[bad, -2]).all()
+        assert np.allclose(batch.states[~bad, -1, 0], 0.3,
+                           rtol=0.0, atol=1e-12)
+        for p in np.flatnonzero(bad)[:3]:
+            alone = bs.simulate_batch(model, obs, grid, u, 3, [p])
+            assert alone.failed_step[0] == batch.failed_step[p]
+            assert batch.states[p].tobytes() == alone.states[0].tobytes()
+        with pytest.raises(UnstableRunError, match="34 of 64"):
+            bs.run_ensemble(model, obs, grid, u, 64, seed=3)
+
     def test_blowup_check_rows_alone(self):
         """One batch holds paths that step beyond the short-circuit bound
         of the blow-up check but stay within the cap, paths whose norm

@@ -81,7 +81,7 @@ class TestParseConfig:
         assert cfg.horizon == 1.0                      # last observation
         assert cfg.observations.items[0].window == 1.0  # gap default
         assert np.allclose(cfg.initial_state, [0.0])
-        assert cfg.threads is None
+        assert not hasattr(cfg, "threads")
         assert cfg.functionals[0].kind == "coordinate"
         assert len(cfg.digest) == 64
 
@@ -108,7 +108,6 @@ class TestParseConfig:
         (lambda c: c["grid"].update(dt_min=1.0), "grid.dt_min"),
         (lambda c: c.update(schema_version=2), "schema_version"),
         (lambda c: c.update(initial_state=[0.0, 0.0]), "initial_state"),
-        (lambda c: c.update(threads=0), "threads"),
         (lambda c: c.update(horizon=0.5), "horizon"),
         (lambda c: c["functionals"][0].update(type="median"),
          "functionals[0].type"),
@@ -134,6 +133,10 @@ class TestParseConfig:
             "outputs.ensemble_csv", id="outputs-collide"),
         pytest.param(lambda c: c["observations"][0].update(window=5e-4),
                      "grid.dt_min", id="window-not-above-dt_min"),
+        pytest.param(lambda c: c["observations"][0].update(window="abc"),
+                     "observations[0].window", id="window-not-a-number"),
+        pytest.param(lambda c: c["model"].update(name=["ou"]), "model.name",
+                     id="unhashable-model-name"),
     ])
     def test_field_paths_in_errors(self, mutate, field):
         raw = base_config()
@@ -169,6 +172,38 @@ class TestParseConfig:
             bs.parse_config(raw)
         assert e.value.field == "model.drift_split"
         assert bs.parse_config(base_config()).model.spec.guided_drift is None
+
+    @pytest.mark.parametrize("entry", ["build_model", "parse_config"])
+    def test_model_rules_hold_at_both_entries(self, entry):
+        """``build_model`` owns the registry lookup, the params rule and
+        double_well's split rule; ``parse_config`` reaches them through
+        it and only prefixes the field with ``model.``."""
+        def build(name, split=None, params=None):
+            params = {"dim": 1} if params is None else params
+            if entry == "build_model":
+                return bs.build_model(name, params, split)
+            model = {"name": name, "params": params}
+            if split is not None:
+                model["drift_split"] = split
+            return bs.parse_config(base_config(model=model)).model
+
+        prefix = "" if entry == "build_model" else "model."
+        with pytest.raises(InvalidConfigurationError,
+                           match="unknown model 'nope'") as e:
+            build("nope")
+        assert e.value.field == prefix + "name"
+        with pytest.raises(InvalidConfigurationError,
+                           match="model params must be an object") as e:
+            build("ou", params=[["dim", 1]])
+        assert e.value.field == prefix + "params"
+        with pytest.raises(InvalidConfigurationError,
+                           match="double_well always splits") as e:
+            build("double_well", False)
+        assert e.value.field == prefix + "drift_split"
+        for split in (None, True):
+            assert build("double_well", split).spec.guided_drift is not None
+        assert build("ou").spec.guided_drift is None
+        assert build("ou", True).spec.guided_drift is not None
 
     def test_invalid_json_string(self):
         with pytest.raises(InvalidConfigurationError):
@@ -471,23 +506,18 @@ class TestRunCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["n_paths"] == 50
 
-    def test_threads_env_default(self, tmp_path, monkeypatch, capsys):
-        csv_env = tmp_path / "env.csv"
-        csv_ref = tmp_path / "ref.csv"
-        cfg_env = base_config(outputs={"ensemble_csv": str(csv_env)})
-        cfg_ref = base_config(outputs={"ensemble_csv": str(csv_ref)})
-        monkeypatch.setenv("BRIDGESIM_THREADS", "3")
-        assert main(["run", write_config(tmp_path, cfg_env, "e.json")]) == 0
-        monkeypatch.delenv("BRIDGESIM_THREADS")
-        assert main(["run", write_config(tmp_path, cfg_ref, "r.json")]) == 0
-        assert csv_env.read_bytes() == csv_ref.read_bytes()
-
-    def test_bad_threads_env(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BRIDGESIM_THREADS", "many")
-        status = main(["run", write_config(tmp_path, base_config())])
-        assert status == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["type"] == "invalid-configuration"
+    def test_threads_key_is_ignored(self, tmp_path):
+        """The worker count is an argument of the call only; a config's
+        ``threads`` is an unknown key like any other and changes no
+        byte."""
+        csv_key, csv_ref = tmp_path / "key.csv", tmp_path / "ref.csv"
+        with_key = base_config(threads=2, n_paths=CHUNK_SIZE + 100,
+                               outputs={"ensemble_csv": str(csv_key)})
+        without = base_config(n_paths=CHUNK_SIZE + 100,
+                              outputs={"ensemble_csv": str(csv_ref)})
+        assert main(["run", write_config(tmp_path, with_key, "k.json")]) == 0
+        assert main(["run", write_config(tmp_path, without, "r.json")]) == 0
+        assert csv_key.read_bytes() == csv_ref.read_bytes()
 
     def test_report_is_strict_json(self, tmp_path):
         """The state at time 0 is the initial state on every path, so
@@ -746,6 +776,20 @@ class TestErrorReporting:
             {"type": "io-error", "field": "outputs.report",
              "message": "[Errno 21] Is a directory: 'outdir'"})
 
+    def test_zero_threads_writes_nothing(self, tmp_path, capsys):
+        """``--threads 0`` is an invalid-configuration error that leaves
+        no CSV, report or staging file."""
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = base_config(outputs={"report": str(out / "report.json"),
+                                   "ensemble_csv": str(out / "paths.csv")})
+        assert main(["run", write_config(tmp_path, cfg),
+                     "--threads", "0"]) == 1
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "invalid-configuration"
+        assert err["message"] == "threads must be >= 1"
+        assert list(out.iterdir()) == []
+
     def test_colliding_outputs_write_nothing(self, tmp_path, capsys):
         """A report and CSV on one path would leave only the CSV; the run
         is rejected before it writes either."""
@@ -759,19 +803,27 @@ class TestErrorReporting:
         assert err["field"] == "outputs.ensemble_csv"
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("content", [b'{"schema_version": 1,',
-                                         b"\xff\xfe{}"],
-                             ids=["truncated", "not-utf8"])
+    @pytest.mark.parametrize("content, message", [
+        pytest.param(b'{"schema_version": 1,', "config is not valid JSON: ",
+                     id="truncated"),
+        pytest.param(b"\xff\xfe{}", "config is not valid JSON: ",
+                     id="not-utf8"),
+        pytest.param(b"[1, 2]", "config must be a JSON object",
+                     id="not-an-object")])
     def test_malformed_config_file_reported(self, tmp_path, capsys,
-                                            content):
-        """A config file that is not JSON, or not UTF-8, is an
-        invalid-configuration error, not a traceback."""
+                                            content, message):
+        """A config file that is not JSON, not UTF-8 or not a JSON object
+        is an invalid-configuration error, not a traceback, with the
+        message that ``parse_config`` gives the same bytes."""
         path = tmp_path / "config.json"
         path.write_bytes(content)
         assert main(["validate", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)["error"]
         assert err["type"] == "invalid-configuration"
-        assert err["message"].startswith("config is not valid JSON: ")
+        assert err["message"].startswith(message)
+        with pytest.raises(InvalidConfigurationError) as e:
+            bs.parse_config(content)
+        assert err["message"] == str(e.value)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("existing", [None, b"kept,bytes\n"])

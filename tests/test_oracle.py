@@ -108,10 +108,33 @@ class TestJointLaw:
             bs.joint_law(lm, [-0.1, 0.5])
 
     def test_singular_sigma_rejected(self):
-        with pytest.raises(InvalidConfigurationError):
-            bs.LinearModel(F_diag=[0.0, 0.0], c=[0.0, 0.0],
-                           sigma=np.array([[1.0, 0.0], [1.0, 0.0]]),
-                           u=[0.0, 0.0])
+        """The model constructors, LinearModel and parse_config check
+        sigma by one rule, so each rejects a singular, non-finite or
+        misshapen sigma with the same message."""
+        def through_config(sigma):
+            return bs.parse_config({
+                "schema_version": 1, "n_paths": 10, "seed": 1,
+                "model": {"name": "ou", "params": {"dim": 2,
+                                                   "sigma": sigma}},
+                "observations": [{"time": 1.0, "matrix": [[1.0, 0.0]],
+                                  "value": [0.0]}],
+                "grid": {"dt_base": 0.1}, "functionals": []})
+
+        entries = [
+            lambda sigma: bs.ou(dim=2, sigma=sigma),
+            lambda sigma: bs.LinearModel(F_diag=[0.0, 0.0], c=[0.0, 0.0],
+                                         sigma=sigma, u=[0.0, 0.0]),
+            through_config]
+        for sigma, message in [
+                ([[1.0, 0.0], [1.0, 0.0]], "sigma must be nonsingular"),
+                ([1.0, np.nan], "sigma must be finite"),
+                ([1.0, 2.0, 3.0], "sigma must have length 2"),
+                ([[[1.0]]], "sigma must be a scalar, a length-2 vector, "
+                            "or a 2x2 matrix")]:
+            for entry in entries:
+                with pytest.raises(InvalidConfigurationError) as e:
+                    entry(sigma)
+                assert str(e.value) == message
 
 
 class TestCondition:
