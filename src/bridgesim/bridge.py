@@ -95,27 +95,6 @@ class _Terms:
         return found
 
 
-def _window_step_table(grid: TimeGrid, obs: ObservationSet,
-                       cutoff: Optional[float]):
-    """Per observation: (first guided step, one past last guided step,
-    observation node index, observation)."""
-    table = []
-    for k, ob in enumerate(obs.items):
-        j0 = grid.index_of(ob.time - ob.window)
-        j1 = grid.index_of(ob.time)
-        if cutoff is None:
-            js = j1
-        else:
-            try:
-                js = grid.index_of(ob.time - cutoff)
-            except InvalidConfigurationError as exc:
-                raise InvalidConfigurationError(
-                    f"grid has no node at T_k - epsilon = {ob.time - cutoff!r} "
-                    f"for observation {k}") from exc
-        table.append((j0, js, j1, ob))
-    return table
-
-
 def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
            seed: int, path_ids, drift_fn: Coefficient,
            cutoff: Optional[float], validate: bool, weigh: bool,
@@ -137,12 +116,30 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             raise InvalidConfigurationError(
                 "epsilon_cutoff must lie strictly between 0 and the "
                 "smallest window length")
-    table = _window_step_table(grid, obs, cutoff)
-    clamp_nodes = {} if cutoff is not None else {
-        j1: k for k, (_, _, j1, _) in enumerate(table)}
 
     nodes = grid.nodes.tolist()
     m_steps = grid.n_steps
+    # per step, the observation whose window holds it, and per node, the
+    # one projected there; window k opens at T_k - w_k but no earlier
+    # than the node of T_{k-1}, as ObservationSet keeps it, so at most
+    # one window is open at any step of any grid
+    guided, projected = [None] * m_steps, [None] * (m_steps + 1)
+    j1, ends = 0, []  # each observation's node
+    for k, ob in enumerate(obs.items):
+        j0 = max(grid.index_of(ob.time - ob.window), j1)
+        j1 = js = grid.index_of(ob.time)
+        ends.append(j1)
+        if cutoff is None:
+            projected[js] = k
+        else:
+            try:
+                js = grid.index_of(ob.time - cutoff)
+            except InvalidConfigurationError as exc:
+                raise InvalidConfigurationError(
+                    f"grid has no node at T_k - epsilon = {ob.time - cutoff!r} "
+                    f"for observation {k}") from exc
+        guided[j0:js] = [k] * (js - j0)
+
     ids = path_id_array(path_ids)
     p_count = len(ids)
     # every per-chunk array keeps the path axis innermost in memory; the
@@ -187,7 +184,6 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     # each step's terms are formed in these
     term = batch_innermost(paths, (n,))  # a pull, a projection or noise
-    resids = [batch_innermost(paths, (ob.m,)) for ob in obs.items]
     # constant sigma: one channel per observation serves the pull at
     # every step and the terminal projection
     sig_c = model.constant_sigma
@@ -198,11 +194,11 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         return channel(sig, obs.items[k].matrix) if channels is None \
             else channels[k]
 
-    terms = _Terms(p_count, len(table)) if weigh else None
-    # per observation: the residual L z - v and the precision A at the
-    # previous window node
-    kept = [batch_innermost(paths, (ob.m,)) for ob in obs.items]
-    prec = [None] * len(table)
+    terms = _Terms(p_count, len(obs.items)) if weigh else None
+    # the open window's end time, the buffer its next residual fills,
+    # and its residual L z - v and precision A at the previous window
+    # node, set when it opens
+    t_end = spare = kept = prec = None
 
     def variation(k, i, r, A):
         """Add the dA and covar pieces of step ``i``, from window node i
@@ -210,8 +206,8 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         constant sigma they are exactly 0."""
         if channels is not None:
             return
-        r0, dA = kept[k], A - prec[k]
-        denom = -2.0 * (nodes[table[k][2]] - nodes[i])
+        r0, dA = kept, A - prec
+        denom = -2.0 * (t_end - nodes[i])
         qa = dot(vecmat(r0, dA), r0)
         qa /= denom
         terms.add("dA_term", k, qa, i)
@@ -248,19 +244,23 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 half = dot(x, bc)
                 half *= 0.5
                 half *= dt
-            # nxt = cur + (b - sum of pull / (T_k - t)) dt + noise
-            for k, (j0, js, j1, ob) in enumerate(table):
-                if j0 <= j < js:
-                    resid = vecmat(cur, ob.matrix.T, out=resids[k])
-                    resid -= ob.value
-                    ch = chan(k, sig)
-                    pull = ch.pull(resid, out=term)
-                    pull /= nodes[j1] - t
-                    drift = np.subtract(drift, pull, out=nxt)
-                    if not weigh:
-                        continue
+            # nxt = cur + (b - pull / (T_k - t)) dt + noise
+            k = guided[j]
+            if k is not None:
+                ob = obs.items[k]
+                if opens := j == 0 or guided[j - 1] != k:
+                    t_end = nodes[ends[k]]
+                    spare, kept = (batch_innermost(paths, (ob.m,))
+                                   for _ in range(2))
+                resid = vecmat(cur, ob.matrix.T, out=spare)
+                resid -= ob.value
+                ch = chan(k, sig)
+                pull = ch.pull(resid, out=term)
+                pull /= t_end - t
+                drift = np.subtract(drift, pull, out=nxt)
+                if weigh:
                     rA = vecmat(resid, ch.A)
-                    if j == j0:
+                    if opens:
                         q = dot(rA, resid)
                         q /= -2.0 * ob.window
                         terms.add("boundary", k, q, None)
@@ -268,9 +268,9 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                         variation(k, j - 1, resid, ch.A)
                     q = dot(rA, vecmat(b, ob.matrix.T))
                     q *= -dt
-                    q /= nodes[j1] - t
+                    q /= t_end - t
                     terms.add("drift_term", k, q, j)
-                    resids[k], kept[k], prec[k] = kept[k], resid, ch.A
+                    spare, kept, prec = kept, resid, ch.A
             # the noise drawn into row j + 1 is read before it is stored
             noise = matvec(sig, states[:, j + 1], out=term)
             noise *= np.sqrt(dt)
@@ -281,16 +281,18 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             cur, nxt = nxt, cur
 
             t = nodes[j + 1]
-            k0 = clamp_nodes.get(j + 1)
+            k0 = projected[j + 1]
             if k0 is not None:
-                # the state before the projection ends the window's terms
+                # the state before the projection ends the window's
+                # terms, if the step into it was in the window
                 ob = obs.items[k0]
                 preclamp[k0] = cur.copy(order="K")
-                lz = vecmat(cur, ob.matrix.T, out=resids[k0])
+                lz = vecmat(cur, ob.matrix.T)
                 to_value = ob.value - lz
                 lz -= ob.value
                 ch = chan(k0, diffusion_values(model.diffusion, t, cur, n))
-                variation(k0, j, lz, ch.A)
+                if guided[j] == k0:
+                    variation(k0, j, lz, ch.A)
                 cur += ch.pull(to_value, out=term)
                 # an overflowing L a L* makes a projected state NaN; the
                 # check also puts back every row failed before

@@ -158,9 +158,9 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     if threads < 1:
         raise InvalidConfigurationError("threads must be >= 1")
 
-    chunks = [np.arange(s, min(s + CHUNK_SIZE, n_paths))
-              for s in range(0, n_paths, CHUNK_SIZE)]
-    n_workers = _worker_count(threads, len(chunks))
+    # chunk i holds path ids [starts[i], stop(i))
+    starts = range(0, n_paths, CHUNK_SIZE)
+    n_workers = _worker_count(threads, len(starts))
     shape = (grid.n_steps + 1, model.dim, n_paths)
     if emit:
         states = None
@@ -171,8 +171,11 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     else:
         states = batch_innermost((n_paths,), shape[:2])
 
+    def stop(index: int) -> int:
+        return min(starts[index] + CHUNK_SIZE, n_paths)
+
     def work(index: int):
-        ids = chunks[index]
+        ids = np.arange(starts[index], stop(index))
         sim = simulate_batch(model, obs, grid, u, seed, ids, validate=validate,
                              out=None if emit else states[ids[0]:ids[-1] + 1])
         # a row's terms do not depend on the other rows, so the failed
@@ -194,9 +197,9 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         return emit(rows) if emit else (rows, None)
 
     if n_workers > 1:
-        results = _map_in_workers(work, len(chunks), n_workers)
+        results = _map_in_workers(work, len(starts), n_workers)
     else:
-        results = map(work, range(len(chunks)))
+        results = map(work, range(len(starts)))
     # each chunk's rows are copied into place as it arrives and dropped
     # before the next chunk runs, so one chunk's result at most is held
     merged: dict = {} if emit else {"states": states}
@@ -210,7 +213,7 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 merged[key] = batch_innermost((n_paths,), arr.shape[1:],
                                               arr.dtype)
             merged[key][size:size + count] = arr
-        if states is not None and size + count <= chunks[index][-1]:
+        if states is not None and size + count < stop(index):
             # a path's row is its id; one node at a time keeps copies small
             for j in range(states.shape[1]):
                 states[size:size + count, j] = states[rows["path_ids"], j]

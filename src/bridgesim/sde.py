@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -111,18 +110,12 @@ class TimeGrid:
     def steps(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    @cached_property
-    def _times(self) -> tuple:
-        # Python floats bisect several times faster than searchsorted
-        # on the array, which builds numpy scalars on every call
-        return tuple(self.nodes.tolist())
-
     def index_of(self, time: float) -> int:
         """Index of the grid node nearest ``time``, within 1e-9 of it or,
         past horizon 1000, within the 1e-12 horizon by which
         :func:`build_grid` merges anchors into one node."""
-        horizon = self._times[-1] if self._times else 0.0
-        return _index_near(self._times, time, max(1e-9, 1e-12 * horizon))
+        horizon = float(self.nodes[-1]) if len(self.nodes) else 0.0
+        return _index_near(self.nodes, time, max(1e-9, 1e-12 * horizon))
 
 
 @dataclass
@@ -277,7 +270,8 @@ def _index_near(values, x: float, tol: float) -> int:
     # values[i - 1] < x <= values[i]: the nearest is one of the two
     if i == len(values) or (i and x - values[i - 1] <= values[i] - x):
         i -= 1
-    if i < 0 or abs(values[i] - x) > tol:
+    # written so that a NaN time fails
+    if i < 0 or not abs(values[i] - x) <= tol:
         raise InvalidConfigurationError(f"time {x!r} is not a grid node")
     return i
 
@@ -367,7 +361,7 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
         pts.append((float(ob.time - ob.window), 1))
     for t in include_times:
         t = float(t)
-        if t < -tol or t > horizon + tol:
+        if not -tol <= t <= horizon + tol:  # a NaN fails too
             raise InvalidConfigurationError(
                 f"include time {t} lies outside [0, horizon]")
         pts.append((min(max(t, 0.0), horizon), 2))

@@ -98,6 +98,35 @@ class TestPinning:
             resid = batch.states[:, j] @ ob.matrix.T - ob.value
             assert np.abs(resid).max() <= 1e-12
 
+    @pytest.mark.parametrize("hand_built", [False, True])
+    def test_window_past_the_gap_opens_at_the_previous_observation(
+            self, hand_built):
+        """A second window of 0.5 (1 + 1e-12), which ObservationSet
+        admits, reaches a node before the first observation's on a grid
+        with dt_min 1e-13, or with one node 1e-13 before it.  It opens at
+        the first observation's node, as a window of exactly 0.5 does:
+        the paths and drift terms keep their bytes, and the boundary term
+        moves only by the window's length."""
+        model = bs.ou(dim=2).spec
+
+        def run(window):
+            obs = bs.validate([
+                bs.Observation(0.5, [[0.6, 0.8]], [0.3]),
+                bs.Observation(1.0, [[0.0, 1.0]], [-0.2], window=window),
+            ], dim=2)
+            grid = bs.TimeGrid(np.sort(np.append(
+                np.linspace(0.0, 1.0, 41), 0.5 - 1e-13))) if hand_built \
+                else bs.build_grid(1.0, obs, 0.05, 1e-13)
+            return bs.simulate_batch(model, obs, grid, np.zeros(2), 3,
+                                     np.arange(64))
+
+        exact, wide = run(0.5), run(0.5 * (1.0 + 1e-12))
+        assert wide.states.tobytes() == exact.states.tobytes()
+        assert wide.terms["drift_term"].tobytes() == \
+            exact.terms["drift_term"].tobytes()
+        assert np.abs(wide.terms["boundary"][:, 1]
+                      - exact.terms["boundary"][:, 1]).max() <= 1e-11
+
     def test_preclamp_miss_shrinks_with_dt_min(self):
         """The residual before terminal projection is an Euler leftover of
         size sqrt(dt_min); refining the grid shrinks it."""

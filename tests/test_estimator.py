@@ -430,6 +430,27 @@ class TestEnsembleBuffer:
         assert peak - held < CHUNK_BUDGET_MB["state_dependent"] * 2 ** 20 \
             + rows
 
+    def test_chunks_are_bounds_not_id_lists(self, monkeypatch):
+        """A run of 10^6 paths holds its chunks as bounds: up to the
+        first chunk's simulation it allocates under 1 MB, not an id
+        array per chunk."""
+        model, obs, grid, u = TestChunkWorkingSet.ou2d()
+
+        def first_call(*args, **kwargs):
+            raise RuntimeError("first chunk")
+
+        monkeypatch.setattr(estimator, "simulate_batch", first_call)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with pytest.raises(RuntimeError, match="first chunk"):
+                estimator._ensemble(model, obs, grid, u, 10 ** 6, 3, 1,
+                                    False, emit=lambda rows: (rows, None))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 2 ** 20
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_rows_squeezed_out_in_chunk_order(self, threads,
                                                      monkeypatch):

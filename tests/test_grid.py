@@ -108,8 +108,9 @@ class TestRefined:
         grid = bs.build_grid(1.0, obs, dt_base=0.01, dt_min=1e-4)
         assert grid.index_of(0.0) == 0
         assert grid.index_of(1.0) == grid.n_steps
-        with pytest.raises(InvalidConfigurationError):
-            grid.index_of(0.123456)
+        for time in (0.123456, np.nan):
+            with pytest.raises(InvalidConfigurationError):
+                grid.index_of(time)
 
     def test_index_of_picks_the_nearest_node(self):
         """Nodes 5e-10 apart, both within index_of's tolerance of either
@@ -216,6 +217,9 @@ class TestValidation:
         with pytest.raises(InvalidConfigurationError):
             bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.01,
                           include_times=[-0.2])
+        with pytest.raises(InvalidConfigurationError):
+            bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.01,
+                          include_times=[np.nan])
 
 
 @st.composite
