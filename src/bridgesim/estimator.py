@@ -11,12 +11,13 @@ import numpy as np
 from .bridge import TERM_NAMES, simulate_batch
 from .errors import InvalidConfigurationError, UnstableRunError
 from .observations import ObservationSet
-from .sde import ModelSpec, PathSample, TimeGrid, batch_innermost
+from .sde import (NOISE_BLOCK, ModelSpec, PathSample, TimeGrid,
+                  batch_innermost)
 from .weights import batch_breakdown, normalize_log_weights
 
-# Paths are simulated and weighted this many at a time; a path's bits
-# depend on neither the chunk size nor the worker count.
-CHUNK_SIZE = 2048
+# The cap on a chunk, which bounds its working set; ``_chunk_rows`` sizes
+# each run's chunks, and a path's bits depend on neither size nor workers.
+CHUNK_SIZE = 8192
 
 FAILURE_CEILING = 0.01
 
@@ -84,17 +85,27 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(threads: int, n_chunks: int) -> int:
-    """Worker processes to fork for ``n_chunks`` chunks: at most
-    ``threads``, the chunk count and the usable CPUs.  1 means the chunks
-    run in the calling process, as they do where ``fork`` is missing.
-    A one-worker run never imports ``multiprocessing``."""
-    if min(threads, n_chunks) <= 1:
+def _worker_count(threads: int, n_paths: int) -> int:
+    """Worker processes to fork for ``n_paths`` paths: at most
+    ``threads``, the usable CPUs and one per 2048 paths (or per cap, if
+    lower).  1 means the chunks run in the calling process, as they do
+    where ``fork`` is missing.  A one-worker run never imports
+    ``multiprocessing``."""
+    most = min(threads, -(-n_paths // min(CHUNK_SIZE, 2048)))
+    if most <= 1:
         return 1
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
-    return min(threads, n_chunks, _usable_cpus())
+    return min(most, _usable_cpus())
+
+
+def _chunk_rows(n_paths: int, n_workers: int) -> int:
+    """Paths per chunk: all of them at one worker, and at least two
+    chunks per worker when forking, rounded up to whole noise blocks,
+    then held between 2048 and ``CHUNK_SIZE``, the cap winning."""
+    rows = -(-n_paths // (2 * n_workers)) if n_workers > 1 else n_paths
+    return min(CHUNK_SIZE, max(2048, -(-rows // NOISE_BLOCK) * NOISE_BLOCK))
 
 
 # Set by the pool initializer in each forked worker, never in the caller,
@@ -159,8 +170,9 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         raise InvalidConfigurationError("threads must be >= 1")
 
     # chunk i holds path ids [starts[i], stop(i))
-    starts = range(0, n_paths, CHUNK_SIZE)
-    n_workers = _worker_count(threads, len(starts))
+    n_workers = _worker_count(threads, n_paths)
+    per_chunk = _chunk_rows(n_paths, n_workers)
+    starts = range(0, n_paths, per_chunk)
     shape = (grid.n_steps + 1, model.dim, n_paths)
     if emit:
         states = None
@@ -172,7 +184,7 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         states = batch_innermost((n_paths,), shape[:2])
 
     def stop(index: int) -> int:
-        return min(starts[index] + CHUNK_SIZE, n_paths)
+        return min(starts[index] + per_chunk, n_paths)
 
     def work(index: int):
         ids = np.arange(starts[index], stop(index))
@@ -233,13 +245,13 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                  validate: bool = False) -> WeightedEnsemble:
     """Simulate and weight ``n_paths`` independent bridges.
 
-    Work proceeds in fixed-size chunks of path indices.  With
-    ``threads > 1`` the chunks run in up to that many forked worker
-    processes (never more than the chunks or the usable CPUs); the count
-    only schedules chunks and never changes any result.  One worker, one
-    chunk, or a platform without the ``fork`` start method runs the
-    chunks in this process.  Failed paths are dropped and counted, and
-    the run aborts once more than 1% of paths fail.
+    Work proceeds in chunks of path indices.  With ``threads > 1`` the
+    chunks run in up to that many forked worker processes, never more
+    than one per 2048 paths or the usable CPUs; each run sizes its chunks
+    from the workers it uses (``_chunk_rows``).  Neither changes any
+    result.  One worker, or a platform without the ``fork`` start method,
+    runs the chunks in this process.  Failed paths are dropped and
+    counted, and the run aborts once more than 1% of paths fail.
     """
     rows, n_failed = _ensemble(model, obs, grid, u, n_paths, seed, threads,
                                validate)

@@ -142,7 +142,7 @@ def drift_values(fn: Coefficient, t: float, states: np.ndarray,
     if out.shape == (dim,):
         return np.broadcast_to(out, states.shape)
     raise InvalidConfigurationError(
-        f"drift returned shape {out.shape}, expected {states.shape} or {(dim,)}")
+        f"drift returned shape {out.shape}, expected (..., {dim}) or {(dim,)}")
 
 
 def diffusion_values(fn: Union[Coefficient, np.ndarray], t: float,
@@ -155,7 +155,7 @@ def diffusion_values(fn: Union[Coefficient, np.ndarray], t: float,
         return out
     raise InvalidConfigurationError(
         f"diffusion returned shape {out.shape}, expected "
-        f"{states.shape[:-1] + (dim, dim)} or {(dim, dim)}")
+        f"(..., {dim}, {dim}) or {(dim, dim)}")
 
 
 def batch_innermost(batch: tuple, shape: tuple,

@@ -3,9 +3,29 @@ import numpy as np
 import pytest
 
 import bridgesim as bs
+from bridgesim import estimator
 from bridgesim.observations import channel
 from bridgesim.sde import diffusion_values, dot, drift_values, vecmat
 from bridgesim.bridge import TERM_NAMES
+
+
+# The chunk the multi-chunk tests are built around: pinned as the cap by
+# the ``chunk_cap`` fixture, it gives a run chunks of exactly this many
+# paths at any worker count, and forks one worker per chunk at most.
+CHUNK = 2048
+
+
+@pytest.fixture
+def chunk_cap(monkeypatch):
+    monkeypatch.setattr(estimator, "CHUNK_SIZE", CHUNK)
+
+
+def chunk_count(n_paths: int, threads: int = 1) -> int:
+    """Chunks that a run of ``n_paths`` at ``threads`` splits into, by the
+    estimator's rule at the current cap."""
+    rows = estimator._chunk_rows(
+        n_paths, estimator._worker_count(threads, n_paths))
+    return -(-n_paths // rows)
 
 
 def rand_orthonormal(rng: np.random.Generator, m: int, n: int) -> np.ndarray:

@@ -30,7 +30,7 @@ import bridgesim.cli
 from bridgesim import estimator
 from bridgesim.sde import NUMERICS_SCHEME
 
-from conftest import state_dependent_setup
+from conftest import chunk_count, state_dependent_setup
 
 TABLE = pathlib.Path(__file__).resolve().with_name("digests.json")
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -163,6 +163,7 @@ def compute() -> dict:
     # failed paths in each of three chunks, the last a partial one
     model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
     with _chunk_size(400):
+        assert chunk_count(1100) == 3
         ens = bs.run_ensemble(model, obs, grid, u, 1100, seed=4)
     rep = bs.estimate(ens, lambda e: e.state_at(0.55))
     arrays.update(_ensemble_arrays("blowup", ens, [
@@ -180,6 +181,7 @@ def compute() -> dict:
     # three chunks of 128 paths, split over two workers
     with _chunk_size(128):
         for threads in (1, 2):
+            assert chunk_count(CLI_CONFIG["n_paths"], threads) == 3
             csv, report = _cli_outputs(threads)
             table[f"cli.csv.t{threads}"] = _entry(
                 csv, np.loadtxt(io.BytesIO(csv), delimiter=",", skiprows=1))

@@ -10,8 +10,7 @@ import bridgesim.estimator
 from bridgesim import models
 from bridgesim.cli import _csv_header, _csv_rows, main
 from bridgesim.errors import InvalidConfigurationError
-from bridgesim.estimator import CHUNK_SIZE
-from conftest import state_dependent_setup
+from conftest import CHUNK, chunk_count, state_dependent_setup
 
 
 def base_config(**updates):
@@ -378,7 +377,7 @@ class TestRunCommand:
         assert str(2 ** 62 + 3) in text
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_run_matches_full_ensemble(self, tmp_path, threads):
+    def test_run_matches_full_ensemble(self, tmp_path, threads, chunk_cap):
         """The run's CSV and report estimates are the bytes built from
         the ensemble of ``run_ensemble``, which keeps every state."""
         report_path = tmp_path / "report.json"
@@ -389,13 +388,14 @@ class TestRunCommand:
                               "sigma": [1.0, 1.5]}},
             observations=[{"time": 1.0, "matrix": [[1.0, 0.0]],
                            "value": [0.7]}],
-            initial_state=[0.5, -0.3], n_paths=CHUNK_SIZE + 100,
+            initial_state=[0.5, -0.3], n_paths=CHUNK + 100,
             functionals=[
                 {"type": "coordinate", "time": 0.5, "coordinate": 0},
                 {"type": "marginal_var", "time": 0.5, "coordinate": 0},
                 {"type": "coordinate", "time": 1.0, "coordinate": 1}],
             outputs={"report": str(report_path),
                      "ensemble_csv": str(csv_path)})
+        assert chunk_count(raw["n_paths"], int(threads)) == 2
         assert main(["run", write_config(tmp_path, raw),
                      "--threads", threads]) == 0
 
@@ -419,16 +419,17 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_paths_dropped_per_chunk(self, tmp_path, monkeypatch,
-                                            threads):
+                                            threads, chunk_cap):
         """With failed paths in several chunks, under the 1% ceiling,
         each chunk's CSV rows and the report's estimates, ESS and
         ``log_norm`` are the bytes built from the ensemble of
         ``run_ensemble`` at the same worker count."""
         report_path = tmp_path / "report.json"
         csv_path = tmp_path / "paths.csv"
-        raw = blowup_config(monkeypatch, 3.3, n_paths=2 * CHUNK_SIZE + 100,
+        raw = blowup_config(monkeypatch, 3.3, n_paths=2 * CHUNK + 100,
                             outputs={"report": str(report_path),
                                      "ensemble_csv": str(csv_path)})
+        assert chunk_count(raw["n_paths"], int(threads)) == 3
         assert main(["run", write_config(tmp_path, raw),
                      "--threads", threads]) == 0
 
@@ -440,7 +441,7 @@ class TestRunCommand:
                                grid, cfg.initial_state, cfg.n_paths, cfg.seed,
                                threads=int(threads))
         failed = np.setdiff1d(np.arange(cfg.n_paths), full.path_ids)
-        assert len(np.unique(failed // CHUNK_SIZE)) >= 2
+        assert len(np.unique(failed // CHUNK)) >= 2
         assert 0 < full.n_failed <= 0.01 * cfg.n_paths
         fvals = np.column_stack([full.state_at(0.55)[:, 0],
                                  full.state_at(1.0)[:, 2]])
@@ -458,7 +459,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_parent_merges_only_weights_and_values(self, tmp_path,
-                                                   monkeypatch, threads):
+                                                   monkeypatch, threads,
+                                                   chunk_cap):
         """Each chunk reaches the parent as its log-weights (K,) and its
         functional values (K, q) alone, no states, ids or weight terms,
         and those arrays hold the bytes of the CSV's ``log_weight`` and
@@ -472,8 +474,9 @@ class TestRunCommand:
 
         monkeypatch.setattr(bridgesim.cli, "_ensemble", recording)
         csv_path = tmp_path / "paths.csv"
-        raw = blowup_config(monkeypatch, 3.3, n_paths=CHUNK_SIZE + 100,
+        raw = blowup_config(monkeypatch, 3.3, n_paths=CHUNK + 100,
                             outputs={"ensemble_csv": str(csv_path)})
+        assert chunk_count(raw["n_paths"], int(threads)) == 2
         q = len(raw["functionals"])
         assert main(["run", write_config(tmp_path, raw),
                      "--threads", threads]) == 0
@@ -506,15 +509,16 @@ class TestRunCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["n_paths"] == 50
 
-    def test_threads_key_is_ignored(self, tmp_path):
+    def test_threads_key_is_ignored(self, tmp_path, chunk_cap):
         """The worker count is an argument of the call only; a config's
         ``threads`` is an unknown key like any other and changes no
         byte."""
         csv_key, csv_ref = tmp_path / "key.csv", tmp_path / "ref.csv"
-        with_key = base_config(threads=2, n_paths=CHUNK_SIZE + 100,
+        with_key = base_config(threads=2, n_paths=CHUNK + 100,
                                outputs={"ensemble_csv": str(csv_key)})
-        without = base_config(n_paths=CHUNK_SIZE + 100,
+        without = base_config(n_paths=CHUNK + 100,
                               outputs={"ensemble_csv": str(csv_ref)})
+        assert chunk_count(CHUNK + 100, 2) == 2
         assert main(["run", write_config(tmp_path, with_key, "k.json")]) == 0
         assert main(["run", write_config(tmp_path, without, "r.json")]) == 0
         assert csv_key.read_bytes() == csv_ref.read_bytes()
@@ -828,7 +832,8 @@ class TestErrorReporting:
     @pytest.mark.parametrize("threads", ["1", "2"])
     @pytest.mark.parametrize("existing", [None, b"kept,bytes\n"])
     def test_unstable_run_leaves_csv_untouched(self, tmp_path, monkeypatch,
-                                               capsys, threads, existing):
+                                               capsys, threads, existing,
+                                               chunk_cap):
         """An unstable run, whose rows were streamed chunk by chunk,
         leaves no CSV where there was none, keeps the bytes of one that
         was there, and leaves no temporary file."""
@@ -837,8 +842,9 @@ class TestErrorReporting:
         csv_path = out / "paths.csv"
         if existing is not None:
             csv_path.write_bytes(existing)
-        raw = blowup_config(monkeypatch, 2.5, n_paths=CHUNK_SIZE + 100,
+        raw = blowup_config(monkeypatch, 2.5, n_paths=CHUNK + 100,
                             outputs={"ensemble_csv": str(csv_path)})
+        assert chunk_count(raw["n_paths"], int(threads)) == 2
         status = main(["run", write_config(tmp_path, raw),
                        "--threads", threads])
         assert status == 1

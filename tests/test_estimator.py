@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bridgesim as bs
 import bridgesim.estimator as estimator
@@ -18,8 +20,11 @@ from bridgesim.errors import (
     UnstableRunError,
 )
 from bridgesim.estimator import CHUNK_SIZE, weighted_mean_se
+from bridgesim.sde import NOISE_BLOCK
 from bridgesim.weights import batch_breakdown
 from conftest import (
+    CHUNK,
+    chunk_count,
     nondiagonal_sigma_setup,
     state_dependent_setup,
     two_pass_breakdown,
@@ -52,8 +57,13 @@ class TestRunEnsemble:
         assert np.array_equal(a.path_ids, b.path_ids)
 
     def test_thread_count_does_not_change_results(self):
+        """One chunk in process and two over two workers give the same
+        bits."""
         model, obs, grid = brownian_setup(dt_base=0.05)
-        n = CHUNK_SIZE + 700    # forces two chunks
+        n = CHUNK + 700
+        assert chunk_count(n, 1) == 1
+        assert chunk_count(n, 4) == (
+            2 if estimator._worker_count(4, n) > 1 else 1)
         serial = bs.run_ensemble(model, obs, grid, np.zeros(1), n, seed=2,
                                  threads=1)
         threaded = bs.run_ensemble(model, obs, grid, np.zeros(1), n, seed=2,
@@ -115,7 +125,7 @@ class TestRunEnsemble:
                            bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
         grid = bs.build_grid(1.0, obs, dt_base=0.02, dt_min=1e-3)
         u = np.array([0.5, -0.3])
-        n_paths = CHUNK_SIZE + 100
+        n_paths = CHUNK + 100
         const = bs.run_ensemble(spec(sigma), obs, grid, u, n_paths, seed=3,
                                 threads=threads)
         ref = bs.run_ensemble(spec(lambda t, x: sigma), obs, grid, u,
@@ -131,19 +141,21 @@ class TestRunEnsemble:
         assert np.any(ref.breakdown["girsanov"] != 0.0)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_kernel_record_matches_rebuilt_weights(self, threads):
+    def test_kernel_record_matches_rebuilt_weights(self, threads,
+                                                   chunk_cap):
         """The ensemble's terms are the bytes of the retained rows of each
         whole chunk's own batch, failed paths included, whose terms agree
         with the two-pass reference rebuilt from its states to 1e-12
         relative to max(|value|, 1)."""
         model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
-        n_paths = CHUNK_SIZE + 100
+        n_paths = CHUNK + 100
+        assert chunk_count(n_paths, threads) == 2
         ens = bs.run_ensemble(model, obs, grid, u, n_paths, seed=5,
                               threads=threads)
         assert 0 < ens.n_failed <= 0.01 * n_paths
         parts = []
-        for start in range(0, n_paths, CHUNK_SIZE):
-            ids = np.arange(start, min(start + CHUNK_SIZE, n_paths))
+        for start in range(0, n_paths, CHUNK):
+            ids = np.arange(start, min(start + CHUNK, n_paths))
             sim = bs.simulate_batch(model, obs, grid, u, 5, ids)
             alive = sim.failed_step < 0
             terms, issues = batch_breakdown(model, obs, sim)
@@ -281,15 +293,16 @@ class TestChunkLayout:
             "nondiagonal_sigma": nondiagonal_sigma_setup,
             "drift_split": self.drift_split}[setup]()
         runs = []
-        for size in (1, 3, 1024):
+        for size, chunks in ((1, 7), (3, 3), (1024, 1)):
             monkeypatch.setattr(estimator, "CHUNK_SIZE", size)
+            assert chunk_count(7) == chunks
             runs.append(ensemble_bytes(bs.run_ensemble(model, obs, grid, u,
                                                        7, seed=8)))
         assert runs[0]["n_failed"] == 0
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
 
-    def test_weights_reuse_the_kernel_drift(self):
+    def test_weights_reuse_the_kernel_drift(self, chunk_cap):
         """The weights read the drift the kernel evaluated: one drift
         call per step per chunk."""
         calls = []
@@ -302,16 +315,17 @@ class TestChunkLayout:
         obs = bs.validate([bs.Observation(0.5, [[0.6, 0.8]], [0.2]),
                            bs.Observation(1.0, [[1.0, 0.0]], [0.7])], dim=2)
         grid = bs.build_grid(1.0, obs, dt_base=0.05, dt_min=1e-3)
-        bs.run_ensemble(model, obs, grid, np.zeros(2), CHUNK_SIZE + 1, seed=2)
+        assert chunk_count(CHUNK + 1) == 2
+        bs.run_ensemble(model, obs, grid, np.zeros(2), CHUNK + 1, seed=2)
         assert len(calls) == 2 * grid.n_steps
 
 
 class TestNonFiniteWeights:
-    def test_path_with_a_non_finite_weight_is_dropped(self):
+    def test_path_with_a_non_finite_weight_is_dropped(self, chunk_cap):
         """A 1-D Brownian bridge simulated under a zero ``guided_drift``
         whose full drift is NaN beyond |x| = 1.7: every path simulates
         cleanly, and the paths that pass 1.7 before the last step (11 of
-        ``CHUNK_SIZE + 100``, in both chunks) get a NaN Girsanov term.
+        ``CHUNK + 100``, in both chunks) get a NaN Girsanov term.
         Those, and only those, are dropped and counted, with the same
         bytes in one process and over two workers."""
         bound = 1.7
@@ -320,12 +334,13 @@ class TestNonFiniteWeights:
             drift=lambda t, x: np.where(np.abs(x) > bound, np.nan, 0.0),
             guided_drift=lambda t, x: np.zeros_like(x))
         _, obs, grid = brownian_setup(value=0.0)
-        n_paths = CHUNK_SIZE + 100
+        n_paths = CHUNK + 100
+        assert chunk_count(n_paths, 1) == chunk_count(n_paths, 2) == 2
         sim = bs.simulate_batch(model, obs, grid, np.zeros(1), 9,
                                 np.arange(n_paths))
         assert (sim.failed_step < 0).all()
         past = (np.abs(sim.states[:, :-1, 0]) > bound).any(axis=1)
-        assert 0 < past[:CHUNK_SIZE].sum() and 0 < past[CHUNK_SIZE:].sum()
+        assert 0 < past[:CHUNK].sum() and 0 < past[CHUNK:].sum()
         assert past.sum() <= 0.01 * n_paths
         runs = [bs.run_ensemble(model, obs, grid, np.zeros(1), n_paths,
                                 seed=9, threads=threads)
@@ -352,7 +367,8 @@ def owned_bytes(arrays) -> int:
 
 
 # the one-pass working set of a 2048-row chunk above its states: the
-# kernel's per-step rows and its terms, never an array per window step
+# kernel's per-step rows and its terms, never an array per window step;
+# it grows in proportion to the rows
 CHUNK_BUDGET_MB = {"ou2d": 1.0, "state_dependent": 2.5}
 
 
@@ -374,15 +390,24 @@ class TestChunkWorkingSet:
         """The kernel peaks under the chunk budget above its states (for a
         state-dependent sigma, 2.5 MB at 2048 rows), and handing back its
         terms allocates nothing."""
+        self.check_transients(setup, 2048)
+
+    def test_transients_grow_with_the_rows(self):
+        """At the cap, 8192 rows, a state-dependent chunk peaks under 4
+        times the 2048-row budget."""
+        assert CHUNK_SIZE == 4 * 2048
+        self.check_transients("state_dependent", CHUNK_SIZE)
+
+    def check_transients(self, setup, rows):
         model, obs, grid, u = {
             "ou2d": self.ou2d,
             "state_dependent": lambda: state_dependent_setup(
                 dt_base=0.01, dt_min=1e-4)}[setup]()
-        ids = np.arange(CHUNK_SIZE)
-        assert CHUNK_SIZE == 2048
-        # the first run fills any one-off caches before memory is traced
+        ids = np.arange(rows)
+        # a first run of one noise block fills any one-off caches before
+        # memory is traced
         batch_breakdown(model, obs, bs.simulate_batch(model, obs, grid, u,
-                                                      3, ids))
+                                                      3, ids[:64]))
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -398,21 +423,22 @@ class TestChunkWorkingSet:
                             *batch.terms.values()])
         assert held - base >= kept
         assert sim_peak - base - batch.states.nbytes \
-            < CHUNK_BUDGET_MB[setup] * 2 ** 20
+            < CHUNK_BUDGET_MB[setup] * rows / 2048 * 2 ** 20
         assert weigh_peak - held < 4096
 
 
 class TestEnsembleBuffer:
     """Chunks are simulated straight into the ensemble's states."""
 
-    def test_run_holds_each_state_once(self):
+    def test_run_holds_each_state_once(self, chunk_cap):
         """A one-process run of three chunks under a callable sigma peaks
         no more than one chunk's working set and the rows it hands back
         above the ensemble it returns: no chunk's states are held
         besides it."""
         model, obs, grid, u = state_dependent_setup(dt_base=0.01,
                                                     dt_min=1e-4)
-        n_paths = 3 * CHUNK_SIZE - 100
+        n_paths = 3 * CHUNK - 100
+        assert chunk_count(n_paths) == 3
         # the first run fills any one-off caches before memory is traced
         bs.run_ensemble(model, obs, grid, u, 10, seed=3)
         tracemalloc.start()
@@ -426,7 +452,7 @@ class TestEnsembleBuffer:
         assert held - base >= ens.states.nbytes
         rows = sum(arr.nbytes for arr in (
             ens.path_ids, ens.log_weights, *ens.breakdown.values(),
-            *ens.preclamp.values())) * CHUNK_SIZE // n_paths
+            *ens.preclamp.values())) * CHUNK // n_paths
         assert peak - held < CHUNK_BUDGET_MB["state_dependent"] * 2 ** 20 \
             + rows
 
@@ -461,6 +487,7 @@ class TestEnsembleBuffer:
         monkeypatch.setattr(estimator, "CHUNK_SIZE", 400)
         model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
         n_paths, seed = 1100, 4
+        assert chunk_count(n_paths, threads) == 3
         sent = []
         mapped = estimator._map_in_workers
 
@@ -490,13 +517,51 @@ class TestEnsembleBuffer:
         for k in pre:
             assert ens.preclamp[k].tobytes() == \
                 np.concatenate(pre[k]).tobytes()
-        if estimator._worker_count(threads, 3) > 1:
+        if estimator._worker_count(threads, n_paths) > 1:
             assert len(sent) == 3
         else:
             assert sent == []
         for shapes in sent:
             assert "states" not in shapes
             assert all(len(shape) < 3 for shape in shapes.values())
+
+
+class TestChunkRows:
+    """Each run sizes its chunks from its path count and the workers it
+    actually uses."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_paths=st.integers(1, 10 ** 6), workers=st.integers(1, 4))
+    def test_rule(self, n_paths, workers):
+        # a run forks at most one worker per 2048 paths
+        workers = min(workers, -(-n_paths // 2048))
+        rows = estimator._chunk_rows(n_paths, workers)
+        n_chunks = -(-n_paths // rows)
+        assert rows % NOISE_BLOCK == 0
+        assert rows <= CHUNK_SIZE
+        assert min(rows, n_paths) >= min(2048, n_paths)
+        if workers == 1:
+            assert n_chunks == -(-n_paths // CHUNK_SIZE)
+        else:
+            # two chunks per worker, unless 2048-path chunks are fewer
+            assert n_chunks >= min(2 * workers, -(-n_paths // 2048))
+            assert n_chunks >= workers
+
+    def test_sizes(self, monkeypatch):
+        """20k paths over two workers are four chunks of 5056, even at
+        threads=64; at one worker, 9000 are a cap-sized chunk and an
+        808-path tail."""
+        monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+        if estimator._worker_count(2, 20000) < 2:
+            pytest.skip("needs fork")
+        for threads in (2, 64):
+            workers = estimator._worker_count(threads, 20000)
+            assert workers == 2
+            assert estimator._chunk_rows(20000, workers) == 5056
+        assert estimator._chunk_rows(9000, 1) == CHUNK_SIZE == 8192
+        assert estimator._chunk_rows(9000, 2) == 2304
+        assert estimator._chunk_rows(4200, 2) == 2048
+        assert estimator._worker_count(64, 2048) == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -517,28 +582,30 @@ class TestWorkerPool:
         assert back.args == exc.args
         assert vars(back) == vars(exc) == attrs
 
-    def test_bits_do_not_depend_on_workers(self):
+    def test_bits_do_not_depend_on_workers(self, chunk_cap):
         """2 chunks plus a one-path chunk, with failed paths in two
         chunks: every array is byte-equal at 1, 2 and 3 workers."""
         model, obs, grid, u = state_dependent_setup(blowup_at=3.3)
-        n_paths = 2 * CHUNK_SIZE + 1
+        n_paths = 2 * CHUNK + 1
+        assert [chunk_count(n_paths, t) for t in (1, 2, 3)] == [3, 3, 3]
         runs = [ensemble_bytes(bs.run_ensemble(model, obs, grid, u, n_paths,
                                                seed=5, threads=threads))
                 for threads in (1, 2, 3)]
         failed = np.setdiff1d(np.arange(n_paths),
                               np.frombuffer(runs[0]["path_ids"], dtype=int))
-        assert len(np.unique(failed // CHUNK_SIZE)) >= 2
+        assert len(np.unique(failed // CHUNK)) >= 2
         assert runs[0]["n_failed"] == len(failed)
         assert runs[1] == runs[0]
         assert runs[2] == runs[0]
 
     def test_worker_count_is_capped(self, monkeypatch):
-        """threads=64 on two chunks forks at most two workers."""
+        """threads=64 on 2048 paths or fewer forks no worker, and on two
+        chunks' worth at most two."""
         usable = estimator._usable_cpus()
-        assert estimator._worker_count(64, 2) == min(2, usable)
-        assert estimator._worker_count(64, 1) == 1
-        assert estimator._worker_count(1, 50) == 1
-        assert 1 <= estimator._worker_count(64, 50) <= usable
+        assert estimator._worker_count(64, 2 * CHUNK) == min(2, usable)
+        assert estimator._worker_count(64, CHUNK) == 1
+        assert estimator._worker_count(1, 50 * CHUNK) == 1
+        assert 1 <= estimator._worker_count(64, 50 * CHUNK) <= usable
 
         started = []
 
@@ -551,7 +618,7 @@ class TestWorkerPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             Recording)
         model, obs, grid = brownian_setup(dt_base=0.05)
-        n = CHUNK_SIZE + 10
+        n = CHUNK + 10
         serial = bs.run_ensemble(model, obs, grid, np.zeros(1), n, seed=2)
         wide = bs.run_ensemble(model, obs, grid, np.zeros(1), n, seed=2,
                                threads=64)
@@ -560,16 +627,17 @@ class TestWorkerPool:
 
     def test_worker_error_matches_in_process(self):
         """A diffusion of the wrong shape raises the same error type and
-        message from a worker as in process."""
+        message from a worker, whose chunks are smaller, as in process."""
         model = bs.ModelSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
                              diffusion=lambda t, x: np.ones((2, 2)))
         obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.0])], dim=1)
         grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
+        assert chunk_count(CHUNK + 1, 1) == 1
         errors = []
         for threads in (1, 2):
             with pytest.raises(InvalidConfigurationError) as info:
                 bs.run_ensemble(model, obs, grid, np.zeros(1),
-                                CHUNK_SIZE + 1, seed=1, threads=threads)
+                                CHUNK + 1, seed=1, threads=threads)
             errors.append((type(info.value), str(info.value)))
         assert errors[0] == errors[1]
         assert "diffusion returned shape (2, 2)" in errors[0][1]
@@ -577,12 +645,11 @@ class TestWorkerPool:
     def test_unpicklable_worker_error_does_not_hang(self):
         """An exception that pickles but cannot be rebuilt in the parent
         reaches it with its type name and message, without hanging."""
-        if estimator._worker_count(2, 2) < 2:
+        if estimator._worker_count(2, 4096) < 2:
             pytest.skip("needs fork and two usable CPUs")
         script = """
 import numpy as np
 import bridgesim as bs
-from bridgesim.estimator import CHUNK_SIZE
 
 class Unrebuildable(Exception):
     def __init__(self, a, b):
@@ -594,8 +661,7 @@ def drift(t, x):
 model = bs.ModelSpec(dim=1, drift=drift, diffusion=np.eye(1))
 obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.0])], dim=1)
 grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
-bs.run_ensemble(model, obs, grid, np.zeros(1), 2 * CHUNK_SIZE, seed=1,
-                threads=2)
+bs.run_ensemble(model, obs, grid, np.zeros(1), 4096, seed=1, threads=2)
 """
         src = os.path.dirname(os.path.dirname(estimator.__file__))
         env = dict(os.environ, PYTHONPATH=src)

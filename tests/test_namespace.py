@@ -134,11 +134,13 @@ import sys
 import numpy as np
 import bridgesim as bs
 import bridgesim.cli
-from bridgesim.estimator import CHUNK_SIZE
+from bridgesim import estimator
+estimator.CHUNK_SIZE = 2048
+assert estimator._chunk_rows(2 * 2048 + 1, 1) == 2048
 obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.5])], dim=1)
 grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
 ens = bs.run_ensemble(bs.brownian(dim=1).spec, obs, grid, np.zeros(1),
-                      2 * CHUNK_SIZE + 1, seed=3)
+                      2 * 2048 + 1, seed=3)
 bs.estimate(ens, bs.coordinate_at(0.5, 0))
 print(" ".join(name for name in ("scipy", "multiprocessing",
                                  "concurrent.futures")

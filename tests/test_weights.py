@@ -10,7 +10,6 @@ from bridgesim.errors import (
     InvalidConfigurationError,
     InvalidObservationError,
 )
-from bridgesim.estimator import CHUNK_SIZE
 from bridgesim.sde import diffusion_values, drift_values
 from bridgesim.weights import batch_breakdown
 from conftest import (
@@ -260,8 +259,8 @@ class TestChannelRecord:
     @pytest.mark.parametrize("setup", ["ou2d", "ou2d_split",
                                        "state_dependent"])
     def test_whole_chunk(self, setup):
-        """A whole chunk of the criterion-06 model, plain and split, and
-        of a state-dependent sigma."""
+        """A whole 2048-path chunk of the criterion-06 model, plain and
+        split, and of a state-dependent sigma."""
         def ou2d(split):
             built = bs.ou(dim=2, f_diag=[-1.0, -0.5], sigma=[1.0, 1.5],
                           drift_split=split)
@@ -274,7 +273,7 @@ class TestChannelRecord:
         model, obs, grid, u = {
             "ou2d": lambda: ou2d(False), "ou2d_split": lambda: ou2d(True),
             "state_dependent": state_dependent_setup}[setup]()
-        batch = self.check(model, obs, grid, u, np.arange(CHUNK_SIZE))
+        batch = self.check(model, obs, grid, u, np.arange(2048))
         assert (batch.terms["girsanov"] != 0.0).any() == \
             (setup == "ou2d_split")
 
