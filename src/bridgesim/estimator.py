@@ -164,10 +164,11 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     ``sink`` receives in chunk order; it replaces ``states``.  After the
     last chunk, raises ``UnstableRunError`` if over 1% of paths failed.
     """
-    if n_paths < 1:
-        raise InvalidConfigurationError("n_paths must be >= 1")
-    if threads < 1:
-        raise InvalidConfigurationError("threads must be >= 1")
+    for name, value in (("n_paths", n_paths), ("threads", threads)):
+        # integers only, as the config reads them: a bool is not one
+        if isinstance(value, bool) or not isinstance(
+                value, (int, np.integer)) or value < 1:
+            raise InvalidConfigurationError(f"{name} must be >= 1")
 
     # chunk i holds path ids [starts[i], stop(i))
     n_workers = _worker_count(threads, n_paths)

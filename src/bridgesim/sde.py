@@ -20,13 +20,13 @@ Coefficient = Callable[[float, np.ndarray], np.ndarray]
 _MASK64 = (1 << 64) - 1
 
 # Version of the arithmetic behind a run's bits, reported by ``bridgesim
-# run`` and described under the README's "Numerics scheme".  Scheme 7
-# sums every weight term step by step in the kernel and every weighted
-# mean about each column's first value.
-NUMERICS_SCHEME = 7
+# run`` and described under the README's "Numerics scheme".  Scheme 8
+# draws each noise block from its own SFC64 generator keyed by
+# (seed, block).
+NUMERICS_SCHEME = 8
 
-# Paths per Philox noise stream: path p reads column p % NOISE_BLOCK of
-# the stream keyed (seed, p // NOISE_BLOCK).
+# Paths per noise block: path p reads column p % NOISE_BLOCK of the
+# block keyed (seed, p // NOISE_BLOCK).
 NOISE_BLOCK = 64
 
 
@@ -408,27 +408,16 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
 
 def _block_drawer(seed: int, n_steps: int, dim: int):
     """A function drawing noise block ``b`` of ``seed``: the step-major
-    (n_steps, dim, NOISE_BLOCK) standard normals of the Philox stream
-    keyed (seed, b), into one buffer that the next draw overwrites.
-
-    One Philox generator is re-keyed at counter 0 with an empty buffer,
-    which is the state a freshly keyed generator starts in, so no
-    generator is built per block.  Each drawer owns its generator, so
-    concurrent drawers are safe.
-    """
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
+    (n_steps, dim, NOISE_BLOCK) standard normals of an SFC64 generator
+    built from ``SeedSequence(seed, spawn_key=(b,))``, both taken modulo
+    2^64 (an entropy list ``[seed, b]`` would merge some pairs), into
+    one buffer that the next draw overwrites."""
+    seed = int(seed) & _MASK64
     scratch = np.empty((n_steps, dim, NOISE_BLOCK))
-    # one state dict serves every block; only the key's block half changes
-    key = [int(seed) & _MASK64, 0]
-    zeros = (0, 0, 0, 0)
-    state = {"bit_generator": "Philox",
-             "state": {"key": key, "counter": zeros},
-             "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def draw(block: int) -> np.ndarray:
-        key[1] = block & _MASK64
-        bitgen.state = state
+        key = np.random.SeedSequence(seed, spawn_key=(block & _MASK64,))
+        gen = np.random.Generator(np.random.SFC64(key))
         return gen.standard_normal(out=scratch)
 
     return draw
@@ -439,12 +428,12 @@ def normal_increments(seed: int, path_id: int, n_steps: int,
     """The (n_steps, dim) block of standard normals driving one path.
 
     Path p reads column ``p % NOISE_BLOCK`` of the step-major
-    (n_steps, dim, NOISE_BLOCK) standard normal draw of the Philox
-    stream keyed (seed, p // NOISE_BLOCK), both halves of the key taken
-    modulo 2^64.  The counter-based stream lets any path be regenerated
-    from (seed, path_id) alone, at the cost of its block, and results do
-    not depend on scheduling order.  A longer request extends the same
-    noise.
+    (n_steps, dim, NOISE_BLOCK) standard normal draw of the SFC64
+    generator keyed (seed, p // NOISE_BLOCK), as :func:`_block_drawer`
+    builds it.  A block is drawn from its key alone, so any path can be
+    regenerated from (seed, path_id), at the cost of its block, and
+    results do not depend on scheduling order.  A longer request extends
+    the same noise.
     """
     block, col = divmod(int(path_id), NOISE_BLOCK)
     return _block_drawer(seed, n_steps, dim)(block)[:, :, col].copy()

@@ -165,10 +165,14 @@ def compute() -> dict:
     with _chunk_size(400):
         assert chunk_count(1100) == 3
         ens = bs.run_ensemble(model, obs, grid, u, 1100, seed=4)
+    kept = np.bincount(ens.path_ids // 400, minlength=3)
+    assert (kept < [400, 400, 300]).all(), kept
     rep = bs.estimate(ens, lambda e: e.state_at(0.55))
     arrays.update(_ensemble_arrays("blowup", ens, [
         *rep.value, *rep.std_error, rep.ess, ens.n_failed]))
+    # both failed and surviving rows
     batch = bs.simulate_batch(model, obs, grid, u, 4, np.arange(400))
+    assert 0 < (batch.failed_step >= 0).sum() < 400
     terms, _ = bs.batch_breakdown(model, obs, batch)
     arrays["blowup_chunk.states"] = batch.states
     arrays["blowup_chunk.failed_step"] = batch.failed_step

@@ -362,7 +362,7 @@ class TestBatchBehavior:
         u = np.zeros(1)
         batch = bs.simulate_batch(model, obs, grid, u, 3, np.arange(64))
         bad = batch.preclamp[0][:, 0] > 0.3
-        assert bad.sum() == 34
+        assert bad.sum() == 30
         assert not np.isnan(batch.states).any()
         assert (batch.failed_step[bad] == grid.n_steps - 1).all()
         assert (batch.failed_step[~bad] == -1).all()
@@ -373,7 +373,7 @@ class TestBatchBehavior:
             alone = bs.simulate_batch(model, obs, grid, u, 3, [p])
             assert alone.failed_step[0] == batch.failed_step[p]
             assert batch.states[p].tobytes() == alone.states[0].tobytes()
-        with pytest.raises(UnstableRunError, match="34 of 64"):
+        with pytest.raises(UnstableRunError, match="30 of 64"):
             bs.run_ensemble(model, obs, grid, u, 64, seed=3)
 
     def test_blowup_check_rows_alone(self):
@@ -410,7 +410,7 @@ class TestBatchBehavior:
 
         model = bs.ModelSpec(dim=3, drift=drift, diffusion=np.eye(3))
         u = np.zeros(3)
-        batch = bs.simulate_batch(model, obs, grid, u, 8, np.arange(96))
+        batch = bs.simulate_batch(model, obs, grid, u, 9, np.arange(96))
         failed, states = batch.failed_step, batch.states
         near = np.abs(states[:, 2, 1]) > calm
         assert near.any()
@@ -427,7 +427,7 @@ class TestBatchBehavior:
             assert kind.any() and (failed[kind] == 3).all()
         assert (failed[~near & ~np.any(kinds, axis=0)] == -1).all()
         for p in range(96):
-            alone = bs.simulate_batch(model, obs, grid, u, 8, [p])
+            alone = bs.simulate_batch(model, obs, grid, u, 9, [p])
             assert alone.failed_step[0] == failed[p]
             assert batch.states[p].tobytes() == alone.states[0].tobytes()
             assert batch.preclamp[0][p].tobytes() == \

@@ -242,7 +242,7 @@ class TestRunCommand:
         assert status == 0
         report = json.loads(report_path.read_text())
         assert report["schema_version"] == 1
-        assert report["numerics_scheme"] == 7
+        assert report["numerics_scheme"] == 8
         assert report["n_paths"] == 400
         assert report["n_failed"] == 0
         assert report["ess"] > 399.0

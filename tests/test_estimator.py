@@ -98,11 +98,20 @@ class TestRunEnsemble:
 
     def test_argument_validation(self):
         model, obs, grid = brownian_setup()
-        with pytest.raises(InvalidConfigurationError):
-            bs.run_ensemble(model, obs, grid, np.zeros(1), 0, seed=1)
-        with pytest.raises(InvalidConfigurationError):
-            bs.run_ensemble(model, obs, grid, np.zeros(1), 10, seed=1,
-                            threads=0)
+        for n_paths in (0, True, 10.0, "100"):
+            with pytest.raises(InvalidConfigurationError,
+                               match="n_paths must be >= 1"):
+                bs.run_ensemble(model, obs, grid, np.zeros(1), n_paths, seed=1)
+        for n_paths, threads in ((10, 0), (100, 1.5), (5000, 1.5),
+                                 (10, True), (10, "2")):
+            with pytest.raises(InvalidConfigurationError,
+                               match="threads must be >= 1"):
+                bs.run_ensemble(model, obs, grid, np.zeros(1), n_paths,
+                                seed=1, threads=threads)
+        # numpy integers are integers
+        ens = bs.run_ensemble(model, obs, grid, np.zeros(1), np.int64(10),
+                              seed=1, threads=np.int32(2))
+        assert len(ens.path_ids) == 10
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_array_sigma_matches_callable(self, threads):
@@ -324,7 +333,7 @@ class TestNonFiniteWeights:
     def test_path_with_a_non_finite_weight_is_dropped(self, chunk_cap):
         """A 1-D Brownian bridge simulated under a zero ``guided_drift``
         whose full drift is NaN beyond |x| = 1.7: every path simulates
-        cleanly, and the paths that pass 1.7 before the last step (11 of
+        cleanly, and the paths that pass 1.7 before the last step (8 of
         ``CHUNK + 100``, in both chunks) get a NaN Girsanov term.
         Those, and only those, are dropped and counted, with the same
         bytes in one process and over two workers."""
@@ -336,14 +345,14 @@ class TestNonFiniteWeights:
         _, obs, grid = brownian_setup(value=0.0)
         n_paths = CHUNK + 100
         assert chunk_count(n_paths, 1) == chunk_count(n_paths, 2) == 2
-        sim = bs.simulate_batch(model, obs, grid, np.zeros(1), 9,
+        sim = bs.simulate_batch(model, obs, grid, np.zeros(1), 13,
                                 np.arange(n_paths))
         assert (sim.failed_step < 0).all()
         past = (np.abs(sim.states[:, :-1, 0]) > bound).any(axis=1)
         assert 0 < past[:CHUNK].sum() and 0 < past[CHUNK:].sum()
         assert past.sum() <= 0.01 * n_paths
         runs = [bs.run_ensemble(model, obs, grid, np.zeros(1), n_paths,
-                                seed=9, threads=threads)
+                                seed=13, threads=threads)
                 for threads in (1, 2)]
         for ens in runs:
             assert ens.n_failed == past.sum()

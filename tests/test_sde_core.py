@@ -51,9 +51,10 @@ class TestNoise:
         draws = normal_increments(123, pid, 100_000, 1)
         assert abs(draws.mean()) < 0.02
         assert abs(draws.var() - 1.0) < 0.02
-        # path p reads column p % 64 of the step-major draw of Philox
+        # path p reads column p % 64 of the step-major draw of SFC64
         # keyed (seed, p // 64)
-        gen = np.random.Generator(np.random.Philox(key=[123, pid // 64]))
+        key = np.random.SeedSequence(123, spawn_key=(pid // 64,))
+        gen = np.random.Generator(np.random.SFC64(key))
         ref = gen.standard_normal((100_000, 1, 64))[:, :, pid % 64]
         assert draws.tobytes() == ref.tobytes()
 
@@ -62,11 +63,21 @@ class TestNoise:
         bits of the seed and of the id's block."""
         pid = 2 ** 70
         got = normal_increments(-5, pid, 4, 2)
-        key = np.array([-5 & (2 ** 64 - 1), (pid // 64) & (2 ** 64 - 1)],
-                       dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
+        key = np.random.SeedSequence(-5 & (2 ** 64 - 1),
+                                     spawn_key=((pid // 64) & (2 ** 64 - 1),))
+        gen = np.random.Generator(np.random.SFC64(key))
         ref = gen.standard_normal((4, 2, 64))[:, :, pid % 64]
         assert got.tobytes() == ref.tobytes()
+
+    def test_block_key_is_injective(self):
+        """Keys that one SeedSequence entropy list [seed, block] would
+        merge into one state stay apart."""
+        merged = [np.random.SeedSequence(k).generate_state(4)
+                  for k in ([2 ** 32 + 5, 7], [5, 1 + 7 * 2 ** 32])]
+        assert np.array_equal(*merged)
+        a = normal_increments(2 ** 32 + 5, 7 * 64, 4, 1)
+        b = normal_increments(5, (1 + 7 * 2 ** 32) * 64, 4, 1)
+        assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("ids", [
         [9, 2, 40, 3],                              # non-contiguous
