@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,12 +23,12 @@ from .sde import (  # noqa: F401
     ModelSpec,
     TimeGrid,
     batch_innermost,
-    block_normals,
     check_coefficients,
     diffusion_values,
     dot,
     drift_values,
     matvec,
+    noise_drawer,
     normal_increments,
     path_id_array,
     vecmat,
@@ -37,6 +37,8 @@ from .sde import (  # noqa: F401
 # A path is declared blown up once its norm exceeds this multiple of the
 # initial scale, or any entry stops being finite.
 BLOWUP_FACTOR = 1e8
+# Steps per noise draw; a draw in slices has the bits of one draw.
+NOISE_SLICE = 16
 
 TERM_NAMES = ("log_eta", "boundary", "drift_term", "dA_term", "covar_term")
 # the order of a row's issues within one observation
@@ -49,7 +51,7 @@ class BatchPaths:
 
     grid: TimeGrid
     path_ids: np.ndarray                     # int64, else Python ints
-    states: np.ndarray                       # (P, M+1, n)
+    states: np.ndarray                       # (P, stored nodes, n)
     preclamp: dict[int, np.ndarray] = field(default_factory=dict)
     failed_step: np.ndarray = None           # (P,), -1 where clean
     # full bridges only: each term of TERM_NAMES, (P, K), and girsanov,
@@ -98,11 +100,11 @@ class _Terms:
 def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
            seed: int, path_ids, drift_fn: Coefficient,
            cutoff: Optional[float], validate: bool, weigh: bool,
-           out: Optional[np.ndarray] = None) -> BatchPaths:
+           out: Optional[np.ndarray], nodes: Optional[list]) -> BatchPaths:
     """Euler-Maruyama with drift ``drift_fn`` plus the pull and terminal
     projection of every observation in ``obs`` (none for free paths);
-    ``cutoff`` selects the epsilon cut-off variant, and ``weigh`` sums
-    the weight terms of full bridges."""
+    ``cutoff`` selects the epsilon cut-off variant, ``weigh`` sums the
+    weight terms of full bridges, and the grid ``nodes`` are stored."""
     n = model.dim
     u = np.asarray(u, dtype=float)
     if u.shape != (n,) or not np.all(np.isfinite(u)):
@@ -117,8 +119,12 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 "epsilon_cutoff must lie strictly between 0 and the "
                 "smallest window length")
 
-    nodes = grid.nodes.tolist()
+    times = grid.nodes.tolist()
     m_steps = grid.n_steps
+    stored = range(m_steps + 1) if nodes is None else [int(j) for j in nodes]
+    row = dict(zip(stored, range(len(stored))))  # of states, per node
+    if sorted(row) != list(stored) or not set(row) <= set(range(m_steps + 1)):
+        raise InvalidConfigurationError("nodes must be increasing node indices")
     # per step, the observation whose window holds it, and per node, the
     # one projected there; window k opens at T_k - w_k but no earlier
     # than the node of T_{k-1}, as ObservationSet keeps it, so at most
@@ -145,16 +151,20 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     # every per-chunk array keeps the path axis innermost in memory; the
     # public shapes stay (P, ...)
     paths = (p_count,)
-    states = batch_innermost(paths, (m_steps + 1, n)) if out is None else out
-    if states.shape != (p_count, m_steps + 1, n) or states.dtype != float:
-        raise InvalidConfigurationError("out must be float (P, M+1, n)")
+    states = batch_innermost(paths, (len(stored), n)) if out is None else out
+    if states.shape != (p_count, len(stored), n) or states.dtype != float:
+        raise InvalidConfigurationError("out must be float (P, nodes, n)")
     # each step is formed in one of two compact rows, then stored in its
     # row of ``states``, which may be a strided slice of a larger array
     cur, nxt = batch_innermost(paths, (n,)), batch_innermost(paths, (n,))
-    cur[...] = states[:, 0] = u
-    # each step's noise is drawn into the row that the step then stores,
-    # one (P, n) block read before it is overwritten
-    block_normals(seed, ids, m_steps, n, out=states[:, 1:])
+    cur[...] = u
+    if 0 in row:
+        states[:, 0] = u
+    # NOISE_SLICE steps of noise at a time: into the state rows that they
+    # store, each read first, or into one buffer if a node goes unstored
+    draw = noise_drawer(seed, ids, n)
+    slab = None if len(stored) == m_steps + 1 else \
+        batch_innermost(paths, (min(NOISE_SLICE, m_steps), n))
     failed = np.full(p_count, -1, dtype=int)
     keep = None  # the paths not failed, once some path has failed
     preclamp: dict[int, np.ndarray] = {}
@@ -207,7 +217,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
         if channels is not None:
             return
         r0, dA = kept, A - prec
-        denom = -2.0 * (t_end - nodes[i])
+        denom = -2.0 * (t_end - times[i])
         qa = dot(vecmat(r0, dA), r0)
         qa /= denom
         terms.add("dA_term", k, qa, i)
@@ -230,11 +240,15 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     # sigma at each node's state, evaluated once: at a projected node it
     # serves both log det A and the next step
-    sig = diffusion_values(model.diffusion, nodes[0], cur, n)
+    sig = diffusion_values(model.diffusion, times[0], cur, n)
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m_steps):
-            t = nodes[j]
-            dt = nodes[j + 1] - nodes[j]
+            if j % NOISE_SLICE == 0:
+                size = min(NOISE_SLICE, m_steps - j)
+                xi = (states[:, j + 1:] if slab is None else slab)[:, :size]
+                draw(xi.transpose(1, 2, 0))
+            t = times[j]
+            dt = times[j + 1] - times[j]
             b = drift = drift_values(drift_fn, t, cur, n)
             if validate:
                 check_coefficients(model, t, sig)
@@ -249,7 +263,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             if k is not None:
                 ob = obs.items[k]
                 if opens := j == 0 or guided[j - 1] != k:
-                    t_end = nodes[ends[k]]
+                    t_end = times[ends[k]]
                     spare, kept = (batch_innermost(paths, (ob.m,))
                                    for _ in range(2))
                 resid = vecmat(cur, ob.matrix.T, out=spare)
@@ -271,8 +285,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                     q /= t_end - t
                     terms.add("drift_term", k, q, j)
                     spare, kept, prec = kept, resid, ch.A
-            # the noise drawn into row j + 1 is read before it is stored
-            noise = matvec(sig, states[:, j + 1], out=term)
+            noise = matvec(sig, xi[:, j % NOISE_SLICE], out=term)
             noise *= np.sqrt(dt)
             np.multiply(drift, dt, out=nxt)
             nxt += cur
@@ -280,7 +293,7 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             check(nxt, cur, j)
             cur, nxt = nxt, cur
 
-            t = nodes[j + 1]
+            t = times[j + 1]
             k0 = projected[j + 1]
             if k0 is not None:
                 # the state before the projection ends the window's
@@ -297,7 +310,8 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                 # an overflowing L a L* makes a projected state NaN; the
                 # check also puts back every row failed before
                 check(cur, nxt, j)
-            states[:, j + 1] = cur
+            if j + 1 in row:
+                states[:, row[j + 1]] = cur
             if split:
                 # nxt still holds the state of node j
                 g = dot(x, np.subtract(cur, nxt, out=term))
@@ -316,8 +330,8 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
 def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                    seed: int, path_ids, epsilon_cutoff: Optional[float] = None,
-                   validate: bool = False,
-                   out: Optional[np.ndarray] = None) -> BatchPaths:
+                   validate: bool = False, out: Optional[np.ndarray] = None,
+                   nodes: Optional[Sequence[int]] = None) -> BatchPaths:
     """Euler-Maruyama for a batch of guided bridges.
 
     Each step adds the guiding pull of every window containing the left
@@ -329,9 +343,10 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     :func:`bridgesim.weights.batch_breakdown`), summed as it steps from
     the drift, sigma and channels that the steps evaluate.
     Failed paths freeze at their last admissible state and are reported
-    through ``failed_step``.  ``out``, a float (P, M+1, n) array of any
-    strides, such as a slice of an ensemble's states, becomes the batch's
-    ``states`` if given.
+    through ``failed_step``.  The batch's ``states`` hold the grid
+    ``nodes`` (increasing indices, every node by default), (P, nodes, n);
+    ``out``, a float array of that shape and any strides, such as a
+    slice of an ensemble's states, becomes them if given.
 
     ``epsilon_cutoff`` stops every guiding window a distance epsilon
     before its observation time and disables the terminal projection;
@@ -342,7 +357,7 @@ def simulate_batch(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     and carry no ``terms``.
     """
     return _euler(model, obs, grid, u, seed, path_ids, model.effective_drift,
-                  epsilon_cutoff, validate, epsilon_cutoff is None, out)
+                  epsilon_cutoff, validate, epsilon_cutoff is None, out, nodes)
 
 
 def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
@@ -352,4 +367,4 @@ def simulate_free_batch(model: ModelSpec, grid: TimeGrid, u, seed: int,
     index at which the path blew up; a failed path holds its last
     admissible state from there on."""
     return _euler(model, ObservationSet(), grid, u, seed, path_ids,
-                  model.drift, None, validate, False)
+                  model.drift, None, validate, False, None, None)

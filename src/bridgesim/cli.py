@@ -124,7 +124,8 @@ def run(config: RunConfig, threads: int = 1):
     """
     grid = config.time_grid
     exact = _oracle_values(config)
-    nodes = [grid.index_of(f.time) for f in config.functionals]
+    reads = [grid.index_of(f.time) for f in config.functionals]
+    nodes = sorted(set(reads))  # the only nodes that a chunk stores
     coords = [f.coordinate for f in config.functionals]
 
     with contextlib.ExitStack() as stack:
@@ -137,14 +138,14 @@ def run(config: RunConfig, threads: int = 1):
 
         def emit(rows):
             # only the log-weights and functional values reach the parent
-            fvals = rows["states"][:, nodes, coords]
+            fvals = rows["states"][:, np.searchsorted(nodes, reads), coords]
             return ({"log_weights": rows["log_weights"], "fvals": fvals},
                     csv_out and _csv_rows(rows, fvals))
 
         merged, n_failed = _ensemble(
             config.model.spec, config.observations, grid,
             config.initial_state, config.n_paths, config.seed, threads,
-            config.validate_coefficients, emit=emit,
+            config.validate_coefficients, nodes=nodes, emit=emit,
             sink=csv_out and csv_out.write)
         weights, log_norm, ess = normalize_log_weights(merged["log_weights"])
         estimates, comparisons = [], []

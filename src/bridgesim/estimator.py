@@ -89,13 +89,9 @@ def _worker_count(threads: int, n_paths: int) -> int:
     """Worker processes to fork for ``n_paths`` paths: at most
     ``threads``, the usable CPUs and one per 2048 paths (or per cap, if
     lower).  1 means the chunks run in the calling process, as they do
-    where ``fork`` is missing.  A one-worker run never imports
-    ``multiprocessing``."""
+    where ``os.fork`` is missing."""
     most = min(threads, -(-n_paths // min(CHUNK_SIZE, 2048)))
-    if most <= 1:
-        return 1
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
+    if most <= 1 or not hasattr(os, "fork"):
         return 1
     return min(most, _usable_cpus())
 
@@ -108,61 +104,76 @@ def _chunk_rows(n_paths: int, n_workers: int) -> int:
     return min(CHUNK_SIZE, max(2048, -(-rows // NOISE_BLOCK) * NOISE_BLOCK))
 
 
-# Set by the pool initializer in each forked worker, never in the caller,
-# so concurrent runs in one process do not share it.
-_chunk_work: Optional[Callable] = None
-
-
-def _install_work(work: Callable) -> None:
-    global _chunk_work
-    _chunk_work = work
-
-
-def _run_chunk(index: int):
+def _pickled(work: Callable, index: int) -> bytes:
+    """``(True, work(index))`` pickled, else ``(False, its exception)``,
+    as a RuntimeError of its type and message if it cannot be rebuilt."""
     try:
-        return _chunk_work(index)
+        return pickle.dumps((True, work(index)), -1)
     except BaseException as exc:
-        # An exception the parent cannot rebuild would break the pool;
-        # send its type and message in one that it can.
         try:
-            pickle.loads(pickle.dumps(exc))
+            return pickle.dumps((False, pickle.loads(pickle.dumps(exc))), -1)
         except Exception:
-            raise RuntimeError(
-                f"{type(exc).__qualname__}: {exc}") from exc
-        raise
+            return pickle.dumps((False, RuntimeError(
+                f"{type(exc).__qualname__}: {exc}")), -1)
 
 
 def _map_in_workers(work: Callable, n_chunks: int, n_workers: int):
-    """``work(i) for i in range(n_chunks)`` over forked workers.
-
-    Fork hands each worker the ``work`` closure (models may hold lambdas)
-    without pickling it; workers receive chunk indices and send back
-    each chunk's arrays, which are yielded in chunk order.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(
-            n_workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_install_work, initargs=(work,)) as pool:
-        yield from pool.map(_run_chunk, range(n_chunks))
+    """``work(i) for i in range(n_chunks)`` in chunk order, over forked
+    workers, which fork hands the ``work`` closure (models may hold
+    lambdas) unpickled.  Worker ``w`` runs chunks ``w, w + W, ...`` and
+    sends each result down its own pipe, read in chunk order: the parent
+    holds one result at a time.  A worker's exception, or a pipe that
+    closes early, is raised here; every worker is killed and reaped."""
+    pids, pipes = [], []
+    try:
+        for w in range(n_workers):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    for fd in (read, *(pipe.fileno() for pipe in pipes)):
+                        os.close(fd)
+                    with open(write, "wb") as out:
+                        for index in range(w, n_chunks, n_workers):
+                            out.write(_pickled(work, index))
+                            out.flush()
+                finally:  # past the parent's exit handlers and buffers
+                    os._exit(0)
+            os.close(write)
+            pids.append(pid)
+            pipes.append(open(read, "rb"))
+        for index in range(n_chunks):
+            try:
+                ok, value = pickle.load(pipes[index % n_workers])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"a worker ended before chunk {index}") \
+                    from None
+            if not ok:
+                raise value
+            yield value
+    finally:
+        for pid, pipe in zip(pids, pipes):
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
 
 
 def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
               n_paths: int, seed: int, threads: int, validate: bool,
-              emit: Optional[Callable] = None,
+              nodes: Optional[list] = None, emit: Optional[Callable] = None,
               sink: Optional[Callable] = None) -> tuple[dict, int]:
     """Simulate and weight ``n_paths`` bridges chunk by chunk and merge
     each chunk's retained rows, in chunk order, into one array per key;
     returns those arrays and the count of failed paths.
 
-    A chunk's rows are its retained paths' ``path_ids``, ``log_weights``,
-    every weight term and ``("preclamp", k)``; each chunk simulates into
-    its rows of the one ``states`` array, which sheds failed rows as the
-    chunks merge.  ``emit(rows)``, given the chunk's own ``states`` too,
-    runs in the process that weighted the chunk, a forked worker when
-    there are several, and returns the rows to merge and a payload that
-    ``sink`` receives in chunk order; it replaces ``states``.  After the
-    last chunk, raises ``UnstableRunError`` if over 1% of paths failed.
+    A chunk stores the grid ``nodes`` (all by default).  Its rows are its
+    retained paths' ``path_ids``, ``log_weights``, every weight term and
+    ``("preclamp", k)``; each chunk simulates into its rows of the one
+    ``states`` array, which sheds failed rows as the chunks merge.
+    ``emit(rows)``, given the chunk's own ``states`` too, runs in the
+    process that weighted the chunk, a forked worker when there are
+    several, and returns the rows to merge and a payload that ``sink``
+    receives in chunk order; it replaces ``states``.  After the last
+    chunk, raises ``UnstableRunError`` if over 1% of paths failed.
     """
     for name, value in (("n_paths", n_paths), ("threads", threads)):
         # integers only, as the config reads them: a bool is not one
@@ -174,7 +185,8 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     n_workers = _worker_count(threads, n_paths)
     per_chunk = _chunk_rows(n_paths, n_workers)
     starts = range(0, n_paths, per_chunk)
-    shape = (grid.n_steps + 1, model.dim, n_paths)
+    shape = (grid.n_steps + 1 if nodes is None else len(nodes), model.dim,
+             n_paths)
     if emit:
         states = None
     elif n_workers > 1:  # forked workers write into a shared mapping
@@ -189,8 +201,9 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     def work(index: int):
         ids = np.arange(starts[index], stop(index))
-        sim = simulate_batch(model, obs, grid, u, seed, ids, validate=validate,
-                             out=None if emit else states[ids[0]:ids[-1] + 1])
+        sim = simulate_batch(
+            model, obs, grid, u, seed, ids, validate=validate, nodes=nodes,
+            out=None if states is None else states[ids[0]:ids[-1] + 1])
         # a row's terms do not depend on the other rows, so the failed
         # paths are weighted with the rest and dropped afterwards
         terms, issues = batch_breakdown(model, obs, sim)
@@ -199,7 +212,7 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
             ok[row] = False
         pick = slice(None) if ok.all() else ok
         rows = {"path_ids": sim.path_ids[pick]}
-        if emit:
+        if states is None:
             rows["states"] = sim.states[pick]
         rows.update({name: arr[pick] for name, arr in terms.items()})
         rows["log_weights"] = np.asarray(
@@ -209,29 +222,30 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
                      for k, v in sim.preclamp.items()})
         return emit(rows) if emit else (rows, None)
 
-    if n_workers > 1:
-        results = _map_in_workers(work, len(starts), n_workers)
-    else:
-        results = map(work, range(len(starts)))
+    results = _map_in_workers(work, len(starts), n_workers) \
+        if n_workers > 1 else (work(i) for i in range(len(starts)))
     # each chunk's rows are copied into place as it arrives and dropped
-    # before the next chunk runs, so one chunk's result at most is held
-    merged: dict = {} if emit else {"states": states}
+    # before the next chunk is read, so one chunk's result at most is held
+    merged: dict = {} if states is None else {"states": states}
     size = 0
-    for index, (rows, emitted) in enumerate(results):
-        if sink:
-            sink(emitted)
-        count = len(rows["log_weights"])
-        for key, arr in rows.items():
-            if key not in merged:
-                merged[key] = batch_innermost((n_paths,), arr.shape[1:],
-                                              arr.dtype)
-            merged[key][size:size + count] = arr
-        if states is not None and size + count < stop(index):
-            # a path's row is its id; one node at a time keeps copies small
-            for j in range(states.shape[1]):
-                states[size:size + count, j] = states[rows["path_ids"], j]
-        size += count
-        del rows, emitted
+    try:
+        for index, (rows, emitted) in enumerate(results):
+            if sink:
+                sink(emitted)
+            count = len(rows["log_weights"])
+            for key, arr in rows.items():
+                if key not in merged:
+                    merged[key] = batch_innermost((n_paths,), arr.shape[1:],
+                                                  arr.dtype)
+                merged[key][size:size + count] = arr
+            if states is not None and size + count < stop(index):
+                # a path's row is its id; a node at a time keeps copies small
+                for j in range(states.shape[1]):
+                    states[size:size + count, j] = states[rows["path_ids"], j]
+            size += count
+            del rows, emitted
+    finally:  # an abandoned run's workers stop now, not when freed
+        results.close()
     n_failed = n_paths - size
     if n_failed > FAILURE_CEILING * n_paths:
         raise UnstableRunError(
@@ -250,8 +264,8 @@ def run_ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     chunks run in up to that many forked worker processes, never more
     than one per 2048 paths or the usable CPUs; each run sizes its chunks
     from the workers it uses (``_chunk_rows``).  Neither changes any
-    result.  One worker, or a platform without the ``fork`` start method,
-    runs the chunks in this process.  Failed paths are dropped and
+    result.  One worker, or a platform without ``os.fork``, runs the
+    chunks in this process.  Failed paths are dropped and
     counted, and the run aborts once more than 1% of paths fail.
     """
     rows, n_failed = _ensemble(model, obs, grid, u, n_paths, seed, threads,

@@ -406,37 +406,59 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
 # ---------------------------------------------------------------------------
 # noise streams
 
-def _block_drawer(seed: int, n_steps: int, dim: int):
-    """A function drawing noise block ``b`` of ``seed``: the step-major
-    (n_steps, dim, NOISE_BLOCK) standard normals of an SFC64 generator
-    built from ``SeedSequence(seed, spawn_key=(b,))``, both taken modulo
-    2^64 (an entropy list ``[seed, b]`` would merge some pairs), into
-    one buffer that the next draw overwrites."""
-    seed = int(seed) & _MASK64
-    scratch = np.empty((n_steps, dim, NOISE_BLOCK))
+def noise_drawer(seed: int, path_ids, dim: int):
+    """A function ``draw(buf)`` that fills the (s, dim, P) buffer ``buf``
+    with the next ``s`` steps of noise of the paths ``path_ids``.
 
-    def draw(block: int) -> np.ndarray:
-        key = np.random.SeedSequence(seed, spawn_key=(block & _MASK64,))
-        gen = np.random.Generator(np.random.SFC64(key))
-        return gen.standard_normal(out=scratch)
+    Path p reads column ``p % NOISE_BLOCK`` of the step-major standard
+    normals of an SFC64 generator built from ``SeedSequence(seed,
+    spawn_key=(p // NOISE_BLOCK,))``, both modulo 2^64 (an entropy list
+    ``[seed, b]`` would merge some pairs).  Each block keeps its one
+    generator across draws, so any slicing of the steps gives the bits
+    of one draw.  Contiguous ids, such as every chunk of ``run_ensemble``,
+    find their columns by arithmetic; other ids are grouped by block.
+    """
+    ids = path_id_array(path_ids)
+    count = len(ids)
+    first = int(ids[0]) if count else 0
+    # (block, columns of buf, columns of the block's draw)
+    groups = []
+    # the end points in Python ints: a step of 1 in int64 can wrap
+    if not count or (int(ids[-1]) - first == count - 1
+                     and (np.diff(ids) == 1).all()):
+        for block in range(first // NOISE_BLOCK,
+                           -(-(first + count) // NOISE_BLOCK)):
+            base = block * NOISE_BLOCK
+            lo, hi = max(base, first), min(base + NOISE_BLOCK, first + count)
+            groups.append((block, slice(lo - first, hi - first),
+                           slice(lo - base, hi - base)))
+    else:
+        ids = ids.tolist()
+        rows: dict[int, list[int]] = {}
+        for p, pid in enumerate(ids):
+            rows.setdefault(pid // NOISE_BLOCK, []).append(p)
+        groups = [(block, ps, [ids[p] % NOISE_BLOCK for p in ps])
+                  for block, ps in rows.items()]
+    seed = int(seed) & _MASK64
+    gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        seed, spawn_key=(block & _MASK64,)))) for block, _, _ in groups]
+
+    def draw(buf: np.ndarray) -> np.ndarray:
+        scratch = np.empty((len(buf), dim, NOISE_BLOCK))
+        for gen, (_, cols, src) in zip(gens, groups):
+            buf[:, :, cols] = gen.standard_normal(out=scratch)[:, :, src]
+        return buf
 
     return draw
 
 
 def normal_increments(seed: int, path_id: int, n_steps: int,
                       dim: int) -> np.ndarray:
-    """The (n_steps, dim) block of standard normals driving one path.
-
-    Path p reads column ``p % NOISE_BLOCK`` of the step-major
-    (n_steps, dim, NOISE_BLOCK) standard normal draw of the SFC64
-    generator keyed (seed, p // NOISE_BLOCK), as :func:`_block_drawer`
-    builds it.  A block is drawn from its key alone, so any path can be
-    regenerated from (seed, path_id), at the cost of its block, and
-    results do not depend on scheduling order.  A longer request extends
-    the same noise.
-    """
-    block, col = divmod(int(path_id), NOISE_BLOCK)
-    return _block_drawer(seed, n_steps, dim)(block)[:, :, col].copy()
+    """The (n_steps, dim) standard normals driving one path, drawn from
+    its block's key alone (see :func:`noise_drawer`): any path can be
+    regenerated from (seed, path_id), at the cost of its block, and a
+    longer request extends the same noise."""
+    return block_normals(seed, [path_id], n_steps, dim)[0].copy()
 
 
 def path_id_array(path_ids) -> np.ndarray:
@@ -456,36 +478,12 @@ def path_id_array(path_ids) -> np.ndarray:
 
 def block_normals(seed: int, path_ids, n_steps: int, dim: int,
                   out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The (P, n_steps, dim) noise of a batch of paths, paths innermost
-    in memory: a transposed view of an (n_steps, dim, P) buffer, which
-    is ``out``'s memory if one of that shape is given.
-
-    Row p equals ``normal_increments(seed, path_ids[p], n_steps, dim)``
-    bit for bit.  Each block that the ids touch is drawn once.  A
-    contiguous id range, such as every chunk of ``run_ensemble``, finds
-    its columns by arithmetic; other ids are grouped by block.
-    """
+    """The (P, n_steps, dim) noise of a batch of paths, one draw of
+    :func:`noise_drawer`, paths innermost in memory: a transposed view
+    of an (n_steps, dim, P) buffer, which is ``out``'s memory if one of
+    that shape is given.  Row p equals ``normal_increments(seed,
+    path_ids[p], n_steps, dim)`` bit for bit."""
     ids = path_id_array(path_ids)
-    count = len(ids)
-    buf = np.empty((n_steps, dim, count)) if out is None \
+    buf = np.empty((n_steps, dim, len(ids))) if out is None \
         else out.transpose(1, 2, 0)
-    draw = _block_drawer(seed, n_steps, dim)
-    first = int(ids[0]) if count else 0
-    # the end points in Python ints: a step of 1 in int64 can wrap
-    if not count or (int(ids[-1]) - first == count - 1
-                     and (np.diff(ids) == 1).all()):
-        for block in range(first // NOISE_BLOCK,
-                           -(-(first + count) // NOISE_BLOCK)):
-            base = block * NOISE_BLOCK
-            lo, hi = max(base, first), min(base + NOISE_BLOCK, first + count)
-            buf[:, :, lo - first:hi - first] = \
-                draw(block)[:, :, lo - base:hi - base]
-    else:
-        ids = ids.tolist()
-        rows: dict[int, list[int]] = {}
-        for p, pid in enumerate(ids):
-            rows.setdefault(pid // NOISE_BLOCK, []).append(p)
-        for block, ps in rows.items():
-            cols = [ids[p] % NOISE_BLOCK for p in ps]
-            buf[:, :, ps] = draw(block)[:, :, cols]
-    return buf.transpose(2, 0, 1)
+    return noise_drawer(seed, ids, dim)(buf).transpose(2, 0, 1)

@@ -462,6 +462,43 @@ class TestBatchBehavior:
                 bs.simulate_batch(model, obs, grid, u, 5, ids, out=bad)
         assert (ens[:40] == 7.0).all()
 
+    def test_stored_nodes_keep_the_bits(self):
+        """A batch that stores some nodes holds those nodes' states of
+        the batch that stores every node, into an ``out`` of its shape
+        too, with the same terms, issues, failed steps and
+        pre-projection states; nodes that are not increasing indices of
+        the grid are rejected."""
+        model, obs, grid, u = state_dependent_setup(blowup_at=3.0)
+        ids = np.arange(40, 240)
+        full = bs.simulate_batch(model, obs, grid, u, 5, ids)
+        assert (full.failed_step >= 0).any()
+        m = grid.n_steps
+        for nodes in ([0], [3, m], [m // 2], [], list(range(m + 1))):
+            out = bs.sde.batch_innermost((len(ids),), (len(nodes), 3))
+            for got in (bs.simulate_batch(model, obs, grid, u, 5, ids,
+                                          nodes=nodes),
+                        bs.simulate_batch(model, obs, grid, u, 5, ids,
+                                          nodes=nodes, out=out)):
+                assert got.states.shape == (len(ids), len(nodes), 3)
+                assert got.states.tobytes() == \
+                    np.ascontiguousarray(full.states[:, nodes]).tobytes()
+                for k in range(len(obs.items)):
+                    assert got.preclamp[k].tobytes() == \
+                        full.preclamp[k].tobytes()
+                for name, arr in full.terms.items():
+                    assert got.terms[name].tobytes() == arr.tobytes()
+                assert got.issues == full.issues
+                assert got.failed_step.tobytes() == \
+                    full.failed_step.tobytes()
+            assert got.states is out
+        for bad in ([3, 3], [5, 2], [-1], [m + 1]):
+            with pytest.raises(InvalidConfigurationError,
+                               match="nodes must be increasing"):
+                bs.simulate_batch(model, obs, grid, u, 5, ids, nodes=bad)
+        with pytest.raises(InvalidConfigurationError, match="out must be"):
+            bs.simulate_batch(model, obs, grid, u, 5, ids, nodes=[1, 2],
+                              out=full.states)
+
     def test_validate_flag(self):
         model = bs.ModelSpec(dim=1, drift=lambda t, x: np.zeros_like(x),
                              diffusion=lambda t, x: np.eye(1) * 4.0,

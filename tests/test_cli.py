@@ -1,6 +1,7 @@
 """Configuration parsing and the command-line entry points."""
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,6 +417,62 @@ class TestRunCommand:
         assert csv_path.read_bytes() == ref
         assert json.loads(report_path.read_text())["estimates"] == \
             moment_estimates(cfg, full)
+
+    def test_chunk_stores_only_the_nodes_it_reads(self, tmp_path,
+                                                  monkeypatch):
+        """A one-process run of two functionals at different nodes and
+        coordinates simulates its one chunk into the states of those two
+        nodes alone, never a (P, M+1, n) array: its traced peak stays
+        under one chunk's full states.  Its CSV holds the bytes built
+        from ``run_ensemble``'s ensemble, which keeps every state."""
+        stored = []
+        simulate = bridgesim.estimator.simulate_batch
+
+        def recording(*args, **kwargs):
+            batch = simulate(*args, **kwargs)
+            stored.append(batch.states.shape)
+            return batch
+
+        csv_path = tmp_path / "paths.csv"
+        raw = base_config(
+            model={"name": "ou", "drift_split": True,
+                   "params": {"dim": 2, "f_diag": [-1.0, -0.5],
+                              "sigma": [1.0, 1.5]}},
+            observations=[{"time": 1.0, "matrix": [[1.0, 0.0]],
+                           "value": [0.7]}],
+            initial_state=[0.5, -0.3], n_paths=CHUNK,
+            grid={"dt_base": 0.01, "dt_min": 1e-4},
+            functionals=[
+                {"type": "coordinate", "time": 0.25, "coordinate": 1},
+                {"type": "marginal_var", "time": 0.75, "coordinate": 0}],
+            outputs={"report": str(tmp_path / "report.json"),
+                     "ensemble_csv": str(csv_path)})
+        path = write_config(tmp_path, raw)
+        cfg = bs.parse_config(raw)
+        grid = cfg.time_grid
+        assert chunk_count(cfg.n_paths) == 1
+        full_chunk = 8 * cfg.n_paths * (grid.n_steps + 1) * 2
+        # a first run fills any one-off caches before memory is traced
+        assert main(["run", path, "--paths", "64"]) == 0
+        monkeypatch.setattr(bridgesim.estimator, "simulate_batch", recording)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["run", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stored == [(cfg.n_paths, 2, 2)]
+        assert peak - base < full_chunk
+
+        full = bs.run_ensemble(cfg.model.spec, cfg.observations, grid,
+                               cfg.initial_state, cfg.n_paths, cfg.seed)
+        fvals = np.column_stack([full.state_at(0.25)[:, 1],
+                                 full.state_at(0.75)[:, 0]])
+        rows = dict(full.breakdown, path_ids=full.path_ids,
+                    log_weights=full.log_weights)
+        ref = (_csv_header(cfg) + _csv_rows(rows, fvals)).encode()
+        assert csv_path.read_bytes() == ref
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_paths_dropped_per_chunk(self, tmp_path, monkeypatch,

@@ -1,5 +1,4 @@
 """Ensemble runner and self-normalized estimation."""
-import concurrent.futures
 import os
 import pickle
 import subprocess
@@ -617,15 +616,13 @@ class TestWorkerPool:
         assert 1 <= estimator._worker_count(64, 50 * CHUNK) <= usable
 
         started = []
+        fork_map = estimator._map_in_workers
 
-        class Recording(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, **kwargs)
+        def recording(work, n_chunks, n_workers):
+            started.append(n_workers)
+            return fork_map(work, n_chunks, n_workers)
 
-        # the estimator imports the pool only when it forks
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            Recording)
+        monkeypatch.setattr(estimator, "_map_in_workers", recording)
         model, obs, grid = brownian_setup(dt_base=0.05)
         n = CHUNK + 10
         serial = bs.run_ensemble(model, obs, grid, np.zeros(1), n, seed=2)
@@ -681,6 +678,68 @@ bs.run_ensemble(model, obs, grid, np.zeros(1), 4096, seed=1, threads=2)
         last = proc.stderr.strip().splitlines()[-1]
         assert last == "RuntimeError: Unrebuildable: user error"
         assert "BrokenProcessPool" not in proc.stderr
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_that_dies_raises(self):
+        """A worker that exits in the middle of a chunk ends the run with
+        an error instead of a hang, and no worker is left behind, after
+        that run as after a clean one."""
+        if estimator._worker_count(2, 2 * CHUNK) < 2:
+            pytest.skip("needs fork and two usable CPUs")
+        parent = os.getpid()
+
+        def drift(t, x):
+            if os.getpid() != parent and t > 0.5:
+                os._exit(3)
+            return np.zeros_like(x)
+
+        model = bs.ModelSpec(dim=1, drift=drift, diffusion=np.eye(1))
+        obs = bs.validate([bs.Observation(1.0, [[1.0]], [0.0])], dim=1)
+        grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
+        clean = bs.run_ensemble(bs.brownian(dim=1).spec, obs, grid,
+                                np.zeros(1), 2 * CHUNK, seed=1, threads=2)
+        assert clean.size == 2 * CHUNK
+        self.assert_no_child_left()
+        with pytest.raises(RuntimeError, match="a worker ended before chunk"):
+            bs.run_ensemble(model, obs, grid, np.zeros(1), 2 * CHUNK,
+                            seed=1, threads=2)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("how", ["sink", "worker"])
+    def test_abandoned_run_leaves_no_worker(self, how, chunk_cap):
+        """A run the parent stops early, because its ``sink`` raises after
+        the first chunk or a worker raises, has killed and reaped every
+        worker by the time the error reaches the caller, while the
+        error and its frames are still alive."""
+        if estimator._worker_count(2, 4 * CHUNK) < 2:
+            pytest.skip("needs fork and two usable CPUs")
+        model, obs, grid = brownian_setup(dt_base=0.05)
+        assert chunk_count(4 * CHUNK, 2) == 4
+        parent = os.getpid()
+        sunk = []
+
+        def emit(rows):
+            if how == "worker" and os.getpid() != parent \
+                    and rows["path_ids"][0] >= CHUNK:
+                raise ValueError("second chunk")
+            return rows, len(rows["path_ids"])
+
+        def sink(count):
+            sunk.append(count)
+            if how == "sink":
+                raise OSError("disk full")
+
+        error = OSError if how == "sink" else ValueError
+        with pytest.raises(error) as info:
+            estimator._ensemble(model, obs, grid, np.zeros(1), 4 * CHUNK, 2,
+                                2, False, emit=emit, sink=sink)
+        assert info.traceback
+        self.assert_no_child_left()
+        assert sunk == [CHUNK]
 
 
 class TestEstimate:

@@ -127,8 +127,9 @@ def test_no_module_imports_scipy():
 
 def test_import_and_one_process_run_stay_light():
     """``import bridgesim, bridgesim.cli`` and a one-thread run over
-    several chunks load neither scipy nor the process-pool modules,
-    which only a run that forks workers imports."""
+    several chunks load neither scipy nor the process-pool modules, and
+    a run over two forked workers loads no process-pool module either:
+    it forks with ``os.fork`` and reads one pipe per worker."""
     script = """
 import sys
 import numpy as np
@@ -142,6 +143,10 @@ grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
 ens = bs.run_ensemble(bs.brownian(dim=1).spec, obs, grid, np.zeros(1),
                       2 * 2048 + 1, seed=3)
 bs.estimate(ens, bs.coordinate_at(0.5, 0))
+assert estimator._worker_count(2, 2 * 2048) == min(2, estimator._usable_cpus())
+wide = bs.run_ensemble(bs.brownian(dim=1).spec, obs, grid, np.zeros(1),
+                       2 * 2048 + 1, seed=3, threads=2)
+assert wide.log_weights.tobytes() == ens.log_weights.tobytes()
 print(" ".join(name for name in ("scipy", "multiprocessing",
                                  "concurrent.futures")
                if name in sys.modules))

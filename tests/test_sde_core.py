@@ -9,7 +9,7 @@ from bridgesim.errors import (
     EllipticityViolationError,
     InvalidConfigurationError,
 )
-from bridgesim.bridge import simulate_batch, simulate_free_batch
+from bridgesim.bridge import NOISE_SLICE, simulate_batch, simulate_free_batch
 from bridgesim.estimator import CHUNK_SIZE
 from bridgesim.sde import (
     NOISE_BLOCK,
@@ -21,6 +21,7 @@ from bridgesim.sde import (
     drift_values,
     gram,
     matvec,
+    noise_drawer,
     normal_increments,
     product,
     vecmat,
@@ -101,6 +102,29 @@ class TestNoise:
         into = batch_innermost((len(ids),), (30, 2))
         block_normals(-5, ids, 30, 2, out=into)
         assert into.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("ids", [
+        np.arange(100, 1100),                       # partial first/last block
+        [9, 2, 40, 3, 130],                         # non-contiguous
+        [12, 2 ** 63 + 1, 0],                       # an id past int64
+    ], ids=["range", "scattered", "past-int64"])
+    @pytest.mark.parametrize("n_steps", [2 * NOISE_SLICE + 5, NOISE_SLICE,
+                                         3])
+    def test_slices_equal_one_draw(self, ids, n_steps):
+        """Drawn slice by slice as the kernel draws it, into one reused
+        buffer, each path's noise is ``block_normals``' and
+        ``normal_increments``' bit for bit, also for a step count that
+        is not a multiple of the slice."""
+        draw = noise_drawer(-5, ids, 2)
+        buf = np.empty((NOISE_SLICE, 2, len(ids)))
+        slices = [draw(buf[:min(NOISE_SLICE, n_steps - j)]).copy()
+                  for j in range(0, n_steps, NOISE_SLICE)]
+        got = np.concatenate(slices).transpose(2, 0, 1)
+        ref = np.stack([normal_increments(-5, pid, n_steps, 2)
+                        for pid in ids])
+        assert got.shape == (len(ids), n_steps, 2)
+        assert got.tobytes() == ref.tobytes()
+        assert block_normals(-5, ids, n_steps, 2).tobytes() == ref.tobytes()
 
     def test_chunks_hold_whole_noise_blocks(self):
         """No run_ensemble chunk shares a noise block with another, so
