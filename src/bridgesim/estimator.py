@@ -12,7 +12,7 @@ from .bridge import TERM_NAMES, simulate_batch
 from .errors import InvalidConfigurationError, UnstableRunError
 from .observations import ObservationSet
 from .sde import (NOISE_BLOCK, ModelSpec, PathSample, TimeGrid,
-                  batch_innermost)
+                  batch_innermost, integer)
 from .weights import batch_breakdown, normalize_log_weights
 
 # The cap on a chunk, which bounds its working set; ``_chunk_rows`` sizes
@@ -128,19 +128,19 @@ def _map_in_workers(work: Callable, n_chunks: int, n_workers: int):
     try:
         for w in range(n_workers):
             read, write = os.pipe()
-            if (pid := os.fork()) == 0:
-                try:
-                    for fd in (read, *(pipe.fileno() for pipe in pipes)):
-                        os.close(fd)
-                    with open(write, "wb") as out:
+            pipes.append(open(read, "rb"))
+            # the parent closes its write end here, also if fork raises
+            with open(write, "wb") as out:
+                if (pid := os.fork()) == 0:
+                    try:
+                        for pipe in pipes:
+                            os.close(pipe.fileno())
                         for index in range(w, n_chunks, n_workers):
                             out.write(_pickled(work, index))
                             out.flush()
-                finally:  # past the parent's exit handlers and buffers
-                    os._exit(0)
-            os.close(write)
+                    finally:  # past the parent's exit handlers and buffers
+                        os._exit(0)
             pids.append(pid)
-            pipes.append(open(read, "rb"))
         for index in range(n_chunks):
             try:
                 ok, value = pickle.load(pipes[index % n_workers])
@@ -151,8 +151,9 @@ def _map_in_workers(work: Callable, n_chunks: int, n_workers: int):
                 raise value
             yield value
     finally:
-        for pid, pipe in zip(pids, pipes):
+        for pipe in pipes:
             pipe.close()
+        for pid in pids:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
 
@@ -175,11 +176,9 @@ def _ensemble(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
     receives in chunk order; it replaces ``states``.  After the last
     chunk, raises ``UnstableRunError`` if over 1% of paths failed.
     """
+    integer(seed, "seed must be an integer")  # before any worker forks
     for name, value in (("n_paths", n_paths), ("threads", threads)):
-        # integers only, as the config reads them: a bool is not one
-        if isinstance(value, bool) or not isinstance(
-                value, (int, np.integer)) or value < 1:
-            raise InvalidConfigurationError(f"{name} must be >= 1")
+        integer(value, f"{name} must be >= 1", least=1)
 
     # chunk i holds path ids [starts[i], stop(i))
     n_workers = _worker_count(threads, n_paths)

@@ -406,6 +406,15 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
 # ---------------------------------------------------------------------------
 # noise streams
 
+def integer(value, message: str, least: float = -np.inf) -> int:
+    """``value`` as an int if it is an int or a numpy integer (a bool is
+    not one) of at least ``least``; else InvalidConfigurationError."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, np.integer)) or value < least:
+        raise InvalidConfigurationError(message)
+    return int(value)
+
+
 def noise_drawer(seed: int, path_ids, dim: int):
     """A function ``draw(buf)`` that fills the (s, dim, P) buffer ``buf``
     with the next ``s`` steps of noise of the paths ``path_ids``.
@@ -439,7 +448,7 @@ def noise_drawer(seed: int, path_ids, dim: int):
             rows.setdefault(pid // NOISE_BLOCK, []).append(p)
         groups = [(block, ps, [ids[p] % NOISE_BLOCK for p in ps])
                   for block, ps in rows.items()]
-    seed = int(seed) & _MASK64
+    seed = integer(seed, "seed must be an integer") & _MASK64
     gens = [np.random.Generator(np.random.SFC64(np.random.SeedSequence(
         seed, spawn_key=(block & _MASK64,)))) for block, _, _ in groups]
 

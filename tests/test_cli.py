@@ -5,10 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bridgesim as bs
 import bridgesim.estimator
 from bridgesim import models
+from bridgesim.bridge import TERM_NAMES
 from bridgesim.cli import _csv_header, _csv_rows, main
 from bridgesim.errors import InvalidConfigurationError
 from conftest import CHUNK, chunk_count, state_dependent_setup
@@ -376,6 +379,56 @@ class TestRunCommand:
         text = path.read_text()
         assert "-0," in text and "nan" in text and "inf" in text
         assert str(2 ** 62 + 3) in text
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(0, 40), n_obs=st.integers(1, 2),
+           n_fun=st.integers(1, 2))
+    def test_csv_rows_of_constant_columns(self, data, n, n_obs, n_fun):
+        """Chunks whose columns are often the same on every row: the rows
+        are the bytes of formatting every field on its own, and a chunk's
+        rows are its head's followed by its tail's at every split, so a
+        column formatted once in one chunk and per row in another writes
+        the same bytes."""
+        pool = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324,
+                -2.5e-310, 1.0 / 3.0]
+        column = st.one_of(
+            st.sampled_from(pool).map(lambda x: [x] * n),
+            st.lists(st.sampled_from([0.0, -0.0]), min_size=n, max_size=n),
+            st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+        def block(width):
+            return np.array([data.draw(column) for _ in range(width)],
+                            dtype=float).reshape(width, n).T
+
+        ids = np.array(data.draw(st.lists(
+            st.sampled_from([0, 17, 2 ** 62 + 3, 2 ** 63 - 1])
+            | st.integers(0, 2 ** 63 - 1), min_size=n, max_size=n)),
+            dtype=np.int64)
+        rows = {"path_ids": ids, "log_weights": block(1)[:, 0],
+                "girsanov": block(1)[:, 0]}
+        rows.update({name: block(n_obs) for name in TERM_NAMES})
+        fvals = block(n_fun)
+
+        def fmt(x):
+            return format(float(x), ".17g")
+
+        ref = ""
+        for i in range(n):
+            fields = [str(int(ids[i])), fmt(rows["log_weights"][i])]
+            for k in range(n_obs):
+                fields += [fmt(rows[name][i, k]) for name in TERM_NAMES]
+            fields += [fmt(rows["girsanov"][i])] + [fmt(v) for v in fvals[i]]
+            ref += ",".join(fields) + "\n"
+
+        def rows_of(part):
+            return _csv_rows({key: arr[part] for key, arr in rows.items()},
+                             fvals[part])
+
+        whole = rows_of(slice(None))
+        assert whole == ref
+        for cut in range(n + 1):
+            assert rows_of(slice(None, cut)) + rows_of(slice(cut, None)) \
+                == whole
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_run_matches_full_ensemble(self, tmp_path, threads, chunk_cap):

@@ -19,7 +19,7 @@ from bridgesim.errors import (
     UnstableRunError,
 )
 from bridgesim.estimator import CHUNK_SIZE, weighted_mean_se
-from bridgesim.sde import NOISE_BLOCK
+from bridgesim.sde import NOISE_BLOCK, block_normals
 from bridgesim.weights import batch_breakdown
 from conftest import (
     CHUNK,
@@ -111,6 +111,41 @@ class TestRunEnsemble:
         ens = bs.run_ensemble(model, obs, grid, np.zeros(1), np.int64(10),
                               seed=1, threads=np.int32(2))
         assert len(ens.path_ids) == 10
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_seed_must_be_an_integer(self, threads, monkeypatch):
+        """A seed that is not an int or numpy integer is rejected before
+        any worker forks, and by the batch and noise entry points too,
+        instead of running as the integer it truncates to; negative and
+        huge seeds run modulo 2**64."""
+        def no_fork():
+            raise AssertionError("forked before the seed was checked")
+
+        model, obs, grid = brownian_setup(dt_base=0.05)
+        u = np.zeros(1)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fork", no_fork)
+            for seed in (1.0, 1.5, 1.99, "1", True, np.bool_(True),
+                         np.float64(1.2), None):
+                with pytest.raises(InvalidConfigurationError,
+                                   match="seed must be an integer"):
+                    bs.run_ensemble(model, obs, grid, u, 5000, seed=seed,
+                                    threads=threads)
+        for seed in (2.5, True):
+            with pytest.raises(InvalidConfigurationError,
+                               match="seed must be an integer"):
+                bs.simulate_batch(model, obs, grid, u, seed, [0, 1])
+            with pytest.raises(InvalidConfigurationError,
+                               match="seed must be an integer"):
+                block_normals(seed, [0, 1], 4, 1)
+
+        def states(seed):
+            return bs.run_ensemble(model, obs, grid, u, 100, seed=seed,
+                                   threads=threads).states.tobytes()
+
+        one = states(1)
+        assert states(np.int64(1)) == states(2 ** 64 + 1) == one
+        assert states(np.uint64(2 ** 64 - 1)) == states(-1) != one
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_array_sigma_matches_callable(self, threads):
@@ -707,6 +742,31 @@ bs.run_ensemble(model, obs, grid, np.zeros(1), 4096, seed=1, threads=2)
         with pytest.raises(RuntimeError, match="a worker ended before chunk"):
             bs.run_ensemble(model, obs, grid, np.zeros(1), 2 * CHUNK,
                             seed=1, threads=2)
+        self.assert_no_child_left()
+
+    def test_failed_fork_closes_its_pipe(self, monkeypatch):
+        """A fork that raises, as under EAGAIN, after one worker has
+        started: the error reaches the caller, the failed worker's pipe
+        is closed and the started worker is reaped."""
+        if estimator._worker_count(2, 5000) < 2 \
+                or not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs fork, two usable CPUs and /proc/self/fd")
+        model, obs, grid = brownian_setup(dt_base=0.05)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real_fork()
+
+        before = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(BlockingIOError):
+            bs.run_ensemble(model, obs, grid, np.zeros(1), 5000, seed=1,
+                            threads=2)
+        assert len(forks) == 2
+        assert len(os.listdir("/proc/self/fd")) == before
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("how", ["sink", "worker"])
