@@ -27,6 +27,7 @@ from .sde import (  # noqa: F401
     diffusion_values,
     dot,
     drift_values,
+    integer,
     matvec,
     noise_drawer,
     normal_increments,
@@ -121,7 +122,8 @@ def _euler(model: ModelSpec, obs: ObservationSet, grid: TimeGrid, u,
 
     times = grid.nodes.tolist()
     m_steps = grid.n_steps
-    stored = range(m_steps + 1) if nodes is None else [int(j) for j in nodes]
+    stored = range(m_steps + 1) if nodes is None else \
+        [integer(j, "nodes must be increasing node indices") for j in nodes]
     row = dict(zip(stored, range(len(stored))))  # of states, per node
     if sorted(row) != list(stored) or not set(row) <= set(range(m_steps + 1)):
         raise InvalidConfigurationError("nodes must be increasing node indices")

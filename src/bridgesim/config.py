@@ -79,6 +79,7 @@ def _number(value, path: str) -> float:
 
 
 def _integer(value, path: str) -> int:
+    # not sde.integer: config_digest's json.dumps fails on a numpy int
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidConfigurationError("expected an integer", field=path)
     return value

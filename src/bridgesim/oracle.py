@@ -11,7 +11,7 @@ from .errors import (
     InvalidConfigurationError,
 )
 from .observations import ObservationSet
-from .sde import TimeGrid
+from .sde import TimeGrid, integer
 
 
 def _vector(dim: int, value, name: str) -> np.ndarray:
@@ -30,9 +30,7 @@ def _vector(dim: int, value, name: str) -> np.ndarray:
 def _sigma_matrix(dim: int, sigma) -> np.ndarray:
     """``sigma``, a scalar, a length-``dim`` vector (the diagonal) or a
     (dim, dim) matrix, as a finite nonsingular (dim, dim) matrix."""
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) \
-            or dim < 1:
-        raise InvalidConfigurationError("dim must be a positive integer")
+    dim = integer(dim, "dim must be a positive integer", least=1)
     arr = np.asarray(sigma, dtype=float)
     if arr.ndim == 0:
         out = float(arr) * np.eye(dim)

@@ -64,8 +64,8 @@ class ModelSpec:
     ellipticity_bound: float = 100.0
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidConfigurationError("model dimension must be >= 1")
+        object.__setattr__(self, "dim", integer(
+            self.dim, "model dimension must be an integer >= 1", least=1))
         if not self.ellipticity_bound > 0:
             raise InvalidConfigurationError("ellipticity_bound must be positive")
         if not callable(self.diffusion):
@@ -97,6 +97,13 @@ class TimeGrid:
     """
 
     nodes: np.ndarray
+
+    def __post_init__(self):
+        nodes = np.array(self.nodes, dtype=float)
+        if nodes.ndim != 1 or not np.isfinite(nodes).all() \
+                or (np.diff(nodes) <= 0).any():
+            raise InvalidConfigurationError("nodes must be finite, increasing")
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def horizon(self) -> float:
@@ -397,10 +404,7 @@ def build_grid(horizon: float, obs, dt_base: float, dt_min: float,
         else:
             nodes += _fill_uniform(s, e, dt_base)
 
-    arr = np.asarray(nodes, dtype=float)
-    if np.any(np.diff(arr) <= 0):
-        raise InvalidConfigurationError("grid construction produced a non-increasing node sequence")
-    return TimeGrid(arr)
+    return TimeGrid(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -473,26 +477,23 @@ def normal_increments(seed: int, path_id: int, n_steps: int,
 def path_id_array(path_ids) -> np.ndarray:
     """A copy of ``path_ids`` as an int64 array, or as an object array
     of Python ints when an id lies past int64.  A 1-D signed-integer
-    array is cast by numpy; other ids are read one by one as Python
-    ints."""
+    array is cast by numpy; other ids are read one by one through
+    :func:`integer`."""
     if isinstance(path_ids, np.ndarray) and path_ids.ndim == 1 \
             and path_ids.dtype.kind == "i":
         return path_ids.astype(np.int64)
-    ids = [int(p) for p in path_ids]
+    ids = [integer(p, "path ids must be integers") for p in path_ids]
     try:
         return np.array(ids, dtype=np.int64)
     except OverflowError:  # the noise streams take any integer id
         return np.array(ids, dtype=object)
 
 
-def block_normals(seed: int, path_ids, n_steps: int, dim: int,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
+def block_normals(seed: int, path_ids, n_steps: int, dim: int) -> np.ndarray:
     """The (P, n_steps, dim) noise of a batch of paths, one draw of
     :func:`noise_drawer`, paths innermost in memory: a transposed view
-    of an (n_steps, dim, P) buffer, which is ``out``'s memory if one of
-    that shape is given.  Row p equals ``normal_increments(seed,
-    path_ids[p], n_steps, dim)`` bit for bit."""
+    of an (n_steps, dim, P) buffer.  Row p equals ``normal_increments(
+    seed, path_ids[p], n_steps, dim)`` bit for bit."""
     ids = path_id_array(path_ids)
-    buf = np.empty((n_steps, dim, len(ids))) if out is None \
-        else out.transpose(1, 2, 0)
+    buf = np.empty((n_steps, dim, len(ids)))
     return noise_drawer(seed, ids, dim)(buf).transpose(2, 0, 1)

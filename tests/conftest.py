@@ -20,6 +20,15 @@ def chunk_cap(monkeypatch):
     monkeypatch.setattr(estimator, "CHUNK_SIZE", CHUNK)
 
 
+def forbid_noise(monkeypatch):
+    """Fail the test if any noise is drawn from here on, for checks that
+    an input is rejected before the kernel draws."""
+    def drawn(*args):
+        pytest.fail("noise was drawn")
+    for module in (bs.sde, bs.bridge):
+        monkeypatch.setattr(module, "noise_drawer", drawn)
+
+
 def chunk_count(n_paths: int, threads: int = 1) -> int:
     """Chunks that a run of ``n_paths`` at ``threads`` splits into, by the
     estimator's rule at the current cap."""

@@ -12,8 +12,9 @@ from bridgesim.errors import (
 from bridgesim.bridge import BLOWUP_FACTOR
 from bridgesim.observations import channel
 from bridgesim.sde import normal_increments
-from conftest import (nondiagonal_sigma_setup, rand_orthonormal,
-                      single_full_obs, state_dependent_setup)
+from conftest import (forbid_noise, nondiagonal_sigma_setup,
+                      rand_orthonormal, single_full_obs,
+                      state_dependent_setup)
 
 
 def scalar_obs(time=1.0, value=1.0, window=None):
@@ -462,18 +463,21 @@ class TestBatchBehavior:
                 bs.simulate_batch(model, obs, grid, u, 5, ids, out=bad)
         assert (ens[:40] == 7.0).all()
 
-    def test_stored_nodes_keep_the_bits(self):
+    def test_stored_nodes_keep_the_bits(self, monkeypatch):
         """A batch that stores some nodes holds those nodes' states of
         the batch that stores every node, into an ``out`` of its shape
         too, with the same terms, issues, failed steps and
-        pre-projection states; nodes that are not increasing indices of
-        the grid are rejected."""
+        pre-projection states, also for nodes in an int32 array; nodes
+        that are not increasing integer indices of the grid (by
+        ``sde.integer``: no float or bool, whatever it would truncate
+        to) are rejected before any noise is drawn."""
         model, obs, grid, u = state_dependent_setup(blowup_at=3.0)
         ids = np.arange(40, 240)
         full = bs.simulate_batch(model, obs, grid, u, 5, ids)
         assert (full.failed_step >= 0).any()
         m = grid.n_steps
-        for nodes in ([0], [3, m], [m // 2], [], list(range(m + 1))):
+        for nodes in ([0], [3, m], [m // 2], [], list(range(m + 1)),
+                      np.array([0, 5], dtype=np.int32)):
             out = bs.sde.batch_innermost((len(ids),), (len(nodes), 3))
             for got in (bs.simulate_batch(model, obs, grid, u, 5, ids,
                                           nodes=nodes),
@@ -491,7 +495,9 @@ class TestBatchBehavior:
                 assert got.failed_step.tobytes() == \
                     full.failed_step.tobytes()
             assert got.states is out
-        for bad in ([3, 3], [5, 2], [-1], [m + 1]):
+        forbid_noise(monkeypatch)
+        for bad in ([3, 3], [5, 2], [-1], [m + 1], [0, 1.7], [True],
+                    np.array([0.0, 5.0])):
             with pytest.raises(InvalidConfigurationError,
                                match="nodes must be increasing"):
                 bs.simulate_batch(model, obs, grid, u, 5, ids, nodes=bad)

@@ -148,6 +148,22 @@ class TestParseConfig:
             bs.parse_config(raw)
         assert e.value.field == field
 
+    @pytest.mark.parametrize("mutate,field", [
+        (lambda c: c.update(n_paths=np.int64(100)), "n_paths"),
+        (lambda c: c.update(seed=np.int64(7)), "seed"),
+        (lambda c: c["functionals"][0].update(coordinate=np.int64(0)),
+         "functionals[0].coordinate"),
+    ])
+    def test_numpy_integers_rejected_in_decoded_dicts(self, mutate, field):
+        """A pin, not a mended fault: the configuration keeps JSON's own
+        integer rule, because ``config_digest``'s ``json.dumps`` cannot
+        encode the numpy integer that ``sde.integer`` would admit."""
+        raw = base_config()
+        mutate(raw)
+        with pytest.raises(InvalidConfigurationError) as e:
+            bs.parse_config(raw)
+        assert e.value.field == field
+
     @pytest.mark.parametrize("value,field", [
         (["a"], "initial_state[0]"),
         ([True], "initial_state[0]"),

@@ -222,6 +222,38 @@ class TestValidation:
                           include_times=[np.nan])
 
 
+class TestTimeGrid:
+    """The type owns the grid rule, for every grid and not only those of
+    ``build_grid``."""
+
+    @pytest.mark.parametrize("nodes", [
+        [0.0, 0.5, 0.3, 1.0],
+        [0.0, 0.5, 0.5, 1.0],
+        [0.0, np.nan, 1.0],
+        [np.nan],
+        [0.0, 1.0, np.inf],
+        [-np.inf, 0.0],
+        [[0.0, 0.5], [0.6, 1.0]],
+    ], ids=["unsorted", "repeated", "nan", "only-nan", "inf", "minus-inf",
+            "2-d"])
+    def test_bad_nodes_rejected(self, nodes):
+        with pytest.raises(InvalidConfigurationError,
+                           match="nodes must be finite, increasing"):
+            bs.TimeGrid(nodes)
+
+    def test_nodes_are_a_float_copy(self):
+        """A hand-built grid, such as ``test_bridge``'s, keeps its nodes'
+        bytes in a 1-D float array of its own."""
+        given = np.sort(np.append(np.linspace(0.0, 1.0, 41), 0.5 - 1e-13))
+        grid = bs.TimeGrid(given)
+        assert grid.nodes.tobytes() == given.tobytes()
+        given[0] = -1.0
+        assert grid.nodes[0] == 0.0
+        ints = bs.TimeGrid([0, 1, 3])
+        assert ints.nodes.dtype == float and ints.nodes.ndim == 1
+        assert ints.nodes.tolist() == [0.0, 1.0, 3.0]
+
+
 @st.composite
 def grid_inputs(draw):
     """Validated observations with windows inside their gaps, plus step

@@ -26,7 +26,7 @@ from bridgesim.sde import (
     product,
     vecmat,
 )
-from conftest import state_dependent_setup
+from conftest import forbid_noise, state_dependent_setup
 
 
 class TestNoise:
@@ -100,7 +100,7 @@ class TestNoise:
         assert block.shape == ref.shape
         assert block.tobytes() == ref.tobytes()
         into = batch_innermost((len(ids),), (30, 2))
-        block_normals(-5, ids, 30, 2, out=into)
+        noise_drawer(-5, ids, 2)(into.transpose(1, 2, 0))
         assert into.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("ids", [
@@ -145,6 +145,54 @@ class TestNoise:
             x = x + matvec(model.diffusion, ref[:, j]) * np.sqrt(dt)
             assert batch.states[:, j + 1].tobytes() == x.tobytes()
         assert list(batch.path_ids) == ids
+
+
+def id_entry_points():
+    """Each public route from path ids to noise, as a map from a list of
+    ids to the bytes it gives them."""
+    model = bs.ou(dim=2).spec
+    obs = bs.validate([bs.Observation(1.0, [[1.0, 0.0]], [0.3])], dim=2)
+    grid = bs.build_grid(1.0, obs, dt_base=0.1, dt_min=0.01)
+    u = np.zeros(2)
+    return {
+        "simulate_batch": lambda ids: simulate_batch(
+            model, obs, grid, u, 4, ids).states.tobytes(),
+        "simulate_free_batch": lambda ids: simulate_free_batch(
+            model, grid, u, 4, ids).states.tobytes(),
+        "block_normals": lambda ids: block_normals(4, ids, 5, 2).tobytes(),
+        "normal_increments": lambda ids: b"".join(
+            normal_increments(4, pid, 5, 2).tobytes() for pid in ids),
+    }
+
+
+class TestIdRule:
+    """Path ids follow ``sde.integer``: an int or a numpy integer, never
+    a bool, a float or a string, whatever it would truncate to."""
+
+    @pytest.mark.parametrize("name", ["simulate_batch", "simulate_free_batch",
+                                      "block_normals", "normal_increments"])
+    def test_ids_are_integers(self, name, monkeypatch):
+        """Integer containers give the bits of the plain list of Python
+        ints; any other id is rejected before any noise is drawn."""
+        run = id_entry_points()[name]
+        for given, plain in [
+                (np.array([3, 70, 5], dtype=np.int32), [3, 70, 5]),
+                (np.array([3, 70, 5], dtype=np.int64), [3, 70, 5]),
+                (np.array([3, 70, 5], dtype=np.uint64), [3, 70, 5]),
+                (np.array([2 ** 64 - 1, 3], dtype=np.uint64),
+                 [2 ** 64 - 1, 3]),
+                (np.array([3, 2 ** 70], dtype=object), [3, 2 ** 70]),
+                ((2 ** 63, -1, 2 ** 65 + 1), [2 ** 63, -1, 2 ** 65 + 1]),
+                ([np.int32(3), np.uint64(2 ** 64 - 1), np.int64(-2)],
+                 [3, 2 ** 64 - 1, -2])]:
+            assert run(given) == run(plain), (given, plain)
+        forbid_noise(monkeypatch)
+        for bad in (1.5, 1.9, True, np.bool_(True), "3", np.float64(2.0),
+                    np.array([1.0, 2.0]), np.array([True])):
+            ids = bad if isinstance(bad, np.ndarray) else [bad]
+            with pytest.raises(InvalidConfigurationError,
+                               match="path ids must be integers"):
+                run(ids)
 
 
 class TestCoefficientHelpers:
@@ -339,9 +387,23 @@ class TestModelSpec:
         assert plain.guided_drift is None
 
     def test_bad_dimension(self):
-        with pytest.raises(InvalidConfigurationError):
-            bs.ModelSpec(dim=0, drift=lambda t, x: x,
-                         diffusion=lambda t, x: np.eye(1))
+        """``dim`` follows ``sde.integer`` with ``least=1``: 0, a float, a
+        bool or a string is rejected when the model is built."""
+        for dim in (0, 2.0, True, "2"):
+            with pytest.raises(InvalidConfigurationError,
+                               match="model dimension"):
+                bs.ModelSpec(dim=dim, drift=lambda t, x: x,
+                             diffusion=lambda t, x: np.eye(1))
+
+    def test_numpy_integer_dimension(self):
+        """A numpy integer ``dim`` is stored as an int, and the model
+        runs."""
+        spec = bs.ou(dim=np.int64(2)).spec
+        assert type(spec.dim) is int and spec.dim == 2
+        grid = bs.build_grid(1.0, None, dt_base=0.1, dt_min=0.1)
+        batch = simulate_free_batch(spec, grid, np.zeros(2), 4, [0, 1])
+        assert batch.states.shape == (2, grid.n_steps + 1, 2)
+        assert (batch.failed_step == -1).all()
 
 
 class TestIntegrator:
